@@ -56,35 +56,6 @@ ObsFlags ParseObsFlags(int argc, char** argv) {
   return flags;
 }
 
-void StripObsFlags(int* argc, char** argv) {
-  static constexpr std::string_view kNames[] = {
-      "--trace-out", "--metrics-out", "--slo-out", "--digest-out"};
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string_view arg = argv[i];
-    bool matched = false;
-    for (const std::string_view name : kNames) {
-      if (arg.rfind(name, 0) != 0) {
-        continue;
-      }
-      const std::string_view rest = arg.substr(name.size());
-      if (rest.empty() && i + 1 < *argc) {  // Two-token form: skip the value.
-        ++i;
-        matched = true;
-        break;
-      }
-      if (!rest.empty() && rest.front() == '=') {
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      argv[kept++] = argv[i];
-    }
-  }
-  *argc = kept;
-}
-
 void ApplyObsFlags(const ObsFlags& flags, Observability* obs) {
   if (flags.trace_requested()) {
     obs->tracer.Enable();

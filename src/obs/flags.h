@@ -42,11 +42,6 @@ struct ObsFlags {
 // PATH` form) and ignores unrecognized arguments.
 ObsFlags ParseObsFlags(int argc, char** argv);
 
-// Removes the observability flags from argv in place (updating *argc),
-// for benches whose argument parser rejects unknown flags (e.g.
-// google-benchmark's Initialize). Call ParseObsFlags first.
-void StripObsFlags(int* argc, char** argv);
-
 // Enables the tracer when a trace was requested.
 void ApplyObsFlags(const ObsFlags& flags, Observability* obs);
 

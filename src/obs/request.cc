@@ -7,111 +7,42 @@ bool Ready(const Tracer* tracer, const RequestContext* ctx) {
   return tracer != nullptr && ctx != nullptr && ctx->id != 0;
 }
 
+void End(Tracer* tracer, const RequestContext* ctx, const char* hop,
+         int64_t track) {
+  if (Ready(tracer, ctx)) {
+    tracer->FlowEnd(hop, ctx->category, ctx->id, track);
+  }
+}
+
 }  // namespace
 
 void TraceRequestSubmit(Tracer* tracer, RequestContext* ctx,
-                        std::string_view category, SimTime now,
-                        int64_t track) {
+                        const char* category, SimTime now, int64_t track) {
   if (ctx == nullptr) {
     return;
   }
-  ctx->last_event = now;
   ctx->submit = now;
-  ctx->category = std::string(category);
+  ctx->category = category;
   if (Ready(tracer, ctx)) {
     tracer->FlowBegin("submit", category, ctx->id, track);
   }
 }
 
-void TraceRequestAdmit(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ctx->admit = now;
-  ctx->admitted = true;
+void TraceRequestStep(Tracer* tracer, const RequestContext* ctx,
+                      const char* hop, int64_t track) {
   if (Ready(tracer, ctx)) {
-    tracer->FlowStep("admit", ctx->category, ctx->id, track);
+    tracer->FlowStep(hop, ctx->category, ctx->id, track);
   }
 }
 
-void TraceRequestDispatch(Tracer* tracer, RequestContext* ctx, SimTime now,
-                          int soc_index, int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  if (ctx->dispatches == 0) {
-    ctx->dispatch = now;
-  }
-  ++ctx->dispatches;
-  ctx->soc_index = soc_index;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowStep("dispatch", ctx->category, ctx->id, track);
-  }
-}
-
-void TraceRequestRetry(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ++ctx->retries;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowStep("retry", ctx->category, ctx->id, track);
-  }
-}
-
-void TraceRequestHedge(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ++ctx->hedges;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowStep("hedge", ctx->category, ctx->id, track);
-  }
-}
-
-void TraceRequestFailover(Tracer* tracer, RequestContext* ctx, SimTime now,
+void TraceRequestComplete(Tracer* tracer, const RequestContext* ctx,
                           int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ++ctx->failovers;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowStep("failover", ctx->category, ctx->id, track);
-  }
+  End(tracer, ctx, "complete", track);
 }
 
-void TraceRequestComplete(Tracer* tracer, RequestContext* ctx, SimTime now,
-                          int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ctx->complete = now;
-  ctx->completed = true;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowEnd("complete", ctx->category, ctx->id, track);
-  }
-}
-
-void TraceRequestDrop(Tracer* tracer, RequestContext* ctx, SimTime now,
+void TraceRequestDrop(Tracer* tracer, const RequestContext* ctx,
                       int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ctx->complete = now;
-  ctx->dropped = true;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowEnd("drop", ctx->category, ctx->id, track);
-  }
+  End(tracer, ctx, "drop", track);
 }
 
 }  // namespace soccluster

@@ -1,12 +1,11 @@
 // Per-request causal context: the admission -> placement -> dispatch ->
-// completion path of one request, stamped as it crosses layers and emitted
-// as Perfetto flow events that link the existing spans across tracks.
+// completion path of one request, emitted as Perfetto flow events that
+// link the existing spans across tracks.
 //
 // A workload allocates one RequestContext per logical request (the service
 // owns it; the AdmissionQueue and Placer only borrow a pointer), then calls
-// the Trace* helpers at each hop. Helpers always stamp the context — the
-// stamps are cheap plain stores — and emit a flow point only when the
-// tracer is enabled, so instrumented paths never branch on enablement
+// the Trace* helpers at each hop. Helpers emit a flow point only when a
+// tracer is attached, so instrumented paths never branch on enablement
 // themselves. Everything here is observers-only state: nothing is folded
 // into digests and nothing feeds back into the simulation.
 
@@ -14,8 +13,6 @@
 #define SRC_OBS_REQUEST_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 #include "src/base/units.h"
 #include "src/obs/trace.h"
@@ -23,50 +20,29 @@
 namespace soccluster {
 
 struct RequestContext {
-  uint64_t id = 0;          // Service-unique; doubles as the flow id.
-  // Flow category, set by TraceRequestSubmit. Layers that only borrow the
-  // context (Placer) reuse it so their flow points join the same chain.
-  std::string category;
-  int priority = 0;         // Priority class at submission.
-  int soc_index = -1;       // Last dispatch target (-1 before dispatch).
-
-  // Lifecycle stamps (zero until the hop happens).
-  SimTime submit;
-  SimTime admit;
-  SimTime dispatch;         // First dispatch.
-  SimTime complete;         // Completion or terminal drop.
-  SimTime last_event;       // Most recent hop of any kind.
-
-  int dispatches = 0;
-  int retries = 0;
-  int hedges = 0;
-  int failovers = 0;
-  bool admitted = false;
-  bool completed = false;
-  bool dropped = false;
+  uint64_t id = 0;  // Service-unique; doubles as the flow id.
+  // Flow category: a static literal, set by TraceRequestSubmit. Layers
+  // that only borrow the context (Placer) reuse it so their flow points
+  // join the same chain. A pointer, not a string, so a context never
+  // allocates (service categories outgrow the small-string buffer).
+  const char* category = "";
+  SimTime submit;  // Stamped by TraceRequestSubmit.
 };
 
 // Flow emission helpers. TraceRequestSubmit stamps `category` into the
 // context (use the service's span category, e.g. "dl.serving", so request
 // ids from different services cannot collide into one chain); every later
 // hop reuses it, which keeps a chain's points consistent even when the
-// context crosses layers (AdmissionQueue, Placer). `tracer` may be null.
+// context crosses layers (AdmissionQueue, Placer). `tracer` and `ctx` may
+// be null.
 void TraceRequestSubmit(Tracer* tracer, RequestContext* ctx,
-                        std::string_view category, SimTime now,
-                        int64_t track = 0);
-void TraceRequestAdmit(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track = 0);
-void TraceRequestDispatch(Tracer* tracer, RequestContext* ctx, SimTime now,
-                          int soc_index, int64_t track);
-void TraceRequestRetry(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track = 0);
-void TraceRequestHedge(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track = 0);
-void TraceRequestFailover(Tracer* tracer, RequestContext* ctx, SimTime now,
+                        const char* category, SimTime now, int64_t track = 0);
+// An intermediate hop: "admit", "dispatch", "retry", "hedge", "failover".
+void TraceRequestStep(Tracer* tracer, const RequestContext* ctx,
+                      const char* hop, int64_t track = 0);
+void TraceRequestComplete(Tracer* tracer, const RequestContext* ctx,
                           int64_t track = 0);
-void TraceRequestComplete(Tracer* tracer, RequestContext* ctx, SimTime now,
-                          int64_t track = 0);
-void TraceRequestDrop(Tracer* tracer, RequestContext* ctx, SimTime now,
+void TraceRequestDrop(Tracer* tracer, const RequestContext* ctx,
                       int64_t track = 0);
 
 }  // namespace soccluster

@@ -86,13 +86,12 @@ void AdmissionQueue::NoteQueued() {
 }
 
 bool AdmissionQueue::Offer(Priority priority, Duration deadline,
-                          std::shared_ptr<void> payload, RequestContext* ctx) {
+                           uint64_t handle, const RequestContext* ctx) {
   Item item;
   item.priority = priority;
   item.enqueue = sim_->Now();
   item.deadline = deadline;
-  item.payload = std::move(payload);
-  item.ctx = ctx;
+  item.handle = handle;
   if (priority > admit_floor_) {
     Drop(item, DropReason::kAdmitFloor);
     return false;
@@ -115,7 +114,7 @@ bool AdmissionQueue::Offer(Priority priority, Duration deadline,
   ++admitted_;
   admitted_metrics_[static_cast<size_t>(priority)]->Increment();
   NoteQueued();
-  TraceRequestAdmit(&sim_->tracer(), ctx, sim_->Now());
+  TraceRequestStep(&sim_->tracer(), ctx, "admit");
   return true;
 }
 

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -59,10 +58,8 @@ class AdmissionQueue {
     Priority priority = Priority::kStandard;
     SimTime enqueue;
     Duration deadline;  // Zero: none. Measured from `enqueue`.
-    std::shared_ptr<void> payload;
-    // Borrowed causal-trace context; the payload owns the storage. Never
-    // digested (observers-only).
-    RequestContext* ctx = nullptr;
+    // Opaque owner handle (services pack a slab ref into it).
+    uint64_t handle = 0;
   };
 
   enum class DropReason { kQueueFull, kAdmitFloor, kExpired, kSojourn };
@@ -79,13 +76,13 @@ class AdmissionQueue {
 
   void set_on_drop(DropHandler on_drop) { on_drop_ = std::move(on_drop); }
 
-  // Admits `payload` at `priority`, or sheds it (queue full below the
+  // Admits `handle` at `priority`, or sheds it (queue full below the
   // eviction rule, or class below the admission floor). Returns true when
-  // the item was queued. When `ctx` is given it is stamped with the
-  // admit hop and an "admit" flow point is emitted under the service's
-  // category (drops stay the owner's job, via the DropHandler).
-  bool Offer(Priority priority, Duration deadline,
-             std::shared_ptr<void> payload, RequestContext* ctx = nullptr);
+  // the item was queued. When `ctx` is given an "admit" flow point is
+  // emitted under the service's category (drops stay the owner's job, via
+  // the DropHandler).
+  bool Offer(Priority priority, Duration deadline, uint64_t handle,
+             const RequestContext* ctx = nullptr);
 
   // Dispatches the next item: highest class first, FIFO within a class,
   // purging deadline-expired heads and applying the CoDel control law on
@@ -120,7 +117,7 @@ class AdmissionQueue {
   int max_queue_length() const { return max_queue_length_; }
 
   // Mixes queue contents (per class, in FIFO order), admission/drop
-  // accounting, and the CoDel control-law state. Payloads are opaque and
+  // accounting, and the CoDel control-law state. Handles are opaque and
   // not digested; owners digest their own request state.
   void DigestState(StateDigest& digest) const;
 

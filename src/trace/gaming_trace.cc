@@ -87,7 +87,7 @@ void GamingWorkload::StartSession() {
   if (session_cap_ >= 0 && active_sessions() >= session_cap_) {
     ++capped_;
     sessions_capped_metric_->Increment();
-    TraceRequestDrop(&tracer, &ctx, sim_->Now());
+    TraceRequestDrop(&tracer, &ctx);
     return;
   }
   PlacementDemand demand;
@@ -96,7 +96,7 @@ void GamingWorkload::StartSession() {
   if (soc_index < 0) {
     ++rejected_;
     sessions_rejected_metric_->Increment();
-    TraceRequestDrop(&tracer, &ctx, sim_->Now());
+    TraceRequestDrop(&tracer, &ctx);
     return;
   }
   SocModel& soc = cluster_->soc(soc_index);
@@ -104,10 +104,10 @@ void GamingWorkload::StartSession() {
   if (!status.ok()) {
     ++rejected_;
     sessions_rejected_metric_->Increment();
-    TraceRequestDrop(&tracer, &ctx, sim_->Now());
+    TraceRequestDrop(&tracer, &ctx);
     return;
   }
-  TraceRequestDispatch(&tracer, &ctx, sim_->Now(), soc_index, 0);
+  TraceRequestStep(&tracer, &ctx, "dispatch");
   view_.Reserve(soc_index, demand);
   Network& net = cluster_->network();
   Result<int64_t> outbound = net.AddConstantLoad(
@@ -154,7 +154,7 @@ void GamingWorkload::EndSession(int64_t id) {
   demand.slots = 1;
   view_.Release(session.soc_index, demand);
   session_length_metric_->Observe((sim_->Now() - session.ctx.submit).ToMillis());
-  TraceRequestComplete(&sim_->tracer(), &it->second.ctx, sim_->Now());
+  TraceRequestComplete(&sim_->tracer(), &it->second.ctx);
   sessions_.erase(it);
 }
 

@@ -40,7 +40,15 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
     : sim_(sim), cluster_(cluster), device_(soc_device), model_(model),
       precision_(precision), view_(cluster, FleetViewOptions()),
       placer_(sim, &view_, FleetPlacerOptions()),
-      admission_(sim, FleetAdmissionOptions()) {
+      admission_(sim, FleetAdmissionOptions()),
+      ledger_(sim, {.service = "dl.serving",
+                    .slo_threshold = Duration::Seconds(2),
+                    .submitted = "dl.serving.submitted",
+                    .completed = "dl.serving.completed",
+                    .shed = "dl.serving.shed",
+                    .expired = "dl.serving.expired",
+                    .failed = "dl.serving.failed",
+                    .rejected = "dl.serving.shed"}) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK(soc_device == DlDevice::kSocCpu ||
@@ -48,11 +56,6 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
       << "fleet devices must live on the SoC";
   SOC_CHECK(DlEngineModel::Supports(device_, model_, precision_));
   MetricRegistry& metrics = sim_->metrics();
-  submitted_metric_ = metrics.GetCounter("dl.serving.submitted");
-  completed_metric_ = metrics.GetCounter("dl.serving.completed");
-  shed_metric_ = metrics.GetCounter("dl.serving.shed");
-  expired_metric_ = metrics.GetCounter("dl.serving.expired");
-  failed_metric_ = metrics.GetCounter("dl.serving.failed");
   retries_metric_ = metrics.GetCounter("dl.serving.retries");
   hedges_metric_ = metrics.GetCounter("dl.serving.hedges");
   latency_metric_ = metrics.GetHistogram("dl.serving.latency_ms");
@@ -61,14 +64,6 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
   // per-request samples remain in latencies_ for digests and baselines.
   latency_metric_->EnableSketch();
   max_queue_metric_ = metrics.GetGauge("dl.serving.max_queue_length");
-  for (int c = 0; c < kNumPriorities; ++c) {
-    SloSpec spec;
-    const char* cls = PriorityName(static_cast<Priority>(c));
-    spec.name = std::string("dl.serving/") + cls;
-    spec.service = "dl.serving";
-    spec.class_name = cls;
-    slos_[static_cast<size_t>(c)] = sim_->obs().slos.Register(spec);
-  }
   Tracer& tracer = sim_->tracer();
   for (int i = 0; i < cluster_->num_socs(); ++i) {
     std::string name = "soc";
@@ -85,34 +80,16 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
 
 void SocServingFleet::OnAdmissionDrop(const AdmissionQueue::Item& item,
                                       AdmissionQueue::DropReason reason) {
-  auto request = std::static_pointer_cast<RequestState>(item.payload);
-  request->done = true;
+  const RequestRef ref = RequestRef::Unpack(item.handle);
+  RequestState& request = requests_[ref.index];
   Tracer& tracer = sim_->tracer();
   // Incoming drops carry no spans yet (id 0 => no-op); queued victims do.
-  tracer.EndSpan(request->queue_span);
-  TraceRequestDrop(&tracer, &request->ctx, sim_->Now());
-  slos_[static_cast<size_t>(request->priority)]->Record(sim_->Now(), false);
-  NotifyClient(request, reason == AdmissionQueue::DropReason::kExpired
-                            ? ClientOutcome::kExpired
-                            : ClientOutcome::kShed);
-  if (reason == AdmissionQueue::DropReason::kExpired) {
-    // The client has given up; starting the inference would waste a SoC
-    // slot on a response nobody reads.
-    ++deadline_expired_;
-    ++expired_of_[static_cast<size_t>(request->priority)];
-    expired_metric_->Increment();
-  } else {
-    ++shed_;
-    ++shed_of_[static_cast<size_t>(request->priority)];
-    shed_metric_->Increment();
-    if (breaker_ != nullptr &&
-        reason != AdmissionQueue::DropReason::kAdmitFloor) {
-      // Queue-pressure sheds feed the breaker's failure rate; admission-
-      // floor drops are a deliberate brownout policy, not service distress.
-      breaker_->RecordFailure();
-    }
-  }
-  tracer.EndSpan(request->request_span);
+  // An expired request's client has given up; starting the inference would
+  // waste a SoC slot on a response nobody reads.
+  tracer.EndSpan(request.queue_span);
+  ledger_.Finish(RequestLedger::FromDrop(reason), View(request));
+  tracer.EndSpan(request.request_span);
+  requests_.Free(ref.index);
 }
 
 double SocServingFleet::PerSocThroughput() const {
@@ -155,27 +132,14 @@ void SocServingFleet::EnableHedging(Duration hedge_delay) {
   hedge_delay_ = hedge_delay;
 }
 
-void SocServingFleet::NotifyClient(const RequestPtr& request,
-                                   ClientOutcome outcome) {
-  if (client_observer_ && request->client.attributed()) {
-    client_observer_(request->client.ticket, outcome,
-                     sim_->Now() - request->enqueue);
-  }
-}
-
 void SocServingFleet::Submit(Priority priority,
                              const ClientAttribution& client) {
-  submitted_metric_->Increment();
-  if (breaker_ != nullptr && priority != Priority::kCritical &&
-      !breaker_->Allow()) {
+  ledger_.Submit(priority);
+  if (!ledger_.BreakerAdmits(priority)) {
     // Fast-fail at the door while the breaker is open; queueing the request
     // would only deepen the backlog the breaker exists to drain.
-    ++shed_;
-    ++shed_of_[static_cast<size_t>(priority)];
-    shed_metric_->Increment();
-    if (client_observer_ && client.attributed()) {
-      client_observer_(client.ticket, ClientOutcome::kShed, Duration::Zero());
-    }
+    ledger_.Finish(RequestLedger::Cause::kBreaker,
+                   {priority, sim_->Now(), client});
     return;
   }
   // The effective deadline clamps to the client's own per-attempt budget
@@ -187,57 +151,43 @@ void SocServingFleet::Submit(Priority priority,
       (deadline.nanos() == 0 || client.deadline < deadline)) {
     deadline = client.deadline;
   }
-  auto request = std::make_shared<RequestState>();
-  request->enqueue = sim_->Now();
-  request->priority = priority;
-  request->deadline = deadline;
-  request->client = client;
+  const RequestRef ref = requests_.Allocate();
+  RequestState& request = requests_[ref.index];
+  request.enqueue = sim_->Now();
+  request.priority = priority;
+  request.deadline = deadline;
+  request.client = client;
   // The id is allocated before admission (unlike the spans) so the causal
   // chain can show the shed decision for requests that never get in.
-  request->request_id = next_request_id_++;
-  request->ctx.id = request->request_id;
-  request->ctx.priority = static_cast<int>(priority);
+  request.ctx.id = next_request_id_++;
   Tracer& tracer = sim_->tracer();
-  TraceRequestSubmit(&tracer, &request->ctx, "dl.serving", sim_->Now());
-  if (!admission_.Offer(priority, deadline, request, &request->ctx)) {
-    return;  // Shed; accounted in OnAdmissionDrop.
+  TraceRequestSubmit(&tracer, &request.ctx, "dl.serving", sim_->Now());
+  if (!admission_.Offer(priority, deadline, ref.Pack(), &request.ctx)) {
+    return;  // Shed; accounted (and freed) in OnAdmissionDrop.
   }
-  request->request_span =
-      tracer.BeginAsyncSpan("request", "dl.serving", request->request_id);
-  tracer.AddArg(request->request_span, "model", DnnModelName(model_));
-  request->queue_span = tracer.BeginAsyncSpan(
-      "queue", "dl.serving", request->request_id, request->request_span);
+  request.request_span =
+      tracer.BeginAsyncSpan("request", "dl.serving", request.ctx.id);
+  tracer.AddArg(request.request_span, "model", DnnModelName(model_));
+  request.queue_span = tracer.BeginAsyncSpan(
+      "queue", "dl.serving", request.ctx.id, request.request_span);
   max_queue_metric_->SetMax(static_cast<double>(admission_.max_queue_length()));
   TryDispatch();
 }
 
-void SocServingFleet::Requeue(RequestPtr request) {
-  request->active_attempt = 0;
-  request->queue_span =
-      sim_->tracer().BeginAsyncSpan("queue", "dl.serving", request->request_id,
-                                    request->request_span);
+void SocServingFleet::Requeue(RequestRef ref) {
+  RequestState& request = requests_[ref.index];
+  request.active_attempt = 0;
+  request.queue_span =
+      sim_->tracer().BeginAsyncSpan("queue", "dl.serving", request.ctx.id,
+                                    request.request_span);
   AdmissionQueue::Item item;
-  item.priority = request->priority;
-  item.enqueue = request->enqueue;  // Keep the original arrival time.
-  item.deadline = request->deadline;
-  item.payload = request;
-  item.ctx = &request->ctx;
+  item.priority = request.priority;
+  item.enqueue = request.enqueue;  // Keep the original arrival time.
+  item.deadline = request.deadline;
+  item.handle = ref.Pack();
   admission_.Restore(std::move(item));
   max_queue_metric_->SetMax(static_cast<double>(admission_.max_queue_length()));
   TryDispatch();
-}
-
-void SocServingFleet::Abandon(const RequestPtr& request) {
-  request->done = true;
-  ++failed_;
-  failed_metric_->Increment();
-  NotifyClient(request, ClientOutcome::kFailed);
-  if (breaker_ != nullptr) {
-    breaker_->RecordFailure();
-  }
-  TraceRequestDrop(&sim_->tracer(), &request->ctx, sim_->Now());
-  slos_[static_cast<size_t>(request->priority)]->Record(sim_->Now(), false);
-  sim_->tracer().EndSpan(request->request_span);
 }
 
 void SocServingFleet::TryDispatch() {
@@ -258,75 +208,61 @@ void SocServingFleet::TryDispatch() {
     if (!item.has_value()) {
       return;  // The backlog was entirely expired.
     }
-    RequestPtr request = std::static_pointer_cast<RequestState>(item->payload);
+    const RequestRef ref = RequestRef::Unpack(item->handle);
+    RequestState& request = requests_[ref.index];
     Tracer& tracer = sim_->tracer();
-    tracer.EndSpan(request->queue_span);
-    TraceRequestDispatch(&tracer, &request->ctx, sim_->Now(), chosen,
-                         SocTrack(chosen));
+    tracer.EndSpan(request.queue_span);
+    TraceRequestStep(&tracer, &request.ctx, "dispatch", SocTrack(chosen));
     view_.Reserve(chosen, slot);
     ++in_flight_;
-    const int attempt = ++request->attempts;
-    request->active_attempt = attempt;
-    request->attempt_start = sim_->Now();
+    const int attempt = ++request.attempts;
+    request.active_attempt = attempt;
+    request.attempt_start = sim_->Now();
     // The request's inference phase, in two views: the async child follows
     // the request, the track span shows the SoC busy.
     const SpanId infer_span = tracer.BeginAsyncSpan(
-        "infer", "dl.serving", request->request_id, request->request_span);
+        "infer", "dl.serving", request.ctx.id, request.request_span);
     tracer.AddArg(infer_span, "soc", static_cast<int64_t>(chosen));
     tracer.AddArg(infer_span, "attempt", static_cast<int64_t>(attempt));
     const SpanId infer_track_span =
         tracer.BeginSpan("infer", "dl.serving", SocTrack(chosen));
     SocModel& soc = cluster_->soc(chosen);
-    Status status;
     // CPU inference claims the cores additively: co-resident services
     // (serverless, gaming, CPU transcodes) charge the same cores, so grab
     // what is left rather than overwriting their shares. Alone on the SoC
     // the grant is exactly 1.0 — identical to the old absolute write.
-    double cpu_grant = 0.0;
-    switch (device_) {
-      case DlDevice::kSocCpu:
-        cpu_grant = soc.CpuHeadroom();
-        if (cpu_grant > 0.0) {
-          status = soc.AddCpuUtil(cpu_grant);
-        }
-        break;
-      case DlDevice::kSocGpu:
-        status = soc.SetGpuUtil(1.0);
-        break;
-      default:
-        status = soc.SetDspUtil(1.0);
-        break;
-    }
-    SOC_CHECK(status.ok()) << status.ToString();
-    const int64_t fail_epoch = soc.fail_count();
+    const double cpu_grant =
+        device_ == DlDevice::kSocCpu ? soc.CpuHeadroom() : 0.0;
+    ChargeEngine(soc, cpu_grant, /*on=*/true);
+    const AttemptRef attempt_ref =
+        attempts_.Allocate(Attempt{ref, chosen, attempt, soc.fail_count(),
+                                   cpu_grant, infer_track_span, infer_span});
     // A thermal excursion slows the engine without shrinking capacity.
     const Duration service = Duration::SecondsF(
         1.0 / (PerSocThroughput() * soc.throttle_factor()));
     sim_->ScheduleAfter(
-        service,
-        [this, chosen, request, attempt, fail_epoch, cpu_grant,
-         infer_track_span, infer_span]() mutable {
-          FinishOn(chosen, std::move(request), attempt, fail_epoch, cpu_grant,
-                   infer_track_span, infer_span);
-        },
+        service, [this, attempt_ref] { FinishOn(attempt_ref); },
         "dl.serving.finish", event_anchor_);
     if (hedge_delay_.nanos() > 0) {
       sim_->ScheduleAfter(
-          hedge_delay_,
-          [this, chosen, request, attempt, fail_epoch] {
-            HedgeCheck(chosen, request, attempt, fail_epoch);
-          },
+          hedge_delay_, [this, attempt_ref] { HedgeCheck(attempt_ref); },
           "dl.serving.hedge", event_anchor_);
     }
   }
 }
 
-void SocServingFleet::HedgeCheck(int soc_index, RequestPtr request,
-                                 int attempt, int64_t fail_epoch) {
-  if (request->done || request->active_attempt != attempt) {
+void SocServingFleet::HedgeCheck(AttemptRef attempt_ref) {
+  if (!attempts_.IsLive(attempt_ref)) {
+    return;  // The attempt already finished.
+  }
+  // A live attempt keeps its request live: only the attempt's own finish
+  // or hedge can move the request on.
+  const Attempt& attempt = attempts_[attempt_ref.index];
+  RequestState& request = requests_[attempt.request.index];
+  if (request.done || request.active_attempt != attempt.number) {
     return;  // Already finished, or already rescued.
   }
-  if (cluster_->soc(soc_index).fail_count() == fail_epoch) {
+  if (cluster_->soc(attempt.soc_index).fail_count() == attempt.fail_epoch) {
     return;  // The SoC is still the one we dispatched to; let it finish.
   }
   // The serving SoC died under the request. Rescue it now instead of
@@ -336,75 +272,84 @@ void SocServingFleet::HedgeCheck(int soc_index, RequestPtr request,
   ++hedges_;
   hedges_metric_->Increment();
   sim_->tracer().Instant("hedge", "dl.serving");
-  TraceRequestHedge(&sim_->tracer(), &request->ctx, sim_->Now(),
-                    SocTrack(soc_index));
-  Requeue(std::move(request));
+  TraceRequestStep(&sim_->tracer(), &request.ctx, "hedge",
+                   SocTrack(attempt.soc_index));
+  Requeue(attempt.request);
 }
 
-void SocServingFleet::RecordCompletion(int soc_index,
-                                       const RequestPtr& request) {
-  const Duration latency = sim_->Now() - request->enqueue;
-  const double latency_ms = latency.ToMillis();
+void SocServingFleet::RecordCompletion(int soc_index, RequestState& request) {
+  const double latency_ms = (sim_->Now() - request.enqueue).ToMillis();
   if (exact_latency_samples_) {
     latencies_.Add(latency_ms);
-    latencies_of_[static_cast<size_t>(request->priority)].Add(latency_ms);
+    latencies_of_[static_cast<size_t>(request.priority)].Add(latency_ms);
   }
   latency_metric_->Observe(latency_ms);
-  slos_[static_cast<size_t>(request->priority)]->RecordLatency(sim_->Now(),
-                                                               latency);
-  NotifyClient(request, ClientOutcome::kSuccess);
-  if (attempt_observer_) {
-    // Evidence is the attempt's own latency (dispatch to here), not the
-    // request's: central queueing delay is fleet-wide, and charging it to
-    // whichever SoC drew the request would smear suspicion everywhere.
-    attempt_observer_(soc_index, sim_->Now() - request->attempt_start, true);
-  }
+  ledger_.Deliver(View(request));
+  // Evidence is the attempt's own latency (dispatch to here), not the
+  // request's: central queueing delay is fleet-wide, and charging it to
+  // whichever SoC drew the request would smear suspicion everywhere.
+  ledger_.ReportAttempt(soc_index, sim_->Now() - request.attempt_start, true);
 }
 
-void SocServingFleet::Complete(int soc_index, const RequestPtr& request) {
-  request->done = true;
-  ++completed_;
-  ++completed_of_[static_cast<size_t>(request->priority)];
-  completed_metric_->Increment();
+void SocServingFleet::Complete(int soc_index, RequestRef ref) {
+  RequestState& request = requests_[ref.index];
+  request.done = true;
   if (budget_ != nullptr) {
     budget_->RecordSuccess();
   }
-  if (breaker_ != nullptr) {
-    breaker_->RecordSuccess();
-  }
-  TraceRequestComplete(&sim_->tracer(), &request->ctx, sim_->Now(),
-                       SocTrack(soc_index));
+  ledger_.Finish(RequestLedger::Cause::kCompleted, View(request),
+                 SocTrack(soc_index));
   Tracer& tracer = sim_->tracer();
-  if (response_size_.bits() > 0) {
-    // Ship the response through the fabric; the request closes when the
-    // last byte reaches the external node.
-    const SpanId net_span = tracer.BeginAsyncSpan(
-        "network", "dl.serving", request->request_id, request->request_span);
-    const SpanId request_span = request->request_span;
-    Result<FlowId> flow = cluster_->network().StartFlow(
-        cluster_->soc_node(soc_index), cluster_->external_node(),
-        response_size_, DataRate::Zero(),
-        [this, soc_index, request, net_span, request_span] {
-          Tracer& t = sim_->tracer();
-          t.EndSpan(net_span);
-          t.EndSpan(request_span);
-          if (latency_includes_response_) {
-            RecordCompletion(soc_index, request);
-          }
-        });
-    SOC_CHECK(flow.ok()) << flow.status().ToString();
-    if (!latency_includes_response_) {
-      RecordCompletion(soc_index, request);
-    }
-  } else {
-    tracer.EndSpan(request->request_span);
+  if (response_size_.bits() == 0) {
+    tracer.EndSpan(request.request_span);
+    RecordCompletion(soc_index, request);
+    requests_.Free(ref.index);
+    return;
+  }
+  // Ship the response through the fabric; the request closes when the
+  // last byte reaches the external node.
+  const SpanId net_span = tracer.BeginAsyncSpan(
+      "network", "dl.serving", request.ctx.id, request.request_span);
+  Result<FlowId> flow = cluster_->network().StartFlow(
+      cluster_->soc_node(soc_index), cluster_->external_node(),
+      response_size_, DataRate::Zero(), [this, soc_index, ref, net_span] {
+        RequestState& delivered = requests_[ref.index];
+        Tracer& t = sim_->tracer();
+        t.EndSpan(net_span);
+        t.EndSpan(delivered.request_span);
+        if (latency_includes_response_) {
+          RecordCompletion(soc_index, delivered);
+        }
+        requests_.Free(ref.index);
+      });
+  SOC_CHECK(flow.ok()) << flow.status().ToString();
+  if (!latency_includes_response_) {
     RecordCompletion(soc_index, request);
   }
 }
 
-void SocServingFleet::FinishOn(int soc_index, RequestPtr request, int attempt,
-                               int64_t fail_epoch, double cpu_grant,
-                               SpanId infer_track_span, SpanId infer_span) {
+void SocServingFleet::ChargeEngine(SocModel& soc, double cpu_grant, bool on) {
+  Status status;
+  switch (device_) {
+    case DlDevice::kSocCpu:
+      if (cpu_grant > 0.0) {
+        status = soc.AddCpuUtil(on ? cpu_grant : -cpu_grant);
+      }
+      break;
+    case DlDevice::kSocGpu:
+      status = soc.SetGpuUtil(on ? 1.0 : 0.0);
+      break;
+    default:
+      status = soc.SetDspUtil(on ? 1.0 : 0.0);
+      break;
+  }
+  SOC_CHECK(status.ok()) << status.ToString();
+}
+
+void SocServingFleet::FinishOn(AttemptRef attempt_ref) {
+  const Attempt attempt = attempts_[attempt_ref.index];
+  attempts_.Free(attempt_ref.index);
+  const int soc_index = attempt.soc_index;
   PlacementDemand slot;
   slot.slots = 1;
   view_.Release(soc_index, slot);
@@ -412,59 +357,51 @@ void SocServingFleet::FinishOn(int soc_index, RequestPtr request, int attempt,
   SocModel& soc = cluster_->soc(soc_index);
   // The attempt succeeded only if the SoC never failed while it ran; a
   // fail/repair/reboot cycle leaves IsUsable() true but bumps fail_count().
-  const bool alive = soc.fail_count() == fail_epoch && soc.IsUsable();
+  const bool alive = soc.fail_count() == attempt.fail_epoch && soc.IsUsable();
   // A zombie SoC heartbeats and holds its utilization, but the request
   // comes back broken — the attempt failed even though the SoC is "up".
   const bool zombie_attempt = alive && soc.zombie();
   if (alive) {
-    Status status;
-    switch (device_) {
-      case DlDevice::kSocCpu:
-        if (cpu_grant > 0.0) {
-          status = soc.AddCpuUtil(-cpu_grant);
-        }
-        break;
-      case DlDevice::kSocGpu:
-        status = soc.SetGpuUtil(0.0);
-        break;
-      default:
-        status = soc.SetDspUtil(0.0);
-        break;
-    }
-    SOC_CHECK(status.ok()) << status.ToString();
+    ChargeEngine(soc, attempt.cpu_grant, /*on=*/false);
   }
   Tracer& tracer = sim_->tracer();
-  tracer.EndSpan(infer_track_span);
-  tracer.EndSpan(infer_span);
-  if (request->done || request->active_attempt != attempt) {
+  tracer.EndSpan(attempt.infer_track_span);
+  tracer.EndSpan(attempt.infer_span);
+  const RequestRef ref = attempt.request;
+  if (!requests_.IsLive(ref) || requests_[ref.index].done ||
+      requests_[ref.index].active_attempt != attempt.number) {
     // Completed elsewhere or rescued by a hedge; this attempt is moot.
     TryDispatch();
     return;
   }
-  if (zombie_attempt && attempt_observer_) {
+  RequestState& request = requests_[ref.index];
+  if (zombie_attempt) {
     // Zombie attempts are the error evidence the gray detector keys on: a
     // dead SoC stops heartbeating, a zombie only stops serving.
-    attempt_observer_(soc_index, Duration::Zero(), /*ok=*/false);
+    ledger_.ReportAttempt(soc_index, Duration::Zero(), /*ok=*/false);
   }
   if (alive && !zombie_attempt) {
-    Complete(soc_index, request);
-  } else if (backoff_ != nullptr && backoff_->ShouldRetry(request->attempts) &&
+    Complete(soc_index, ref);
+  } else if (backoff_ != nullptr && backoff_->ShouldRetry(request.attempts) &&
              (budget_ == nullptr || budget_->TryWithdraw())) {
     ++retries_;
     retries_metric_->Increment();
-    TraceRequestRetry(&sim_->tracer(), &request->ctx, sim_->Now(),
-                      SocTrack(soc_index));
-    request->active_attempt = 0;
+    TraceRequestStep(&sim_->tracer(), &request.ctx, "retry",
+                     SocTrack(soc_index));
+    request.active_attempt = 0;
     sim_->ScheduleAfter(
-        backoff_->BackoffFor(request->attempts),
-        [this, request]() mutable {
-          if (!request->done) {
-            Requeue(std::move(request));
+        backoff_->BackoffFor(request.attempts),
+        [this, ref] {
+          if (requests_.IsLive(ref) && !requests_[ref.index].done) {
+            Requeue(ref);
           }
         },
         "dl.serving.retry_wait", event_anchor_);
   } else {
-    Abandon(request);
+    // No retry left: give up on the request.
+    ledger_.Finish(RequestLedger::Cause::kFailed, View(request));
+    sim_->tracer().EndSpan(request.request_span);
+    requests_.Free(ref.index);
   }
   TryDispatch();
 }
@@ -564,17 +501,18 @@ void SocServingFleet::DigestState(StateDigest& digest) const {
   digest.Mix(active_count_);
   view_.DigestState(digest);
   admission_.DigestState(digest);
-  digest.Mix(completed_);
-  digest.Mix(shed_);
-  digest.Mix(deadline_expired_);
-  digest.Mix(failed_);
+  digest.Mix(completed());
+  digest.Mix(shed());
+  digest.Mix(deadline_expired());
+  digest.Mix(failed());
   digest.Mix(retries_);
   digest.Mix(hedges_);
-  for (size_t i = 0; i < kNumPriorities; ++i) {
-    digest.Mix(completed_of_[i]);
-    digest.Mix(shed_of_[i]);
-    digest.Mix(expired_of_[i]);
-    digest.Mix(static_cast<uint64_t>(latencies_of_[i].count()));
+  for (int c = 0; c < kNumPriorities; ++c) {
+    const Priority p = static_cast<Priority>(c);
+    digest.Mix(completed_of(p));
+    digest.Mix(shed_of(p));
+    digest.Mix(expired_of(p));
+    digest.Mix(static_cast<uint64_t>(latencies_of(p).count()));
   }
   digest.Mix(static_cast<uint64_t>(latencies_.count()));
   for (const double sample : latencies_.samples()) {

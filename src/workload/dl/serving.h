@@ -9,13 +9,13 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/base/client.h"
 #include "src/base/priority.h"
 #include "src/base/retry.h"
+#include "src/base/slab.h"
 #include "src/base/stats.h"
 #include "src/cluster/cluster.h"
 #include "src/hw/gpu.h"
@@ -23,6 +23,7 @@
 #include "src/obs/slo.h"
 #include "src/qos/admission.h"
 #include "src/qos/breaker.h"
+#include "src/qos/request_ledger.h"
 #include "src/sched/placer.h"
 #include "src/workload/dl/engine.h"
 #include "src/workload/dl/model.h"
@@ -93,10 +94,8 @@ class SocServingFleet {
   // succeeded. Workload code reports evidence outward and never aggregates
   // per-SoC stats itself — DegradationScorer (src/core/graydetect.h) owns
   // the scoring; wire this to it (ChaosRunner and the gray bench do).
-  using AttemptObserver = std::function<void(int soc_index, Duration latency,
-                                             bool ok)>;
-  void SetAttemptObserver(AttemptObserver observer) {
-    attempt_observer_ = std::move(observer);
+  void SetAttemptObserver(RequestLedger::AttemptObserver observer) {
+    ledger_.SetAttemptObserver(std::move(observer));
   }
 
   // The fleet's admission queue. Queue policy — length cap, CoDel sojourn
@@ -113,9 +112,8 @@ class SocServingFleet {
   // Fast-fails non-critical Submit() calls while `breaker` is open (shed
   // at the door, counted per class). Critical traffic bypasses the breaker
   // — during a brownout the critical SLO outranks drain speed. Null
-  // (default) disables; the breaker is fed successes on completion and
-  // failures on abandonment and queue-pressure sheds.
-  void SetBreaker(CircuitBreaker* breaker) { breaker_ = breaker; }
+  // (default) disables; the ledger's breaker rule feeds it.
+  void SetBreaker(CircuitBreaker* breaker) { ledger_.SetBreaker(breaker); }
   // Retry requests that die with their SoC, paced by `policy` with
   // deterministic jitter from `seed`. A retry budget (SetRetryBudget)
   // bounds amplification; without one, retries are unlimited.
@@ -134,7 +132,7 @@ class SocServingFleet {
   // Installs the single per-service outcome tap. Unattributed submissions
   // (ticket 0) never invoke it.
   void SetClientObserver(ClientObserver observer) {
-    client_observer_ = std::move(observer);
+    ledger_.SetClientObserver(std::move(observer));
   }
   // When enabled, an attributed request's admission deadline is clamped to
   // the client's own per-attempt deadline, so work the client has already
@@ -155,18 +153,25 @@ class SocServingFleet {
   // (default) leaves the events unanchored.
   void SetEventAnchorGroup(uint64_t group) { event_anchor_ = group; }
 
-  int64_t completed() const { return completed_; }
-  int64_t shed() const { return shed_; }
-  int64_t deadline_expired() const { return deadline_expired_; }
-  int64_t failed() const { return failed_; }
+  int64_t completed() const { return ledger_.completed(); }
+  int64_t shed() const { return ledger_.shed(); }
+  int64_t deadline_expired() const { return ledger_.expired(); }
+  int64_t failed() const { return ledger_.failed(); }
   int64_t retries() const { return retries_; }
   int64_t hedges() const { return hedges_; }
   int queue_length() const { return admission_.size(); }
   const SampleStats& latencies() const { return latencies_; }
   // Per-class views of the same accounting.
-  int64_t completed_of(Priority p) const { return ByClass(completed_of_, p); }
-  int64_t shed_of(Priority p) const { return ByClass(shed_of_, p); }
-  int64_t expired_of(Priority p) const { return ByClass(expired_of_, p); }
+  int64_t completed_of(Priority p) const {
+    return ledger_.Count(ClientOutcome::kSuccess, p);
+  }
+  int64_t shed_of(Priority p) const {
+    return ledger_.Count(ClientOutcome::kShed, p);
+  }
+  int64_t expired_of(Priority p) const {
+    return ledger_.Count(ClientOutcome::kExpired, p);
+  }
+  const RequestLedger& ledger() const { return ledger_; }
   const SampleStats& latencies_of(Priority p) const {
     return latencies_of_[static_cast<size_t>(p)];
   }
@@ -181,7 +186,7 @@ class SocServingFleet {
   // construction): a completion is good iff latency <= the spec threshold;
   // sheds, expiries, and abandonments are bad. Use to re-spec thresholds
   // before traffic starts, or to read burn state after a run.
-  SloTracker* slo_of(Priority p) { return slos_[static_cast<size_t>(p)]; }
+  SloTracker* slo_of(Priority p) { return ledger_.slo_of(p); }
 
   // Mixes the ledgers, admission queue, request accounting (per class),
   // the full latency sample sequence, and the retry jitter stream.
@@ -193,43 +198,48 @@ class SocServingFleet {
     SimTime attempt_start;  // Dispatch time of the active attempt.
     Priority priority = Priority::kStandard;
     Duration deadline;  // Snapshot of the fleet deadline at Submit.
-    uint64_t request_id = 0;
     SpanId request_span = 0;
     SpanId queue_span = 0;
     int attempts = 0;        // Dispatch attempts started.
     int active_attempt = 0;  // 0 when queued; else the in-flight attempt.
+    // Finished, but held until its response lands.
     bool done = false;
     // Client attribution (ticket 0 = unattributed legacy submission).
     ClientAttribution client;
-    // Causal-trace context (observers-only; never digested).
+    // Causal-trace context; its id also keys the request's async spans.
     RequestContext ctx;
   };
-  using RequestPtr = std::shared_ptr<RequestState>;
+  using RequestRef = Slab<RequestState>::Ref;
+  // One dispatched attempt, holding an engine slot until its finish event.
+  // A hedge rescue re-dispatches the request while the rescued attempt is
+  // still out, so attempts live apart from their request.
+  struct Attempt {
+    RequestRef request;
+    int soc_index = 0;
+    int number = 0;
+    int64_t fail_epoch = 0;
+    double cpu_grant = 0.0;
+    SpanId infer_track_span = 0;
+    SpanId infer_span = 0;
+  };
+  using AttemptRef = Slab<Attempt>::Ref;
 
-  static int64_t ByClass(const std::array<int64_t, kNumPriorities>& a,
-                         Priority p) {
-    return a[static_cast<size_t>(p)];
+  RequestLedger::Request View(RequestState& request) {
+    return {request.priority, request.enqueue, request.client, &request.ctx};
   }
-
   void OnAdmissionDrop(const AdmissionQueue::Item& item,
                        AdmissionQueue::DropReason reason);
   void TryDispatch();
-  void FinishOn(int soc_index, RequestPtr request, int attempt,
-                int64_t fail_epoch, double cpu_grant, SpanId infer_track_span,
-                SpanId infer_span);
-  void HedgeCheck(int soc_index, RequestPtr request, int attempt,
-                  int64_t fail_epoch);
+  // Charges one inference on `soc`'s engine, or releases it (`on` false).
+  void ChargeEngine(SocModel& soc, double cpu_grant, bool on);
+  void FinishOn(AttemptRef attempt_ref);
+  void HedgeCheck(AttemptRef attempt_ref);
   // Re-queues a not-yet-done request (retry or hedge rescue).
-  void Requeue(RequestPtr request);
-  void Complete(int soc_index, const RequestPtr& request);
+  void Requeue(RequestRef ref);
+  void Complete(int soc_index, RequestRef ref);
   // Latency accounting for a completed request (stats, SLO, evidence);
   // runs at inference end or response delivery per the latency mode.
-  void RecordCompletion(int soc_index, const RequestPtr& request);
-  // Gives up on the request (no retry possible).
-  void Abandon(const RequestPtr& request);
-  // Reports a terminal outcome to the client observer (at most once per
-  // attributed request; observers-only, never digested).
-  void NotifyClient(const RequestPtr& request, ClientOutcome outcome);
+  void RecordCompletion(int soc_index, RequestState& request);
   // Display track hosting SoC `i`'s synchronous spans.
   static int64_t SocTrack(int soc_index) { return 100 + soc_index; }
 
@@ -244,22 +254,15 @@ class SocServingFleet {
   SocCapacityView view_;
   Placer placer_;
   AdmissionQueue admission_;
-  CircuitBreaker* breaker_ = nullptr;  // Not owned; null: no breaker.
-  int64_t completed_ = 0;
-  int64_t shed_ = 0;
-  int64_t deadline_expired_ = 0;
-  int64_t failed_ = 0;
+  RequestLedger ledger_;
+  Slab<RequestState> requests_;  // Queued, in flight, or awaiting response.
+  Slab<Attempt> attempts_;
   int64_t retries_ = 0;
   int64_t hedges_ = 0;
-  std::array<int64_t, kNumPriorities> completed_of_{};
-  std::array<int64_t, kNumPriorities> shed_of_{};
-  std::array<int64_t, kNumPriorities> expired_of_{};
   std::array<SampleStats, kNumPriorities> latencies_of_;
   SampleStats latencies_;
   DataSize response_size_;  // Zero: no response transfer.
   bool latency_includes_response_ = false;
-  AttemptObserver attempt_observer_;  // Null: no evidence tap.
-  ClientObserver client_observer_;    // Null: no client tier attached.
   bool honor_client_deadline_ = false;
   uint64_t event_anchor_ = 0;  // Zero: unanchored (SetEventAnchorGroup).
   bool exact_latency_samples_ = true;
@@ -270,16 +273,10 @@ class SocServingFleet {
   std::unique_ptr<RetryBackoff> backoff_;  // Null: retries off.
   std::unique_ptr<RetryBudget> budget_;    // Null: unlimited retries.
   uint64_t next_request_id_ = 1;
-  Counter* submitted_metric_;
-  Counter* completed_metric_;
-  Counter* shed_metric_;
-  Counter* expired_metric_;
-  Counter* failed_metric_;
   Counter* retries_metric_;
   Counter* hedges_metric_;
   HistogramMetric* latency_metric_;
   Gauge* max_queue_metric_;
-  std::array<SloTracker*, kNumPriorities> slos_{};
 };
 
 // Batching server for one discrete GPU. Each launched batch is traced as a

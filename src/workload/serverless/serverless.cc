@@ -51,28 +51,24 @@ ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
     : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed),
       view_(cluster, ViewOptions(config)),
       placer_(sim, &view_, PlacerOptions()),
-      admission_(sim, DeferralOptions(config)) {
+      admission_(sim, DeferralOptions(config)),
+      ledger_(sim, {.service = "serverless",
+                    .slo_threshold = Duration::Seconds(2),
+                    .submitted = "serverless.invocations",
+                    .completed = nullptr,
+                    .shed = "serverless.qos_shed",
+                    .expired = "serverless.qos_shed",
+                    .failed = "serverless.failed",
+                    .rejected = "serverless.rejected"}) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   MetricRegistry& metrics = sim_->metrics();
-  invocations_metric_ = metrics.GetCounter("serverless.invocations");
   cold_starts_metric_ = metrics.GetCounter("serverless.cold_starts");
-  rejected_metric_ = metrics.GetCounter("serverless.rejected");
   deferred_metric_ = metrics.GetCounter("serverless.deferred");
-  qos_shed_metric_ = metrics.GetCounter("serverless.qos_shed");
-  failed_metric_ = metrics.GetCounter("serverless.failed");
   latency_metric_ = metrics.GetHistogram("serverless.latency_ms");
   // Invocation latency is per-request on the Zipf workloads — sketch-backed
-  // keeps the registry fixed-memory (exact samples stay in stats_).
+  // keeps the registry fixed-memory (exact samples stay in latency_ms_).
   latency_metric_->EnableSketch();
-  for (int c = 0; c < kNumPriorities; ++c) {
-    SloSpec spec;
-    const char* cls = PriorityName(static_cast<Priority>(c));
-    spec.name = std::string("serverless/") + cls;
-    spec.service = "serverless";
-    spec.class_name = cls;
-    slos_[static_cast<size_t>(c)] = sim_->obs().slos.Register(spec);
-  }
   admission_.set_on_drop(
       [this](const AdmissionQueue::Item& item,
              AdmissionQueue::DropReason reason) { OnAdmissionDrop(item, reason); });
@@ -80,28 +76,18 @@ ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
 
 void ServerlessPlatform::OnAdmissionDrop(const AdmissionQueue::Item& item,
                                          AdmissionQueue::DropReason reason) {
-  auto deferred = std::static_pointer_cast<DeferredInvocation>(item.payload);
-  ++stats_.qos_shed;
-  qos_shed_metric_->Increment();
-  Tracer& tracer = sim_->tracer();
-  tracer.AddArg(deferred->trace.span, "qos_shed",
-                AdmissionQueue::DropReasonName(reason));
-  TraceRequestDrop(&tracer, &deferred->trace.ctx, sim_->Now());
-  slos_[static_cast<size_t>(item.priority)]->Record(sim_->Now(), false);
-  NotifyClient(deferred->trace.client,
-               reason == AdmissionQueue::DropReason::kExpired
-                   ? ClientOutcome::kExpired
-                   : ClientOutcome::kShed,
-               sim_->Now() - item.enqueue);
-  tracer.EndSpan(deferred->trace.span);
-  if (breaker_ != nullptr && reason == AdmissionQueue::DropReason::kQueueFull) {
-    breaker_->RecordFailure();
-  }
+  Drop(InvocationRef::Unpack(item.handle), RequestLedger::FromDrop(reason),
+       "qos_shed", AdmissionQueue::DropReasonName(reason));
 }
 
-void ServerlessPlatform::SetAdmitFloor(Priority floor) {
-  admit_floor_ = floor;
-  admission_.SetAdmitFloor(floor);
+void ServerlessPlatform::Drop(InvocationRef ref, RequestLedger::Cause cause,
+                              const char* key, const char* value) {
+  Invocation& invocation = invocations_[ref.index];
+  Tracer& tracer = sim_->tracer();
+  tracer.AddArg(invocation.span, key, value);
+  ledger_.Finish(cause, View(invocation));
+  tracer.EndSpan(invocation.span);
+  invocations_.Free(ref.index);
 }
 
 void ServerlessPlatform::SetDeferColdStarts(bool defer) {
@@ -142,14 +128,6 @@ ServerlessPlatform::Instance* ServerlessPlatform::FindWarmInstance(
   return nullptr;
 }
 
-void ServerlessPlatform::NotifyClient(const ClientAttribution& client,
-                                      ClientOutcome outcome,
-                                      Duration latency) {
-  if (client_observer_ && client.attributed()) {
-    client_observer_(client.ticket, outcome, latency);
-  }
-}
-
 Status ServerlessPlatform::Invoke(const std::string& function,
                                   Callback on_done, Priority priority,
                                   const ClientAttribution& client) {
@@ -157,33 +135,36 @@ Status ServerlessPlatform::Invoke(const std::string& function,
   if (it == functions_.end()) {
     return Status::NotFound("function " + function + " not registered");
   }
-  const FunctionSpec& spec = it->second;
-  ++stats_.invocations;
-  invocations_metric_->Increment();
-  if (priority > admit_floor_ ||
-      (breaker_ != nullptr && priority != Priority::kCritical &&
-       !breaker_->Allow())) {
-    ++stats_.qos_shed;
-    qos_shed_metric_->Increment();
-    slos_[static_cast<size_t>(priority)]->Record(sim_->Now(), false);
-    NotifyClient(client, ClientOutcome::kShed, Duration::Zero());
+  ledger_.Submit(priority);
+  if (priority > admission_.admit_floor()) {
+    ledger_.Finish(RequestLedger::Cause::kAdmitFloor,
+                   {priority, sim_->Now(), client});
     return Status::Ok();  // Shed by policy, not an API error.
   }
-  const SimTime enqueue = sim_->Now();
+  if (!ledger_.BreakerAdmits(priority)) {
+    ledger_.Finish(RequestLedger::Cause::kBreaker,
+                   {priority, sim_->Now(), client});
+    return Status::Ok();
+  }
+  const InvocationRef ref = invocations_.Allocate();
+  Invocation& invocation = invocations_[ref.index];
+  invocation.spec = &it->second;
+  invocation.on_done = std::move(on_done);
+  invocation.priority = priority;
+  invocation.enqueue = sim_->Now();
+  invocation.client = client;
   Tracer& tracer = sim_->tracer();
-  InvocationTrace trace;
-  trace.id = next_invocation_id_++;
-  trace.span = tracer.BeginAsyncSpan("invocation", "serverless", trace.id);
-  tracer.AddArg(trace.span, "function", function);
-  trace.ctx.id = trace.id;
-  trace.ctx.priority = static_cast<int>(priority);
-  trace.client = client;
-  TraceRequestSubmit(&tracer, &trace.ctx, "serverless.request", sim_->Now());
+  invocation.ctx.id = next_invocation_id_++;
+  invocation.span =
+      tracer.BeginAsyncSpan("invocation", "serverless", invocation.ctx.id);
+  tracer.AddArg(invocation.span, "function", function);
+  TraceRequestSubmit(&tracer, &invocation.ctx, "serverless.request",
+                     sim_->Now());
 
   if (Instance* warm = FindWarmInstance(function)) {
     sim_->Cancel(warm->eviction);
     warm->eviction = EventHandle();
-    RunOn(warm, spec, enqueue, trace, std::move(on_done));
+    RunOn(warm, ref);
     return Status::Ok();
   }
 
@@ -191,65 +172,44 @@ Status ServerlessPlatform::Invoke(const std::string& function,
     // Brownout: park the cold start instead of provisioning while power
     // is scarce. The parked invocation runs when deferral releases, a
     // warm instance frees up, or its deferral deadline lapses (shed).
-    auto deferred = std::make_shared<DeferredInvocation>();
-    deferred->function = function;
-    deferred->on_done = std::move(on_done);
-    deferred->trace = trace;
-    deferred->enqueue = enqueue;
-    tracer.AddArg(trace.span, "deferred", "true");
-    RequestContext* ctx = &deferred->trace.ctx;
-    if (admission_.Offer(priority, config_.defer_timeout,
-                         std::move(deferred), ctx)) {
-      ++stats_.deferred;
+    tracer.AddArg(invocation.span, "deferred", "true");
+    if (admission_.Offer(priority, config_.defer_timeout, ref.Pack(),
+                         &invocation.ctx)) {
+      ++deferred_;
       deferred_metric_->Increment();
     }
     return Status::Ok();
   }
 
-  ColdStart(spec, enqueue, trace, std::move(on_done));
+  ColdStart(ref);
   return Status::Ok();
 }
 
-void ServerlessPlatform::ColdStart(const FunctionSpec& spec, SimTime enqueue,
-                                   InvocationTrace trace, Callback on_done) {
-  Tracer& tracer = sim_->tracer();
-  const int soc_index =
-      placer_.Pick(InstanceDemand(spec.memory_mb), nullptr, nullptr,
-                   &trace.ctx);
+void ServerlessPlatform::ColdStart(InvocationRef ref) {
+  Invocation& invocation = invocations_[ref.index];
+  const FunctionSpec& spec = *invocation.spec;
+  const int soc_index = placer_.Pick(InstanceDemand(spec.memory_mb), nullptr,
+                                     nullptr, &invocation.ctx);
   if (soc_index < 0) {
-    ++stats_.rejected;
-    rejected_metric_->Increment();
-    tracer.AddArg(trace.span, "rejected", "true");
-    TraceRequestDrop(&tracer, &trace.ctx, sim_->Now());
-    slos_[static_cast<size_t>(trace.ctx.priority)]->Record(sim_->Now(), false);
-    NotifyClient(trace.client, ClientOutcome::kShed, sim_->Now() - enqueue);
-    tracer.EndSpan(trace.span);
+    Drop(ref, RequestLedger::Cause::kNoCapacity, "rejected", "true");
     return;  // Shed, not an API error.
   }
-  ++stats_.cold_starts;
+  ++cold_starts_;
   cold_starts_metric_->Increment();
-  const SpanId cold_span =
-      tracer.BeginAsyncSpan("cold_start", "serverless", trace.id, trace.span);
+  invocation.phase_span = sim_->tracer().BeginAsyncSpan(
+      "cold_start", "serverless", invocation.ctx.id, invocation.span);
   view_.Reserve(soc_index, InstanceDemand(spec.memory_mb));
   const int64_t id = next_instance_id_++;
   instances_.emplace(id, Instance{id, spec.name, soc_index, true,
                                   EventHandle()});
-  sim_->ScheduleAfter(spec.cold_start, [this, id, spec, enqueue, trace,
-                                        cold_span,
-                                        cb = std::move(on_done)]() mutable {
-    sim_->tracer().EndSpan(cold_span);
-    const auto inst = instances_.find(id);
-    if (inst == instances_.end()) {
-      TraceRequestDrop(&sim_->tracer(), &trace.ctx, sim_->Now());
-      slos_[static_cast<size_t>(trace.ctx.priority)]->Record(sim_->Now(),
-                                                             false);
-      NotifyClient(trace.client, ClientOutcome::kFailed,
-                   sim_->Now() - enqueue);
-      sim_->tracer().EndSpan(trace.span);
-      return;  // SoC failed mid-provision.
-    }
-    inst->second.busy = true;
-    RunOn(&inst->second, spec, enqueue, trace, std::move(cb));
+  invocation.instance_id = id;
+  sim_->ScheduleAfter(spec.cold_start, [this, ref] {
+    Invocation& provisioned = invocations_[ref.index];
+    sim_->tracer().EndSpan(provisioned.phase_span);
+    // A provisioning instance is busy, so it cannot have been evicted.
+    const auto inst = instances_.find(provisioned.instance_id);
+    SOC_CHECK(inst != instances_.end());
+    RunOn(&inst->second, ref);
   });
 }
 
@@ -259,15 +219,12 @@ void ServerlessPlatform::DrainDeferred() {
     if (!item.has_value()) {
       return;  // Everything parked had timed out.
     }
-    auto deferred = std::static_pointer_cast<DeferredInvocation>(item->payload);
-    const auto it = functions_.find(deferred->function);
-    SOC_CHECK(it != functions_.end());
-    const FunctionSpec& spec = it->second;
-    if (Instance* warm = FindWarmInstance(deferred->function)) {
+    const InvocationRef ref = InvocationRef::Unpack(item->handle);
+    if (Instance* warm =
+            FindWarmInstance(invocations_[ref.index].spec->name)) {
       sim_->Cancel(warm->eviction);
       warm->eviction = EventHandle();
-      RunOn(warm, spec, deferred->enqueue, deferred->trace,
-            std::move(deferred->on_done));
+      RunOn(warm, ref);
       continue;
     }
     if (defer_cold_starts_) {
@@ -276,104 +233,84 @@ void ServerlessPlatform::DrainDeferred() {
       admission_.RestoreFront(std::move(*item));
       return;
     }
-    ColdStart(spec, deferred->enqueue, deferred->trace,
-              std::move(deferred->on_done));
+    ColdStart(ref);
   }
 }
 
-void ServerlessPlatform::RunOn(Instance* instance, const FunctionSpec& spec,
-                               SimTime enqueue, InvocationTrace trace,
-                               Callback on_done) {
+void ServerlessPlatform::RunOn(Instance* instance, InvocationRef ref) {
+  Invocation& invocation = invocations_[ref.index];
+  const FunctionSpec& spec = *invocation.spec;
   Tracer& tracer = sim_->tracer();
   SocModel& soc = cluster_->soc(instance->soc_index);
   // The SoC may have failed between provisioning and bring-up; shed the
   // invocation and reclaim the instance's memory.
   if (!view_.IsPlaceable(instance->soc_index)) {
-    ++stats_.rejected;
-    rejected_metric_->Increment();
-    tracer.AddArg(trace.span, "rejected", "true");
-    TraceRequestDrop(&tracer, &trace.ctx, sim_->Now());
-    slos_[static_cast<size_t>(trace.ctx.priority)]->Record(sim_->Now(), false);
-    NotifyClient(trace.client, ClientOutcome::kShed, sim_->Now() - enqueue);
-    tracer.EndSpan(trace.span);
+    Drop(ref, RequestLedger::Cause::kNoCapacity, "rejected", "true");
     instance->busy = false;
     Evict(instance->id);
     return;
   }
   instance->busy = true;
-  TraceRequestDispatch(&tracer, &trace.ctx, sim_->Now(), instance->soc_index,
-                       0);
-  const SpanId exec_span =
-      tracer.BeginAsyncSpan("exec", "serverless", trace.id, trace.span);
-  tracer.AddArg(exec_span, "soc", static_cast<int64_t>(instance->soc_index));
+  TraceRequestStep(&tracer, &invocation.ctx, "dispatch");
+  invocation.phase_span =
+      tracer.BeginAsyncSpan("exec", "serverless", invocation.ctx.id,
+                            invocation.span);
+  tracer.AddArg(invocation.phase_span, "soc",
+                static_cast<int64_t>(instance->soc_index));
   // CPU may be saturated by co-resident invocations; clamp to headroom
   // (a real runtime would time-slice — the power model only needs the
   // aggregate utilization, which saturates the same way).
-  const double grant = std::min(spec.cpu_util, soc.CpuHeadroom());
-  if (grant > 0.0) {
-    const Status status = soc.AddCpuUtil(grant);
+  invocation.grant = std::min(spec.cpu_util, soc.CpuHeadroom());
+  if (invocation.grant > 0.0) {
+    const Status status = soc.AddCpuUtil(invocation.grant);
     SOC_CHECK(status.ok()) << status.ToString();
   }
   // Thermally throttled SoCs execute functions proportionally slower —
   // this is the fail-slow signal the gray-failure scorer feeds on.
-  const Duration exec = Duration::SecondsF(
+  invocation.exec = Duration::SecondsF(
       rng_.LogNormalMedian(spec.exec_median.ToSeconds(), spec.exec_sigma) /
       soc.throttle_factor());
-  const int64_t id = instance->id;
+  invocation.instance_id = instance->id;
   // fail_count() at grant time: a fail/repair/reboot cycle before the
   // execution ends leaves IsUsable() true but wiped the CPU charge.
-  const int64_t fail_epoch = soc.fail_count();
-  sim_->ScheduleAfter(exec, [this, id, grant, fail_epoch, exec, enqueue, trace,
-                             exec_span, cb = std::move(on_done)]() mutable {
-    sim_->tracer().EndSpan(exec_span);
-    bool ok = false;
-    const auto it = instances_.find(id);
-    if (it != instances_.end()) {
-      SocModel& host = cluster_->soc(it->second.soc_index);
-      const bool alive = host.IsUsable() && host.fail_count() == fail_epoch;
-      if (alive && grant > 0.0) {
-        const Status status = host.AddCpuUtil(-grant);
-        SOC_CHECK(status.ok()) << status.ToString();
-      }
-      // Zombie hosts keep heartbeating but drop the work on the floor: the
-      // invocation fails even though the SoC looks healthy to the monitor.
-      ok = alive && !host.zombie();
-      if (attempt_observer_) {
-        attempt_observer_(it->second.soc_index, exec, ok);
-      }
-    }
-    FinishInvocation(id, enqueue, trace, ok, std::move(cb));
-  });
+  invocation.fail_epoch = soc.fail_count();
+  sim_->ScheduleAfter(invocation.exec, [this, ref] { FinishInvocation(ref); });
 }
 
-void ServerlessPlatform::FinishInvocation(int64_t instance_id, SimTime enqueue,
-                                          InvocationTrace trace, bool ok,
-                                          Callback on_done) {
-  if (ok) {
-    const double latency_ms = (sim_->Now() - enqueue).ToMillis();
-    stats_.latency_ms.Add(latency_ms);
-    latency_metric_->Observe(latency_ms);
-    slos_[static_cast<size_t>(trace.ctx.priority)]->RecordLatency(
-        sim_->Now(), sim_->Now() - enqueue);
-    NotifyClient(trace.client, ClientOutcome::kSuccess, sim_->Now() - enqueue);
-    TraceRequestComplete(&sim_->tracer(), &trace.ctx, sim_->Now());
-  } else {
-    ++stats_.failed;
-    failed_metric_->Increment();
-    sim_->tracer().AddArg(trace.span, "failed", "true");
-    TraceRequestDrop(&sim_->tracer(), &trace.ctx, sim_->Now());
-    slos_[static_cast<size_t>(trace.ctx.priority)]->Record(sim_->Now(), false);
-    NotifyClient(trace.client, ClientOutcome::kFailed, sim_->Now() - enqueue);
+void ServerlessPlatform::FinishInvocation(InvocationRef ref) {
+  Invocation& invocation = invocations_[ref.index];
+  sim_->tracer().EndSpan(invocation.phase_span);
+  // An executing instance is busy, so it cannot have been evicted.
+  const auto it = instances_.find(invocation.instance_id);
+  SOC_CHECK(it != instances_.end());
+  SocModel& host = cluster_->soc(it->second.soc_index);
+  const bool alive =
+      host.IsUsable() && host.fail_count() == invocation.fail_epoch;
+  if (alive && invocation.grant > 0.0) {
+    const Status status = host.AddCpuUtil(-invocation.grant);
+    SOC_CHECK(status.ok()) << status.ToString();
   }
-  sim_->tracer().EndSpan(trace.span);
-  const auto it = instances_.find(instance_id);
-  if (it != instances_.end()) {
-    it->second.busy = false;
-    if (config_.keep_alive.IsZero()) {
-      Evict(instance_id);
-    } else {
-      ArmEviction(&it->second);
-    }
+  // Zombie hosts keep heartbeating but drop the work on the floor: the
+  // invocation fails even though the SoC looks healthy to the monitor.
+  const bool ok = alive && !host.zombie();
+  ledger_.ReportAttempt(it->second.soc_index, invocation.exec, ok);
+  if (ok) {
+    const double latency_ms = (sim_->Now() - invocation.enqueue).ToMillis();
+    latency_ms_.Add(latency_ms);
+    latency_metric_->Observe(latency_ms);
+    ledger_.Complete(View(invocation));
+  } else {
+    sim_->tracer().AddArg(invocation.span, "failed", "true");
+    ledger_.Finish(RequestLedger::Cause::kFailed, View(invocation));
+  }
+  sim_->tracer().EndSpan(invocation.span);
+  Callback on_done = std::move(invocation.on_done);
+  invocations_.Free(ref.index);
+  it->second.busy = false;
+  if (config_.keep_alive.IsZero()) {
+    Evict(it->first);
+  } else {
+    ArmEviction(&it->second);
   }
   if (admission_.size() > 0) {
     DrainDeferred();  // The now-warm instance may serve a parked invocation.
@@ -483,7 +420,7 @@ void ServerlessPlatform::DigestState(StateDigest& digest) const {
   digest.Mix(rng_.StateFingerprint());
   view_.DigestState(digest);
   admission_.DigestState(digest);
-  digest.Mix(static_cast<int>(admit_floor_));
+  digest.Mix(static_cast<int>(admission_.admit_floor()));
   digest.Mix(defer_cold_starts_);
   digest.Mix(static_cast<uint64_t>(instances_.size()));
   for (const auto& [id, instance] : instances_) {
@@ -494,13 +431,13 @@ void ServerlessPlatform::DigestState(StateDigest& digest) const {
   }
   digest.Mix(next_instance_id_);
   digest.Mix(next_invocation_id_);
-  digest.Mix(stats_.invocations);
-  digest.Mix(stats_.cold_starts);
-  digest.Mix(stats_.rejected);
-  digest.Mix(stats_.deferred);
-  digest.Mix(stats_.qos_shed);
-  digest.Mix(static_cast<uint64_t>(stats_.latency_ms.count()));
-  for (const double sample : stats_.latency_ms.samples()) {
+  digest.Mix(ledger_.submitted());
+  digest.Mix(cold_starts_);
+  digest.Mix(ledger_.CountOf(RequestLedger::Cause::kNoCapacity));
+  digest.Mix(deferred_);
+  digest.Mix(ledger_.policy_drops());
+  digest.Mix(static_cast<uint64_t>(latency_ms_.count()));
+  for (const double sample : latency_ms_.samples()) {
     digest.Mix(sample);
   }
 }

@@ -13,8 +13,6 @@
 #ifndef SRC_WORKLOAD_SERVERLESS_SERVERLESS_H_
 #define SRC_WORKLOAD_SERVERLESS_SERVERLESS_H_
 
-#include <array>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,12 +22,14 @@
 #include "src/base/client.h"
 #include "src/base/priority.h"
 #include "src/base/result.h"
+#include "src/base/slab.h"
 #include "src/base/stats.h"
 #include "src/cluster/cluster.h"
 #include "src/obs/request.h"
 #include "src/obs/slo.h"
 #include "src/qos/admission.h"
 #include "src/qos/breaker.h"
+#include "src/qos/request_ledger.h"
 #include "src/sched/placer.h"
 #include "src/trace/loadgen.h"
 
@@ -103,35 +103,36 @@ class ServerlessPlatform {
   // Single per-service outcome tap (src/base/client.h): every attributed
   // invocation reports success, shed, expiry, or failure exactly once.
   void SetClientObserver(ClientObserver observer) {
-    client_observer_ = std::move(observer);
+    ledger_.SetClientObserver(std::move(observer));
   }
 
   // Brownout hooks: refuse classes below `floor`; park would-be cold
   // starts while `defer` is on (releasing drains the parked queue).
-  void SetAdmitFloor(Priority floor);
+  void SetAdmitFloor(Priority floor) { admission_.SetAdmitFloor(floor); }
   void SetDeferColdStarts(bool defer);
   bool defer_cold_starts() const { return defer_cold_starts_; }
   // Fast-fails non-critical invocations while `breaker` is open. Null
-  // (default) disables.
-  void SetBreaker(CircuitBreaker* breaker) { breaker_ = breaker; }
+  // (default) disables; the ledger's breaker rule feeds it.
+  void SetBreaker(CircuitBreaker* breaker) { ledger_.SetBreaker(breaker); }
   // Per-execution evidence tap for gray-failure detection (host SoC, the
   // execution's latency, success). Workload code reports evidence outward;
   // DegradationScorer (src/core/graydetect.h) owns per-SoC aggregation.
-  using AttemptObserver = std::function<void(int soc_index, Duration latency,
-                                             bool ok)>;
-  void SetAttemptObserver(AttemptObserver observer) {
-    attempt_observer_ = std::move(observer);
+  void SetAttemptObserver(RequestLedger::AttemptObserver observer) {
+    ledger_.SetAttemptObserver(std::move(observer));
   }
   AdmissionQueue& admission() { return admission_; }
   const AdmissionQueue& admission() const { return admission_; }
   int deferred_pending() const { return admission_.size(); }
 
   // Per-class invocation-latency SLO ("serverless/<class>").
-  SloTracker* slo_of(Priority priority) {
-    return slos_[static_cast<size_t>(priority)];
-  }
+  SloTracker* slo_of(Priority priority) { return ledger_.slo_of(priority); }
+  const RequestLedger& ledger() const { return ledger_; }
 
-  const InvocationStats& stats() const { return stats_; }
+  InvocationStats stats() const {
+    return {ledger_.submitted(), cold_starts_,
+            ledger_.CountOf(RequestLedger::Cause::kNoCapacity), deferred_,
+            ledger_.policy_drops(), ledger_.failed(), latency_ms_};
+  }
   // Warm (idle) + active instances of a function across the cluster.
   int InstanceCount(const std::string& function) const;
   int WarmInstanceCount(const std::string& function) const;
@@ -151,48 +152,48 @@ class ServerlessPlatform {
     EventHandle eviction;
   };
 
-  // Identifies one invocation in the trace: async spans (category
-  // "serverless") grouped under id, rooted at `span`, plus the causal
-  // request chain (flow category "serverless.request"). The context
-  // travels by value through the invocation's continuations; the chain is
-  // stitched by id, so stamping copies is fine.
-  struct InvocationTrace {
-    uint64_t id = 0;
-    SpanId span = 0;
-    RequestContext ctx;
-    // Client attribution rides with the trace context (by value through
-    // the invocation's continuations).
-    ClientAttribution client;
-  };
-
-  // An invocation parked in the admission queue while cold-start deferral
-  // is engaged.
-  struct DeferredInvocation {
-    std::string function;
+  // One invocation from Invoke to its outcome: parked in the admission
+  // queue while cold-start deferral is engaged, then cold-starting or
+  // executing on `instance_id`. In the trace it is a group of async spans
+  // (category "serverless") under ctx.id, rooted at `span`, plus the causal
+  // request chain (flow category "serverless.request").
+  struct Invocation {
+    const FunctionSpec* spec = nullptr;  // Into functions_ (stable).
     Callback on_done;
-    InvocationTrace trace;
+    Priority priority = Priority::kStandard;
     SimTime enqueue;
+    ClientAttribution client;
+    SpanId span = 0;
+    SpanId phase_span = 0;  // The running "cold_start" or "exec" span.
+    RequestContext ctx;
+    // The instance and execution in progress.
+    int64_t instance_id = 0;
+    double grant = 0.0;
+    int64_t fail_epoch = 0;
+    Duration exec;
   };
+  using InvocationRef = Slab<Invocation>::Ref;
 
+  RequestLedger::Request View(Invocation& invocation) {
+    return {invocation.priority, invocation.enqueue, invocation.client,
+            &invocation.ctx};
+  }
   Instance* FindWarmInstance(const std::string& function);
-  void RunOn(Instance* instance, const FunctionSpec& spec, SimTime enqueue,
-             InvocationTrace trace, Callback on_done);
-  void FinishInvocation(int64_t instance_id, SimTime enqueue,
-                        InvocationTrace trace, bool ok, Callback on_done);
+  void RunOn(Instance* instance, InvocationRef ref);
+  void FinishInvocation(InvocationRef ref);
+  // Ends an invocation that never ran, tagging its span with `key`.
+  void Drop(InvocationRef ref, RequestLedger::Cause cause, const char* key,
+            const char* value);
   void Evict(int64_t instance_id);
   void ArmEviction(Instance* instance);
   // Provisions a cold instance for the invocation (the pre-deferral cold
   // path, shared by Invoke and the deferred-drain path).
-  void ColdStart(const FunctionSpec& spec, SimTime enqueue,
-                 InvocationTrace trace, Callback on_done);
+  void ColdStart(InvocationRef ref);
   // Runs parked invocations that can proceed now (warm reuse always;
   // cold start once deferral is off).
   void DrainDeferred();
   void OnAdmissionDrop(const AdmissionQueue::Item& item,
                        AdmissionQueue::DropReason reason);
-  // Reports a terminal outcome for an attributed invocation.
-  void NotifyClient(const ClientAttribution& client, ClientOutcome outcome,
-                    Duration latency);
 
   Simulator* sim_;
   SocCluster* cluster_;
@@ -203,24 +204,20 @@ class ServerlessPlatform {
   SocCapacityView view_;
   Placer placer_;
   AdmissionQueue admission_;
-  CircuitBreaker* breaker_ = nullptr;  // Not owned; null: no breaker.
-  AttemptObserver attempt_observer_;   // Null: no evidence tap.
-  ClientObserver client_observer_;     // Null: no client tier attached.
-  Priority admit_floor_ = Priority::kBestEffort;
+  RequestLedger ledger_;
+  Slab<Invocation> invocations_;
   bool defer_cold_starts_ = false;
   std::map<std::string, FunctionSpec> functions_;
   std::map<int64_t, Instance> instances_;
   int64_t next_instance_id_ = 1;
-  InvocationStats stats_;
   uint64_t next_invocation_id_ = 1;
-  std::array<SloTracker*, kNumPriorities> slos_{};
-  // Invocation outcomes published to the registry ("serverless.*").
-  Counter* invocations_metric_;
+  int64_t cold_starts_ = 0;
+  int64_t deferred_ = 0;
+  SampleStats latency_ms_;
+  // Provisioning counters in the registry ("serverless.*"); invocation
+  // outcomes are the ledger's.
   Counter* cold_starts_metric_;
-  Counter* rejected_metric_;
   Counter* deferred_metric_;
-  Counter* qos_shed_metric_;
-  Counter* failed_metric_;
   HistogramMetric* latency_metric_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/workload/video/live.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -52,13 +51,21 @@ LiveTranscodingService::LiveTranscodingService(Simulator* sim,
                                                PlacementPolicy policy)
     : sim_(sim), cluster_(cluster), capacity_(cluster),
       placer_(sim, &capacity_, PlacerOptions(policy)),
-      admission_(sim, LiveAdmissionOptions()) {
+      admission_(sim, LiveAdmissionOptions()),
+      // Stream-start latency: a queued request should begin transcoding
+      // within a few seconds or the viewer has left.
+      ledger_(sim, {.service = "video.live",
+                    .slo_threshold = Duration::Seconds(5),
+                    .submitted = nullptr,
+                    .completed = "video.live.streams_started",
+                    .shed = "video.live.admission_rejected",
+                    .expired = "video.live.admission_rejected",
+                    .failed = "video.live.admission_rejected",
+                    .rejected = "video.live.admission_rejected"}) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   MetricRegistry& metrics = sim_->metrics();
-  started_metric_ = metrics.GetCounter("video.live.streams_started");
   stopped_metric_ = metrics.GetCounter("video.live.streams_stopped");
-  rejected_metric_ = metrics.GetCounter("video.live.admission_rejected");
   degraded_metric_ = metrics.GetCounter("video.live.streams_degraded");
   dropped_metric_ = metrics.GetCounter("video.live.streams_dropped");
   failed_over_metric_ = metrics.GetCounter("video.live.streams_failed_over");
@@ -67,17 +74,6 @@ LiveTranscodingService::LiveTranscodingService(Simulator* sim,
   brownout_promoted_metric_ =
       metrics.GetCounter("video.live.brownout_promoted");
   max_active_metric_ = metrics.GetGauge("video.live.max_active_streams");
-  for (int c = 0; c < kNumPriorities; ++c) {
-    SloSpec spec;
-    const char* cls = PriorityName(static_cast<Priority>(c));
-    spec.name = std::string("video.live/") + cls;
-    spec.service = "video.live";
-    spec.class_name = cls;
-    // Stream-start latency: a queued request should begin transcoding
-    // within a few seconds or the viewer has left.
-    spec.threshold = Duration::Seconds(5);
-    slos_[static_cast<size_t>(c)] = sim_->obs().slos.Register(spec);
-  }
   admission_.set_on_drop(
       [this](const AdmissionQueue::Item& item,
              AdmissionQueue::DropReason reason) { OnAdmissionDrop(item, reason); });
@@ -85,22 +81,12 @@ LiveTranscodingService::LiveTranscodingService(Simulator* sim,
 
 void LiveTranscodingService::OnAdmissionDrop(const AdmissionQueue::Item& item,
                                              AdmissionQueue::DropReason reason) {
-  auto pending = std::static_pointer_cast<PendingStream>(item.payload);
-  if (client_observer_ && pending->client.attributed()) {
-    client_observer_(pending->client.ticket,
-                     reason == AdmissionQueue::DropReason::kExpired
-                         ? ClientOutcome::kExpired
-                         : ClientOutcome::kShed,
-                     sim_->Now() - item.enqueue);
-  }
-  ++requests_shed_;
-  rejected_metric_->Increment();
+  const PendingRef ref = PendingRef::Unpack(item.handle);
+  PendingStream& pending = pending_[ref.index];
   sim_->tracer().Instant("request_shed", "video.live");
-  TraceRequestDrop(&sim_->tracer(), item.ctx, sim_->Now());
-  slos_[static_cast<size_t>(item.priority)]->Record(sim_->Now(), false);
-  if (breaker_ != nullptr && reason == AdmissionQueue::DropReason::kQueueFull) {
-    breaker_->RecordFailure();
-  }
+  ledger_.Finish(RequestLedger::FromDrop(reason),
+                 {item.priority, item.enqueue, pending.client, &pending.ctx});
+  pending_.Free(ref.index);
 }
 
 int LiveTranscodingService::StreamsOnSoc(int soc_index) const {
@@ -199,19 +185,18 @@ Result<int64_t> LiveTranscodingService::StartStream(VbenchVideo video,
     return Status::InvalidArgument(
         "LiveTranscodingService runs on the SoC Cluster only");
   }
-  if (priority > admit_floor_) {
-    ++requests_shed_;
-    rejected_metric_->Increment();
+  ledger_.Submit(priority);
+  if (priority > admission_.admit_floor()) {
     sim_->tracer().Instant("admission_rejected", "video.live");
-    slos_[static_cast<size_t>(priority)]->Record(sim_->Now(), false);
+    ledger_.Finish(RequestLedger::Cause::kAdmitFloor,
+                   {priority, sim_->Now(), {}});
     return Status::ResourceExhausted(
         "stream class below the brownout admission floor");
   }
-  Tracer& tracer = sim_->tracer();
   Stream stream{video, backend, -1, 0.0, 0, 0, 0, 0, 0, {}};
   stream.ctx.id = next_request_id_++;
-  stream.ctx.priority = static_cast<int>(priority);
-  TraceRequestSubmit(&tracer, &stream.ctx, "video.live.request", sim_->Now());
+  TraceRequestSubmit(&sim_->tracer(), &stream.ctx, "video.live.request",
+                     sim_->Now());
   // During a brownout, CPU streams enter at the degraded rung rather than
   // being refused the full-quality slot.
   const int rung =
@@ -219,26 +204,31 @@ Result<int64_t> LiveTranscodingService::StartStream(VbenchVideo video,
   Result<int> soc_index =
       PickFor(video, backend, BitrateRungCpuScale(rung), &stream.ctx);
   if (!soc_index.ok()) {
-    rejected_metric_->Increment();
     sim_->tracer().Instant("admission_rejected", "video.live");
-    TraceRequestDrop(&tracer, &stream.ctx, sim_->Now());
-    slos_[static_cast<size_t>(priority)]->Record(sim_->Now(), false);
+    ledger_.Finish(RequestLedger::Cause::kNoCapacity,
+                   {priority, sim_->Now(), {}, &stream.ctx});
     return soc_index.status();
   }
+  return Launch(std::move(stream), *soc_index, rung,
+                {priority, sim_->Now(), {}});
+}
 
-  Admit(&stream, *soc_index, rung);
-  TraceRequestDispatch(&tracer, &stream.ctx, sim_->Now(), *soc_index, 0);
-  slos_[static_cast<size_t>(priority)]->Record(sim_->Now(), true);
-
+int64_t LiveTranscodingService::Launch(Stream stream, int soc_index, int rung,
+                                       const RequestLedger::Request& request) {
+  Admit(&stream, soc_index, rung);
+  Tracer& tracer = sim_->tracer();
+  TraceRequestStep(&tracer, &stream.ctx, "dispatch");
+  // The request completes at stream start (its SLO is the wait for that);
+  // its causal chain follows the stream until stop or drop.
+  ledger_.Complete(request);
   const int64_t id = next_id_++;
-  const SpanId span = tracer.BeginAsyncSpan("stream", "video.live",
-                                            static_cast<uint64_t>(id));
-  tracer.AddArg(span, "soc", static_cast<int64_t>(*soc_index));
-  tracer.AddArg(span, "backend",
-                backend == TranscodeBackend::kSocCpu ? "cpu" : "hw_codec");
-  stream.span = span;
+  stream.span = tracer.BeginAsyncSpan("stream", "video.live",
+                                      static_cast<uint64_t>(id));
+  tracer.AddArg(stream.span, "soc", static_cast<int64_t>(soc_index));
+  tracer.AddArg(stream.span, "backend",
+                stream.backend == TranscodeBackend::kSocCpu ? "cpu"
+                                                            : "hw_codec");
   streams_.emplace(id, stream);
-  started_metric_->Increment();
   max_active_metric_->SetMax(static_cast<double>(streams_.size()));
   return id;
 }
@@ -260,7 +250,7 @@ Status LiveTranscodingService::StopStream(int64_t stream_id) {
   Network& net = cluster_->network();
   SOC_RETURN_IF_ERROR(net.RemoveConstantLoad(stream.inbound_load));
   SOC_RETURN_IF_ERROR(net.RemoveConstantLoad(stream.outbound_load));
-  TraceRequestComplete(&sim_->tracer(), &it->second.ctx, sim_->Now());
+  ledger_.CloseFlow(&it->second.ctx, /*completed=*/true);
   sim_->tracer().EndSpan(stream.span);
   stopped_metric_->Increment();
   streams_.erase(it);
@@ -275,27 +265,24 @@ void LiveTranscodingService::RequestStream(VbenchVideo video,
   SOC_CHECK(backend == TranscodeBackend::kSocCpu ||
             backend == TranscodeBackend::kSocHwCodec)
       << "LiveTranscodingService runs on the SoC Cluster only";
-  if (breaker_ != nullptr && priority != Priority::kCritical &&
-      !breaker_->Allow()) {
-    ++requests_shed_;
-    rejected_metric_->Increment();
+  ledger_.Submit(priority);
+  if (!ledger_.BreakerAdmits(priority)) {
     sim_->tracer().Instant("request_shed", "video.live");
-    if (client_observer_ && client.attributed()) {
-      client_observer_(client.ticket, ClientOutcome::kShed, Duration::Zero());
-    }
+    ledger_.Finish(RequestLedger::Cause::kBreaker,
+                   {priority, sim_->Now(), client});
     return;
   }
-  auto pending = std::make_shared<PendingStream>();
-  pending->video = video;
-  pending->backend = backend;
-  pending->client = client;
-  pending->ctx.id = next_request_id_++;
-  pending->ctx.priority = static_cast<int>(priority);
-  TraceRequestSubmit(&sim_->tracer(), &pending->ctx, "video.live.request",
+  const PendingRef ref = pending_.Allocate();
+  PendingStream& pending = pending_[ref.index];
+  pending.video = video;
+  pending.backend = backend;
+  pending.client = client;
+  pending.ctx.id = next_request_id_++;
+  TraceRequestSubmit(&sim_->tracer(), &pending.ctx, "video.live.request",
                      sim_->Now());
-  RequestContext* ctx = &pending->ctx;
-  if (!admission_.Offer(priority, Duration::Zero(), std::move(pending), ctx)) {
-    return;  // Shed; accounted in OnAdmissionDrop.
+  if (!admission_.Offer(priority, Duration::Zero(), ref.Pack(),
+                        &pending.ctx)) {
+    return;  // Shed; accounted (and freed) in OnAdmissionDrop.
   }
   DrainPending();
 }
@@ -306,49 +293,22 @@ void LiveTranscodingService::DrainPending() {
     if (!item.has_value()) {
       return;
     }
-    auto pending = std::static_pointer_cast<PendingStream>(item->payload);
+    const PendingRef ref = PendingRef::Unpack(item->handle);
+    PendingStream& pending = pending_[ref.index];
     const int rung =
-        pending->backend == TranscodeBackend::kSocCpu ? brownout_rung_ : 0;
-    Result<int> soc_index = PickFor(pending->video, pending->backend,
-                                    BitrateRungCpuScale(rung), &pending->ctx);
+        pending.backend == TranscodeBackend::kSocCpu ? brownout_rung_ : 0;
+    Result<int> soc_index = PickFor(pending.video, pending.backend,
+                                    BitrateRungCpuScale(rung), &pending.ctx);
     if (!soc_index.ok()) {
       // Head-of-class blocks until capacity frees; keep FIFO order.
       admission_.RestoreFront(std::move(*item));
       return;
     }
-    Stream stream{pending->video, pending->backend, *soc_index, 0.0, 0, 0, 0,
-                  0, 0, {}};
-    Admit(&stream, *soc_index, rung);
-    Tracer& tracer = sim_->tracer();
-    TraceRequestDispatch(&tracer, &pending->ctx, sim_->Now(), *soc_index, 0);
-    // Stream-start SLO: the wait from submission to transcoding start.
-    slos_[static_cast<size_t>(item->priority)]->RecordLatency(
-        sim_->Now(), sim_->Now() - item->enqueue);
-    if (client_observer_ && pending->client.attributed()) {
-      client_observer_(pending->client.ticket, ClientOutcome::kSuccess,
-                       sim_->Now() - item->enqueue);
-    }
-    stream.ctx = pending->ctx;  // Chain follows the stream until stop/drop.
-    const int64_t id = next_id_++;
-    const SpanId span = tracer.BeginAsyncSpan("stream", "video.live",
-                                              static_cast<uint64_t>(id));
-    tracer.AddArg(span, "soc", static_cast<int64_t>(*soc_index));
-    tracer.AddArg(span, "backend",
-                  pending->backend == TranscodeBackend::kSocCpu ? "cpu"
-                                                                : "hw_codec");
-    stream.span = span;
-    streams_.emplace(id, stream);
-    started_metric_->Increment();
-    if (breaker_ != nullptr) {
-      breaker_->RecordSuccess();
-    }
-    max_active_metric_->SetMax(static_cast<double>(streams_.size()));
+    Launch(Stream{pending.video, pending.backend, -1, 0.0, 0, 0, 0, 0, 0,
+                  pending.ctx},
+           *soc_index, rung, {item->priority, item->enqueue, pending.client});
+    pending_.Free(ref.index);
   }
-}
-
-void LiveTranscodingService::SetAdmitFloor(Priority floor) {
-  admit_floor_ = floor;
-  admission_.SetAdmitFloor(floor);
 }
 
 bool LiveTranscodingService::MoveRung(Stream* stream, int rung) {
@@ -441,7 +401,7 @@ void LiveTranscodingService::OnSocFailure(int soc_index) {
       if (target.ok()) {
         Admit(&stream, *target, rung);
         failed_over_metric_->Increment();
-        TraceRequestFailover(&tracer, &stream.ctx, sim_->Now());
+        TraceRequestStep(&tracer, &stream.ctx, "failover");
         tracer.AddArg(stream.span, "failed_over_to",
                       static_cast<int64_t>(*target));
         if (rung > old_rung) {
@@ -467,7 +427,7 @@ void LiveTranscodingService::OnSocFailure(int soc_index) {
     if (!placed) {
       ++streams_dropped_;
       dropped_metric_->Increment();
-      TraceRequestDrop(&tracer, &stream.ctx, sim_->Now());
+      ledger_.CloseFlow(&stream.ctx, /*completed=*/false);
       tracer.EndSpan(stream.span);
       streams_.erase(id);
     }
@@ -508,7 +468,7 @@ int LiveTranscodingService::ClusterCapacity(VbenchVideo video,
 void LiveTranscodingService::DigestState(StateDigest& digest) const {
   capacity_.DigestState(digest);
   admission_.DigestState(digest);
-  digest.Mix(static_cast<int>(admit_floor_));
+  digest.Mix(static_cast<int>(admission_.admit_floor()));
   digest.Mix(brownout_rung_);
   digest.Mix(static_cast<uint64_t>(streams_.size()));
   for (const auto& [id, stream] : streams_) {
@@ -526,7 +486,7 @@ void LiveTranscodingService::DigestState(StateDigest& digest) const {
   digest.Mix(streams_dropped_);
   digest.Mix(brownout_demoted_);
   digest.Mix(brownout_promoted_);
-  digest.Mix(requests_shed_);
+  digest.Mix(requests_shed());
 }
 
 }  // namespace soccluster

@@ -8,18 +8,19 @@
 #ifndef SRC_WORKLOAD_VIDEO_LIVE_H_
 #define SRC_WORKLOAD_VIDEO_LIVE_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 
 #include "src/base/client.h"
 #include "src/base/priority.h"
 #include "src/base/result.h"
+#include "src/base/slab.h"
 #include "src/cluster/cluster.h"
 #include "src/obs/request.h"
 #include "src/obs/slo.h"
 #include "src/qos/admission.h"
 #include "src/qos/breaker.h"
+#include "src/qos/request_ledger.h"
 #include "src/sched/placer.h"
 #include "src/workload/video/transcode.h"
 #include "src/workload/video/video.h"
@@ -67,7 +68,7 @@ class LiveTranscodingService {
                      Priority priority, const ClientAttribution& client);
   // Single per-service outcome tap; unattributed requests never invoke it.
   void SetClientObserver(ClientObserver observer) {
-    client_observer_ = std::move(observer);
+    ledger_.SetClientObserver(std::move(observer));
   }
 
   // Pending stream-start queue (policy knobs live on the queue itself).
@@ -77,12 +78,12 @@ class LiveTranscodingService {
   // Brownout hooks. SetAdmitFloor refuses classes below `floor` at the
   // door; SetBrownoutRung(r) pushes every CPU stream down to at least rung
   // `r` in place (and back up when `r` drops, where capacity allows).
-  void SetAdmitFloor(Priority floor);
+  void SetAdmitFloor(Priority floor) { admission_.SetAdmitFloor(floor); }
   void SetBrownoutRung(int rung);
   int brownout_rung() const { return brownout_rung_; }
   // Fast-fails non-critical RequestStream calls while `breaker` is open.
   // Null (default) disables.
-  void SetBreaker(CircuitBreaker* breaker) { breaker_ = breaker; }
+  void SetBreaker(CircuitBreaker* breaker) { ledger_.SetBreaker(breaker); }
 
   // Re-homes the failed SoC's streams onto the survivors, walking each
   // stream down the bitrate ladder as needed (CPU backend) and dropping
@@ -96,13 +97,15 @@ class LiveTranscodingService {
   int64_t streams_dropped() const { return streams_dropped_; }
   int64_t brownout_demoted() const { return brownout_demoted_; }
   int64_t brownout_promoted() const { return brownout_promoted_; }
-  int64_t requests_shed() const { return requests_shed_; }
+  // Requests shed by admission policy (floor, breaker, queue pressure);
+  // StartStream's capacity rejections are not shed.
+  int64_t requests_shed() const { return ledger_.policy_drops(); }
   int pending_requests() const { return admission_.size(); }
   // Per-class stream-start SLO ("video.live/<class>"): a request is good
   // when its stream starts within the spec threshold of submission.
-  SloTracker* slo_of(Priority priority) {
-    return slos_[static_cast<size_t>(priority)];
-  }
+  SloTracker* slo_of(Priority priority) { return ledger_.slo_of(priority); }
+  // Stream-start requests: a request completes when its stream starts.
+  const RequestLedger& ledger() const { return ledger_; }
   // Total streams the whole cluster can admit for this video/backend.
   int ClusterCapacity(VbenchVideo video, TranscodeBackend backend) const;
 
@@ -136,6 +139,7 @@ class LiveTranscodingService {
     RequestContext ctx;  // Owned here until the stream starts.
     ClientAttribution client;
   };
+  using PendingRef = Slab<PendingStream>::Ref;
 
   // Per-candidate demand of one stream at `cpu_scale` on the ladder, and
   // the extra hw-session feasibility the capacity view cannot express.
@@ -154,6 +158,10 @@ class LiveTranscodingService {
   // re-admit). A promotion that no longer fits re-admits at the old rung
   // and returns false.
   bool MoveRung(Stream* stream, int rung);
+  // Places `stream` on `soc_index` at `rung`, completes its start request
+  // and registers it. Returns the stream id.
+  int64_t Launch(Stream stream, int soc_index, int rung,
+                 const RequestLedger::Request& request);
   // Starts queued stream requests while capacity allows.
   void DrainPending();
   void OnAdmissionDrop(const AdmissionQueue::Item& item,
@@ -164,9 +172,8 @@ class LiveTranscodingService {
   SocCapacityView capacity_;
   Placer placer_;
   AdmissionQueue admission_;
-  CircuitBreaker* breaker_ = nullptr;  // Not owned; null: no breaker.
-  ClientObserver client_observer_;     // Null: no client tier attached.
-  Priority admit_floor_ = Priority::kBestEffort;
+  RequestLedger ledger_;
+  Slab<PendingStream> pending_;
   int brownout_rung_ = 0;
   std::map<int64_t, Stream> streams_;
   int64_t next_id_ = 1;
@@ -174,16 +181,13 @@ class LiveTranscodingService {
   // ("video.live.request") never aliases the stream span ids. Incremented
   // unconditionally, so digests match with tracing on or off.
   uint64_t next_request_id_ = 1;
-  std::array<SloTracker*, kNumPriorities> slos_{};
   int64_t streams_degraded_ = 0;
   int64_t streams_dropped_ = 0;
   int64_t brownout_demoted_ = 0;
   int64_t brownout_promoted_ = 0;
-  int64_t requests_shed_ = 0;
-  // Admission outcomes published to the registry ("video.live.*").
-  Counter* started_metric_;
+  // Stream life-cycle counters in the registry ("video.live.*"); request
+  // outcomes are the ledger's.
   Counter* stopped_metric_;
-  Counter* rejected_metric_;
   Counter* degraded_metric_;
   Counter* dropped_metric_;
   Counter* failed_over_metric_;

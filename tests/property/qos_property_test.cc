@@ -130,7 +130,7 @@ TEST(QosPropertyTest, CriticalNeverShedWhileLowerClassesQueued) {
                        ? queue.SizeOf(Priority::kBestEffort)
                        : 0);
         const bool admitted =
-            queue.Offer(priority, Duration::Zero(), nullptr);
+            queue.Offer(priority, Duration::Zero(), 0);
         if (!admitted && priority == Priority::kCritical) {
           // A critical queue-full drop is only legal when no lower class
           // held space it could take.

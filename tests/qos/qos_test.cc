@@ -1,4 +1,4 @@
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <utility>
 
@@ -21,17 +21,16 @@ AdmissionQueue::Options QueueOptions(const char* service) {
 TEST(AdmissionQueueTest, StrictPriorityFifoWithinClass) {
   Simulator sim(1);
   AdmissionQueue queue(&sim, QueueOptions("t.order"));
-  auto tag = [](int v) { return std::make_shared<int>(v); };
-  ASSERT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), tag(1)));
-  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), tag(2)));
-  ASSERT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), tag(3)));
-  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), tag(4)));
+  ASSERT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 1));
+  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 2));
+  ASSERT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), 3));
+  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 4));
   EXPECT_EQ(queue.size(), 4);
   int order[4];
   for (int& slot : order) {
     auto item = queue.Pop();
     ASSERT_TRUE(item.has_value());
-    slot = *std::static_pointer_cast<int>(item->payload);
+    slot = static_cast<int>(item->handle);
   }
   EXPECT_EQ(order[0], 3);  // Critical first.
   EXPECT_EQ(order[1], 2);  // Standard, FIFO.
@@ -44,12 +43,12 @@ TEST(AdmissionQueueTest, AdmitFloorRefusesLowerClasses) {
   Simulator sim(1);
   AdmissionQueue queue(&sim, QueueOptions("t.floor"));
   queue.SetAdmitFloor(Priority::kStandard);
-  EXPECT_FALSE(queue.Offer(Priority::kBestEffort, Duration::Zero(), nullptr));
-  EXPECT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), nullptr));
-  EXPECT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), nullptr));
+  EXPECT_FALSE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 0));
+  EXPECT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
+  EXPECT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), 0));
   EXPECT_EQ(queue.DroppedFor(AdmissionQueue::DropReason::kAdmitFloor), 1);
   queue.SetAdmitFloor(Priority::kBestEffort);
-  EXPECT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), nullptr));
+  EXPECT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 0));
 }
 
 TEST(AdmissionQueueTest, FullQueueEvictsNewestLowerClassItem) {
@@ -57,15 +56,15 @@ TEST(AdmissionQueueTest, FullQueueEvictsNewestLowerClassItem) {
   AdmissionQueue::Options options = QueueOptions("t.full");
   options.max_queue = 2;
   AdmissionQueue queue(&sim, options);
-  ASSERT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), nullptr));
-  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), nullptr));
+  ASSERT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 0));
+  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
   // Full; a critical arrival evicts the best-effort item, not itself.
-  EXPECT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), nullptr));
+  EXPECT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), 0));
   EXPECT_EQ(queue.size(), 2);
   EXPECT_EQ(queue.SizeOf(Priority::kBestEffort), 0);
   EXPECT_EQ(queue.DroppedFor(AdmissionQueue::DropReason::kQueueFull), 1);
   // Full of >= classes: the incoming standard item is the one shed.
-  EXPECT_FALSE(queue.Offer(Priority::kStandard, Duration::Zero(), nullptr));
+  EXPECT_FALSE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
   EXPECT_EQ(queue.DroppedFor(AdmissionQueue::DropReason::kQueueFull), 2);
   EXPECT_EQ(queue.size(), 2);
 }
@@ -74,8 +73,8 @@ TEST(AdmissionQueueTest, ExpiredItemsPurgedAtDispatch) {
   Simulator sim(1);
   AdmissionQueue queue(&sim, QueueOptions("t.expiry"));
   ASSERT_TRUE(
-      queue.Offer(Priority::kStandard, Duration::Seconds(1), nullptr));
-  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), nullptr));
+      queue.Offer(Priority::kStandard, Duration::Seconds(1), 0));
+  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
   ASSERT_TRUE(sim.RunFor(Duration::Seconds(2)).ok());
   // The first item is a second past its deadline: purged, and the
   // unbounded-deadline item dispatches instead.
@@ -95,8 +94,8 @@ TEST(AdmissionQueueTest, CodelShedsSustainedSojourn) {
   // without bound unless the CoDel law sheds.
   for (int step = 0; step < 400; ++step) {
     sim.ScheduleAfter(Duration::Millis(10 * step), [&queue] {
-      queue.Offer(Priority::kStandard, Duration::Zero(), nullptr);
-      queue.Offer(Priority::kStandard, Duration::Zero(), nullptr);
+      queue.Offer(Priority::kStandard, Duration::Zero(), 0);
+      queue.Offer(Priority::kStandard, Duration::Zero(), 0);
       queue.Pop();
     });
   }
@@ -110,16 +109,15 @@ TEST(AdmissionQueueTest, CodelShedsSustainedSojourn) {
 TEST(AdmissionQueueTest, RestoreFrontPreservesFifoHead) {
   Simulator sim(1);
   AdmissionQueue queue(&sim, QueueOptions("t.restore"));
-  auto tag = [](int v) { return std::make_shared<int>(v); };
-  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), tag(1)));
-  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), tag(2)));
+  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 1));
+  ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 2));
   auto head = queue.Pop();
   ASSERT_TRUE(head.has_value());
-  EXPECT_EQ(*std::static_pointer_cast<int>(head->payload), 1);
+  EXPECT_EQ(head->handle, 1u);
   queue.RestoreFront(std::move(*head));
   auto again = queue.Pop();
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*std::static_pointer_cast<int>(again->payload), 1);
+  EXPECT_EQ(again->handle, 1u);
 }
 
 CircuitBreakerConfig BreakerConfig(const char* service) {

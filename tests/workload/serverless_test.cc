@@ -1,4 +1,5 @@
 #include "src/base/check.h"
+#include "src/qos/breaker.h"
 #include "src/workload/serverless/serverless.h"
 
 #include <gtest/gtest.h>
@@ -176,6 +177,36 @@ TEST_F(ServerlessTest, ColdStartRateFallsWithKeepAlive) {
     EXPECT_LT(platform.stats().ColdStartRate(), previous_rate);
     previous_rate = platform.stats().ColdStartRate();
   }
+}
+
+TEST_F(ServerlessTest, BreakerClosesOnceQueuePressureClears) {
+  ServerlessConfig config;
+  config.defer_queue_cap = 2;
+  ServerlessPlatform platform(&sim_, &cluster_, config);
+  ASSERT_TRUE(platform.RegisterFunction(Fn("a")).ok());
+  CircuitBreakerConfig breaker_config;
+  breaker_config.service = "serverless";
+  CircuitBreaker breaker(&sim_, breaker_config);
+  platform.SetBreaker(&breaker);
+  // A cold-start storm under deferral: two invocations park, the rest
+  // overflow the deferral queue, and the queue-full drops open the breaker.
+  platform.SetDeferColdStarts(true);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(platform.Invoke("a", nullptr).ok());
+  }
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  platform.SetDeferColdStarts(false);
+  ASSERT_TRUE(
+      sim_.RunFor(breaker_config.open_duration + Duration::Seconds(1)).ok());
+  // Healthy traffic afterwards: the half-open probes succeed, the breaker
+  // closes, and nothing more is shed.
+  int succeeded = 0;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(platform.Invoke("a", [&succeeded] { ++succeeded; }).ok());
+    ASSERT_TRUE(sim_.RunFor(Duration::Seconds(1)).ok());
+  }
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(succeeded, 60);
 }
 
 }  // namespace

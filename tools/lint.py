@@ -60,6 +60,17 @@ Registered as the `lint.repo` ctest. Rules:
                 and drifts from the one evidence stream the detector
                 reasons about. Fleet-wide and per-priority stats are fine.
 
+  lifecycle     Workload services must not hand-roll terminal request
+                bookkeeping: no `slos.Register(`, no `TraceRequestComplete(`
+                / `TraceRequestDrop(`, and no direct ClientObserver call
+                (`client_observer_(...)`) under src/workload. What happens
+                when a request completes, is shed, expires or fails --
+                outcome counts, the per-class SLO feed, the exactly-once
+                client notification, the breaker rule and the flow-trace
+                close -- is owned by src/qos/request_ledger.h; a service that
+                copies any of it by hand drifts (one copy once never fed its
+                breaker a success, so the breaker could never close).
+
   hot-label     ScheduleAt/ScheduleAfter call sites under src/ must pass
                 static-ish labels: no std::to_string, StrCat, per-event
                 std::string construction, or literal concatenation in the
@@ -193,6 +204,19 @@ GRAY_EVIDENCE_PATTERNS = [
      "DegradationScorer own the per-SoC evidence"),
 ]
 
+# Terminal request bookkeeping belongs to the RequestLedger: SLO
+# registration, terminal flow closes and client notification in a service
+# are hand-kept copies of it.
+LIFECYCLE_DIRS = ("src/workload",)
+LIFECYCLE_PATTERNS = [
+    (re.compile(r"\bslos\s*\.\s*Register\s*\("),
+     "per-service SLO registration"),
+    (re.compile(r"\bTraceRequest(?:Complete|Drop)\s*\("),
+     "hand-closed request flow trace"),
+    (re.compile(r"\b\w*client_observer\w*\s*\("),
+     "direct ClientObserver call"),
+]
+
 # Event labels are interned and must be cheap: flag per-event string
 # construction in the argument list of a Schedule* call. The callback
 # lambda's body is blanked before matching, so dynamic text inside the
@@ -217,7 +241,7 @@ ALLOW_ANY = re.compile(r"//\s*lint:allow\(([^)]*)\)")
 
 KNOWN_RULES = frozenset({
     "determinism", "units", "guards", "include-cc", "stdio", "layering",
-    "admission", "gray-evidence", "hot-label", "arrival",
+    "admission", "gray-evidence", "hot-label", "arrival", "lifecycle",
 })
 
 IGNORED_DIRS = {".git", "build", "third_party", ".github"}
@@ -375,6 +399,21 @@ class Linter:
                     self.report(path, lineno, "gray-evidence", reason)
                     break
 
+    def lint_lifecycle(self, path, raw_lines, code_lines):
+        if not path.startswith(LIFECYCLE_DIRS):
+            return
+        for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
+            for pattern, what in LIFECYCLE_PATTERNS:
+                if pattern.search(code) and not allowed(raw, "lifecycle"):
+                    self.report(
+                        path, lineno, "lifecycle",
+                        f"{what} in service code; terminal request "
+                        "bookkeeping (outcome counts, SLO feed, client "
+                        "notification, breaker rule, flow close) is owned by "
+                        "src/qos/request_ledger.h -- go through the "
+                        "service's RequestLedger")
+                    break
+
     def lint_hot_label(self, path, raw_lines, code_text):
         if not path.startswith("src/"):
             return
@@ -472,6 +511,7 @@ class Linter:
                 self.lint_admission(path, raw_lines, code_lines)
                 self.lint_arrival(path, raw_lines, code_lines)
                 self.lint_gray_evidence(path, raw_lines, code_lines)
+                self.lint_lifecycle(path, raw_lines, code_lines)
                 self.lint_hot_label(path, raw_lines, code_text)
                 self.lint_include_cc(path, raw_lines, code_lines)
                 self.lint_suppressions(path, raw_lines)

@@ -236,6 +236,48 @@ class GrayEvidenceRuleTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+class LifecycleRuleTest(unittest.TestCase):
+    def test_slo_registration_flagged(self):
+        findings = run_rule("lint_lifecycle", "src/workload/dl/x.cc",
+                            "slos_[c] = sim_->obs().slos.Register(spec);\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("[lifecycle]", findings[0])
+        self.assertIn("request_ledger.h", findings[0])
+
+    def test_flow_close_flagged(self):
+        findings = run_rule(
+            "lint_lifecycle", "src/workload/video/x.cc",
+            "TraceRequestComplete(&tracer, &ctx, now);\n"
+            "TraceRequestDrop(&tracer, &ctx, now);\n")
+        self.assertEqual(len(findings), 2)
+
+    def test_client_observer_call_flagged(self):
+        findings = run_rule(
+            "lint_lifecycle", "src/workload/x.cc",
+            "client_observer_(client.ticket, ClientOutcome::kShed, d);\n")
+        self.assertEqual(len(findings), 1)
+
+    def test_ledger_path_clean(self):
+        findings = run_rule(
+            "lint_lifecycle", "src/workload/x.cc",
+            "ledger_.SetClientObserver(std::move(observer));\n"
+            "ledger_.Finish(RequestLedger::Cause::kFailed, View(r));\n"
+            "TraceRequestSubmit(&tracer, &ctx, \"x\", now);\n"
+            "// TraceRequestDrop( in a comment\n")
+        self.assertEqual(findings, [])
+
+    def test_outside_workload_ignored(self):
+        findings = run_rule("lint_lifecycle", "src/qos/request_ledger.cc",
+                            "TraceRequestDrop(&tracer, ctx, now);\n")
+        self.assertEqual(findings, [])
+
+    def test_suppressed(self):
+        findings = run_rule(
+            "lint_lifecycle", "src/workload/x.cc",
+            "TraceRequestDrop(&t, &c, n);  // lint:allow(lifecycle)\n")
+        self.assertEqual(findings, [])
+
+
 class HotLabelRuleTest(unittest.TestCase):
     def test_to_string_label_flagged(self):
         findings = run_rule(
@@ -311,7 +353,7 @@ class SuppressionHygieneTest(unittest.TestCase):
         # Every lint_<rule> method's reports must use a name in
         # KNOWN_RULES, or its suppressions would be self-flagged.
         for rule in ("determinism", "units", "guards", "include-cc",
-                     "stdio", "layering", "admission"):
+                     "stdio", "layering", "admission", "lifecycle"):
             self.assertIn(rule, lint.KNOWN_RULES)
 
 
