@@ -1,7 +1,8 @@
 // Ablation: pack-vs-spread placement for live transcoding at partial load.
 // Spreading wakes one SoC per stream (paying the per-SoC wake adder);
 // packing concentrates streams and lets idle SoCs be powered off. The
-// DESIGN.md energy-proportionality choice quantified.
+// DESIGN.md energy-proportionality choice quantified. The bench checks that
+// claim itself and exits 1 when it fails.
 
 #include <cstdio>
 
@@ -65,13 +66,15 @@ Outcome Measure(PlacementPolicy policy, int streams,
   return outcome;
 }
 
-void Run(const ObsFlags& obs_flags) {
+int Run(const ObsFlags& obs_flags) {
   std::printf("=== Ablation: placement policy x power gating "
               "(V4 live streams) ===\n\n");
   BenchReport report("ablation_placement");
   TextTable table({"streams", "policy", "SoCs used", "W (all on)",
                    "W (idle gated)"});
   for (int streams : {6, 18, 54, 180}) {
+    int pack_socs = 0;
+    int spread_socs = 0;
     for (PlacementPolicy policy :
          {PlacementPolicy::kSpread, PlacementPolicy::kPack,
           PlacementPolicy::kBestFit, PlacementPolicy::kRandomOfK}) {
@@ -88,7 +91,21 @@ void Run(const ObsFlags& obs_flags) {
                     std::to_string(outcome.socs_used),
                     FormatDouble(outcome.power_on_watts, 1),
                     FormatDouble(outcome.power_gated_watts, 1)});
+      report.Claim(outcome.power_gated_watts > 0.0 && outcome.socs_used > 0,
+                   "%s at %d streams draws power (%.1f W) on SoCs (%d)",
+                   PlacementPolicyName(policy), streams,
+                   outcome.power_gated_watts, outcome.socs_used);
+      if (policy == PlacementPolicy::kPack) {
+        pack_socs = outcome.socs_used;
+      } else if (policy == PlacementPolicy::kSpread) {
+        spread_socs = outcome.socs_used;
+      }
     }
+    // At partial load packing must use no more SoCs than spreading: that
+    // inequality is the point of the ablation.
+    report.Claim(pack_socs <= spread_socs,
+                 "pack uses no more SoCs than spread at %d streams (%d vs %d)",
+                 streams, pack_socs, spread_socs);
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("Takeaway: with idle SoCs left on, the policies are nearly "
@@ -99,12 +116,12 @@ void Run(const ObsFlags& obs_flags) {
               "(it maximizes post-placement occupancy); random-of-2 sits "
               "between the extremes, trading placement quality for O(k) "
               "scoring.\n");
+  return report.ExitCode();
 }
 
 }  // namespace
 }  // namespace soccluster
 
 int main(int argc, char** argv) {
-  soccluster::Run(soccluster::ParseObsFlags(argc, argv));
-  return 0;
+  return soccluster::Run(soccluster::ParseObsFlags(argc, argv));
 }

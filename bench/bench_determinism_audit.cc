@@ -1,16 +1,17 @@
-// Determinism audit over the four flagship scenarios (src/core/
+// Determinism audit over the five flagship scenarios (src/core/
 // det_scenarios.h): each runs once under FIFO tie-break and N more times
 // under seeded tie-break permutations; bit-identical state digests at
 // every checkpoint certify the scenario independent of equal-timestamp
 // dispatch order. A divergence is bisected to its first divergent window
 // and the implicated event labels are printed (and written as a JSON
-// report for the CI artifact).
+// report).
 //
 // Flags: --permutations=N   (default 8)
-//        --scenario=NAME    (default: all four)
+//        --scenario=NAME    (default: all five; an unknown name exits 2)
 //        --report-out=PATH  divergence reports, one JSON object per line
 //        --digest-out=PATH  per-scenario FIFO baseline digests as JSON
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,10 +28,24 @@ namespace {
 
 int Run(int permutations, const std::string& only,
         const std::string& report_out, const std::string& digest_out) {
+  const std::vector<DetScenarioSpec> scenarios = AllDetScenarios();
+  if (!only.empty() &&
+      std::none_of(scenarios.begin(), scenarios.end(),
+                   [&only](const DetScenarioSpec& spec) {
+                     return only == spec.name;
+                   })) {
+    // A typo must not certify nothing with exit 0.
+    std::fprintf(stderr, "unknown --scenario=%s; valid names:", only.c_str());
+    for (const DetScenarioSpec& spec : scenarios) {
+      std::fprintf(stderr, " %s", spec.name);
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
   TextTable table({"scenario", "permutations", "digest", "verdict"});
   std::vector<DivergenceReport> reports;
   bool all_ok = true;
-  for (const DetScenarioSpec& spec : AllDetScenarios()) {
+  for (const DetScenarioSpec& spec : scenarios) {
     if (!only.empty() && only != spec.name) {
       continue;
     }

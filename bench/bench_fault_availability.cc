@@ -126,6 +126,18 @@ void RunAvailability(int days, uint64_t seed, BenchReport* report) {
               static_cast<double>(result.replicas_recovered), "count");
   report->Add("replicas_pending", static_cast<double>(result.replicas_pending),
               "count");
+
+  // The chaos run must exercise the failure path: a fault-free run, or
+  // one that never repairs, would test nothing.
+  report->Claim(result.failures > 0, "chaos run injected failures (%lld)",
+                static_cast<long long>(result.failures));
+  report->Claim(result.repairs > 0, "chaos run completed repairs (%lld)",
+                static_cast<long long>(result.repairs));
+  report->Claim(result.availability > 0.0 && result.availability < 1.0,
+                "0 < availability < 1 (%.6f)", result.availability);
+  report->Claim(result.detection_latency_ms > 0.0,
+                "heartbeat detection is not oracle-instant (%.0f ms)",
+                result.detection_latency_ms);
 }
 
 struct GoodputOutcome {
@@ -276,12 +288,13 @@ void RunGoodput(uint64_t seed, const ObsFlags& obs_flags,
               "count");
 }
 
-void Run(int days, uint64_t seed, const ObsFlags& obs_flags) {
+int Run(int days, uint64_t seed, const ObsFlags& obs_flags) {
   BenchReport report("fault_availability");
   report.SetParam("days", static_cast<int64_t>(days));
   report.SetParam("seed", static_cast<int64_t>(seed));
   RunAvailability(days, seed, &report);
   RunGoodput(seed, obs_flags, &report);
+  return report.ExitCode();
 }
 
 }  // namespace
@@ -302,6 +315,5 @@ int main(int argc, char** argv) {
   }
   const soccluster::ObsFlags obs_flags =
       soccluster::ParseObsFlags(argc, argv);
-  soccluster::Run(days, seed, obs_flags);
-  return 0;
+  return soccluster::Run(days, seed, obs_flags);
 }

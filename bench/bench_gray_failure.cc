@@ -192,7 +192,7 @@ StormOutcome MeasureStorm(bool detect, bool plant, int minutes, uint64_t seed,
   return outcome;
 }
 
-void Run(int minutes, uint64_t seed, const ObsFlags& obs_flags) {
+int Run(int minutes, uint64_t seed, const ObsFlags& obs_flags) {
   BenchReport report("gray_failure");
   report.SetParam("minutes", static_cast<int64_t>(minutes));
   report.SetParam("seed", static_cast<int64_t>(seed));
@@ -267,6 +267,33 @@ void Run(int minutes, uint64_t seed, const ObsFlags& obs_flags) {
              "count");
   report.Add("clean_suspects", static_cast<double>(clean.suspects), "count");
   report.Add("digest_match", on.digest == repeat.digest ? 1.0 : 0.0, "bool");
+
+  // The storm must walk the whole gray loop (suspect -> quarantine ->
+  // probe -> escalate) and detection must pay off; matching p99s or a
+  // quarantined clean fleet mean the layer is broken.
+  report.Claim(on.quarantines > 0, "storm quarantined SoCs (%lld)",
+               static_cast<long long>(on.quarantines));
+  report.Claim(on.escalated >= 1, "probation escalated a SoC (%lld)",
+               static_cast<long long>(on.escalated));
+  report.Claim(2.0 * on.p99_ms <= off.p99_ms,
+               "detection wins back the p99 tail: 2 x p99 on (%.1f ms) <= "
+               "p99 off (%.1f ms)",
+               on.p99_ms, off.p99_ms);
+  report.Claim(on.Goodput() > off.Goodput(),
+               "detection wins goodput (%.4f on vs %.4f off)", on.Goodput(),
+               off.Goodput());
+  report.Claim(on.slo_fired == 0, "no SLO alert fires under quarantine (%lld)",
+               static_cast<long long>(on.slo_fired));
+  report.Claim(off.slo_fired >= 1,
+               "storm fires an SLO alert without detection (%lld)",
+               static_cast<long long>(off.slo_fired));
+  report.Claim(clean.quarantines == 0,
+               "no quarantine on a healthy fleet (%lld)",
+               static_cast<long long>(clean.quarantines));
+  report.Claim(clean.suspects == 0, "no suspicion on a healthy fleet (%lld)",
+               static_cast<long long>(clean.suspects));
+  report.Claim(on.digest == repeat.digest, "same-seed digests match");
+  return report.ExitCode();
 }
 
 }  // namespace
@@ -286,6 +313,5 @@ int main(int argc, char** argv) {
     minutes = 4;
   }
   const soccluster::ObsFlags obs_flags = soccluster::ParseObsFlags(argc, argv);
-  soccluster::Run(minutes, seed, obs_flags);
-  return 0;
+  return soccluster::Run(minutes, seed, obs_flags);
 }

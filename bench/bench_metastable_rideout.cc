@@ -22,6 +22,7 @@
 // Arrival draws ride a cohort stream separate from behavior draws, so both
 // runs see the bit-identical session-arrival sequence: one day, one seed,
 // two outcomes. The report carries the goodput-vs-time series of both.
+// The bench checks its headline claims itself and exits 1 when one fails.
 //
 // Flags: --seed=S (default 42), --users=N (default 1000000),
 //        --day-minutes=D (default 60; the full 24 h day compressed),
@@ -351,7 +352,7 @@ void Report(BenchReport& report, const char* mode,
              "count");
 }
 
-void Run(const RideoutParams& params, const ObsFlags& obs_flags) {
+int Run(const RideoutParams& params, const ObsFlags& obs_flags) {
   BenchReport report("metastable_rideout");
   report.SetParam("seed", static_cast<int64_t>(params.seed));
   report.SetParam("users", params.users);
@@ -406,9 +407,34 @@ void Run(const RideoutParams& params, const ObsFlags& obs_flags) {
     Report(report, names[i], o);
   }
   std::printf("%s\n", table.Render().c_str());
-  if (!run_naive || !run_rideout) {
-    return;  // Single-sided run: no A/B timeline or takeaway to print.
+
+  // The metastability claim: naive retries push the cluster into a state
+  // that outlives its trigger, the budgeted+brownout config rides the same
+  // day out, and the burn-rate SLOs fire in the storm and clear after it
+  // (a run where none fires proves the storm too mild to mean anything).
+  if (run_naive) {
+    report.Claim(!naive.recovered,
+                 "naive run stays collapsed after the trigger clears");
   }
+  if (run_rideout) {
+    report.Claim(rideout.recovered, "rideout run recovers");
+    report.Claim(rideout.slo_fires >= 1,
+                 "an SLO fires during the flash crowd (%lld)",
+                 static_cast<long long>(rideout.slo_fires));
+    report.Claim(rideout.slo_clears >= 1,
+                 "an SLO clears after recovery (%lld)",
+                 static_cast<long long>(rideout.slo_clears));
+  }
+  if (!run_naive || !run_rideout) {
+    // Single-sided run: no A/B claims, timeline or takeaway.
+    return report.ExitCode();
+  }
+  report.Claim(naive.post_goodput < rideout.post_goodput,
+               "naive post-trigger goodput (%.3f) < rideout (%.3f)",
+               naive.post_goodput, rideout.post_goodput);
+  report.Claim(naive.amplification > 2.0 * rideout.amplification,
+               "naive amplification (%.2fx) > 2 x rideout (%.2fx)",
+               naive.amplification, rideout.amplification);
 
   // Goodput-vs-time, both runs side by side, from the flash onset through
   // the post-trigger window.
@@ -459,6 +485,7 @@ void Run(const RideoutParams& params, const ObsFlags& obs_flags) {
       100.0 * rideout.post_goodput /
           (rideout.pre_goodput > 0 ? rideout.pre_goodput : 1.0),
       rideout.recovery_minutes >= 0.0 ? " within the assertion window" : "");
+  return report.ExitCode();
 }
 
 }  // namespace
@@ -508,6 +535,5 @@ int main(int argc, char** argv) {
     params.post_minutes = max_post;
   }
   const soccluster::ObsFlags obs_flags = soccluster::ParseObsFlags(argc, argv);
-  soccluster::Run(params, obs_flags);
-  return 0;
+  return soccluster::Run(params, obs_flags);
 }

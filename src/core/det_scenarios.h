@@ -1,5 +1,5 @@
 // Concrete determinism-audit scenarios (src/sim/determinism.h): scaled-down
-// builds of the four flagship experiments, sized so a full audit (FIFO
+// builds of the five flagship experiments, sized so a full audit (FIFO
 // baseline + N tie-break permutations each) stays test-suite fast while
 // still exercising the collision-rich machinery — periodic ticks (BMC
 // sampling, brownout governor, telemetry, heartbeats, probes) landing on

@@ -1,5 +1,7 @@
 #include "src/obs/bench_report.h"
 
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -38,6 +40,19 @@ void BenchReport::SetParam(std::string key, int64_t value) {
 
 void BenchReport::Add(std::string metric, double value, std::string units) {
   metrics_.push_back(Metric{std::move(metric), value, std::move(units)});
+}
+
+void BenchReport::Claim(bool holds, const char* format, ...) {
+  if (holds) {
+    return;
+  }
+  ++claims_failed_;
+  std::fputs("claim failed: ", stderr);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
 }
 
 std::string BenchReport::OutputPath() const {

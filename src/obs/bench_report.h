@@ -5,6 +5,11 @@
 //
 // Output directory: $SOC_BENCH_OUT_DIR when set, else the working directory.
 //
+// Headline benches also check their own claims through Claim(): a claim
+// that does not hold prints "claim failed: <what>" to stderr, and
+// ExitCode() turns any failure into the bench's exit status, so a ctest
+// run of the bench fails. Claims never touch the JSON.
+//
 // Schema:
 //   {"name": "...", "params": {"k": v, ...},
 //    "metrics": [{"metric": "...", "value": <number>, "units": "..."}, ...]}
@@ -33,6 +38,13 @@ class BenchReport {
 
   void Add(std::string metric, double value, std::string units);
 
+  // Checks one headline claim; when `holds` is false, prints
+  // "claim failed: " and the printf-formatted description to stderr.
+  void Claim(bool holds, const char* format, ...)
+      __attribute__((format(printf, 3, 4)));
+  // 1 once any claim has failed, else 0: the bench's exit status.
+  int ExitCode() const { return claims_failed_ > 0 ? 1 : 0; }
+
   // Writes BENCH_<name>.json now; the destructor writes only if this was
   // never called (and swallows failures — a bench must not crash on a
   // read-only working directory).
@@ -60,6 +72,7 @@ class BenchReport {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> params_;  // Pre-encoded.
   std::vector<Metric> metrics_;
+  int claims_failed_ = 0;
   bool written_ = false;
 };
 

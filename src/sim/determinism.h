@@ -53,7 +53,8 @@ struct DetScenarioRun {
 // its run description. Must be deterministic given the simulator seed.
 using DetScenario = std::function<DetScenarioRun(Simulator&)>;
 
-// The auditor's verdict, JSON-serializable for the CI artifact.
+// The auditor's verdict, JSON-serializable (bench_determinism_audit
+// --report-out).
 struct DivergenceReport {
   std::string scenario;
   bool diverged = false;

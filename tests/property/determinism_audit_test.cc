@@ -271,8 +271,9 @@ TEST(DeterminismAuditor, TickAlignedFaultIsARealRace) {
 
 // ---------------------------------------------------------------------------
 // The headline: every flagship scenario is order-independent across eight
-// seeded tie-break permutations (ISSUE acceptance criterion; CI runs the
-// same audit under ASan+UBSan via bench_determinism_audit).
+// seeded tie-break permutations. These tests are the CI certificate: the
+// asan-ubsan job runs them under ASan+UBSan, and bench_determinism_audit
+// runs the same audit standalone.
 
 class FlagshipScenario : public ::testing::TestWithParam<int> {};
 
