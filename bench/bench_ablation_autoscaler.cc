@@ -6,6 +6,7 @@
 
 #include "src/base/check.h"
 #include "src/base/digest.h"
+#include "src/base/stats.h"
 #include "src/base/table.h"
 #include "src/cluster/cluster.h"
 #include "src/core/autoscaler.h"

@@ -1,5 +1,6 @@
 #include "src/cluster/fault.h"
 
+#include <iterator>
 #include <utility>
 
 #include "src/base/check.h"
@@ -10,30 +11,18 @@ namespace {
 // Trace track hosting fault/repair instants (SoC tracks start at 100, the
 // GPU batch track is 90; 80 keeps the "faults" lane visually separate).
 constexpr int64_t kFaultsTrack = 80;
+
+// Indexed by FaultKind.
+constexpr const char* kFaultKindNames[] = {
+    "soc_transient", "soc_permanent", "pcb_failure",
+    "uplink_flap",   "thermal_trip",  "slow_soc",
+    "link_brownout", "flaky_heartbeat", "zombie"};
+static_assert(std::size(kFaultKindNames) == kNumFaultKinds);
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kSocTransient:
-      return "soc_transient";
-    case FaultKind::kSocPermanent:
-      return "soc_permanent";
-    case FaultKind::kPcbFailure:
-      return "pcb_failure";
-    case FaultKind::kUplinkFlap:
-      return "uplink_flap";
-    case FaultKind::kThermalTrip:
-      return "thermal_trip";
-    case FaultKind::kSlowSoc:
-      return "slow_soc";
-    case FaultKind::kLinkBrownout:
-      return "link_brownout";
-    case FaultKind::kFlakyHeartbeat:
-      return "flaky_heartbeat";
-    case FaultKind::kZombie:
-      return "zombie";
-  }
-  return "unknown";
+  const auto k = static_cast<size_t>(kind);
+  return k < std::size(kFaultKindNames) ? kFaultKindNames[k] : "unknown";
 }
 
 FaultInjector::FaultInjector(Simulator* sim, SocCluster* cluster,
@@ -62,69 +51,122 @@ FaultInjector::FaultInjector(Simulator* sim, SocCluster* cluster,
   sim_->tracer().SetTrackName(kFaultsTrack, "faults");
 }
 
+template <typename Set, typename Restore>
+void FaultInjector::Excursion(FaultKind kind, int index, Duration duration,
+                              Set set, Restore restore,
+                              const char* restore_name) {
+  Record(kind, index);
+  set();
+  // Flaps and thermal trips always end; gray kinds (kSlowSoc onwards) may
+  // last until power-cycle.
+  if (duration.nanos() > 0 || kind < FaultKind::kSlowSoc) {
+    auto end = [this, restore, restore_name] {
+      restore();
+      sim_->tracer().Instant(restore_name, "fault", kFaultsTrack);
+    };
+    static_assert(sizeof(end) <= InlineCallback::kInlineBytes,
+                  "restore captures must not box the event callback");
+    sim_->ScheduleAfter(duration, std::move(end));
+  }
+}
+
+const FaultInjector::Process FaultInjector::kProcesses[] = {
+    {&FaultConfig::mtbf_per_soc, Scope::kSocs,
+     [](FaultInjector& f, int i) { f.FailSoc(i); }},
+    {&FaultConfig::mtbf_per_pcb, Scope::kPcbs,
+     [](FaultInjector& f, int p) { f.FailPcb(p); }},
+    {&FaultConfig::uplink_flap_mtbf, Scope::kLinks,
+     [](FaultInjector& f, int s) {
+       if (f.cluster_->network().LinkIsUp(f.UplinkOf(s))) {
+         f.Apply(FaultKind::kUplinkFlap, s, f.config_.uplink_flap_duration,
+                 0.0);
+       }
+     }},
+    {&FaultConfig::thermal_mtbf, Scope::kSocs,
+     [](FaultInjector& f, int i) {
+       // Only unthrottled SoCs trip, so a restore can never end a later
+       // excursion; Fail() clears the factor itself.
+       if (f.cluster_->soc(i).throttle_factor() >= 1.0) {
+         f.Apply(FaultKind::kThermalTrip, i, f.config_.thermal_duration,
+                 f.config_.thermal_throttle_factor);
+       }
+     }},
+    {&FaultConfig::slow_soc_mtbf, Scope::kSocs,
+     [](FaultInjector& f, int i) {
+       if (f.cluster_->soc(i).throttle_factor() >= 1.0) {
+         f.Apply(FaultKind::kSlowSoc, i, f.config_.slow_soc_duration,
+                 f.config_.slow_soc_factor);
+       }
+     }},
+    {&FaultConfig::link_brownout_mtbf, Scope::kLinks,
+     [](FaultInjector& f, int s) {
+       if (f.cluster_->network().LinkCapacityFactor(f.UplinkOf(s)) >= 1.0) {
+         f.Apply(FaultKind::kLinkBrownout, s,
+                 f.config_.link_brownout_duration,
+                 f.config_.link_brownout_factor);
+       }
+     }},
+    {&FaultConfig::flaky_heartbeat_mtbf, Scope::kSocs,
+     [](FaultInjector& f, int i) {
+       if (f.cluster_->soc(i).heartbeat_loss_prob() <= 0.0) {
+         f.Apply(FaultKind::kFlakyHeartbeat, i,
+                 f.config_.flaky_heartbeat_duration,
+                 f.config_.flaky_heartbeat_loss_prob);
+       }
+     }},
+    {&FaultConfig::zombie_mtbf, Scope::kSocs,
+     [](FaultInjector& f, int i) {
+       if (!f.cluster_->soc(i).zombie()) {
+         f.Apply(FaultKind::kZombie, i, f.config_.zombie_duration, 0.0);
+       }
+     }},
+};
+
 void FaultInjector::Start(Duration horizon) {
   SOC_CHECK(!started_)
       << "FaultInjector::Start called twice; that would double every "
          "failure chain";
   started_ = true;
   horizon_end_ = sim_->Now() + horizon;
-  for (int i = 0; i < cluster_->num_socs(); ++i) {
-    ScheduleNextSocFailure(i);
-  }
-  if (config_.mtbf_per_pcb.nanos() > 0) {
-    for (int p = 0; p < cluster_->chassis().num_pcbs; ++p) {
-      ScheduleNextPcbFailure(p);
+  const int num_pcbs = cluster_->chassis().num_pcbs;
+  for (int p = 0; p < static_cast<int>(std::size(kProcesses)); ++p) {
+    const Process& process = kProcesses[p];
+    if ((config_.*process.mtbf).nanos() <= 0) {
+      continue;
+    }
+    const int targets = process.scope == Scope::kSocs   ? cluster_->num_socs()
+                        : process.scope == Scope::kPcbs ? num_pcbs
+                                                        : num_pcbs + 1;
+    for (int i = 0; i < targets; ++i) {
+      Chain(p, i);
     }
   }
-  if (config_.uplink_flap_mtbf.nanos() > 0) {
-    // One flap process per PCB uplink plus one for the ESB uplink.
-    for (int s = 0; s <= cluster_->chassis().num_pcbs; ++s) {
-      ScheduleNextFlap(s);
-    }
+}
+
+void FaultInjector::Chain(int process, int index) {
+  const Duration wait = DrawWait(config_.*kProcesses[process].mtbf);
+  if (sim_->Now() + wait > horizon_end_) {
+    return;  // Past the horizon: the chain ends.
   }
-  if (config_.thermal_mtbf.nanos() > 0) {
-    for (int i = 0; i < cluster_->num_socs(); ++i) {
-      ScheduleNextThermal(i);
+  sim_->ScheduleAfter(wait, [this, process, index] {
+    // MTBFs are "under sustained load": SoC-scoped processes skip off,
+    // booting and failed SoCs. The firing's own draws and repair/restore
+    // events precede the next wait's draw.
+    const Process& p = kProcesses[process];
+    if (p.scope != Scope::kSocs || cluster_->soc(index).IsUsable()) {
+      p.fire(*this, index);
     }
-  }
-  if (config_.slow_soc_mtbf.nanos() > 0) {
-    for (int i = 0; i < cluster_->num_socs(); ++i) {
-      ScheduleNextSlowSoc(i);
-    }
-  }
-  if (config_.link_brownout_mtbf.nanos() > 0) {
-    for (int s = 0; s <= cluster_->chassis().num_pcbs; ++s) {
-      ScheduleNextBrownout(s);
-    }
-  }
-  if (config_.flaky_heartbeat_mtbf.nanos() > 0) {
-    for (int i = 0; i < cluster_->num_socs(); ++i) {
-      ScheduleNextFlakyHeartbeat(i);
-    }
-  }
-  if (config_.zombie_mtbf.nanos() > 0) {
-    for (int i = 0; i < cluster_->num_socs(); ++i) {
-      ScheduleNextZombie(i);
-    }
-  }
+    Chain(process, index);
+  });
 }
 
 Duration FaultInjector::DrawWait(Duration mtbf) {
   // Sample in floating seconds: exponential draws at long MTBFs can exceed
   // the int64-nanosecond range of Duration, so overshoots are clamped to
-  // just past the horizon (they are discarded by ScheduleWithin anyway).
+  // just past the horizon (Chain discards them anyway).
   const double wait_s = rng_.Exponential(1.0 / mtbf.ToSeconds());
-  const double room_s =
-      (horizon_end_ - sim_->Now()).ToSeconds() + 1.0;
+  const double room_s = (horizon_end_ - sim_->Now()).ToSeconds() + 1.0;
   return Duration::SecondsF(wait_s < room_s ? wait_s : room_s);
-}
-
-bool FaultInjector::ScheduleWithin(Duration wait, Simulator::Callback cb) {
-  if (sim_->Now() + wait > horizon_end_) {
-    return false;
-  }
-  sim_->ScheduleAfter(wait, std::move(cb));
-  return true;
 }
 
 void FaultInjector::Record(FaultKind kind, int index) {
@@ -134,31 +176,27 @@ void FaultInjector::Record(FaultKind kind, int index) {
   sim_->tracer().Instant(FaultKindName(kind), "fault", kFaultsTrack);
 }
 
-// --- Per-SoC transient/permanent faults ---
-
-void FaultInjector::ScheduleNextSocFailure(int soc_index) {
-  (void)ScheduleWithin(DrawWait(config_.mtbf_per_soc),
-                       [this, soc_index] { InjectSocFailure(soc_index); });
+void FaultInjector::DigestState(StateDigest& digest) const {
+  digest.Mix(rng_.StateFingerprint());
+  for (int64_t count : faults_by_kind_) {
+    digest.Mix(count);
+  }
+  digest.Mix(static_cast<uint64_t>(history_.size()));
+  for (const FaultEvent& event : history_) {
+    digest.Mix(static_cast<int>(event.kind));
+    digest.Mix(event.index);
+    digest.Mix(event.at.nanos());
+  }
 }
 
-void FaultInjector::InjectSocFailure(int soc_index) {
-  SocModel& soc = cluster_->soc(soc_index);
-  if (!soc.IsUsable()) {
-    // MTBF is "under sustained load": off, booting, or already-failed SoCs
-    // do not accumulate failures; re-draw.
-    ScheduleNextSocFailure(soc_index);
-    return;
-  }
+// --- Fail-stop faults: per-SoC transient/permanent, correlated PCB ---
+
+void FaultInjector::FailSoc(int soc_index) {
   const bool transient = config_.transient_fraction > 0.0 &&
                          rng_.Bernoulli(config_.transient_fraction);
-  soc.Fail();
-  ++failures_injected_;
-  soc_failures_metric_->Increment();
   Record(transient ? FaultKind::kSocTransient : FaultKind::kSocPermanent,
          soc_index);
-  if (on_failure_) {
-    on_failure_(soc_index);
-  }
+  FailOne(soc_index);
   const Duration outage =
       transient ? config_.transient_outage : config_.repair_time;
   if (outage.nanos() > 0) {
@@ -166,7 +204,41 @@ void FaultInjector::InjectSocFailure(int soc_index) {
     sim_->ScheduleAfter(outage,
                         [this, soc_index] { CompleteSocRepair(soc_index); });
   }
-  ScheduleNextSocFailure(soc_index);
+}
+
+void FaultInjector::FailPcb(int pcb_index) {
+  // Take down every currently-usable SoC on the board; SoCs already failed
+  // by their own chain stay owned by that chain's repair.
+  std::vector<int> victims;
+  for (int i = 0; i < cluster_->num_socs(); ++i) {
+    if (cluster_->PcbOf(i) == pcb_index && cluster_->soc(i).IsUsable()) {
+      victims.push_back(i);
+    }
+  }
+  if (victims.empty()) {
+    return;
+  }
+  Record(FaultKind::kPcbFailure, pcb_index);
+  for (int i : victims) {
+    FailOne(i);
+  }
+  if (config_.pcb_repair_time.nanos() > 0) {
+    sim_->ScheduleAfter(config_.pcb_repair_time,
+                        [this, victims = std::move(victims)] {
+                          for (int i : victims) {
+                            CompleteSocRepair(i);
+                          }
+                        });
+  }
+}
+
+void FaultInjector::FailOne(int soc_index) {
+  cluster_->soc(soc_index).Fail();
+  ++failures_injected_;
+  soc_failures_metric_->Increment();
+  if (on_failure_) {
+    on_failure_(soc_index);
+  }
 }
 
 void FaultInjector::CompleteSocRepair(int soc_index) {
@@ -183,249 +255,103 @@ void FaultInjector::CompleteSocRepair(int soc_index) {
   }
 }
 
-// --- Correlated PCB failures ---
+// --- Excursions: flaps, thermal trips and the gray kinds ---
 
-void FaultInjector::ScheduleNextPcbFailure(int pcb_index) {
-  (void)ScheduleWithin(DrawWait(config_.mtbf_per_pcb),
-                       [this, pcb_index] { InjectPcbFailure(pcb_index); });
+LinkId FaultInjector::UplinkOf(int link_slot) const {
+  const int num_pcbs = cluster_->chassis().num_pcbs;
+  SOC_CHECK(link_slot >= 0 && link_slot <= num_pcbs)
+      << "uplink slot " << link_slot << " outside [0, " << num_pcbs << "]";
+  return link_slot < num_pcbs ? cluster_->pcb_uplink_out(link_slot)
+                              : cluster_->esb_uplink_out();
 }
 
-void FaultInjector::InjectPcbFailure(int pcb_index) {
-  // Take down every currently-usable SoC on the board; SoCs already failed
-  // by their own chain stay owned by that chain's repair.
-  std::vector<int> victims;
-  for (int i = 0; i < cluster_->num_socs(); ++i) {
-    if (cluster_->PcbOf(i) == pcb_index && cluster_->soc(i).IsUsable()) {
-      victims.push_back(i);
+void FaultInjector::Apply(FaultKind kind, int index, Duration duration,
+                          double value) {
+  if (kind == FaultKind::kUplinkFlap || kind == FaultKind::kLinkBrownout) {
+    Network* net = &cluster_->network();
+    const LinkId out = UplinkOf(index);
+    if (kind == FaultKind::kUplinkFlap) {
+      Excursion(
+          kind, index, duration,
+          [net, out] {
+            net->SetLinkUp(out, false);
+            net->SetLinkUp(out + 1, false);
+          },
+          [net, out] {
+            net->SetLinkUp(out, true);
+            net->SetLinkUp(out + 1, true);
+          },
+          "uplink_restore");
+    } else {
+      Excursion(
+          kind, index, duration,
+          [net, out, value] {
+            net->SetLinkDegradation(out, value);
+            net->SetLinkDegradation(out + 1, value);
+          },
+          [net, out] {
+            net->SetLinkDegradation(out, 1.0);
+            net->SetLinkDegradation(out + 1, 1.0);
+          },
+          "brownout_restore");
     }
-  }
-  if (victims.empty()) {
-    ScheduleNextPcbFailure(pcb_index);
     return;
   }
-  Record(FaultKind::kPcbFailure, pcb_index);
-  for (int i : victims) {
-    cluster_->soc(i).Fail();
-    ++failures_injected_;
-    soc_failures_metric_->Increment();
-    if (on_failure_) {
-      on_failure_(i);
+  SocModel* soc = &cluster_->soc(index);
+  switch (kind) {
+    case FaultKind::kThermalTrip:
+    case FaultKind::kSlowSoc:
+      Excursion(
+          kind, index, duration, [soc, value] { soc->SetThrottleFactor(value); },
+          [soc] { soc->SetThrottleFactor(1.0); },
+          kind == FaultKind::kThermalTrip ? "thermal_restore"
+                                          : "slow_soc_restore");
+      return;
+    case FaultKind::kFlakyHeartbeat:
+      Excursion(
+          kind, index, duration,
+          [soc, value] { soc->SetHeartbeatLossProb(value); },
+          [soc] { soc->SetHeartbeatLossProb(0.0); }, "flaky_heartbeat_restore");
+      return;
+    case FaultKind::kZombie:
+      Excursion(
+          kind, index, duration, [soc] { soc->SetZombie(true); },
+          [soc] { soc->SetZombie(false); }, "zombie_restore");
+      return;
+    default:
+      SOC_CHECK(false) << FaultKindName(kind) << " is not an excursion";
+  }
+}
+
+void FaultInjector::Plant(FaultKind kind, int index, SimTime at,
+                          Duration duration, double value) {
+  if (kind == FaultKind::kLinkBrownout) {
+    (void)UplinkOf(index);  // Rejects a bad slot now, not at `at`.
+  }
+  sim_->ScheduleAt(at, [this, kind, index, duration, value] {
+    if (kind == FaultKind::kLinkBrownout || cluster_->soc(index).IsUsable()) {
+      Apply(kind, index, duration, value);
     }
-  }
-  if (config_.pcb_repair_time.nanos() > 0) {
-    sim_->ScheduleAfter(config_.pcb_repair_time,
-                        [this, victims = std::move(victims)] {
-                          for (int i : victims) {
-                            CompleteSocRepair(i);
-                          }
-                        });
-  }
-  ScheduleNextPcbFailure(pcb_index);
-}
-
-// --- Uplink flaps ---
-
-LinkId FaultInjector::FlapLink(int link_slot) const {
-  return link_slot < cluster_->chassis().num_pcbs
-             ? cluster_->pcb_uplink_out(link_slot)
-             : cluster_->esb_uplink_out();
-}
-
-void FaultInjector::ScheduleNextFlap(int link_slot) {
-  (void)ScheduleWithin(DrawWait(config_.uplink_flap_mtbf),
-                       [this, link_slot] { InjectFlap(link_slot); });
-}
-
-void FaultInjector::InjectFlap(int link_slot) {
-  Network& net = cluster_->network();
-  const LinkId out = FlapLink(link_slot);
-  if (net.LinkIsUp(out)) {
-    Record(FaultKind::kUplinkFlap, link_slot);
-    net.SetLinkUp(out, false);
-    net.SetLinkUp(out + 1, false);
-    sim_->ScheduleAfter(config_.uplink_flap_duration, [this, out] {
-      Network& n = cluster_->network();
-      n.SetLinkUp(out, true);
-      n.SetLinkUp(out + 1, true);
-      sim_->tracer().Instant("uplink_restore", "fault", kFaultsTrack);
-    });
-  }
-  ScheduleNextFlap(link_slot);
-}
-
-// --- Thermal-throttle excursions ---
-
-void FaultInjector::ScheduleNextThermal(int soc_index) {
-  (void)ScheduleWithin(DrawWait(config_.thermal_mtbf),
-                       [this, soc_index] { InjectThermal(soc_index); });
-}
-
-void FaultInjector::InjectThermal(int soc_index) {
-  SocModel& soc = cluster_->soc(soc_index);
-  // Only loaded, unthrottled SoCs trip; Fail() clears excursions itself.
-  if (soc.IsUsable() && soc.throttle_factor() >= 1.0) {
-    Record(FaultKind::kThermalTrip, soc_index);
-    soc.SetThrottleFactor(config_.thermal_throttle_factor);
-    sim_->ScheduleAfter(config_.thermal_duration, [this, soc_index] {
-      // Restoring an unrelated later excursion is impossible: a SoC trips
-      // again only after the factor returned to 1.0 (or a Fail reset it).
-      cluster_->soc(soc_index).SetThrottleFactor(1.0);
-      sim_->tracer().Instant("thermal_restore", "fault", kFaultsTrack);
-    });
-  }
-  ScheduleNextThermal(soc_index);
-}
-
-// --- Gray: sustained slow-SoC excursions ---
-
-void FaultInjector::ScheduleNextSlowSoc(int soc_index) {
-  (void)ScheduleWithin(DrawWait(config_.slow_soc_mtbf),
-                       [this, soc_index] { InjectSlowSoc(soc_index); });
-}
-
-void FaultInjector::InjectSlowSoc(int soc_index) {
-  SocModel& soc = cluster_->soc(soc_index);
-  // Like thermal trips, excursions only start on unthrottled, usable SoCs;
-  // Fail() clears the factor so the restore below is always safe.
-  if (soc.IsUsable() && soc.throttle_factor() >= 1.0) {
-    ApplySlowSoc(soc_index, config_.slow_soc_duration,
-                 config_.slow_soc_factor);
-  }
-  ScheduleNextSlowSoc(soc_index);
-}
-
-void FaultInjector::ApplySlowSoc(int soc_index, Duration duration,
-                                 double factor) {
-  Record(FaultKind::kSlowSoc, soc_index);
-  cluster_->soc(soc_index).SetThrottleFactor(factor);
-  if (duration.nanos() > 0) {
-    sim_->ScheduleAfter(duration, [this, soc_index] {
-      cluster_->soc(soc_index).SetThrottleFactor(1.0);
-      sim_->tracer().Instant("slow_soc_restore", "fault", kFaultsTrack);
-    });
-  }
+  });
 }
 
 void FaultInjector::PlantSlowSoc(int soc_index, SimTime at, Duration duration,
                                  double factor) {
-  sim_->ScheduleAt(at, [this, soc_index, duration, factor] {
-    if (cluster_->soc(soc_index).IsUsable()) {
-      ApplySlowSoc(soc_index, duration, factor);
-    }
-  });
-}
-
-// --- Gray: link brownouts ---
-
-void FaultInjector::ScheduleNextBrownout(int link_slot) {
-  (void)ScheduleWithin(DrawWait(config_.link_brownout_mtbf),
-                       [this, link_slot] { InjectBrownout(link_slot); });
-}
-
-void FaultInjector::InjectBrownout(int link_slot) {
-  const LinkId out = FlapLink(link_slot);
-  if (cluster_->network().LinkCapacityFactor(out) >= 1.0) {
-    ApplyBrownout(link_slot, config_.link_brownout_duration,
-                  config_.link_brownout_factor);
-  }
-  ScheduleNextBrownout(link_slot);
-}
-
-void FaultInjector::ApplyBrownout(int link_slot, Duration duration,
-                                  double factor) {
-  Network& net = cluster_->network();
-  const LinkId out = FlapLink(link_slot);
-  Record(FaultKind::kLinkBrownout, link_slot);
-  net.SetLinkDegradation(out, factor);
-  net.SetLinkDegradation(out + 1, factor);
-  if (duration.nanos() > 0) {
-    sim_->ScheduleAfter(duration, [this, out] {
-      Network& n = cluster_->network();
-      n.SetLinkDegradation(out, 1.0);
-      n.SetLinkDegradation(out + 1, 1.0);
-      sim_->tracer().Instant("brownout_restore", "fault", kFaultsTrack);
-    });
-  }
+  Plant(FaultKind::kSlowSoc, soc_index, at, duration, factor);
 }
 
 void FaultInjector::PlantLinkBrownout(int link_slot, SimTime at,
                                       Duration duration, double factor) {
-  sim_->ScheduleAt(at, [this, link_slot, duration, factor] {
-    ApplyBrownout(link_slot, duration, factor);
-  });
-}
-
-// --- Gray: flaky heartbeats ---
-
-void FaultInjector::ScheduleNextFlakyHeartbeat(int soc_index) {
-  (void)ScheduleWithin(DrawWait(config_.flaky_heartbeat_mtbf), [this,
-                                                                soc_index] {
-    InjectFlakyHeartbeat(soc_index);
-  });
-}
-
-void FaultInjector::InjectFlakyHeartbeat(int soc_index) {
-  SocModel& soc = cluster_->soc(soc_index);
-  if (soc.IsUsable() && soc.heartbeat_loss_prob() <= 0.0) {
-    ApplyFlakyHeartbeat(soc_index, config_.flaky_heartbeat_duration,
-                        config_.flaky_heartbeat_loss_prob);
-  }
-  ScheduleNextFlakyHeartbeat(soc_index);
-}
-
-void FaultInjector::ApplyFlakyHeartbeat(int soc_index, Duration duration,
-                                        double loss_prob) {
-  Record(FaultKind::kFlakyHeartbeat, soc_index);
-  cluster_->soc(soc_index).SetHeartbeatLossProb(loss_prob);
-  if (duration.nanos() > 0) {
-    sim_->ScheduleAfter(duration, [this, soc_index] {
-      cluster_->soc(soc_index).SetHeartbeatLossProb(0.0);
-      sim_->tracer().Instant("flaky_heartbeat_restore", "fault", kFaultsTrack);
-    });
-  }
+  Plant(FaultKind::kLinkBrownout, link_slot, at, duration, factor);
 }
 
 void FaultInjector::PlantFlakyHeartbeat(int soc_index, SimTime at,
                                         Duration duration, double loss_prob) {
-  sim_->ScheduleAt(at, [this, soc_index, duration, loss_prob] {
-    if (cluster_->soc(soc_index).IsUsable()) {
-      ApplyFlakyHeartbeat(soc_index, duration, loss_prob);
-    }
-  });
-}
-
-// --- Gray: zombie SoCs ---
-
-void FaultInjector::ScheduleNextZombie(int soc_index) {
-  (void)ScheduleWithin(DrawWait(config_.zombie_mtbf),
-                       [this, soc_index] { InjectZombie(soc_index); });
-}
-
-void FaultInjector::InjectZombie(int soc_index) {
-  SocModel& soc = cluster_->soc(soc_index);
-  if (soc.IsUsable() && !soc.zombie()) {
-    ApplyZombie(soc_index, config_.zombie_duration);
-  }
-  ScheduleNextZombie(soc_index);
-}
-
-void FaultInjector::ApplyZombie(int soc_index, Duration duration) {
-  Record(FaultKind::kZombie, soc_index);
-  cluster_->soc(soc_index).SetZombie(true);
-  if (duration.nanos() > 0) {
-    sim_->ScheduleAfter(duration, [this, soc_index] {
-      cluster_->soc(soc_index).SetZombie(false);
-      sim_->tracer().Instant("zombie_restore", "fault", kFaultsTrack);
-    });
-  }
+  Plant(FaultKind::kFlakyHeartbeat, soc_index, at, duration, loss_prob);
 }
 
 void FaultInjector::PlantZombie(int soc_index, SimTime at, Duration duration) {
-  sim_->ScheduleAt(at, [this, soc_index, duration] {
-    if (cluster_->soc(soc_index).IsUsable()) {
-      ApplyZombie(soc_index, duration);
-    }
-  });
+  Plant(FaultKind::kZombie, soc_index, at, duration, 0.0);
 }
 
 }  // namespace soccluster

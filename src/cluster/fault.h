@@ -149,7 +149,8 @@ class FaultInjector {
 
   // Deterministic planting for benches/tests: inject one gray event at an
   // absolute time, independent of the seeded Poisson chains (and usable
-  // without Start()). `duration` of zero means "until power-cycle".
+  // without Start()). `duration` of zero means "until power-cycle". A
+  // `link_slot` is a PCB index, or num_pcbs for the ESB uplink.
   void PlantSlowSoc(int soc_index, SimTime at, Duration duration,
                     double factor);
   void PlantLinkBrownout(int link_slot, SimTime at, Duration duration,
@@ -162,35 +163,51 @@ class FaultInjector {
   // FaultConfig (and cluster activity) produce bit-identical histories.
   const std::vector<FaultEvent>& history() const { return history_; }
 
+  // Mixes the injector's RNG fingerprint, per-kind counts and full
+  // history: the fault schedule itself.
+  void DigestState(StateDigest& digest) const;
+
  private:
-  void ScheduleNextSocFailure(int soc_index);
-  void InjectSocFailure(int soc_index);
-  void ScheduleNextPcbFailure(int pcb_index);
-  void InjectPcbFailure(int pcb_index);
-  void ScheduleNextFlap(int link_slot);
-  void InjectFlap(int link_slot);
-  void ScheduleNextThermal(int soc_index);
-  void InjectThermal(int soc_index);
-  void ScheduleNextSlowSoc(int soc_index);
-  void InjectSlowSoc(int soc_index);
-  void ScheduleNextBrownout(int link_slot);
-  void InjectBrownout(int link_slot);
-  void ScheduleNextFlakyHeartbeat(int soc_index);
-  void InjectFlakyHeartbeat(int soc_index);
-  void ScheduleNextZombie(int soc_index);
-  void InjectZombie(int soc_index);
-  // Apply + record one gray event; shared by the seeded chains and Plant*.
-  void ApplySlowSoc(int soc_index, Duration duration, double factor);
-  void ApplyBrownout(int link_slot, Duration duration, double factor);
-  void ApplyFlakyHeartbeat(int soc_index, Duration duration, double loss_prob);
-  void ApplyZombie(int soc_index, Duration duration);
+  // A seeded Poisson process: every target in its scope (SoC, PCB, or
+  // uplink slot 0..num_pcbs with num_pcbs the ESB) runs an independent
+  // chain of exponential waits at `mtbf`. A firing on a usable SoC (or any
+  // PCB or slot) calls `fire`, which checks the rest of the kind's
+  // eligibility and injects the fault or excursion.
+  enum class Scope { kSocs, kPcbs, kLinks };
+  struct Process {
+    Duration FaultConfig::*mtbf;
+    Scope scope;
+    void (*fire)(FaultInjector& injector, int index);
+  };
+  // In Start() order; a seed's schedule depends on it.
+  static const Process kProcesses[];
+
+  // Draws the next wait of kProcesses[process] at `index`; when it lands
+  // inside the horizon, schedules a firing that then chains again.
+  void Chain(int process, int index);
+  // Records `kind` at `index`, runs `set`, and schedules `restore` plus a
+  // `restore_name` trace instant after `duration`. A gray excursion of zero
+  // duration lasts until power-cycle and schedules no restore.
+  template <typename Set, typename Restore>
+  void Excursion(FaultKind kind, int index, Duration duration, Set set,
+                 Restore restore, const char* restore_name);
+  void FailSoc(int soc_index);
+  void FailPcb(int pcb_index);
+  // Fails one SoC (of a SoC or PCB fault) and runs on_failure_.
+  void FailOne(int soc_index);
   void CompleteSocRepair(int soc_index);
-  // Returns false when `wait` overshoots the horizon (chain ends).
-  bool ScheduleWithin(Duration wait, Simulator::Callback cb);
+  // The excursion of `kind` at `index`, shared by the seeded chains and
+  // Plant*. `value` is the throttle or brownout factor or the heartbeat
+  // loss probability (unused for flaps and zombies).
+  void Apply(FaultKind kind, int index, Duration duration, double value);
+  // Schedules Apply() at `at`; SoC-scoped kinds land only on a usable SoC.
+  void Plant(FaultKind kind, int index, SimTime at, Duration duration,
+             double value);
   Duration DrawWait(Duration mtbf);
   void Record(FaultKind kind, int index);
-  // The forward LinkId for flap slot `s` (PCB uplinks, then the ESB).
-  LinkId FlapLink(int link_slot) const;
+  // The forward LinkId of `link_slot` (PCB uplinks, then the ESB); CHECKs
+  // that the slot is in [0, num_pcbs].
+  LinkId UplinkOf(int link_slot) const;
 
   Simulator* sim_;
   SocCluster* cluster_;

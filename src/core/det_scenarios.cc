@@ -213,6 +213,7 @@ DetScenario DetFaultAvailabilityScenario() {
       StateDigest digest;
       state->cluster->DigestState(digest);
       state->orchestrator->DigestState(digest);
+      state->chaos->injector().DigestState(digest);
       const ChaosReport report = state->chaos->Report();
       digest.Mix(report.availability);
       digest.Mix(report.mttr_hours);

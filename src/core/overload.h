@@ -1,9 +1,8 @@
 // Cluster-wide overload control: one BrownoutGovernor coordinating a
 // degradation ladder across every service the cluster runs, plus a
-// circuit breaker per service. This is the cluster-scale generalization
-// of the serving-only PowerCapController — under power/thermal pressure
-// (§2.2's ~700 W supplies, §8's cooling wall) the cheapest quality is
-// surrendered first and SoC eviction becomes the last resort:
+// circuit breaker per service. Under power/thermal pressure (§2.2's
+// ~700 W supplies, §8's cooling wall) the cheapest quality is surrendered
+// first and SoC eviction becomes the last resort:
 //
 //   1. best_effort   — close admission to best-effort traffic everywhere
 //                      (admission floors to kStandard; orchestrator
@@ -42,7 +41,8 @@ struct ClusterOverloadConfig {
   Power wall_cap = Power::Zero();  // Zero: thermal-only (BMC-driven).
   double release_fraction = 0.9;
   int release_hold_ticks = 1;
-  // The last-resort eviction rung (same knobs as PowerCapConfig).
+  // The last-resort eviction rung: shed step_socs serving SoCs per level,
+  // never below min_active.
   int step_socs = 4;
   int min_active = 1;
   // Breakers share these thresholds; service labels are set per breaker.
@@ -95,7 +95,9 @@ class ClusterOverloadManager {
   std::unique_ptr<CircuitBreaker> serving_breaker_;
   std::unique_ptr<CircuitBreaker> live_breaker_;
   std::unique_ptr<CircuitBreaker> serverless_breaker_;
-  // evict_serving accounting, exactly as in PowerCapController.
+  // SoCs actually shed at each engaged evict_serving level, LIFO: a step
+  // that bottoms out at min_active sheds fewer than step_socs, and its
+  // release restores exactly what it took.
   std::vector<int> shed_stack_;
   bool started_ = false;
 };

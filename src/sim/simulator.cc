@@ -520,129 +520,4 @@ void PeriodicTask::Tick() {
   callback_();
 }
 
-Resource::Resource(Simulator* sim, int64_t capacity, std::string name)
-    : sim_(sim), capacity_(capacity), name_(std::move(name)) {
-  SOC_CHECK(sim_ != nullptr);
-  SOC_CHECK_GT(capacity_, 0);
-  if (!name_.empty()) {
-    MetricRegistry& metrics = sim_->metrics();
-    granted_metric_ = metrics.GetCounter("resource." + name_ + ".granted");
-    cancelled_metric_ =
-        metrics.GetCounter("resource." + name_ + ".cancelled_waits");
-    max_queue_metric_ =
-        metrics.GetGauge("resource." + name_ + ".max_queue_length");
-    wait_metric_ = metrics.GetHistogram("resource." + name_ + ".wait_ms");
-  }
-}
-
-void Resource::RecordGrant(SimTime enqueued) {
-  ++total_granted_;
-  const double waited_ms = (sim_->Now() - enqueued).ToMillis();
-  wait_ms_.Add(waited_ms);
-  if (granted_metric_ != nullptr) {
-    granted_metric_->Increment();
-    wait_metric_->Observe(waited_ms);
-  }
-}
-
-Resource::Waiter Resource::Detach(uint32_t index) {
-  Waiter waiter = std::move(waiter_slab_[index]);
-  if (waiter.prev != kNoWaiter) {
-    waiter_slab_[waiter.prev].next = waiter.next;
-  } else {
-    waiter_head_ = waiter.next;
-  }
-  if (waiter.next != kNoWaiter) {
-    waiter_slab_[waiter.next].prev = waiter.prev;
-  } else {
-    waiter_tail_ = waiter.prev;
-  }
-  ticket_index_.erase(waiter.ticket);
-  waiter_slab_.Free(index);
-  --waiter_count_;
-  return waiter;
-}
-
-uint64_t Resource::Acquire(Simulator::Callback on_grant) {
-  SOC_CHECK(on_grant != nullptr);
-  const uint64_t ticket = next_ticket_++;
-  if (in_use_ < capacity_) {
-    ++in_use_;
-    RecordGrant(sim_->Now());
-    on_grant();
-    return ticket;
-  }
-  const Slab<Waiter>::Ref ref = waiter_slab_.Allocate();
-  Waiter& waiter = waiter_slab_[ref.index];
-  waiter.ticket = ticket;
-  waiter.on_grant = std::move(on_grant);
-  waiter.enqueued = sim_->Now();
-  if (!name_.empty()) {
-    waiter.span =
-        sim_->tracer().BeginAsyncSpan("wait", "resource." + name_, ticket);
-  }
-  waiter.prev = waiter_tail_;
-  waiter.next = kNoWaiter;
-  if (waiter_tail_ != kNoWaiter) {
-    waiter_slab_[waiter_tail_].next = ref.index;
-  } else {
-    waiter_head_ = ref.index;
-  }
-  waiter_tail_ = ref.index;
-  ++waiter_count_;
-  ticket_index_.emplace(ticket, ref.index);
-  max_queue_length_ =
-      std::max(max_queue_length_, static_cast<int64_t>(waiter_count_));
-  if (max_queue_metric_ != nullptr) {
-    max_queue_metric_->SetMax(static_cast<double>(waiter_count_));
-  }
-  return ticket;
-}
-
-bool Resource::CancelWait(uint64_t ticket) {
-  const auto it = ticket_index_.find(ticket);
-  if (it == ticket_index_.end()) {
-    return false;
-  }
-  const uint32_t index = it->second;
-  Tracer& tracer = sim_->tracer();
-  tracer.AddArg(waiter_slab_[index].span, "cancelled", "true");
-  tracer.EndSpan(waiter_slab_[index].span);
-  Detach(index);
-  ++waits_cancelled_;
-  if (cancelled_metric_ != nullptr) {
-    cancelled_metric_->Increment();
-  }
-  return true;
-}
-
-void Resource::DigestState(StateDigest& digest) const {
-  digest.Mix(in_use_);
-  digest.Mix(next_ticket_);
-  digest.Mix(static_cast<uint64_t>(waiter_count_));
-  for (uint32_t index = waiter_head_; index != kNoWaiter;
-       index = waiter_slab_[index].next) {
-    digest.Mix(waiter_slab_[index].ticket);
-    digest.Mix(waiter_slab_[index].enqueued.nanos());
-  }
-  digest.Mix(total_granted_);
-  digest.Mix(waits_cancelled_);
-  digest.Mix(max_queue_length_);
-  digest.Mix(wait_ms_.count());
-  digest.Mix(wait_ms_.mean());
-}
-
-void Resource::Release() {
-  SOC_CHECK_GT(in_use_, 0) << "Release without matching Acquire";
-  if (waiter_head_ != kNoWaiter) {
-    Waiter next = Detach(waiter_head_);
-    sim_->tracer().EndSpan(next.span);
-    RecordGrant(next.enqueued);
-    // Hand the unit straight to the next waiter; in_use_ is unchanged.
-    next.on_grant();
-    return;
-  }
-  --in_use_;
-}
-
 }  // namespace soccluster

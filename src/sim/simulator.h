@@ -39,7 +39,6 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -49,7 +48,6 @@
 #include "src/base/result.h"
 #include "src/base/rng.h"
 #include "src/base/slab.h"
-#include "src/base/stats.h"
 #include "src/base/units.h"
 #include "src/obs/obs.h"
 
@@ -352,86 +350,6 @@ class PeriodicTask {
   std::string label_;
   EventHandle pending_;
   bool running_ = false;
-};
-
-// A counted resource with FIFO waiters (e.g. hardware codec sessions).
-// Grant callbacks run inline from Acquire()/Release() when capacity allows.
-//
-// Accounting invariants (exact even under CancelWait): every Acquire() is
-// eventually granted, cancelled, or still queued; queue_length() counts only
-// waiters that are still queued; wait_ms() records one sample per grant —
-// 0 for immediate grants — and nothing for cancelled waits.
-class Resource {
- public:
-  // A non-empty `name` registers the resource's metrics under
-  // "resource.<name>.*" in the simulator's registry and emits an async
-  // "wait" span (category "resource.<name>") per queued waiter.
-  Resource(Simulator* sim, int64_t capacity, std::string name = "");
-
-  // Requests one unit; `on_grant` runs when a unit is assigned (possibly
-  // immediately). Callers must balance each grant with Release(). Returns a
-  // ticket usable with CancelWait() while the request is still queued.
-  uint64_t Acquire(Simulator::Callback on_grant);
-  // Abandons a queued request. Returns true if `ticket` was still waiting
-  // (its callback will never run); false for granted, cancelled, or unknown
-  // tickets. O(1): tickets index straight into the waiter slab, so a
-  // 10k-waiter heartbeat storm cancels in linear, not quadratic, time.
-  bool CancelWait(uint64_t ticket);
-  void Release();
-
-  int64_t capacity() const { return capacity_; }
-  int64_t in_use() const { return in_use_; }
-  int64_t queue_length() const { return static_cast<int64_t>(waiter_count_); }
-
-  int64_t total_granted() const { return total_granted_; }
-  int64_t waits_cancelled() const { return waits_cancelled_; }
-  int64_t max_queue_length() const { return max_queue_length_; }
-  // Distribution of Acquire()->grant waits, in milliseconds.
-  const RunningStat& wait_ms() const { return wait_ms_; }
-
-  // Mixes occupancy, the waiter queue (tickets + enqueue times, in order),
-  // and grant/cancel accounting.
-  void DigestState(StateDigest& digest) const;
-
- private:
-  static constexpr uint32_t kNoWaiter = 0xffffffffu;
-
-  // Waiters live in a slab, chained into a FIFO list; the ticket map gives
-  // CancelWait O(1) access without scanning the queue.
-  struct Waiter {
-    uint64_t ticket = 0;
-    Simulator::Callback on_grant;
-    SimTime enqueued;
-    SpanId span = 0;
-    uint32_t prev = kNoWaiter;
-    uint32_t next = kNoWaiter;
-  };
-
-  void RecordGrant(SimTime enqueued);
-  // Unlinks `index` from the FIFO chain and the ticket map, returning the
-  // freed waiter's payload.
-  Waiter Detach(uint32_t index);
-
-  Simulator* sim_;
-  int64_t capacity_;
-  std::string name_;
-  int64_t in_use_ = 0;
-  uint64_t next_ticket_ = 1;
-  Slab<Waiter> waiter_slab_;
-  uint32_t waiter_head_ = kNoWaiter;
-  uint32_t waiter_tail_ = kNoWaiter;
-  size_t waiter_count_ = 0;
-  // Ticket -> slab index for queued waiters only.
-  std::unordered_map<uint64_t, uint32_t> ticket_index_;
-  int64_t total_granted_ = 0;
-  int64_t waits_cancelled_ = 0;
-  int64_t max_queue_length_ = 0;
-  RunningStat wait_ms_;
-  // Registry instruments; null when the resource is unnamed.
-  Counter* granted_metric_ = nullptr;
-  Counter* cancelled_metric_ = nullptr;
-  Gauge* max_queue_metric_ = nullptr;
-  HistogramMetric* wait_metric_ = nullptr;
 };
 
 }  // namespace soccluster

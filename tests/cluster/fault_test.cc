@@ -215,6 +215,23 @@ TEST_F(FaultTaxonomyTest, PlantLinkBrownoutDegradesBothDirectionsAndRestores) {
   EXPECT_EQ(injector.faults_of(FaultKind::kLinkBrownout), 1);
 }
 
+TEST_F(FaultTaxonomyTest, LinkSlotsCoverPcbUplinksThenEsbOnly) {
+  BootAll();
+  FaultInjector injector(&sim_, &cluster_, FaultConfig{});
+  const int num_pcbs = cluster_.chassis().num_pcbs;
+  injector.PlantLinkBrownout(num_pcbs, sim_.Now(), Duration::Minutes(1), 0.5);
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(1)).ok());
+  EXPECT_NEAR(cluster_.network().LinkCapacityFactor(cluster_.esb_uplink_out()),
+              0.5, 1e-12);
+  // A slot past the ESB is a caller bug, not another name for the ESB.
+  EXPECT_DEATH(injector.PlantLinkBrownout(num_pcbs + 7, sim_.Now(),
+                                          Duration::Minutes(1), 0.25),
+               "uplink slot");
+  EXPECT_DEATH(injector.PlantLinkBrownout(-1, sim_.Now(), Duration::Minutes(1),
+                                          0.25),
+               "uplink slot");
+}
+
 TEST_F(FaultTaxonomyTest, PlantFlakyHeartbeatSetsLossAndExpires) {
   BootAll();
   FaultInjector injector(&sim_, &cluster_, FaultConfig{});

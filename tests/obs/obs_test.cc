@@ -574,65 +574,5 @@ TEST(PeriodicTaskTest, RedundantStartAndStopAreSafe) {
   EXPECT_EQ(fired, 1);
 }
 
-// ---------------------------------------------------------------------------
-// Resource accounting under cancellation.
-
-TEST(ResourceTest, AccountingExactUnderCancellation) {
-  Simulator sim;
-  Resource res(&sim, /*capacity=*/1, "codec");
-  int grants = 0;
-  // First acquire is granted inline with a zero wait.
-  res.Acquire([&grants] { ++grants; });
-  EXPECT_EQ(grants, 1);
-  EXPECT_EQ(res.in_use(), 1);
-  EXPECT_EQ(res.wait_ms().count(), 1);
-  EXPECT_DOUBLE_EQ(res.wait_ms().mean(), 0.0);
-
-  // Two waiters queue behind it.
-  const uint64_t t2 = res.Acquire([&grants] { ++grants; });
-  const uint64_t t3 = res.Acquire([&grants] { ++grants; });
-  EXPECT_EQ(res.queue_length(), 2);
-  EXPECT_EQ(res.max_queue_length(), 2);
-
-  // Cancelling the head of the queue: its callback never runs.
-  EXPECT_TRUE(res.CancelWait(t2));
-  EXPECT_FALSE(res.CancelWait(t2));  // Already cancelled.
-  EXPECT_EQ(res.queue_length(), 1);
-  EXPECT_EQ(res.waits_cancelled(), 1);
-
-  // Release grants the surviving waiter after 5 s of queueing.
-  Status status = sim.RunFor(Duration::Seconds(5));
-  ASSERT_TRUE(status.ok());
-  res.Release();
-  EXPECT_EQ(grants, 2);
-  EXPECT_EQ(res.queue_length(), 0);
-  EXPECT_EQ(res.total_granted(), 2);
-  // Exactly one wait sample per grant; the cancelled wait left none.
-  EXPECT_EQ(res.wait_ms().count(), 2);
-  EXPECT_DOUBLE_EQ(res.wait_ms().max(), 5000.0);
-
-  // A granted ticket cannot be cancelled.
-  EXPECT_FALSE(res.CancelWait(t3));
-  // Named resources publish their accounting in the registry.
-  EXPECT_EQ(sim.metrics().GetCounter("resource.codec.granted")->value(), 2);
-  EXPECT_EQ(sim.metrics().GetCounter("resource.codec.cancelled_waits")->value(),
-            1);
-}
-
-TEST(ResourceTest, CancelledWaitNeverGrants) {
-  Simulator sim;
-  Resource res(&sim, 1);
-  res.Acquire([] {});
-  bool ran = false;
-  const uint64_t ticket = res.Acquire([&ran] { ran = true; });
-  EXPECT_TRUE(res.CancelWait(ticket));
-  res.Release();  // Queue is empty of live waiters: capacity frees up.
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(res.in_use(), 0);
-  int late = 0;
-  res.Acquire([&late] { ++late; });  // Immediate grant again.
-  EXPECT_EQ(late, 1);
-}
-
 }  // namespace
 }  // namespace soccluster

@@ -2,9 +2,11 @@
 // seeds must produce bit-identical failure schedules, and tracing must be
 // purely passive (enabling it cannot perturb a chaos run).
 
+#include <array>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/base/digest.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fault.h"
 #include "src/core/chaos.h"
@@ -93,6 +95,55 @@ TEST(FaultPropertyTest, TracingIsPassive) {
   const ChaosOutcome traced = RunChaos(7, /*traced=*/true);
   ASSERT_FALSE(untraced.history.empty());
   ExpectIdentical(untraced, traced);
+}
+
+// Golden schedule: every one of the nine fault kinds enabled at once on the
+// default chassis, with repaired SoCs powered back on so every chain keeps
+// finding eligible targets. The pinned values were captured from the
+// injector's original per-kind implementation; any change to the RNG draw
+// order, eligibility rules or restore scheduling moves them.
+TEST(FaultPropertyTest, AllNineKindsGoldenSchedule) {
+  Simulator sim(11);
+  SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
+  cluster.PowerOnAll(nullptr);
+  ASSERT_TRUE(sim.RunFor(Duration::Seconds(60)).ok());
+  FaultConfig config;
+  config.mtbf_per_soc = Duration::Hours(24 * 5);
+  config.transient_fraction = 0.5;
+  config.repair_time = Duration::Hours(6);
+  config.mtbf_per_pcb = Duration::Hours(24 * 10);
+  config.pcb_repair_time = Duration::Hours(12);
+  config.uplink_flap_mtbf = Duration::Hours(24);
+  config.thermal_mtbf = Duration::Hours(24 * 2);
+  config.slow_soc_mtbf = Duration::Hours(24 * 3);
+  config.link_brownout_mtbf = Duration::Hours(24);
+  config.flaky_heartbeat_mtbf = Duration::Hours(24 * 3);
+  config.zombie_mtbf = Duration::Hours(24 * 4);
+  config.seed = 2024;
+  FaultInjector injector(&sim, &cluster, config);
+  injector.set_on_repair([&cluster](int soc_index) {
+    ASSERT_TRUE(cluster.soc(soc_index).PowerOn(Duration::Seconds(20), nullptr)
+                    .ok());
+  });
+  injector.Start(Duration::Hours(24 * 4));
+  sim.Run();
+
+  StateDigest fold;
+  for (const FaultEvent& event : injector.history()) {
+    fold.Mix(static_cast<int>(event.kind));
+    fold.Mix(event.index);
+    fold.Mix(event.at.nanos());
+  }
+  const std::array<int64_t, kNumFaultKinds> expected_counts = {
+      24, 20, 6, 52, 112, 76, 61, 80, 51};
+  for (int k = 0; k < kNumFaultKinds; ++k) {
+    const auto kind = static_cast<FaultKind>(k);
+    EXPECT_EQ(injector.faults_of(kind),
+              expected_counts[static_cast<size_t>(k)])
+        << FaultKindName(kind);
+  }
+  EXPECT_EQ(injector.history().size(), 482u);
+  EXPECT_EQ(fold.value(), 5476239388554918950u);
 }
 
 }  // namespace

@@ -443,93 +443,5 @@ TEST(PeriodicTaskTest, DestructorCancelsPendingEvent) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(ResourceTest, GrantsUpToCapacity) {
-  Simulator sim;
-  Resource resource(&sim, 2);
-  int granted = 0;
-  resource.Acquire([&] { ++granted; });
-  resource.Acquire([&] { ++granted; });
-  resource.Acquire([&] { ++granted; });  // Queued.
-  EXPECT_EQ(granted, 2);
-  EXPECT_EQ(resource.in_use(), 2);
-  EXPECT_EQ(resource.queue_length(), 1);
-  resource.Release();
-  EXPECT_EQ(granted, 3);
-  EXPECT_EQ(resource.queue_length(), 0);
-}
-
-TEST(ResourceTest, ReleaseWithoutWaitersFreesUnit) {
-  Simulator sim;
-  Resource resource(&sim, 1);
-  resource.Acquire([] {});
-  EXPECT_EQ(resource.in_use(), 1);
-  resource.Release();
-  EXPECT_EQ(resource.in_use(), 0);
-}
-
-TEST(ResourceTest, FifoGrantOrder) {
-  Simulator sim;
-  Resource resource(&sim, 1);
-  std::vector<int> order;
-  resource.Acquire([&] { order.push_back(0); });
-  resource.Acquire([&] { order.push_back(1); });
-  resource.Acquire([&] { order.push_back(2); });
-  resource.Release();
-  resource.Release();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(ResourceTest, CancelWaitRemovesQueuedRequest) {
-  Simulator sim;
-  Resource resource(&sim, 1);
-  std::vector<int> order;
-  resource.Acquire([&] { order.push_back(0); });
-  const uint64_t doomed = resource.Acquire([&] { order.push_back(1); });
-  resource.Acquire([&] { order.push_back(2); });
-  EXPECT_TRUE(resource.CancelWait(doomed));
-  EXPECT_FALSE(resource.CancelWait(doomed));  // Idempotent: already gone.
-  EXPECT_EQ(resource.queue_length(), 1);
-  resource.Release();
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-}
-
-TEST(ResourceTest, CancelWaitOfGrantedTicketIsNoop) {
-  Simulator sim;
-  Resource resource(&sim, 1);
-  const uint64_t granted = resource.Acquire([] {});
-  EXPECT_FALSE(resource.CancelWait(granted));
-  EXPECT_EQ(resource.in_use(), 1);
-}
-
-TEST(ResourceTest, CancelWaitScalesToDeepQueues) {
-  // Regression for the old O(queue-length) CancelWait scan: with 10k
-  // queued waiters, cancelling from the back (the old scan's worst case)
-  // must stay comfortably sub-quadratic. Functional assertions keep the
-  // test robust; a quadratic implementation would blow past the ctest
-  // timeout long before these checks run.
-  constexpr int kWaiters = 10000;
-  Simulator sim;
-  Resource resource(&sim, 1);
-  resource.Acquire([] {});  // Occupy the unit so everything below queues.
-  std::vector<uint64_t> tickets;
-  tickets.reserve(kWaiters);
-  int granted = 0;
-  for (int i = 0; i < kWaiters; ++i) {
-    tickets.push_back(resource.Acquire([&granted] { ++granted; }));
-  }
-  ASSERT_EQ(resource.queue_length(), kWaiters);
-  // Cancel every other waiter, newest first.
-  for (int i = kWaiters - 1; i >= 0; i -= 2) {
-    ASSERT_TRUE(resource.CancelWait(tickets[i]));
-  }
-  EXPECT_EQ(resource.queue_length(), kWaiters / 2);
-  // Survivors still grant in FIFO order as the unit bounces.
-  for (int i = 0; i < kWaiters / 2; ++i) {
-    resource.Release();
-  }
-  EXPECT_EQ(granted, kWaiters / 2);
-  EXPECT_EQ(resource.queue_length(), 0);
-}
-
 }  // namespace
 }  // namespace soccluster

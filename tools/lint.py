@@ -35,10 +35,11 @@ Registered as the `lint.repo` ctest. Rules:
   layering      Lower layers must not include workload code:
                 src/{base,sim,sched,qos} never include src/workload, and
                 src/core only through the explicit allowlist (autoscaler,
-                powercap, the overload manager, and the benchmark suite
-                drive workloads by design). Placement went through one
-                inversion already — orchestrator.h pulling PlacementPolicy
-                out of the live video service — and src/sched exists
+                the overload manager, the benchmark suite and the
+                determinism scenarios drive workloads by design).
+                Placement went through one inversion already —
+                orchestrator.h pulling PlacementPolicy out of the live
+                video service — and src/sched exists
                 precisely so policy types live below every service; this
                 rule keeps the dependency arrow pointing one way.
 
@@ -152,14 +153,12 @@ LAYERING_FORBIDDEN_DIRS = ("src/base", "src/sim", "src/sched", "src/qos",
                            "src/core")
 LAYERING_INCLUDE = re.compile(r'#include\s+"(src/workload/[^"]+)"')
 LAYERING_ALLOWLIST = {
-    # The autoscaler, power-cap, and overload controllers act on workloads
-    # by design; the benchmark suite exists to drive them end to end.
+    # The autoscaler and overload controllers act on workloads by design;
+    # the benchmark suite exists to drive them end to end.
     "src/core/autoscaler.h",
     "src/core/autoscaler.cc",
     "src/core/overload.h",
     "src/core/overload.cc",
-    "src/core/powercap.h",
-    "src/core/powercap.cc",
     "src/core/benchmark_suite.h",
     "src/core/benchmark_suite.cc",
     # The determinism-audit scenarios are scaled-down flagship experiments
