@@ -100,29 +100,6 @@ double SampleStats::Percentile(double p) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-Cdf::Cdf(std::vector<double> samples) : sorted_(std::move(samples)) {
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Cdf::FractionAtOrBelow(double x) const {
-  if (sorted_.empty()) {
-    return 0.0;
-  }
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
-double Cdf::Quantile(double q) const {
-  SOC_CHECK(!sorted_.empty());
-  SOC_CHECK_GT(q, 0.0);
-  SOC_CHECK_LE(q, 1.0);
-  const size_t n = sorted_.size();
-  const size_t idx =
-      static_cast<size_t>(std::ceil(q * static_cast<double>(n))) - 1;
-  return sorted_[std::min(idx, n - 1)];
-}
-
 void TimeWeightedStat::Advance(SimTime now) {
   SOC_CHECK_GE(now.nanos(), last_.nanos())
       << "TimeWeightedStat updated backwards in time";
@@ -158,30 +135,6 @@ double TimeWeightedStat::Mean() const {
 
 Duration TimeWeightedStat::Elapsed() const {
   return started_ ? last_ - start_ : Duration::Zero();
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  SOC_CHECK_GT(hi, lo);
-  SOC_CHECK_GT(buckets, 0u);
-}
-
-void Histogram::Add(double x) {
-  double idx = (x - lo_) / width_;
-  if (idx < 0.0) {
-    idx = 0.0;
-  }
-  size_t i = static_cast<size_t>(idx);
-  if (i >= counts_.size()) {
-    i = counts_.size() - 1;
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
 }
 
 }  // namespace soccluster

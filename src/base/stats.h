@@ -1,6 +1,6 @@
 // Statistical accumulators used by the measurement harness: streaming
-// moments, sample percentiles, empirical CDFs, and time-weighted averages
-// (the latter back the power/utilization integration).
+// moments, sample percentiles, and time-weighted averages (the latter back
+// the power/utilization integration).
 
 #ifndef SRC_BASE_STATS_H_
 #define SRC_BASE_STATS_H_
@@ -60,21 +60,6 @@ class SampleStats {
   mutable bool sorted_valid_ = false;
 };
 
-// An empirical CDF over a fixed sample set.
-class Cdf {
- public:
-  explicit Cdf(std::vector<double> samples);
-
-  // Fraction of samples <= x, in [0, 1].
-  double FractionAtOrBelow(double x) const;
-  // Smallest sample value v such that FractionAtOrBelow(v) >= q, q in (0, 1].
-  double Quantile(double q) const;
-  size_t count() const { return sorted_.size(); }
-
- private:
-  std::vector<double> sorted_;
-};
-
 // Time-weighted mean of a piecewise-constant signal, e.g. instantaneous
 // power. Call Update(t, v) at every change; the value v holds from t until
 // the next update. Finalize with Close(t_end).
@@ -98,25 +83,6 @@ class TimeWeightedStat {
   SimTime last_;
   double value_ = 0.0;
   double integral_ = 0.0;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  int64_t BucketCount(size_t i) const { return counts_[i]; }
-  size_t NumBuckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-  int64_t TotalCount() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 }  // namespace soccluster

@@ -26,12 +26,11 @@ void ChaosRunner::Start() {
   injector_.set_on_failure([this](int) { UpdateAvailability(); });
   injector_.set_on_repair([this](int soc_index) {
     UpdateAvailability();
-    if (config_.reboot_on_repair) {
-      // Repair leaves the SoC in kOff; bring it back through a full boot.
-      // The health monitor notices the recovery on the first healthy beat.
-      (void)cluster_->soc(soc_index).PowerOn(
-          cluster_->chassis().soc_boot, [this] { UpdateAvailability(); });
-    }
+    // Repair leaves the SoC in kOff; bring it back through a full boot
+    // (boot latency applies). The health monitor notices the recovery on
+    // the first healthy beat.
+    (void)cluster_->soc(soc_index).PowerOn(
+        cluster_->chassis().soc_boot, [this] { UpdateAvailability(); });
   });
   // The control loop proper: the orchestrator reacts only to heartbeat
   // verdicts, never to the injector directly.

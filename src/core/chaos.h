@@ -34,9 +34,6 @@ struct ChaosConfig {
   // New faults are injected over this much simulated time (repairs may
   // complete later).
   Duration horizon = Duration::Hours(24 * 90);
-  // Power repaired SoCs back on automatically (boot latency applies). When
-  // false, repaired SoCs sit in kOff until the caller re-admits them.
-  bool reboot_on_repair = true;
   // Gray-failure response layer (suspicion scoring + quarantine). Off by
   // default: heartbeat-only runs stay bit-identical with earlier builds.
   bool enable_gray = false;

@@ -14,6 +14,9 @@ namespace {
 constexpr double kSigmaFloorFraction = 0.1;
 // Floor on the tail probability, bounding phi at 30 (P = 1e-30).
 constexpr double kMinTailProbability = 1e-30;
+// kPhiAccrual: minimum observed inter-arrivals before phi is trusted; below
+// this the fixed miss_threshold acts as the cold-start backstop.
+constexpr int kPhiMinSamples = 3;
 }  // namespace
 
 HealthMonitor::HealthMonitor(Simulator* sim, SocCluster* cluster,
@@ -28,7 +31,6 @@ HealthMonitor::HealthMonitor(Simulator* sim, SocCluster* cluster,
   SOC_CHECK_GT(config_.heartbeat_interval.nanos(), 0);
   SOC_CHECK_GE(config_.miss_threshold, 1);
   SOC_CHECK_GT(config_.phi_threshold, 0.0);
-  SOC_CHECK_GE(config_.phi_min_samples, 1);
   MetricRegistry& metrics = sim_->metrics();
   down_metric_ = metrics.GetCounter("health.down_events");
   up_metric_ = metrics.GetCounter("health.up_events");
@@ -170,7 +172,7 @@ void HealthMonitor::Poll() {
     ++h.misses;
     bool fire;
     if (config_.mode == DetectorMode::kFixedMiss ||
-        h.interarrival_s.count() < config_.phi_min_samples) {
+        h.interarrival_s.count() < kPhiMinSamples) {
       // Fixed mode, or phi cold-start backstop before the fit is trusted.
       fire = h.misses >= config_.miss_threshold;
     } else {

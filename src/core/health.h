@@ -65,9 +65,6 @@ struct HealthConfig {
   // kPhiAccrual: fire when phi >= phi_threshold. phi = 1 means a 10%
   // chance the beat is merely late; 8 means 1e-8 (Akka's default).
   double phi_threshold = 8.0;
-  // kPhiAccrual: minimum observed inter-arrivals before phi is trusted;
-  // below this the fixed miss_threshold acts as the cold-start backstop.
-  int phi_min_samples = 3;
 
   // Boot-timeout verdict: a SoC powered (booting or on) for this long
   // without a first healthy beat gets the down verdict. Zero disables.

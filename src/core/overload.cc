@@ -42,30 +42,24 @@ void ClusterOverloadManager::AttachServing(SocServingFleet* fleet) {
   SOC_CHECK(!started_);
   SOC_CHECK(fleet != nullptr);
   serving_ = fleet;
-  if (config_.enable_breakers) {
-    serving_breaker_ = MakeBreaker("dl.serving");
-    serving_->SetBreaker(serving_breaker_.get());
-  }
+  serving_breaker_ = MakeBreaker("dl.serving");
+  serving_->SetBreaker(serving_breaker_.get());
 }
 
 void ClusterOverloadManager::AttachLive(LiveTranscodingService* live) {
   SOC_CHECK(!started_);
   SOC_CHECK(live != nullptr);
   live_ = live;
-  if (config_.enable_breakers) {
-    live_breaker_ = MakeBreaker("video.live");
-    live_->SetBreaker(live_breaker_.get());
-  }
+  live_breaker_ = MakeBreaker("video.live");
+  live_->SetBreaker(live_breaker_.get());
 }
 
 void ClusterOverloadManager::AttachServerless(ServerlessPlatform* serverless) {
   SOC_CHECK(!started_);
   SOC_CHECK(serverless != nullptr);
   serverless_ = serverless;
-  if (config_.enable_breakers) {
-    serverless_breaker_ = MakeBreaker("serverless");
-    serverless_->SetBreaker(serverless_breaker_.get());
-  }
+  serverless_breaker_ = MakeBreaker("serverless");
+  serverless_->SetBreaker(serverless_breaker_.get());
 }
 
 void ClusterOverloadManager::AttachGaming(GamingWorkload* gaming) {

@@ -46,8 +46,6 @@ struct ClusterOverloadConfig {
   int step_socs = 4;
   int min_active = 1;
   // Breakers share these thresholds; service labels are set per breaker.
-  // Set enable_breakers = false to run admission-only.
-  bool enable_breakers = true;
   CircuitBreakerConfig breaker;  // `service` is overwritten per service.
 };
 
@@ -74,8 +72,7 @@ class ClusterOverloadManager {
   int brownout_level() const { return governor_.level(); }
   bool IsBrownedOut() const { return governor_.IsBrownedOut(); }
 
-  // Null until the corresponding service is attached (or when breakers
-  // are disabled).
+  // Null until the corresponding service is attached.
   CircuitBreaker* serving_breaker() { return serving_breaker_.get(); }
   CircuitBreaker* live_breaker() { return live_breaker_.get(); }
   CircuitBreaker* serverless_breaker() { return serverless_breaker_.get(); }

@@ -21,11 +21,4 @@ Duration EnergyMeter::Observed(SimTime now) {
   return stat_.Elapsed();
 }
 
-Energy WorkloadEnergyMeter::WorkloadEnergy(SimTime now) {
-  const Energy total = meter_->TotalEnergy(now);
-  const double elapsed_s = meter_->Observed(now).ToSeconds();
-  const double workload_j = total.joules() - baseline_.watts() * elapsed_s;
-  return Energy::Joules(workload_j > 0.0 ? workload_j : 0.0);
-}
-
 }  // namespace soccluster

@@ -29,22 +29,6 @@ class EnergyMeter {
   TimeWeightedStat stat_;
 };
 
-// Difference-based meter for "workload power": energy above a declared
-// baseline (the paper reports workload power excluding idle). Wraps an
-// EnergyMeter and subtracts baseline * elapsed.
-class WorkloadEnergyMeter {
- public:
-  WorkloadEnergyMeter(EnergyMeter* meter, Power baseline)
-      : meter_(meter), baseline_(baseline) {}
-
-  Energy WorkloadEnergy(SimTime now);
-  Power baseline() const { return baseline_; }
-
- private:
-  EnergyMeter* meter_;
-  Power baseline_;
-};
-
 }  // namespace soccluster
 
 #endif  // SRC_HW_POWER_H_

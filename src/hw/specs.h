@@ -159,13 +159,6 @@ struct DiscreteGpuSpec {
 
 DiscreteGpuSpec GpuSpecFor(GpuModelKind kind);
 
-// AWS Graviton instances used in the Table 2 micro-benchmarks.
-struct ArmCloudSpec {
-  std::string name;
-  int cores = 64;
-  int memory_gb = 256;
-};
-
 }  // namespace soccluster
 
 #endif  // SRC_HW_SPECS_H_

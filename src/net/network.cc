@@ -38,12 +38,10 @@ LinkId Network::AddBidirectionalLink(NetNodeId a, NetNodeId b,
   SOC_CHECK(flows_.empty() && constant_loads_.empty())
       << "topology must be built before traffic starts";
   const LinkId forward = static_cast<LinkId>(links_.size());
-  links_.push_back(LinkState{a, b, capacity, DataRate::Zero(), true, {}, {}});
-  links_.push_back(LinkState{b, a, capacity, DataRate::Zero(), true, {}, {}});
+  links_.push_back(LinkState{a, b, capacity, DataRate::Zero(), true, {}});
+  links_.push_back(LinkState{b, a, capacity, DataRate::Zero(), true, {}});
   out_links_[static_cast<size_t>(a)].push_back(forward);
   out_links_[static_cast<size_t>(b)].push_back(forward + 1);
-  links_[static_cast<size_t>(forward)].utilization.Update(sim_->Now(), 0.0);
-  links_[static_cast<size_t>(forward) + 1].utilization.Update(sim_->Now(), 0.0);
   return forward;
 }
 
@@ -262,20 +260,14 @@ DataRate Network::LinkCapacity(LinkId link) const {
 }
 
 double Network::LinkUtilization(LinkId link) const {
+  SOC_CHECK_GE(link, 0);
+  SOC_CHECK_LT(link, num_links());
   const LinkState& state = links_[static_cast<size_t>(link)];
   const double effective_bps = state.capacity.bps() * state.capacity_factor;
   if (effective_bps <= 0.0 || !state.up) {
     return 0.0;
   }
   return LinkOfferedRate(link).bps() / effective_bps;
-}
-
-double Network::LinkMeanUtilization(LinkId link) {
-  SOC_CHECK_GE(link, 0);
-  SOC_CHECK_LT(link, num_links());
-  LinkState& state = links_[static_cast<size_t>(link)];
-  state.utilization.Update(sim_->Now(), LinkUtilization(link));
-  return state.utilization.Mean();
 }
 
 void Network::Reallocate() {
@@ -386,8 +378,6 @@ void Network::Reallocate() {
     flow.completion =
         sim_->ScheduleAfter(eta, [this, fid] { CompleteFlow(fid); });
   }
-
-  UpdateLinkMeters();
 }
 
 void Network::CompleteFlow(FlowId flow_id) {
@@ -408,14 +398,6 @@ void Network::CompleteFlow(FlowId flow_id) {
   Reallocate();
   if (callback) {
     callback();
-  }
-}
-
-void Network::UpdateLinkMeters() {
-  const SimTime now = sim_->Now();
-  for (size_t l = 0; l < links_.size(); ++l) {
-    links_[l].utilization.Update(
-        now, LinkUtilization(static_cast<LinkId>(l)));
   }
 }
 

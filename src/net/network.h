@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/base/result.h"
-#include "src/base/stats.h"
 #include "src/base/units.h"
 #include "src/sim/simulator.h"
 
@@ -98,8 +97,6 @@ class Network {
   DataRate LinkCapacity(LinkId link) const;
   // Offered / capacity; may exceed 1.0 under constant-load oversubscription.
   double LinkUtilization(LinkId link) const;
-  // Time-weighted mean utilization since simulation start.
-  double LinkMeanUtilization(LinkId link);
 
   // Measured-goodput model: effective bulk rate cap for a protocol over a
   // raw link rate (§2.3: TCP reaches ~903 Mbps over 1GE).
@@ -114,7 +111,6 @@ class Network {
     DataRate constant_load;
     bool up = true;
     std::vector<FlowId> active_flows;
-    TimeWeightedStat utilization;
     // Usable fraction of `capacity` in (0, 1]; < 1.0 models brownout.
     double capacity_factor = 1.0;
   };
@@ -140,7 +136,6 @@ class Network {
   // fair rates, and reschedules completion events.
   void Reallocate();
   void CompleteFlow(FlowId flow);
-  void UpdateLinkMeters();
 
   Simulator* sim_;
   Duration rtt_;

@@ -87,10 +87,6 @@ class SloTracker {
   double BurnRate(SimTime now, Duration window) const;
   bool firing() const { return firing_; }
   const SloSpec& spec() const { return spec_; }
-  // Adjusts the latency objective before traffic starts (benches tune the
-  // default per-class registrations to the scenario's deadline).
-  void set_threshold(Duration threshold) { spec_.threshold = threshold; }
-  void set_burn_threshold(double burn) { spec_.burn_threshold = burn; }
   const std::vector<SloAlert>& alerts() const { return alerts_; }
   int64_t good_total() const { return good_total_; }
   int64_t bad_total() const { return bad_total_; }

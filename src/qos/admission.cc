@@ -1,6 +1,5 @@
 #include "src/qos/admission.h"
 
-#include <cmath>
 #include <utility>
 
 #include "src/base/check.h"
@@ -15,39 +14,32 @@ const char* AdmissionQueue::DropReasonName(DropReason reason) {
       return "admit_floor";
     case DropReason::kExpired:
       return "expired";
-    case DropReason::kSojourn:
-      return "sojourn";
   }
   return "unknown";
 }
 
-AdmissionQueue::AdmissionQueue(Simulator* sim, Options options)
-    : sim_(sim), options_(std::move(options)) {
+AdmissionQueue::AdmissionQueue(Simulator* sim, const std::string& service)
+    : sim_(sim) {
   SOC_CHECK(sim_ != nullptr);
-  SOC_CHECK(!options_.service.empty());
-  SOC_CHECK_GE(options_.max_queue, 0);
-  SOC_CHECK_GE(options_.codel_target.nanos(), 0);
-  if (options_.codel_target.nanos() > 0) {
-    SOC_CHECK_GT(options_.codel_interval.nanos(), 0);
-  }
+  SOC_CHECK(!service.empty());
   MetricRegistry& metrics = sim_->metrics();
   for (int c = 0; c < kNumPriorities; ++c) {
     const char* cls = PriorityName(static_cast<Priority>(c));
     admitted_metrics_[c] = metrics.GetCounter(
         "qos.admission.admitted",
-        {{"service", options_.service}, {"class", cls}});
+        {{"service", service}, {"class", cls}});
     for (size_t r = 0; r < kNumReasons; ++r) {
       dropped_metrics_[c][r] = metrics.GetCounter(
           "qos.admission.dropped",
-          {{"service", options_.service},
+          {{"service", service},
            {"class", cls},
            {"reason", DropReasonName(static_cast<DropReason>(r))}});
     }
   }
   max_queue_metric_ = metrics.GetGauge("qos.admission.max_queue_length",
-                                       {{"service", options_.service}});
+                                       {{"service", service}});
   sojourn_metric_ = metrics.GetHistogram("qos.admission.sojourn_ms",
-                                         {{"service", options_.service}});
+                                         {{"service", service}});
   // Sojourn is observed per dispatch — a hot path — so it is sketch-backed
   // from the start.
   sojourn_metric_->EnableSketch();
@@ -55,7 +47,7 @@ AdmissionQueue::AdmissionQueue(Simulator* sim, Options options)
 
 void AdmissionQueue::SetMaxQueue(int max_queue) {
   SOC_CHECK_GE(max_queue, 0);
-  options_.max_queue = max_queue;
+  max_queue_ = max_queue;
 }
 
 std::optional<Priority> AdmissionQueue::LowestOccupiedClass() const {
@@ -96,7 +88,7 @@ bool AdmissionQueue::Offer(Priority priority, Duration deadline,
     Drop(item, DropReason::kAdmitFloor);
     return false;
   }
-  if (options_.max_queue > 0 && size_ >= options_.max_queue) {
+  if (max_queue_ > 0 && size_ >= max_queue_) {
     // Full. Evict the newest item of a strictly lower class to make room;
     // if no lower class is occupied, the incoming item is the one shed.
     const std::optional<Priority> lowest = LowestOccupiedClass();
@@ -132,33 +124,6 @@ void AdmissionQueue::RestoreFront(Item item) {
   NoteQueued();
 }
 
-bool AdmissionQueue::CodelOkToDrop(Duration sojourn, SimTime now) {
-  if (sojourn < options_.codel_target || size_ <= 1) {
-    // Below target (or nothing else queued): leave the above-target
-    // tracking state.
-    first_above_valid_ = false;
-    return false;
-  }
-  if (!first_above_valid_) {
-    first_above_valid_ = true;
-    first_above_time_ = now + options_.codel_interval;
-    return false;
-  }
-  return now >= first_above_time_;
-}
-
-bool AdmissionQueue::DropSojournVictim() {
-  const std::optional<Priority> lowest = LowestOccupiedClass();
-  if (!lowest.has_value()) {
-    return false;
-  }
-  std::deque<Item>& victims = ByClass(*lowest);
-  Drop(victims.back(), DropReason::kSojourn);
-  victims.pop_back();
-  --size_;
-  return true;
-}
-
 std::optional<AdmissionQueue::Item> AdmissionQueue::Pop() {
   const SimTime now = sim_->Now();
   while (true) {
@@ -171,8 +136,6 @@ std::optional<AdmissionQueue::Item> AdmissionQueue::Pop() {
       }
     }
     if (source == nullptr) {
-      first_above_valid_ = false;
-      codel_dropping_ = false;
       return std::nullopt;
     }
     if (Expired(source->front(), now)) {
@@ -181,43 +144,6 @@ std::optional<AdmissionQueue::Item> AdmissionQueue::Pop() {
       --size_;
       Drop(expired, DropReason::kExpired);
       continue;
-    }
-    if (options_.codel_target.nanos() > 0) {
-      const Duration sojourn = now - source->front().enqueue;
-      const bool ok_to_drop = CodelOkToDrop(sojourn, now);
-      if (codel_dropping_) {
-        if (!ok_to_drop) {
-          codel_dropping_ = false;
-        } else if (now >= codel_drop_next_ && size_ > 1) {
-          ++codel_count_;
-          DropSojournVictim();
-          codel_drop_next_ =
-              codel_drop_next_ +
-              Duration::Nanos(static_cast<int64_t>(
-                  options_.codel_interval.nanos() /
-                  std::sqrt(static_cast<double>(codel_count_))));
-          continue;  // Re-evaluate: the victim may have been the head.
-        }
-      } else if (ok_to_drop) {
-        // Enter the drop state. Resume near the prior drop cadence when
-        // the last episode ended recently (sojourn control, RFC 8289).
-        codel_dropping_ = true;
-        const int64_t delta = codel_count_ - codel_last_count_;
-        if (delta > 1 &&
-            now - codel_drop_next_ <
-                Duration::Nanos(16 * options_.codel_interval.nanos())) {
-          codel_count_ = delta;
-        } else {
-          codel_count_ = 1;
-        }
-        codel_last_count_ = codel_count_;
-        DropSojournVictim();
-        codel_drop_next_ =
-            now + Duration::Nanos(static_cast<int64_t>(
-                      options_.codel_interval.nanos() /
-                      std::sqrt(static_cast<double>(codel_count_))));
-        continue;
-      }
     }
     Item item = std::move(source->front());
     source->pop_front();
@@ -229,7 +155,7 @@ std::optional<AdmissionQueue::Item> AdmissionQueue::Pop() {
 
 void AdmissionQueue::DigestState(StateDigest& digest) const {
   digest.Mix(static_cast<int>(admit_floor_));
-  digest.Mix(options_.max_queue);
+  digest.Mix(max_queue_);
   for (const auto& cls : classes_) {
     digest.Mix(static_cast<uint64_t>(cls.size()));
     for (const Item& item : cls) {
@@ -245,12 +171,6 @@ void AdmissionQueue::DigestState(StateDigest& digest) const {
   for (const int64_t count : dropped_by_reason_) {
     digest.Mix(count);
   }
-  digest.Mix(first_above_valid_);
-  digest.Mix(first_above_time_.nanos());
-  digest.Mix(codel_dropping_);
-  digest.Mix(codel_drop_next_.nanos());
-  digest.Mix(codel_count_);
-  digest.Mix(codel_last_count_);
 }
 
 }  // namespace soccluster

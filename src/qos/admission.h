@@ -10,9 +10,6 @@
 //     while any best-effort item is queued);
 //   * deadline-expiry purge at dispatch: an item already past its deadline
 //     is dropped when it reaches the head instead of burning SoC time;
-//   * optional CoDel-style sojourn-time shedding (target/interval control
-//     law on departing-item sojourn, victims taken from the tail of the
-//     lowest occupied class) instead of relying on the length cap alone;
 //   * an admission floor for brownout: classes below the floor are refused
 //     at the door while the rung is engaged.
 //
@@ -42,18 +39,6 @@ namespace soccluster {
 
 class AdmissionQueue {
  public:
-  struct Options {
-    // Registry label; required.
-    std::string service;
-    // Reject Offer() when the queue already holds this many items across
-    // all classes (subject to lower-class eviction). Zero: unbounded.
-    int max_queue = 0;
-    // CoDel control law: shed while departing-item sojourn stays above
-    // `codel_target` for `codel_interval`. Zero target disables.
-    Duration codel_target;
-    Duration codel_interval = Duration::Millis(100);
-  };
-
   struct Item {
     Priority priority = Priority::kStandard;
     SimTime enqueue;
@@ -62,7 +47,7 @@ class AdmissionQueue {
     uint64_t handle = 0;
   };
 
-  enum class DropReason { kQueueFull, kAdmitFloor, kExpired, kSojourn };
+  enum class DropReason { kQueueFull, kAdmitFloor, kExpired };
   static const char* DropReasonName(DropReason reason);
 
   // Runs for every dropped item, before the drop is counted — the owner
@@ -70,7 +55,9 @@ class AdmissionQueue {
   // kAdmitFloor drops of the *incoming* item, the item was never queued.
   using DropHandler = std::function<void(const Item&, DropReason)>;
 
-  AdmissionQueue(Simulator* sim, Options options);
+  // `service` is the registry label; required. The queue starts unbounded
+  // (see SetMaxQueue).
+  AdmissionQueue(Simulator* sim, const std::string& service);
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
@@ -85,8 +72,8 @@ class AdmissionQueue {
              const RequestContext* ctx = nullptr);
 
   // Dispatches the next item: highest class first, FIFO within a class,
-  // purging deadline-expired heads and applying the CoDel control law on
-  // the way. Empty optional when nothing dispatchable remains.
+  // purging deadline-expired heads on the way. Empty optional when
+  // nothing dispatchable remains.
   std::optional<Item> Pop();
 
   // Re-queues an item at the back of its class, bypassing every admission
@@ -102,6 +89,8 @@ class AdmissionQueue {
   void SetAdmitFloor(Priority floor) { admit_floor_ = floor; }
   Priority admit_floor() const { return admit_floor_; }
 
+  // Reject Offer() when the queue already holds `max_queue` items across
+  // all classes (subject to lower-class eviction). Zero: unbounded.
   void SetMaxQueue(int max_queue);
 
   int size() const { return size_; }
@@ -116,13 +105,13 @@ class AdmissionQueue {
   // High-water mark of the total queue length.
   int max_queue_length() const { return max_queue_length_; }
 
-  // Mixes queue contents (per class, in FIFO order), admission/drop
-  // accounting, and the CoDel control-law state. Handles are opaque and
-  // not digested; owners digest their own request state.
+  // Mixes queue contents (per class, in FIFO order) and admission/drop
+  // accounting. Handles are opaque and not digested; owners digest their
+  // own request state.
   void DigestState(StateDigest& digest) const;
 
  private:
-  static constexpr size_t kNumReasons = 4;
+  static constexpr size_t kNumReasons = 3;
 
   std::deque<Item>& ByClass(Priority priority) {
     return classes_[static_cast<size_t>(priority)];
@@ -138,15 +127,9 @@ class AdmissionQueue {
   std::optional<Priority> LowestOccupiedClass() const;
   void Drop(const Item& item, DropReason reason);
   void NoteQueued();
-  // CoDel: true when the control law wants a drop for an item departing
-  // with `sojourn` at `now`.
-  bool CodelOkToDrop(Duration sojourn, SimTime now);
-  // Sheds the newest item of the lowest occupied class. Returns false when
-  // the queue is empty.
-  bool DropSojournVictim();
 
   Simulator* sim_;
-  Options options_;
+  int max_queue_ = 0;
   DropHandler on_drop_;
   Priority admit_floor_ = Priority::kBestEffort;
   std::array<std::deque<Item>, kNumPriorities> classes_;
@@ -155,17 +138,6 @@ class AdmissionQueue {
   int64_t admitted_ = 0;
   int64_t dropped_ = 0;
   std::array<int64_t, kNumReasons> dropped_by_reason_{};
-
-  // CoDel control-law state (RFC 8289 shape, deterministic under the sim
-  // clock): time the sojourn first stayed above target, the drop-state
-  // flag, the next scheduled drop, and the drop counts steering the
-  // interval/sqrt(count) cadence.
-  bool first_above_valid_ = false;
-  SimTime first_above_time_;
-  bool codel_dropping_ = false;
-  SimTime codel_drop_next_;
-  int64_t codel_count_ = 0;
-  int64_t codel_last_count_ = 0;
 
   // Registry instruments: admitted per class, drops per (class, reason),
   // plus a sketch-backed sojourn distribution observed at dispatch.

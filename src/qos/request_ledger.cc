@@ -63,8 +63,7 @@ void RequestLedger::Finish(Cause cause, const Request& request,
   if (breaker_ != nullptr && cause == Cause::kCompleted) {
     breaker_->RecordSuccess();
   } else if (breaker_ != nullptr &&
-             (cause == Cause::kFailed || cause == Cause::kQueueFull ||
-              cause == Cause::kSojourn)) {
+             (cause == Cause::kFailed || cause == Cause::kQueueFull)) {
     breaker_->RecordFailure();
   }
   CloseFlow(request.ctx, cause == Cause::kCompleted, track);

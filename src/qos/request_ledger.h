@@ -10,8 +10,8 @@
 //   * the exactly-once ClientObserver report of attributed requests, and
 //     the AttemptObserver evidence tap for gray-failure detection;
 //   * one breaker rule: success on completion, failure on abandonment and
-//     on queue-pressure drops (queue full, CoDel sojourn). Floors,
-//     deadlines and capacity rejections are policy, not distress;
+//     on queue-full drops. Floors, deadlines and capacity rejections are
+//     policy, not distress;
 //   * the terminal flow-trace close of the request's causal chain.
 //
 // Passive like the admission queue: it schedules nothing and draws no
@@ -44,26 +44,24 @@ class RequestLedger {
   using AttemptObserver =
       std::function<void(int soc_index, Duration latency, bool ok)>;
 
-  // Why a request left its service. The first four mirror
+  // Why a request left its service. The first three mirror
   // AdmissionQueue::DropReason; the client sees kCompleted as success,
   // kFailed as failure, kExpired as expiry and everything else as shed.
   enum class Cause {
     kQueueFull,
     kAdmitFloor,
     kExpired,  // Purged at dispatch past its deadline.
-    kSojourn,
     kCompleted,
     kFailed,      // Abandoned after server-side failures.
     kBreaker,     // Fast-failed at the door by an open breaker.
     kNoCapacity,  // Placement found no SoC with room.
   };
-  static constexpr size_t kNumCauses = 8;
+  static constexpr size_t kNumCauses = 7;
   static Cause FromDrop(AdmissionQueue::DropReason reason) {
     using R = AdmissionQueue::DropReason;
     static_assert(static_cast<int>(R::kQueueFull) == 0 &&
                   static_cast<int>(R::kAdmitFloor) == 1 &&
-                  static_cast<int>(R::kExpired) == 2 &&
-                  static_cast<int>(R::kSojourn) == 3);
+                  static_cast<int>(R::kExpired) == 2);
     return static_cast<Cause>(reason);
   }
   static ClientOutcome OutcomeOf(Cause cause);

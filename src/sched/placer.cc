@@ -40,6 +40,9 @@ PlacementDemand PlanOverlay::Get(int soc_index) const {
 
 namespace {
 
+// Candidates sampled per pick under kRandomOfK (power of two choices).
+constexpr int kRandomOfKCandidates = 2;
+
 // `base` plus planned extras; pixel rate follows the base demand (overlay
 // sessions only gate feasibility counts, they are never reserved here).
 PlacementDemand Combine(const PlacementDemand& base,
@@ -60,7 +63,6 @@ Placer::Placer(Simulator* sim, SocCapacityView* view, Options options)
     : sim_(sim), view_(view), options_(options), rng_(options.seed) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(view_ != nullptr);
-  SOC_CHECK_GE(options_.random_k, 1);
   MetricRegistry& metrics = sim_->metrics();
   const MetricLabels labels{{"policy", PlacementPolicyName(options_.policy)}};
   placements_metric_ = metrics.GetCounter("sched.placements", labels);
@@ -233,7 +235,7 @@ int Placer::PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
   // draw sequence is a pure function of the seed — same-seed runs place
   // identically.
   const int size = static_cast<int>(candidates.size());
-  const int k = std::min(options_.random_k, size);
+  const int k = std::min(kRandomOfKCandidates, size);
   int best = -1;
   double best_load = std::numeric_limits<double>::infinity();
   for (int j = 0; j < k; ++j) {

@@ -55,8 +55,6 @@ class Placer {
   struct Options {
     PlacementPolicy policy = PlacementPolicy::kSpread;
     LoadModel load;
-    // Candidates sampled per pick under kRandomOfK.
-    int random_k = 2;
     uint64_t seed = 0x5c4edULL;
     // When false, a failed pick is not counted as a rejection and emits no
     // trace instant. For callers that retry from a queue (dispatch loops),

@@ -14,6 +14,10 @@ namespace {
 // the default 100 ms quantum (~7 min horizon).
 constexpr size_t kWheelSlots = 4096;
 
+// Per-cohort SLO on "success within client_deadline" (5% error budget);
+// the burn threshold is SloSpec's default.
+constexpr double kCohortSloObjective = 0.95;
+
 }  // namespace
 
 const char* RetryModeName(RetryMode mode) {
@@ -79,8 +83,7 @@ SessionTier::SessionTier(Simulator* sim, SessionTierConfig config,
     spec.threshold = config_.client_deadline.nanos() > 0
                          ? config_.client_deadline
                          : config_.client_timeout;
-    spec.objective = config_.slo_objective;
-    spec.burn_threshold = config_.slo_burn_threshold;
+    spec.objective = kCohortSloObjective;
     cohort.slo = sim_->obs().slos.Register(spec);
     cohorts_.push_back(std::move(cohort));
   }

@@ -119,10 +119,6 @@ struct SessionTierConfig {
   // Rolling-counter window (the goodput-vs-time resolution).
   Duration counter_window = Duration::Minutes(1);
 
-  // Per-cohort SLO on "success within client_deadline".
-  double slo_objective = 0.95;
-  double slo_burn_threshold = 3.0;
-
   uint64_t seed = 1;
 };
 

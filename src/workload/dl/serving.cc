@@ -26,12 +26,6 @@ Placer::Options FleetPlacerOptions() {
   return options;
 }
 
-AdmissionQueue::Options FleetAdmissionOptions() {
-  AdmissionQueue::Options options;
-  options.service = "dl.serving";
-  return options;
-}
-
 }  // namespace
 
 SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
@@ -40,7 +34,7 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
     : sim_(sim), cluster_(cluster), device_(soc_device), model_(model),
       precision_(precision), view_(cluster, FleetViewOptions()),
       placer_(sim, &view_, FleetPlacerOptions()),
-      admission_(sim, FleetAdmissionOptions()),
+      admission_(sim, "dl.serving"),
       ledger_(sim, {.service = "dl.serving",
                     .slo_threshold = Duration::Seconds(2),
                     .submitted = "dl.serving.submitted",

@@ -38,11 +38,10 @@ namespace soccluster {
 //
 // Admission runs through a shared priority-aware AdmissionQueue
 // (src/qos/admission.h): three priority classes dispatched highest class
-// first, queue caps that shed from the lowest class, optional CoDel
-// sojourn shedding, and deadline-expiry purge at dispatch. Queue policy
-// (length cap, CoDel) is configured on admission() directly; an optional
-// per-service circuit breaker (SetBreaker) fast-fails non-critical
-// submissions while the service is overwhelmed.
+// first, queue caps that shed from the lowest class, and deadline-expiry
+// purge at dispatch. The length cap is configured on admission() directly;
+// an optional per-service circuit breaker (SetBreaker) fast-fails
+// non-critical submissions while the service is overwhelmed.
 //
 // Request-level resilience, all opt-in:
 //   * SetDeadline — a request whose queueing delay already exceeds the
@@ -98,9 +97,9 @@ class SocServingFleet {
     ledger_.SetAttemptObserver(std::move(observer));
   }
 
-  // The fleet's admission queue. Queue policy — length cap, CoDel sojourn
-  // shedding, brownout admission floor — is set here (the qos layer owns
-  // queue-cap semantics; the fleet no longer carries its own).
+  // The fleet's admission queue. Queue policy — length cap, brownout
+  // admission floor — is set here (the qos layer owns queue-cap
+  // semantics; the fleet no longer carries its own).
   AdmissionQueue& admission() { return admission_; }
   const AdmissionQueue& admission() const { return admission_; }
   // Drop requests whose queueing delay exceeds `deadline` (checked at
@@ -184,8 +183,8 @@ class SocServingFleet {
 
   // Per-class latency SLO tracker ("dl.serving/<class>", registered at
   // construction): a completion is good iff latency <= the spec threshold;
-  // sheds, expiries, and abandonments are bad. Use to re-spec thresholds
-  // before traffic starts, or to read burn state after a run.
+  // sheds, expiries, and abandonments are bad. Read burn state after a
+  // run; the spec is fixed at construction.
   SloTracker* slo_of(Priority p) { return ledger_.slo_of(p); }
 
   // Mixes the ledgers, admission queue, request accounting (per class),

@@ -37,13 +37,6 @@ PlacementDemand InstanceDemand(double memory_mb) {
   return demand;
 }
 
-AdmissionQueue::Options DeferralOptions(const ServerlessConfig& config) {
-  AdmissionQueue::Options options;
-  options.service = "serverless";
-  options.max_queue = config.defer_queue_cap;
-  return options;
-}
-
 }  // namespace
 
 ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
@@ -51,7 +44,7 @@ ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
     : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed),
       view_(cluster, ViewOptions(config)),
       placer_(sim, &view_, PlacerOptions()),
-      admission_(sim, DeferralOptions(config)),
+      admission_(sim, "serverless"),
       ledger_(sim, {.service = "serverless",
                     .slo_threshold = Duration::Seconds(2),
                     .submitted = "serverless.invocations",
@@ -69,6 +62,7 @@ ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
   // Invocation latency is per-request on the Zipf workloads — sketch-backed
   // keeps the registry fixed-memory (exact samples stay in latency_ms_).
   latency_metric_->EnableSketch();
+  admission_.SetMaxQueue(config.defer_queue_cap);
   admission_.set_on_drop(
       [this](const AdmissionQueue::Item& item,
              AdmissionQueue::DropReason reason) { OnAdmissionDrop(item, reason); });

@@ -38,12 +38,6 @@ Placer::Options PlacerOptions(PlacementPolicy policy) {
   options.load.codec_session_weight = 0.05;
   return options;
 }
-
-AdmissionQueue::Options LiveAdmissionOptions() {
-  AdmissionQueue::Options options;
-  options.service = "video.live";
-  return options;
-}
 }  // namespace
 
 LiveTranscodingService::LiveTranscodingService(Simulator* sim,
@@ -51,7 +45,7 @@ LiveTranscodingService::LiveTranscodingService(Simulator* sim,
                                                PlacementPolicy policy)
     : sim_(sim), cluster_(cluster), capacity_(cluster),
       placer_(sim, &capacity_, PlacerOptions(policy)),
-      admission_(sim, LiveAdmissionOptions()),
+      admission_(sim, "video.live"),
       // Stream-start latency: a queued request should begin transcoding
       // within a few seconds or the viewer has left.
       ledger_(sim, {.service = "video.live",

@@ -94,21 +94,6 @@ TEST(SampleStatsTest, UnsortedInsertOrder) {
   EXPECT_DOUBLE_EQ(stats.Median(), 5.0);
 }
 
-TEST(CdfTest, FractionAndQuantile) {
-  Cdf cdf({1.0, 2.0, 3.0, 4.0, 5.0});
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(3.0), 0.6);
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.2), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(1.0), 5.0);
-}
-
-TEST(CdfTest, EmptyCdf) {
-  Cdf cdf({});
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(1.0), 0.0);
-  EXPECT_EQ(cdf.count(), 0u);
-}
-
 TEST(TimeWeightedStatTest, PiecewiseConstantIntegral) {
   TimeWeightedStat stat;
   stat.Update(SimTime::Zero(), 10.0);
@@ -134,19 +119,6 @@ TEST(TimeWeightedStatTest, CloseWithoutUpdates) {
   stat.Close(SimTime::Zero() + Duration::Seconds(3));
   EXPECT_DOUBLE_EQ(stat.Integral(), 0.0);
   EXPECT_DOUBLE_EQ(stat.Elapsed().ToSeconds(), 0.0);
-}
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(1.0);   // Bucket 0.
-  hist.Add(9.9);   // Bucket 4.
-  hist.Add(-5.0);  // Clamps to bucket 0.
-  hist.Add(50.0);  // Clamps to bucket 4.
-  EXPECT_EQ(hist.BucketCount(0), 2);
-  EXPECT_EQ(hist.BucketCount(4), 2);
-  EXPECT_EQ(hist.TotalCount(), 4);
-  EXPECT_DOUBLE_EQ(hist.BucketLow(1), 2.0);
-  EXPECT_EQ(hist.NumBuckets(), 5u);
 }
 
 }  // namespace

@@ -25,24 +25,6 @@ TEST(EnergyMeterTest, IntegratesPiecewiseConstantPower) {
   EXPECT_NEAR(meter.Observed(sim.Now()).ToSeconds(), 20.0, 1e-9);
 }
 
-TEST(WorkloadEnergyMeterTest, SubtractsBaseline) {
-  Simulator sim;
-  EnergyMeter meter;
-  meter.SetPower(sim.Now(), Power::Watts(100.0));
-  WorkloadEnergyMeter workload(&meter, Power::Watts(40.0));
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(10)).ok());
-  EXPECT_NEAR(workload.WorkloadEnergy(sim.Now()).joules(), 600.0, 1e-9);
-}
-
-TEST(WorkloadEnergyMeterTest, ClampsAtZero) {
-  Simulator sim;
-  EnergyMeter meter;
-  meter.SetPower(sim.Now(), Power::Watts(10.0));
-  WorkloadEnergyMeter workload(&meter, Power::Watts(40.0));
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(10)).ok());
-  EXPECT_EQ(workload.WorkloadEnergy(sim.Now()).joules(), 0.0);
-}
-
 TEST(DiscreteGpuTest, IdleAndUtilizationPower) {
   Simulator sim;
   DiscreteGpuModel gpu(&sim, GpuSpecFor(GpuModelKind::kA40), 0);

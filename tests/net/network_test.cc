@@ -187,17 +187,15 @@ TEST_F(NetworkTest, LinkUtilizationTracksOfferedRate) {
   EXPECT_NEAR(net.LinkUtilization(ab + 1), 0.0, 1e-9);
 }
 
-TEST_F(NetworkTest, MeanUtilizationIsTimeWeighted) {
+TEST_F(NetworkTest, LinkUtilizationRejectsUnknownLink) {
   Network net(&sim_, rtt_);
   const NetNodeId a = net.AddNode("a");
   const NetNodeId b = net.AddNode("b");
   const LinkId ab = net.AddBidirectionalLink(a, b, DataRate::Mbps(100.0));
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(10)).ok());
-  auto load = net.AddConstantLoad(a, b, DataRate::Mbps(100.0));
-  ASSERT_TRUE(load.ok());
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(10)).ok());
-  // 10 s at 0, 10 s at 1.0 -> mean 0.5.
-  EXPECT_NEAR(net.LinkMeanUtilization(ab), 0.5, 1e-6);
+  // Ids ab and ab + 1 exist; anything else must abort rather than read
+  // past the link table.
+  EXPECT_DEATH(net.LinkUtilization(ab + 2), "CHECK failed");
+  EXPECT_DEATH(net.LinkUtilization(-1), "CHECK failed");
 }
 
 TEST_F(NetworkTest, LinkDegradationScalesCapacity) {

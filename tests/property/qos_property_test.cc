@@ -111,10 +111,8 @@ TEST(QosPropertyTest, TracingIsPassive) {
 TEST(QosPropertyTest, CriticalNeverShedWhileLowerClassesQueued) {
   for (const uint64_t seed : kSeeds) {
     Simulator sim(seed);
-    AdmissionQueue::Options options;
-    options.service = "prop.critical";
-    options.max_queue = 16;
-    AdmissionQueue queue(&sim, options);
+    AdmissionQueue queue(&sim, "prop.critical");
+    queue.SetMaxQueue(16);
     Rng rng(seed + 5);
     for (int step = 0; step < 20000; ++step) {
       if (rng.Bernoulli(0.6)) {

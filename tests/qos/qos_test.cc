@@ -8,19 +8,14 @@
 #include "src/qos/admission.h"
 #include "src/qos/breaker.h"
 #include "src/qos/brownout.h"
+#include "src/qos/request_ledger.h"
 
 namespace soccluster {
 namespace {
 
-AdmissionQueue::Options QueueOptions(const char* service) {
-  AdmissionQueue::Options options;
-  options.service = service;
-  return options;
-}
-
 TEST(AdmissionQueueTest, StrictPriorityFifoWithinClass) {
   Simulator sim(1);
-  AdmissionQueue queue(&sim, QueueOptions("t.order"));
+  AdmissionQueue queue(&sim, "t.order");
   ASSERT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 1));
   ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 2));
   ASSERT_TRUE(queue.Offer(Priority::kCritical, Duration::Zero(), 3));
@@ -41,7 +36,7 @@ TEST(AdmissionQueueTest, StrictPriorityFifoWithinClass) {
 
 TEST(AdmissionQueueTest, AdmitFloorRefusesLowerClasses) {
   Simulator sim(1);
-  AdmissionQueue queue(&sim, QueueOptions("t.floor"));
+  AdmissionQueue queue(&sim, "t.floor");
   queue.SetAdmitFloor(Priority::kStandard);
   EXPECT_FALSE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 0));
   EXPECT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
@@ -53,9 +48,8 @@ TEST(AdmissionQueueTest, AdmitFloorRefusesLowerClasses) {
 
 TEST(AdmissionQueueTest, FullQueueEvictsNewestLowerClassItem) {
   Simulator sim(1);
-  AdmissionQueue::Options options = QueueOptions("t.full");
-  options.max_queue = 2;
-  AdmissionQueue queue(&sim, options);
+  AdmissionQueue queue(&sim, "t.full");
+  queue.SetMaxQueue(2);
   ASSERT_TRUE(queue.Offer(Priority::kBestEffort, Duration::Zero(), 0));
   ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
   // Full; a critical arrival evicts the best-effort item, not itself.
@@ -71,7 +65,7 @@ TEST(AdmissionQueueTest, FullQueueEvictsNewestLowerClassItem) {
 
 TEST(AdmissionQueueTest, ExpiredItemsPurgedAtDispatch) {
   Simulator sim(1);
-  AdmissionQueue queue(&sim, QueueOptions("t.expiry"));
+  AdmissionQueue queue(&sim, "t.expiry");
   ASSERT_TRUE(
       queue.Offer(Priority::kStandard, Duration::Seconds(1), 0));
   ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 0));
@@ -84,31 +78,9 @@ TEST(AdmissionQueueTest, ExpiredItemsPurgedAtDispatch) {
   EXPECT_FALSE(queue.Pop().has_value());
 }
 
-TEST(AdmissionQueueTest, CodelShedsSustainedSojourn) {
-  Simulator sim(1);
-  AdmissionQueue::Options options = QueueOptions("t.codel");
-  options.codel_target = Duration::Millis(10);
-  options.codel_interval = Duration::Millis(50);
-  AdmissionQueue queue(&sim, options);
-  // Offered load 2x the drain rate: the backlog (and thus sojourn) grows
-  // without bound unless the CoDel law sheds.
-  for (int step = 0; step < 400; ++step) {
-    sim.ScheduleAfter(Duration::Millis(10 * step), [&queue] {
-      queue.Offer(Priority::kStandard, Duration::Zero(), 0);
-      queue.Offer(Priority::kStandard, Duration::Zero(), 0);
-      queue.Pop();
-    });
-  }
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(5)).ok());
-  EXPECT_GT(queue.DroppedFor(AdmissionQueue::DropReason::kSojourn), 0);
-  // The law keeps the backlog bounded well below the 400 surplus items
-  // offered.
-  EXPECT_LT(queue.size(), 200);
-}
-
 TEST(AdmissionQueueTest, RestoreFrontPreservesFifoHead) {
   Simulator sim(1);
-  AdmissionQueue queue(&sim, QueueOptions("t.restore"));
+  AdmissionQueue queue(&sim, "t.restore");
   ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 1));
   ASSERT_TRUE(queue.Offer(Priority::kStandard, Duration::Zero(), 2));
   auto head = queue.Pop();
@@ -178,6 +150,53 @@ TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_FALSE(breaker.Allow());
   EXPECT_EQ(breaker.opens(), 2);
+}
+
+uint64_t BreakerDigest(const CircuitBreaker& breaker) {
+  StateDigest digest;
+  breaker.DigestState(digest);
+  return digest.value();
+}
+
+// The ledger's breaker rule, cause by cause: a completion is a success,
+// abandonment and queue-full drops are failures, and every other cause is
+// policy that leaves the breaker alone. Each cause runs against a fresh
+// breaker and is compared with reference breakers fed directly.
+TEST(RequestLedgerTest, BreakerRuleAndSloSamplePerCause) {
+  using Cause = RequestLedger::Cause;
+  for (size_t c = 0; c < RequestLedger::kNumCauses; ++c) {
+    const Cause cause = static_cast<Cause>(c);
+    Simulator sim(1);
+    CircuitBreaker breaker(&sim, BreakerConfig("t.ledger"));
+    CircuitBreaker untouched(&sim, BreakerConfig("t.ledger"));
+    CircuitBreaker success(&sim, BreakerConfig("t.ledger"));
+    success.RecordSuccess();
+    CircuitBreaker failure(&sim, BreakerConfig("t.ledger"));
+    failure.RecordFailure();
+
+    RequestLedger ledger(&sim, {.service = "t.ledger"});
+    ledger.SetBreaker(&breaker);
+    RequestLedger::Request request;
+    request.priority = Priority::kStandard;
+    request.enqueue = sim.Now();
+    ledger.Submit(request.priority);
+    ledger.Finish(cause, request);
+    EXPECT_EQ(ledger.CountOf(cause), 1) << "cause " << c;
+
+    const CircuitBreaker& expected =
+        cause == Cause::kCompleted ? success
+        : cause == Cause::kFailed || cause == Cause::kQueueFull ? failure
+                                                                : untouched;
+    EXPECT_EQ(BreakerDigest(breaker), BreakerDigest(expected))
+        << "cause " << c;
+
+    // A completion's sample comes from Deliver(); a breaker fast-fail never
+    // entered the service. Every other cause is one bad sample.
+    const SloTracker* slo = ledger.slo_of(Priority::kStandard);
+    const bool sampled = cause != Cause::kCompleted && cause != Cause::kBreaker;
+    EXPECT_EQ(slo->good_total(), 0) << "cause " << c;
+    EXPECT_EQ(slo->bad_total(), sampled ? 1 : 0) << "cause " << c;
+  }
 }
 
 class BrownoutGovernorTest : public ::testing::Test {

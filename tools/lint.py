@@ -45,10 +45,10 @@ Registered as the `lint.repo` ctest. Rules:
 
   admission     Workload/trace services must not carry private queue caps:
                 no `SetMaxQueue` or `max_queue_` outside the qos admission
-                path. Admission control (length caps, priority floors,
-                CoDel shedding) is owned by src/qos/admission.h and
-                configured via each service's admission() accessor, so the
-                brownout governor has a single choke point per service.
+                path. Admission control (length caps, priority floors)
+                is owned by src/qos/admission.h and configured via each
+                service's admission() accessor, so the brownout governor
+                has a single choke point per service.
 
   gray-evidence  Workload code must not aggregate raw per-SoC latency or
                 error statistics (per-SoC RunningStats/QuantileSketch, or
