@@ -1,7 +1,6 @@
 #include "src/core/orchestrator.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/base/check.h"
 #include "src/base/log.h"
@@ -29,27 +28,17 @@ Placer::Options AdmissionOptions(PlacementPolicy policy) {
   return options;
 }
 
-// Consolidation always packs by CPU occupancy (the §5.2 defragmentation
-// lever), independent of the admission policy.
-Placer::Options ConsolidateOptions() {
-  Placer::Options options;
-  options.policy = PlacementPolicy::kPack;
-  return options;
-}
-
 }  // namespace
 
 Orchestrator::Orchestrator(Simulator* sim, SocCluster* cluster,
                            PlacementPolicy policy)
     : sim_(sim), cluster_(cluster), view_(cluster),
-      placer_(sim, &view_, AdmissionOptions(policy)),
-      consolidate_placer_(sim, &view_, ConsolidateOptions()) {
+      placer_(sim, &view_, AdmissionOptions(policy)) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   MetricRegistry& metrics = sim_->metrics();
   placements_metric_ = metrics.GetCounter("orchestrator.placements");
   evictions_metric_ = metrics.GetCounter("orchestrator.evictions");
-  migrations_metric_ = metrics.GetCounter("orchestrator.migrations");
   lost_metric_ = metrics.GetCounter("orchestrator.replicas_lost");
   pending_replaced_metric_ = metrics.GetCounter("orchestrator.pending_replaced");
   preempted_metric_ = metrics.GetCounter("orchestrator.replicas_preempted");
@@ -173,84 +162,6 @@ int Orchestrator::SocsInUse() const {
     }
   }
   return static_cast<int>(std::count(used.begin(), used.end(), true));
-}
-
-int Orchestrator::Consolidate() {
-  int freed = 0;
-  // Repeatedly try to empty the least-loaded occupied SoC by migrating its
-  // replicas onto fuller SoCs (never onto an emptier one, or the loop
-  // would thrash).
-  while (true) {
-    // Least-loaded occupied SoC.
-    int source = -1;
-    double source_load = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < cluster_->num_socs(); ++i) {
-      const SocModel& soc = cluster_->soc(i);
-      if (!soc.IsUsable() || soc.cpu_util() <= 0.0) {
-        continue;
-      }
-      if (soc.cpu_util() < source_load) {
-        source_load = soc.cpu_util();
-        source = i;
-      }
-    }
-    if (source < 0) {
-      break;
-    }
-    // Check every replica on `source` can move to a fuller SoC. The plan
-    // overlay makes feasibility see moves already planned this round (on
-    // every resource, not just CPU), so a plan can never oversubscribe a
-    // destination.
-    struct Move {
-      std::string workload;
-      size_t replica_index;
-      int destination;
-    };
-    std::vector<Move> moves;
-    PlanOverlay planned;
-    bool feasible = true;
-    for (auto& [name, workload] : workloads_) {
-      const PlacementDemand demand = ToDemand(workload.demand);
-      for (size_t r = 0; r < workload.placements.size() && feasible; ++r) {
-        if (workload.placements[r] != source) {
-          continue;
-        }
-        // Destinations must be at least as loaded as the source (ties
-        // allowed — moving between equals still empties the source).
-        const int destination = consolidate_placer_.Pick(
-            demand,
-            [this, source, source_load](int i) {
-              return i != source &&
-                     cluster_->soc(i).cpu_util() + 1e-12 >= source_load;
-            },
-            &planned);
-        if (destination < 0) {
-          feasible = false;
-          break;
-        }
-        planned.Add(destination, demand);
-        moves.push_back({name, r, destination});
-      }
-      if (!feasible) {
-        break;
-      }
-    }
-    if (!feasible || moves.empty()) {
-      break;
-    }
-    // Execute the planned migrations.
-    for (const Move& move : moves) {
-      Workload& workload = workloads_.at(move.workload);
-      const PlacementDemand demand = ToDemand(workload.demand);
-      view_.Release(source, demand);
-      view_.Reserve(move.destination, demand);
-      workload.placements[move.replica_index] = move.destination;
-      ++replicas_migrated_;
-      migrations_metric_->Increment();
-    }
-    ++freed;
-  }
-  return freed;
 }
 
 int Orchestrator::PreemptBestEffort(int max_replicas) {
@@ -395,7 +306,6 @@ void Orchestrator::DigestState(StateDigest& digest) const {
   }
   digest.Mix(replicas_lost_);
   digest.Mix(replicas_recovered_);
-  digest.Mix(replicas_migrated_);
   digest.Mix(replicas_preempted_);
   digest.Mix(placement_hold_);
 }

@@ -2,8 +2,10 @@
 // (§1: "the utilization of the deployed SoC Clusters varies widely and is
 // generally low... advanced software that can orchestrate multiple SoCs is
 // urgently demanded"). It manages named workloads as replica sets placed
-// onto SoCs under CPU/memory constraints, with pack/spread policies and
-// automatic re-placement when a SoC fails.
+// onto SoCs under CPU/memory constraints by a Placer (any PlacementPolicy;
+// kPack concentrates replicas so idle SoCs can be powered off), with
+// automatic re-placement when a SoC fails. Replicas never migrate once
+// placed.
 
 #ifndef SRC_CORE_ORCHESTRATOR_H_
 #define SRC_CORE_ORCHESTRATOR_H_
@@ -90,13 +92,6 @@ class Orchestrator {
   void SetPlacementHold(bool hold);
   bool placement_hold() const { return placement_hold_; }
 
-  // Defragmentation: greedily migrates replicas off the least-loaded SoCs
-  // onto fuller ones, so freed SoCs can be powered down (the §5.2
-  // energy-proportionality lever). Returns the number of SoCs freed.
-  // Migration here is instantaneous; real systems pay a brief hand-off.
-  int Consolidate();
-  int64_t replicas_migrated() const { return replicas_migrated_; }
-
   // Mixes every workload's placements (in name order), the capacity
   // ledger, and loss/recovery accounting.
   void DigestState(StateDigest& digest) const;
@@ -118,19 +113,14 @@ class Orchestrator {
   // Shared multi-resource accounting + the pluggable placement policy.
   SocCapacityView view_;
   Placer placer_;
-  // Consolidation packs displaced replicas onto the fullest survivor, no
-  // matter which policy governs admission.
-  Placer consolidate_placer_;
   std::map<std::string, Workload> workloads_;
   int64_t replicas_lost_ = 0;
   int64_t replicas_recovered_ = 0;
-  int64_t replicas_migrated_ = 0;
   int64_t replicas_preempted_ = 0;
   bool placement_hold_ = false;
   // Placement decisions published to the registry ("orchestrator.*").
   Counter* placements_metric_;
   Counter* evictions_metric_;
-  Counter* migrations_metric_;
   Counter* lost_metric_;
   Counter* pending_replaced_metric_;
   Counter* preempted_metric_;

@@ -1,9 +1,12 @@
 // Placement vocabulary shared by every service that puts work onto SoCs
 // (§1: "advanced software that can orchestrate multiple SoCs is urgently
 // demanded"). A placement unit declares its multi-resource demand once; the
-// policy decides which usable SoC hosts it. Policies are pluggable so
-// scheduling experiments (consolidation, energy proportionality, tail
-// latency) swap strategies without touching any service.
+// policy decides which placeable SoC hosts it. Policies are pluggable so
+// scheduling experiments (packing for energy proportionality, tail
+// latency) swap strategies without touching any service. kSpread, kPack
+// and kBestFit differ only in the key one scan minimizes (see Placer);
+// there is one feasibility rule, the caller's filter plus
+// SocCapacityView::Fits.
 
 #ifndef SRC_SCHED_PLACEMENT_H_
 #define SRC_SCHED_PLACEMENT_H_
@@ -13,7 +16,7 @@ namespace soccluster {
 enum class PlacementPolicy {
   kSpread,     // Least-loaded usable SoC first (energy-proportional, paper
                // default).
-  kPack,       // Fullest SoC that still fits (consolidation; lets the
+  kPack,       // Fullest SoC that still fits (packing at admission; lets the
                // autoscaler power-gate the idle remainder).
   kBestFit,    // Tightest fit by dominant resource: the candidate whose
                // post-placement bottleneck utilization is highest. Packs

@@ -23,44 +23,17 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
   return "unknown";
 }
 
-void PlanOverlay::Add(int soc_index, const PlacementDemand& d) {
-  PlacementDemand& extra = extra_[soc_index];
-  extra.cpu_util += d.cpu_util;
-  extra.memory_gb += d.memory_gb;
-  extra.gpu_util += d.gpu_util;
-  extra.dsp_util += d.dsp_util;
-  extra.codec_sessions += d.codec_sessions;
-  extra.slots += d.slots;
-}
-
-PlacementDemand PlanOverlay::Get(int soc_index) const {
-  const auto it = extra_.find(soc_index);
-  return it != extra_.end() ? it->second : PlacementDemand{};
-}
-
 namespace {
 
 // Candidates sampled per pick under kRandomOfK (power of two choices).
 constexpr int kRandomOfKCandidates = 2;
-
-// `base` plus planned extras; pixel rate follows the base demand (overlay
-// sessions only gate feasibility counts, they are never reserved here).
-PlacementDemand Combine(const PlacementDemand& base,
-                        const PlacementDemand& extra) {
-  PlacementDemand out = base;
-  out.cpu_util += extra.cpu_util;
-  out.memory_gb += extra.memory_gb;
-  out.gpu_util += extra.gpu_util;
-  out.dsp_util += extra.dsp_util;
-  out.codec_sessions += extra.codec_sessions;
-  out.slots += extra.slots;
-  return out;
-}
+// Seed of the kRandomOfK sampler; every placer draws the same sequence.
+constexpr uint64_t kRandomOfKSeed = 0x5c4edULL;
 
 }  // namespace
 
 Placer::Placer(Simulator* sim, SocCapacityView* view, Options options)
-    : sim_(sim), view_(view), options_(options), rng_(options.seed) {
+    : sim_(sim), view_(view), options_(options), rng_(kRandomOfKSeed) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(view_ != nullptr);
   MetricRegistry& metrics = sim_->metrics();
@@ -106,14 +79,11 @@ std::vector<int> Placer::RankByLoadDescending(
 }
 
 bool Placer::Feasible(int soc_index, const PlacementDemand& demand,
-                      const Filter& filter, const PlanOverlay* overlay) const {
+                      const Filter& filter) const {
   if (filter && !filter(soc_index)) {
     return false;
   }
-  if (overlay == nullptr) {
-    return view_->Fits(soc_index, demand);
-  }
-  return view_->Fits(soc_index, Combine(demand, overlay->Get(soc_index)));
+  return view_->Fits(soc_index, demand);
 }
 
 double Placer::DominantUtil(int soc_index, const PlacementDemand& d) const {
@@ -148,44 +118,46 @@ double Placer::DominantUtil(int soc_index, const PlacementDemand& d) const {
 }
 
 int Placer::Pick(const PlacementDemand& demand, const Filter& filter,
-                 const PlanOverlay* overlay, RequestContext* ctx) {
-  return PickWith([&demand](int) { return demand; }, filter, overlay, ctx);
+                 RequestContext* ctx) {
+  return PickWith([&demand](int) { return demand; }, filter, ctx);
 }
 
 int Placer::PickWith(const DemandFn& demand_for, const Filter& filter,
-                     const PlanOverlay* overlay, RequestContext* ctx) {
-  int picked = -1;
-  switch (options_.policy) {
-    case PlacementPolicy::kSpread:
-    case PlacementPolicy::kPack:
-      picked = PickLoadOrdered(demand_for, filter, overlay);
-      break;
-    case PlacementPolicy::kBestFit:
-      picked = PickBestFit(demand_for, filter, overlay);
-      break;
-    case PlacementPolicy::kRandomOfK:
-      picked = PickRandomOfK(demand_for, filter, overlay);
-      break;
-  }
+                     RequestContext* ctx) {
+  const int picked = options_.policy == PlacementPolicy::kRandomOfK
+                         ? PickRandomOfK(demand_for, filter)
+                         : PickLowestKey(demand_for, filter);
   if (picked >= 0 && ctx != nullptr && ctx->id != 0) {
     sim_->tracer().FlowStep("place", ctx->category, ctx->id);
   }
   return picked;
 }
 
-int Placer::PickLoadOrdered(const DemandFn& demand_for, const Filter& filter,
-                            const PlanOverlay* overlay) {
+int Placer::PickLowestKey(const DemandFn& demand_for, const Filter& filter) {
   int best = -1;
   double best_key = std::numeric_limits<double>::infinity();
   int64_t evaluated = 0;
   for (int i = 0; i < view_->num_socs(); ++i) {
-    if (!Feasible(i, demand_for(i), filter, overlay)) {
+    const PlacementDemand d = demand_for(i);
+    if (!Feasible(i, d, filter)) {
       continue;
     }
     ++evaluated;
-    const double load = Load(i);
-    const double key = options_.policy == PlacementPolicy::kSpread ? load
-                                                                   : -load;
+    double key = 0.0;
+    switch (options_.policy) {
+      case PlacementPolicy::kSpread:
+        key = Load(i);
+        break;
+      case PlacementPolicy::kPack:
+        key = -Load(i);
+        break;
+      case PlacementPolicy::kBestFit:
+        key = -DominantUtil(i, d);
+        break;
+      case PlacementPolicy::kRandomOfK:
+        SOC_CHECK(false) << "kRandomOfK samples; it has no scan key";
+    }
+    // Strict: an equal key never displaces a lower index.
     if (key < best_key) {
       best_key = key;
       best = i;
@@ -195,34 +167,10 @@ int Placer::PickLoadOrdered(const DemandFn& demand_for, const Filter& filter,
   return Finish(best);
 }
 
-int Placer::PickBestFit(const DemandFn& demand_for, const Filter& filter,
-                        const PlanOverlay* overlay) {
-  int best = -1;
-  double best_score = -1.0;
-  int64_t evaluated = 0;
-  for (int i = 0; i < view_->num_socs(); ++i) {
-    const PlacementDemand d = demand_for(i);
-    if (!Feasible(i, d, filter, overlay)) {
-      continue;
-    }
-    ++evaluated;
-    const double score =
-        overlay != nullptr ? DominantUtil(i, Combine(d, overlay->Get(i)))
-                           : DominantUtil(i, d);
-    if (score > best_score) {
-      best_score = score;
-      best = i;
-    }
-  }
-  evaluations_metric_->Add(evaluated);
-  return Finish(best);
-}
-
-int Placer::PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
-                          const PlanOverlay* overlay) {
+int Placer::PickRandomOfK(const DemandFn& demand_for, const Filter& filter) {
   std::vector<int> candidates;
   for (int i = 0; i < view_->num_socs(); ++i) {
-    if (Feasible(i, demand_for(i), filter, overlay)) {
+    if (Feasible(i, demand_for(i), filter)) {
       candidates.push_back(i);
     }
   }

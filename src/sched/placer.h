@@ -1,6 +1,6 @@
 // The single placement implementation for the whole system. Every service
 // (orchestrator replicas, live streams, serverless instances, gaming
-// sessions, serving-fleet dispatch) expresses its demand as a
+// sessions, serving-fleet dispatch, archive jobs) expresses its demand as a
 // PlacementDemand over a SocCapacityView and lets the Placer choose the
 // SoC; no service carries a private PickSoc loop. The load proxy each
 // service previously hand-rolled is preserved via a per-placer LoadModel so
@@ -13,7 +13,6 @@
 #define SRC_SCHED_PLACER_H_
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -37,25 +36,11 @@ struct LoadModel {
   double slot_weight = 0.0;
 };
 
-// Extra demand tentatively planned onto SoCs during multi-move planning
-// (consolidation): feasibility sees planned moves before they execute, so
-// a plan can never oversubscribe a destination.
-class PlanOverlay {
- public:
-  void Add(int soc_index, const PlacementDemand& demand);
-  // Zero demand when nothing is planned on the SoC.
-  PlacementDemand Get(int soc_index) const;
-
- private:
-  std::map<int, PlacementDemand> extra_;
-};
-
 class Placer {
  public:
   struct Options {
     PlacementPolicy policy = PlacementPolicy::kSpread;
     LoadModel load;
-    uint64_t seed = 0x5c4edULL;
     // When false, a failed pick is not counted as a rejection and emits no
     // trace instant. For callers that retry from a queue (dispatch loops),
     // where "nothing free right now" is back-pressure, not a rejection.
@@ -78,14 +63,13 @@ class Placer {
   Placer& operator=(const Placer&) = delete;
 
   // Picks a SoC able to host `demand` under the policy, or -1. Does not
-  // reserve — call view()->Reserve() on the returned SoC. When `ctx` is
+  // reserve — call the view's Reserve() on the returned SoC. When `ctx` is
   // given, a successful pick emits a "place" flow point continuing the
   // request's causal chain (using the category stamped at submit).
   int Pick(const PlacementDemand& demand, const Filter& filter = nullptr,
-           const PlanOverlay* overlay = nullptr, RequestContext* ctx = nullptr);
+           RequestContext* ctx = nullptr);
   // As Pick, with demand evaluated per candidate.
   int PickWith(const DemandFn& demand_for, const Filter& filter = nullptr,
-               const PlanOverlay* overlay = nullptr,
                RequestContext* ctx = nullptr);
 
   // LoadModel-weighted occupancy of one SoC (plus any penalty).
@@ -99,20 +83,15 @@ class Placer {
   // ties keep the input order, so results are deterministic.
   std::vector<int> RankByLoadDescending(std::vector<int> candidates) const;
 
-  PlacementPolicy policy() const { return options_.policy; }
-  SocCapacityView* view() { return view_; }
-
  private:
   bool Feasible(int soc_index, const PlacementDemand& demand,
-                const Filter& filter, const PlanOverlay* overlay) const;
+                const Filter& filter) const;
   // Post-placement utilization of the demand's most-stressed resource.
   double DominantUtil(int soc_index, const PlacementDemand& demand) const;
-  int PickLoadOrdered(const DemandFn& demand_for, const Filter& filter,
-                      const PlanOverlay* overlay);
-  int PickBestFit(const DemandFn& demand_for, const Filter& filter,
-                  const PlanOverlay* overlay);
-  int PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
-                    const PlanOverlay* overlay);
+  // kSpread, kPack and kBestFit: the feasible SoC with the lowest key
+  // (Load, -Load, -DominantUtil); ties go to the lowest index.
+  int PickLowestKey(const DemandFn& demand_for, const Filter& filter);
+  int PickRandomOfK(const DemandFn& demand_for, const Filter& filter);
   int Finish(int soc_index);
 
   Simulator* sim_;

@@ -92,7 +92,7 @@ void GamingWorkload::StartSession() {
   }
   PlacementDemand demand;
   demand.slots = 1;
-  const int soc_index = placer_.Pick(demand, nullptr, nullptr, &ctx);
+  const int soc_index = placer_.Pick(demand, nullptr, &ctx);
   if (soc_index < 0) {
     ++rejected_;
     sessions_rejected_metric_->Increment();

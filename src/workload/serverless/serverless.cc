@@ -183,7 +183,7 @@ void ServerlessPlatform::ColdStart(InvocationRef ref) {
   Invocation& invocation = invocations_[ref.index];
   const FunctionSpec& spec = *invocation.spec;
   const int soc_index = placer_.Pick(InstanceDemand(spec.memory_mb), nullptr,
-                                     nullptr, &invocation.ctx);
+                                     &invocation.ctx);
   if (soc_index < 0) {
     Drop(ref, RequestLedger::Cause::kNoCapacity, "rejected", "true");
     return;  // Shed, not an API error.

@@ -6,6 +6,29 @@
 
 namespace soccluster {
 
+namespace {
+
+// A quality-matched archive job saturates the SoC CPU (§4's x264
+// "slow"-class settings use all cores) and holds the SoC's one slot.
+constexpr PlacementDemand kJobDemand{.cpu_util = 1.0, .slots = 1};
+
+SocCapacityView::Options ViewOptions() {
+  SocCapacityView::Options options;
+  options.slot_capacity = 1;
+  return options;
+}
+
+// Every feasible SoC has zero CPU load, so kSpread picks the lowest index.
+// A failed pick is back-pressure: completions re-run the dispatch loop.
+Placer::Options PlacerOptions() {
+  Placer::Options options;
+  options.policy = PlacementPolicy::kSpread;
+  options.count_rejections = false;
+  return options;
+}
+
+}  // namespace
+
 ArchiveTranscodingService::ArchiveTranscodingService(Simulator* sim,
                                                      SocCluster* cluster,
                                                      ArchiveScheduling
@@ -13,7 +36,9 @@ ArchiveTranscodingService::ArchiveTranscodingService(Simulator* sim,
                                                      int max_concurrent_socs)
     : sim_(sim), cluster_(cluster), scheduling_(scheduling),
       max_concurrent_(max_concurrent_socs == 0 ? cluster->num_socs()
-                                               : max_concurrent_socs) {
+                                               : max_concurrent_socs),
+      view_(cluster, ViewOptions()),
+      placer_(sim, &view_, PlacerOptions()) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK_GT(max_concurrent_, 0);
@@ -44,29 +69,9 @@ Duration ArchiveTranscodingService::ProcessingTime(const Job& job) const {
   return Duration::SecondsF(static_cast<double>(job.frames) / fps);
 }
 
-int ArchiveTranscodingService::PickIdleSoc() const {
-  for (int i = 0; i < cluster_->num_socs(); ++i) {
-    const SocModel& soc = cluster_->soc(i);
-    if (!soc.IsUsable() || soc.cpu_util() > 0.0) {
-      continue;
-    }
-    bool busy_with_archive = false;
-    for (const auto& [job_id, soc_index] : running_) {
-      if (soc_index == i) {
-        busy_with_archive = true;
-        break;
-      }
-    }
-    if (!busy_with_archive) {
-      return i;
-    }
-  }
-  return -1;
-}
-
 void ArchiveTranscodingService::TryDispatch() {
   while (!queue_.empty() && running_jobs() < max_concurrent_) {
-    const int soc_index = PickIdleSoc();
+    const int soc_index = placer_.Pick(kJobDemand);
     if (soc_index < 0) {
       return;
     }
@@ -81,22 +86,21 @@ void ArchiveTranscodingService::TryDispatch() {
     Job job = std::move(*it);
     queue_.erase(it);
 
-    SocModel& soc = cluster_->soc(soc_index);
-    // A quality-matched archive job saturates the SoC CPU (§4's x264
-    // "slow"-class settings use all cores).
-    const Status status = soc.SetCpuUtil(1.0);
-    SOC_CHECK(status.ok()) << status.ToString();
-    running_.emplace(job.id, soc_index);
+    view_.Reserve(soc_index, kJobDemand);
+    // A fail/repair cycle before the job ends wipes its CPU charge; the
+    // epoch tells the release not to take CPU from whatever runs there now.
+    const int64_t fail_epoch = cluster_->soc(soc_index).fail_count();
+    ++running_;
     const SimTime started = sim_->Now();
     const Duration processing = ProcessingTime(job);
     sim_->ScheduleAfter(processing, [this, job = std::move(job), soc_index,
-                                     started]() mutable {
-      SocModel& host = cluster_->soc(soc_index);
-      if (host.IsUsable()) {
-        const Status clear = host.SetCpuUtil(0.0);
-        SOC_CHECK(clear.ok()) << clear.ToString();
+                                     started, fail_epoch]() mutable {
+      PlacementDemand release = kJobDemand;
+      if (cluster_->soc(soc_index).fail_count() != fail_epoch) {
+        release.cpu_util = 0.0;
       }
-      running_.erase(job.id);
+      view_.Release(soc_index, release);
+      --running_;
       ++completed_;
       ArchiveJobReport report;
       report.job_id = job.id;

@@ -5,18 +5,21 @@
 // are processed at the calibrated single-job rate. The service runs a
 // queue with FIFO or shortest-job-first scheduling and reports turnaround
 // and energy, giving the cluster-side counterpart of the paper's per-job
-// archive measurements.
+// archive measurements. A kSpread Placer picks the host, so archive work
+// only lands on placeable (healthy, unquarantined) SoCs with a whole idle
+// CPU, codec-daemon shares included.
 
 #ifndef SRC_WORKLOAD_VIDEO_ARCHIVE_H_
 #define SRC_WORKLOAD_VIDEO_ARCHIVE_H_
 
 #include <cstdint>
 #include <deque>
-#include <map>
 
 #include "src/base/result.h"
 #include "src/base/stats.h"
 #include "src/cluster/cluster.h"
+#include "src/sched/capacity.h"
+#include "src/sched/placer.h"
 #include "src/workload/video/transcode.h"
 
 namespace soccluster {
@@ -54,7 +57,7 @@ class ArchiveTranscodingService {
                             JobCallback on_done);
 
   int queued_jobs() const { return static_cast<int>(queue_.size()); }
-  int running_jobs() const { return static_cast<int>(running_.size()); }
+  int running_jobs() const { return running_; }
   int64_t completed_jobs() const { return completed_; }
   const SampleStats& turnaround_minutes() const { return turnaround_minutes_; }
 
@@ -68,17 +71,19 @@ class ArchiveTranscodingService {
   };
 
   void TryDispatch();
-  int PickIdleSoc() const;
   // Expected processing time of a job on the SD865.
   Duration ProcessingTime(const Job& job) const;
-  void FinishJob(int64_t job_id, int soc_index, SimTime started);
 
   Simulator* sim_;
   SocCluster* cluster_;
   ArchiveScheduling scheduling_;
   int max_concurrent_;
+  // One slot per SoC: a SoC stays busy with its archive job until the job
+  // finishes, even when a fail/repair cycle wiped the job's CPU charge.
+  SocCapacityView view_;
+  Placer placer_;
   std::deque<Job> queue_;
-  std::map<int64_t, int> running_;  // job id -> SoC.
+  int running_ = 0;
   int64_t next_id_ = 1;
   int64_t completed_ = 0;
   SampleStats turnaround_minutes_;

@@ -139,7 +139,7 @@ Result<int> LiveTranscodingService::PickFor(VbenchVideo video,
       [this, video, backend, cpu_scale](int i) {
         return StreamDemand(i, video, backend, cpu_scale);
       },
-      hw_limit_filter, nullptr, ctx);
+      hw_limit_filter, ctx);
   if (best < 0) {
     return Status::ResourceExhausted("no SoC can admit this stream");
   }

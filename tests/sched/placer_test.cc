@@ -1,11 +1,15 @@
 // Tests for the unified placement layer (src/sched): policy selection,
-// multi-resource capacity accounting, release-on-evict, plan overlays, and
-// the regression that no service ever places onto a failed SoC.
+// multi-resource capacity accounting, release-on-evict, the lowest-key scan
+// against a brute-force reference, and the regression that no service ever
+// places onto a failed SoC.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/cluster/cluster.h"
 #include "src/core/orchestrator.h"
 #include "src/sched/capacity.h"
@@ -95,7 +99,6 @@ TEST_F(PlacerTest, RandomOfKIsDeterministicPerSeedAndAlwaysFeasible) {
   SocCapacityView view_b(&cluster_);
   Placer::Options options;
   options.policy = PlacementPolicy::kRandomOfK;
-  options.seed = 1234;
   Placer a(&sim_, &view_a, options);
   Placer b(&sim_, &view_b, options);
   PlacementDemand demand;
@@ -200,19 +203,6 @@ TEST_F(PlacerTest, ReleaseAfterFailureKeepsLedgersConsistent) {
   EXPECT_EQ(view.SlotsUsed(2), 0);
 }
 
-TEST_F(PlacerTest, PlanOverlayGatesFeasibilityWithoutReserving) {
-  SocCapacityView view(&cluster_);
-  Placer placer(&sim_, &view, PolicyOptions(PlacementPolicy::kSpread));
-  PlacementDemand demand;
-  demand.cpu_util = 0.6;
-  PlanOverlay planned;
-  planned.Add(0, demand);  // A planned move already claims SoC 0's headroom.
-  const int pick = placer.Pick(demand, nullptr, &planned);
-  EXPECT_EQ(pick, 1);
-  // Nothing was actually charged anywhere.
-  EXPECT_DOUBLE_EQ(cluster_.soc(0).cpu_util(), 0.0);
-}
-
 TEST_F(PlacerTest, FilterExcludesCandidates) {
   SocCapacityView view(&cluster_);
   Placer placer(&sim_, &view, PolicyOptions(PlacementPolicy::kSpread));
@@ -235,6 +225,123 @@ TEST_F(PlacerTest, PublishesPlacementMetricsLabeledByPolicy) {
   EXPECT_GT(
       sim_.metrics().GetCounter("sched.score_evaluations", labels)->value(),
       0);
+}
+
+// Post-placement utilization of the demand's most-stressed resource,
+// written out independently of Placer for the reference below.
+double ReferenceDominantUtil(const SocCapacityView& view, int i,
+                             const PlacementDemand& d) {
+  const SocModel& soc = view.cluster().soc(i);
+  double dominant = 0.0;
+  if (d.cpu_util > 0.0) {
+    dominant = std::max(dominant, soc.cpu_util() + d.cpu_util);
+  }
+  if (d.gpu_util > 0.0) {
+    dominant = std::max(dominant, soc.gpu_util() + d.gpu_util);
+  }
+  if (d.memory_gb > 0.0) {
+    dominant = std::max(dominant, (view.MemoryUsedGb(i) + d.memory_gb) /
+                                      view.MemoryCapacityGb(i));
+  }
+  if (d.slots > 0) {
+    dominant = std::max(dominant,
+                        static_cast<double>(view.SlotsUsed(i) + d.slots) /
+                            view.slot_capacity());
+  }
+  return dominant;
+}
+
+// kSpread, kPack and kBestFit against a brute-force reference: among SoCs
+// that pass both the filter and Fits, the lowest key (Load, -Load,
+// -dominant utilization) wins and ties go to the lowest index; every
+// feasible SoC costs one score evaluation. Quarter-step demands make exact
+// ties common, so the pack, best-fit and penalty tie-breaks are exercised.
+TEST_F(PlacerTest, LowestKeyScanMatchesBruteForceReference) {
+  Rng rng(2024);
+  const int n = cluster_.num_socs();
+  SocCapacityView::Options view_options;
+  view_options.slot_capacity = 4;
+  int picks_checked = 0;
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kSpread, PlacementPolicy::kPack,
+        PlacementPolicy::kBestFit}) {
+    const MetricLabels labels{{"policy", PlacementPolicyName(policy)}};
+    Counter* evaluations =
+        sim_.metrics().GetCounter("sched.score_evaluations", labels);
+    for (int round = 0; round < 300; ++round) {
+      SocCapacityView view(&cluster_, view_options);
+      Placer::Options options = PolicyOptions(policy);
+      options.load.gpu_weight = 1.0;
+      options.load.memory_weight_per_gb = 0.125;
+      options.load.slot_weight = 0.25;
+      Placer placer(&sim_, &view, options);
+      std::vector<PlacementDemand> held(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        PlacementDemand& h = held[static_cast<size_t>(i)];
+        h.cpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 4));
+        h.gpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 2));
+        h.memory_gb = static_cast<double>(rng.UniformInt(0, 8));
+        h.slots = static_cast<int>(rng.UniformInt(0, 4));
+        view.Reserve(i, h);
+      }
+      std::vector<bool> allowed(static_cast<size_t>(n), true);
+      const bool with_filter = round % 2 == 1;
+      if (with_filter) {
+        for (int i = 0; i < n; ++i) {
+          allowed[static_cast<size_t>(i)] = rng.UniformInt(0, 3) != 0;
+        }
+      }
+      std::vector<double> penalty(static_cast<size_t>(n), 0.0);
+      if (round % 4 >= 2) {
+        for (int i = 0; i < n; ++i) {
+          penalty[static_cast<size_t>(i)] =
+              0.25 * static_cast<double>(rng.UniformInt(0, 2));
+        }
+        placer.set_penalty(
+            [&penalty](int i) { return penalty[static_cast<size_t>(i)]; });
+      }
+      PlacementDemand demand;
+      demand.cpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 2));
+      demand.gpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 1));
+      demand.memory_gb = static_cast<double>(rng.UniformInt(0, 2));
+      demand.slots = static_cast<int>(rng.UniformInt(0, 1));
+
+      int expected = -1;
+      double best_key = std::numeric_limits<double>::infinity();
+      int64_t feasible = 0;
+      for (int i = 0; i < n; ++i) {
+        if (!allowed[static_cast<size_t>(i)] || !view.Fits(i, demand)) {
+          continue;
+        }
+        ++feasible;
+        double key = placer.Load(i);
+        if (policy == PlacementPolicy::kPack) {
+          key = -key;
+        } else if (policy == PlacementPolicy::kBestFit) {
+          key = -ReferenceDominantUtil(view, i, demand);
+        }
+        if (expected < 0 || key < best_key) {
+          best_key = key;
+          expected = i;
+        }
+      }
+      const int64_t evaluations_before = evaluations->value();
+      const int picked =
+          with_filter ? placer.Pick(demand,
+                                    [&allowed](int i) {
+                                      return allowed[static_cast<size_t>(i)];
+                                    })
+                      : placer.Pick(demand);
+      EXPECT_EQ(picked, expected)
+          << PlacementPolicyName(policy) << " round " << round;
+      EXPECT_EQ(evaluations->value() - evaluations_before, feasible);
+      ++picks_checked;
+      for (int i = 0; i < n; ++i) {
+        view.Release(i, held[static_cast<size_t>(i)]);
+      }
+    }
+  }
+  EXPECT_EQ(picks_checked, 900);
 }
 
 TEST_F(PlacerTest, ReleaseOnEvictFreesCapacityForNewPlacements) {

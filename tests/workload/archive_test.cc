@@ -1,5 +1,6 @@
 #include "src/base/check.h"
 #include "src/workload/video/archive.h"
+#include "src/workload/video/live.h"
 
 #include <gtest/gtest.h>
 
@@ -122,6 +123,73 @@ TEST_F(ArchiveServiceTest, SharesClusterWithOtherWork) {
   EXPECT_EQ(service.queued_jobs(), 2);
   sim_.Run();
   EXPECT_EQ(service.completed_jobs(), 3);
+}
+
+// A hardware-codec stream leaves SoC 0's CPU load at zero but charges its
+// codec daemon against CPU headroom, so a whole-CPU job no longer fits
+// there. The job must go to the next idle SoC (a private pick loop that
+// looked only at cpu_util chose SoC 0 and aborted on the CPU charge).
+TEST_F(ArchiveServiceTest, SkipsSocHostingCodecSessions) {
+  LiveTranscodingService live(&sim_, &cluster_, PlacementPolicy::kSpread);
+  ASSERT_TRUE(
+      live.StartStream(VbenchVideo::kV1Holi, TranscodeBackend::kSocHwCodec)
+          .ok());
+  ASSERT_EQ(cluster_.soc(0).codec_sessions(), 1);
+  ASSERT_EQ(cluster_.soc(0).cpu_util(), 0.0);
+  ArchiveTranscodingService service(&sim_, &cluster_,
+                                    ArchiveScheduling::kFifo, 0);
+  ASSERT_TRUE(service.SubmitJob(VbenchVideo::kV2Desktop,
+                                Duration::Seconds(10), nullptr).ok());
+  EXPECT_EQ(service.running_jobs(), 1);
+  EXPECT_EQ(cluster_.soc(0).cpu_util(), 0.0);
+  EXPECT_EQ(cluster_.soc(1).cpu_util(), 1.0);
+  ASSERT_TRUE(sim_.RunFor(Duration::Minutes(10)).ok());
+  EXPECT_EQ(service.completed_jobs(), 1);
+  EXPECT_EQ(cluster_.soc(1).cpu_util(), 0.0);
+  EXPECT_EQ(cluster_.soc(0).codec_sessions(), 1);
+}
+
+// A quarantined SoC accepts no new placements anywhere in the stack.
+TEST_F(ArchiveServiceTest, SkipsQuarantinedSoc) {
+  cluster_.soc(0).SetQuarantined(true);
+  ArchiveTranscodingService service(&sim_, &cluster_,
+                                    ArchiveScheduling::kFifo, 0);
+  ASSERT_TRUE(service.SubmitJob(VbenchVideo::kV2Desktop,
+                                Duration::Seconds(10), nullptr).ok());
+  EXPECT_EQ(cluster_.soc(0).cpu_util(), 0.0);
+  EXPECT_EQ(cluster_.soc(1).cpu_util(), 1.0);
+  sim_.Run();
+  EXPECT_EQ(service.completed_jobs(), 1);
+}
+
+// A fail/repair/reboot cycle wipes the running job's CPU charge but not
+// its hold on the SoC: no second archive job lands there, and the job's
+// end releases no CPU that other work took on the rebooted SoC.
+TEST_F(ArchiveServiceTest, FailRepairKeepsSocBusyAndOtherLoadIntact) {
+  ArchiveTranscodingService service(&sim_, &cluster_,
+                                    ArchiveScheduling::kFifo, 0);
+  // ~115 s of processing: longer than the fail/reboot cycle below.
+  ASSERT_TRUE(service.SubmitJob(VbenchVideo::kV1Holi, Duration::Seconds(60),
+                                nullptr).ok());
+  ASSERT_EQ(cluster_.soc(0).cpu_util(), 1.0);
+  SocModel& soc = cluster_.soc(0);
+  soc.Fail();
+  soc.Repair();
+  ASSERT_TRUE(soc.PowerOn(cluster_.chassis().soc_boot, nullptr).ok());
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(30)).ok());
+  ASSERT_TRUE(soc.IsUsable());
+  ASSERT_EQ(service.running_jobs(), 1);
+
+  ASSERT_TRUE(service.SubmitJob(VbenchVideo::kV2Desktop,
+                                Duration::Seconds(10), nullptr).ok());
+  EXPECT_EQ(soc.cpu_util(), 0.0);
+  EXPECT_EQ(cluster_.soc(1).cpu_util(), 1.0);
+
+  ASSERT_TRUE(soc.SetCpuUtil(0.5).ok());  // Other work on the rebooted SoC.
+  sim_.Run();
+  EXPECT_EQ(service.completed_jobs(), 2);
+  EXPECT_EQ(soc.cpu_util(), 0.5);
+  EXPECT_EQ(cluster_.soc(1).cpu_util(), 0.0);
 }
 
 }  // namespace
