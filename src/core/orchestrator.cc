@@ -75,15 +75,13 @@ Status Orchestrator::Place(Workload* workload, const std::string& name) {
   tracer.AddArg(span.id(), "workload", name);
   tracer.AddArg(span.id(), "soc", static_cast<int64_t>(soc_index));
   placements_metric_->Increment();
-  view_.Reserve(soc_index, demand);
-  workload->placements.push_back(soc_index);
+  workload->placements.push_back(view_.Reserve(soc_index, demand));
   return Status::Ok();
 }
 
 void Orchestrator::Evict(Workload* workload, size_t replica_index) {
   SOC_CHECK_LT(replica_index, workload->placements.size());
-  const int soc_index = workload->placements[replica_index];
-  view_.Release(soc_index, ToDemand(workload->demand));
+  view_.Release(workload->placements[replica_index]);
   workload->placements.erase(workload->placements.begin() +
                              static_cast<long>(replica_index));
   evictions_metric_->Increment();
@@ -137,12 +135,12 @@ Result<WorkloadStatus> Orchestrator::GetStatus(const std::string& name) const {
   status.desired_replicas = static_cast<int>(it->second.placements.size());
   status.pending_replicas = it->second.pending;
   status.running_replicas = 0;
-  for (int placement : it->second.placements) {
-    if (cluster_->soc(placement).IsUsable()) {
+  for (const Reservation& placement : it->second.placements) {
+    if (cluster_->soc(placement.soc_index).IsUsable()) {
       ++status.running_replicas;
     }
+    status.placements.push_back(placement.soc_index);
   }
-  status.placements = it->second.placements;
   return status;
 }
 
@@ -157,8 +155,8 @@ int Orchestrator::TotalReplicas() const {
 int Orchestrator::SocsInUse() const {
   std::vector<bool> used(static_cast<size_t>(cluster_->num_socs()), false);
   for (const auto& [name, workload] : workloads_) {
-    for (int placement : workload.placements) {
-      used[static_cast<size_t>(placement)] = true;
+    for (const Reservation& placement : workload.placements) {
+      used[static_cast<size_t>(placement.soc_index)] = true;
     }
   }
   return static_cast<int>(std::count(used.begin(), used.end(), true));
@@ -173,8 +171,8 @@ int Orchestrator::PreemptBestEffort(int max_replicas) {
       if (workload.priority != Priority::kBestEffort) {
         continue;
       }
-      for (int placement : workload.placements) {
-        hosts.push_back(placement);
+      for (const Reservation& placement : workload.placements) {
+        hosts.push_back(placement.soc_index);
       }
     }
     if (hosts.empty()) {
@@ -191,7 +189,7 @@ int Orchestrator::PreemptBestEffort(int max_replicas) {
         continue;
       }
       for (size_t r = workload.placements.size(); r-- > 0;) {
-        if (workload.placements[r] == target) {
+        if (workload.placements[r].soc_index == target) {
           Evict(&workload, r);
           ++workload.pending;
           ++replicas_preempted_;
@@ -230,7 +228,7 @@ void Orchestrator::OnSocFailure(int soc_index) {
     // Collect indices first; eviction mutates the vector.
     std::vector<size_t> displaced;
     for (size_t r = 0; r < workload.placements.size(); ++r) {
-      if (workload.placements[r] == soc_index) {
+      if (workload.placements[r].soc_index == soc_index) {
         displaced.push_back(r);
       }
     }
@@ -298,8 +296,8 @@ void Orchestrator::DigestState(StateDigest& digest) const {
   for (const auto& [name, workload] : workloads_) {
     digest.Mix(std::string_view(name));
     digest.Mix(static_cast<uint64_t>(workload.placements.size()));
-    for (const int soc : workload.placements) {
-      digest.Mix(soc);
+    for (const Reservation& placement : workload.placements) {
+      digest.Mix(placement.soc_index);
     }
     digest.Mix(workload.pending);
     digest.Mix(static_cast<int>(workload.priority));

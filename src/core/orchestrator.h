@@ -5,7 +5,9 @@
 // onto SoCs under CPU/memory constraints by a Placer (any PlacementPolicy;
 // kPack concentrates replicas so idle SoCs can be powered off), with
 // automatic re-placement when a SoC fails. Replicas never migrate once
-// placed.
+// placed. Each replica holds its Reservation on the orchestrator's
+// capacity view, so evicting it after a reboot nobody reported gives back
+// only what the replica still holds.
 
 #ifndef SRC_CORE_ORCHESTRATOR_H_
 #define SRC_CORE_ORCHESTRATOR_H_
@@ -99,7 +101,7 @@ class Orchestrator {
  private:
   struct Workload {
     ReplicaDemand demand;
-    std::vector<int> placements;
+    std::vector<Reservation> placements;  // One per replica.
     // Failure-displaced (or brownout-preempted) replicas awaiting capacity.
     int pending = 0;
     Priority priority = Priority::kStandard;

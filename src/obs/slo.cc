@@ -8,23 +8,29 @@
 
 namespace soccluster {
 
+namespace {
+
+// The multi-window burn-rate rule every tracker evaluates. The slow window
+// is a ring of kBuckets buckets; the fast window reads a suffix of it.
+constexpr Duration kFastWindow = Duration::Seconds(30);
+constexpr Duration kSlowWindow = Duration::Minutes(2);
+constexpr double kBurnThreshold = 3.0;
+constexpr int kBuckets = 60;
+constexpr int64_t kBucketNanos = kSlowWindow.nanos() / kBuckets;
+
+}  // namespace
+
 SloTracker::SloTracker(SloSpec spec) : spec_(std::move(spec)) {
   SOC_CHECK(!spec_.name.empty()) << "SloSpec needs a name";
   SOC_CHECK(spec_.objective > 0.0 && spec_.objective < 1.0)
       << "SLO objective must be in (0, 1): " << spec_.name;
-  SOC_CHECK(spec_.buckets >= 2) << "SLO ring needs >= 2 buckets";
-  SOC_CHECK(spec_.fast_window <= spec_.slow_window)
-      << "fast window must not exceed the slow window: " << spec_.name;
-  bucket_width_ = Duration::Nanos(spec_.slow_window.nanos() / spec_.buckets);
-  SOC_CHECK(bucket_width_.nanos() > 0)
-      << "slow window too small for bucket count: " << spec_.name;
   // One extra slot so the bucket being filled never evicts the oldest
   // bucket still inside the slow window.
-  ring_.resize(static_cast<size_t>(spec_.buckets) + 1);
+  ring_.resize(static_cast<size_t>(kBuckets) + 1);
 }
 
 SloTracker::Bucket* SloTracker::BucketFor(SimTime now) {
-  const int64_t epoch = now.nanos() / bucket_width_.nanos();
+  const int64_t epoch = now.nanos() / kBucketNanos;
   Bucket& slot = ring_[static_cast<size_t>(epoch % static_cast<int64_t>(
       ring_.size()))];
   if (slot.epoch != epoch) {
@@ -39,8 +45,8 @@ void SloTracker::WindowCounts(SimTime now, Duration window, int64_t* good,
                               int64_t* bad) const {
   *good = 0;
   *bad = 0;
-  const int64_t epoch_now = now.nanos() / bucket_width_.nanos();
-  int64_t span = window.nanos() / bucket_width_.nanos();
+  const int64_t epoch_now = now.nanos() / kBucketNanos;
+  int64_t span = window.nanos() / kBucketNanos;
   if (span < 1) {
     span = 1;
   }
@@ -80,10 +86,10 @@ void SloTracker::Record(SimTime now, bool good) {
 }
 
 void SloTracker::Advance(SimTime now) {
-  const double fast = BurnRate(now, spec_.fast_window);
-  const double slow = BurnRate(now, spec_.slow_window);
-  const bool over = fast >= spec_.burn_threshold && slow >= spec_.burn_threshold;
-  const bool under = fast < spec_.burn_threshold && slow < spec_.burn_threshold;
+  const double fast = BurnRate(now, kFastWindow);
+  const double slow = BurnRate(now, kSlowWindow);
+  const bool over = fast >= kBurnThreshold && slow >= kBurnThreshold;
+  const bool under = fast < kBurnThreshold && slow < kBurnThreshold;
   if (!firing_ && over) {
     firing_ = true;
     alerts_.push_back(SloAlert{now, true, fast, slow});
@@ -137,14 +143,14 @@ void SloEngine::WriteJson(std::ostream& out, SimTime now) const {
     }
     w.KeyValue("threshold_ms", spec.threshold.ToMillis());
     w.KeyValue("objective", spec.objective);
-    w.KeyValue("fast_window_s", spec.fast_window.ToSeconds());
-    w.KeyValue("slow_window_s", spec.slow_window.ToSeconds());
-    w.KeyValue("burn_threshold", spec.burn_threshold);
+    w.KeyValue("fast_window_s", kFastWindow.ToSeconds());
+    w.KeyValue("slow_window_s", kSlowWindow.ToSeconds());
+    w.KeyValue("burn_threshold", kBurnThreshold);
     w.KeyValue("good", tracker->good_total());
     w.KeyValue("bad", tracker->bad_total());
     w.KeyValue("firing", tracker->firing());
-    w.KeyValue("fast_burn", tracker->BurnRate(now, spec.fast_window));
-    w.KeyValue("slow_burn", tracker->BurnRate(now, spec.slow_window));
+    w.KeyValue("fast_burn", tracker->BurnRate(now, kFastWindow));
+    w.KeyValue("slow_burn", tracker->BurnRate(now, kSlowWindow));
     w.Key("alerts");
     w.BeginArray();
     for (const SloAlert& alert : tracker->alerts()) {

@@ -8,10 +8,11 @@
 //   burn(window) = bad_fraction(window) / error_budget,
 //   error_budget = 1 - objective
 //
-// An alert FIRES when both the fast window (quick to react) and the slow
-// window (resistant to blips) burn at >= burn_threshold, and CLEARS when
-// both drop below. Fire/clear transitions are appended to a deterministic
-// history that benches export as the machine-readable alert timeline.
+// An alert FIRES when both the fast window (30 s, quick to react) and the
+// slow window (2 min, resistant to blips) burn at >= 3x, and CLEARS when
+// both drop below; every tracker uses these constants (src/obs/slo.cc).
+// Fire/clear transitions are appended to a deterministic history that
+// benches export as the machine-readable alert timeline.
 //
 // Determinism contract: the engine is record-driven — Record() is called
 // from request completion paths and Advance() from bench/test code; the
@@ -48,15 +49,6 @@ struct SloSpec {
   Duration threshold = Duration::Seconds(2);
   // Target good fraction in [0, 1), e.g. 0.99 -> 1% error budget.
   double objective = 0.99;
-
-  // Multi-window burn-rate rule.
-  Duration fast_window = Duration::Seconds(30);
-  Duration slow_window = Duration::Minutes(2);
-  double burn_threshold = 3.0;
-
-  // Ring resolution: the slow window is split into this many buckets (the
-  // fast window reads a suffix of the same ring).
-  int buckets = 60;
 };
 
 // One fire or clear transition.
@@ -103,7 +95,6 @@ class SloTracker {
   Bucket* BucketFor(SimTime now);
 
   SloSpec spec_;
-  Duration bucket_width_;
   std::vector<Bucket> ring_;
   int64_t good_total_ = 0;
   int64_t bad_total_ = 0;

@@ -86,7 +86,8 @@ bool SocCapacityView::Fits(int soc_index, const PlacementDemand& d) const {
   return true;
 }
 
-void SocCapacityView::Reserve(int soc_index, const PlacementDemand& d) {
+Reservation SocCapacityView::Reserve(int soc_index,
+                                     const PlacementDemand& d) {
   SOC_CHECK(Fits(soc_index, d))
       << "reservation would oversubscribe SoC " << soc_index
       << " (cpu=" << d.cpu_util << " gpu=" << d.gpu_util
@@ -112,13 +113,21 @@ void SocCapacityView::Reserve(int soc_index, const PlacementDemand& d) {
   }
   memory_used_gb_[static_cast<size_t>(soc_index)] += d.memory_gb;
   slots_used_[static_cast<size_t>(soc_index)] += d.slots;
+  return Reservation{soc_index, d, soc.fail_count()};
 }
 
-void SocCapacityView::Release(int soc_index, const PlacementDemand& d) {
+bool SocCapacityView::FailedSince(const Reservation& r) const {
+  return cluster_->soc(r.soc_index).fail_count() != r.fail_epoch;
+}
+
+bool SocCapacityView::Release(const Reservation& r) {
+  const int soc_index = r.soc_index;
+  const PlacementDemand& d = r.demand;
   SOC_DCHECK_GE(soc_index, 0);
   SOC_DCHECK_LT(soc_index, num_socs());
   SocModel& soc = cluster_->soc(soc_index);
-  if (soc.IsUsable()) {
+  const bool intact = soc.IsUsable() && !FailedSince(r);
+  if (intact) {
     if (d.cpu_util != 0.0) {
       const Status status =
           soc.AddCpuUtil(-std::min(d.cpu_util, soc.cpu_util()));
@@ -146,6 +155,7 @@ void SocCapacityView::Release(int soc_index, const PlacementDemand& d) {
   int& slots = slots_used_[static_cast<size_t>(soc_index)];
   slots -= d.slots;
   SOC_CHECK_GE(slots, 0) << "slot ledger underflow on SoC " << soc_index;
+  return intact;
 }
 
 void SocCapacityView::DigestState(StateDigest& digest) const {

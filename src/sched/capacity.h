@@ -5,10 +5,18 @@
 // — are ledgered here. Reserve() CHECK-fails on oversubscription, making
 // "a placement never overcommits a SoC" an enforced invariant instead of a
 // per-service convention.
+//
+// Services charge a SoC only through this view (the exclusive whole-SoC
+// collab and training runs aside). Reserve() returns a Reservation stamped
+// with the SoC's fail_count(); Release(reservation) always returns memory
+// and slots, but CPU/GPU/DSP/codec only while the SoC is usable and still
+// in that fail epoch: Fail() wiped them, and after a reboot nobody noticed
+// they belong to whatever runs there now.
 
 #ifndef SRC_SCHED_CAPACITY_H_
 #define SRC_SCHED_CAPACITY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/base/digest.h"
@@ -16,6 +24,14 @@
 #include "src/sched/placement.h"
 
 namespace soccluster {
+
+// One charge against one SoC: what Reserve() took and the SoC's fail epoch
+// at that moment. A plain value; the holder passes it back to Release().
+struct Reservation {
+  int soc_index = -1;
+  PlacementDemand demand;
+  int64_t fail_epoch = 0;
+};
 
 class SocCapacityView {
  public:
@@ -45,13 +61,18 @@ class SocCapacityView {
 
   // Charges the SoC and the ledgers. CHECK-fails if the demand does not
   // fit — callers must have picked the SoC through a fitting check.
-  void Reserve(int soc_index, const PlacementDemand& demand);
+  Reservation Reserve(int soc_index, const PlacementDemand& demand);
 
-  // Releases a prior reservation. SoC-side charges (CPU/GPU/DSP/codec) are
-  // skipped when the SoC is not usable — they vanished with Fail() — and
-  // clamped so a fail/reboot race can never drive utilization negative.
-  // Ledgered dimensions (memory, slots) always release.
-  void Release(int soc_index, const PlacementDemand& demand);
+  // Gives a reservation back under the fail-epoch rule above. Returns
+  // true when the SoC-side charge was still standing — the SoC is usable
+  // and has not failed since Reserve() — so the work that held it
+  // survived. SoC-side charges are clamped so rounding can never drive
+  // utilization negative.
+  bool Release(const Reservation& reservation);
+
+  // True once the reservation's SoC has failed since Reserve(), even if it
+  // has since been repaired and rebooted.
+  bool FailedSince(const Reservation& reservation) const;
 
   double MemoryCapacityGb(int soc_index) const;
   double MemoryUsedGb(int soc_index) const;

@@ -8,6 +8,8 @@ namespace soccluster {
 
 namespace {
 
+constexpr PlacementDemand kSessionSlot{.slots = 1};
+
 SocCapacityView::Options ViewOptions(const GamingWorkloadConfig& config) {
   SocCapacityView::Options options;
   options.slot_capacity = config.max_sessions_per_soc;
@@ -90,25 +92,18 @@ void GamingWorkload::StartSession() {
     TraceRequestDrop(&tracer, &ctx);
     return;
   }
-  PlacementDemand demand;
-  demand.slots = 1;
-  const int soc_index = placer_.Pick(demand, nullptr, &ctx);
-  if (soc_index < 0) {
-    ++rejected_;
-    sessions_rejected_metric_->Increment();
-    TraceRequestDrop(&tracer, &ctx);
-    return;
-  }
-  SocModel& soc = cluster_->soc(soc_index);
-  const Status status = soc.AddCpuUtil(config_.cpu_util_per_session);
-  if (!status.ok()) {
+  // The session's slot steers the pick; its CPU only gates admission.
+  const int soc_index = placer_.Pick(kSessionSlot, nullptr, &ctx);
+  PlacementDemand demand = kSessionSlot;
+  demand.cpu_util = config_.cpu_util_per_session;
+  if (soc_index < 0 || !view_.Fits(soc_index, demand)) {
     ++rejected_;
     sessions_rejected_metric_->Increment();
     TraceRequestDrop(&tracer, &ctx);
     return;
   }
   TraceRequestStep(&tracer, &ctx, "dispatch");
-  view_.Reserve(soc_index, demand);
+  const Reservation reservation = view_.Reserve(soc_index, demand);
   Network& net = cluster_->network();
   Result<int64_t> outbound = net.AddConstantLoad(
       cluster_->soc_node(soc_index), cluster_->external_node(),
@@ -120,8 +115,7 @@ void GamingWorkload::StartSession() {
   SOC_CHECK(inbound.ok()) << inbound.status().ToString();
 
   const int64_t id = next_id_++;
-  sessions_.emplace(
-      id, Session{soc_index, soc.fail_count(), *outbound, *inbound, ctx});
+  sessions_.emplace(id, Session{reservation, *outbound, *inbound, ctx});
   ++started_;
   sessions_started_metric_->Increment();
 
@@ -138,21 +132,12 @@ void GamingWorkload::EndSession(int64_t id) {
     return;
   }
   const Session& session = it->second;
-  SocModel& soc = cluster_->soc(session.soc_index);
-  // Release the CPU charge only if it still exists: a fail/repair/reboot
-  // cycle since admission wiped it, and subtracting would go negative.
-  if (soc.IsUsable() && soc.fail_count() == session.fail_epoch) {
-    const Status status = soc.AddCpuUtil(-config_.cpu_util_per_session);
-    SOC_CHECK(status.ok()) << status.ToString();
-  }
+  view_.Release(session.reservation);
   Network& net = cluster_->network();
   Status status = net.RemoveConstantLoad(session.outbound_load);
   SOC_CHECK(status.ok()) << status.ToString();
   status = net.RemoveConstantLoad(session.inbound_load);
   SOC_CHECK(status.ok()) << status.ToString();
-  PlacementDemand demand;
-  demand.slots = 1;
-  view_.Release(session.soc_index, demand);
   session_length_metric_->Observe((sim_->Now() - session.ctx.submit).ToMillis());
   TraceRequestComplete(&sim_->tracer(), &it->second.ctx);
   sessions_.erase(it);
@@ -164,8 +149,8 @@ void GamingWorkload::DigestState(StateDigest& digest) const {
   digest.Mix(static_cast<uint64_t>(sessions_.size()));
   for (const auto& [id, session] : sessions_) {
     digest.Mix(id);
-    digest.Mix(session.soc_index);
-    digest.Mix(session.fail_epoch);
+    digest.Mix(session.reservation.soc_index);
+    digest.Mix(session.reservation.fail_epoch);
     digest.Mix(session.outbound_load);
     digest.Mix(session.inbound_load);
   }

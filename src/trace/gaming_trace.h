@@ -74,10 +74,9 @@ class GamingWorkload {
 
  private:
   struct Session {
-    int soc_index;
-    // fail_count() at admission: a fail/repair/reboot cycle between start
-    // and end leaves IsUsable() true but means our CPU charge vanished.
-    int64_t fail_epoch;
+    // The session's slot and CPU share. Its fail epoch lets the release
+    // skip a CPU charge that a fail/repair/reboot cycle already wiped.
+    Reservation reservation;
     int64_t outbound_load;
     int64_t inbound_load;
     // Causal chain of the session (submit -> place -> dispatch -> complete).
@@ -95,8 +94,8 @@ class GamingWorkload {
   GamingWorkloadConfig config_;
   Rng rng_;
   // Session slots (max_sessions_per_soc each) are ledgered in the capacity
-  // view; the placer spreads over them. Session CPU stays an admission-time
-  // saturation check, as before — it never steered placement.
+  // view; the placer spreads over them. Session CPU is reserved with the
+  // slot but only gates admission — it never steered placement.
   SocCapacityView view_;
   Placer placer_;
   std::map<int64_t, Session> sessions_;

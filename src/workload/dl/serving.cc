@@ -9,6 +9,9 @@ namespace soccluster {
 
 namespace {
 
+// Every dispatch holds its SoC's one engine slot.
+constexpr PlacementDemand kEngineSlot{.slots = 1};
+
 SocCapacityView::Options FleetViewOptions() {
   SocCapacityView::Options options;
   options.slot_capacity = 1;  // One request at a time per SoC engine.
@@ -189,10 +192,8 @@ void SocServingFleet::TryDispatch() {
     if (dispatch_limit_ > 0 && in_flight_ >= dispatch_limit_) {
       return;  // Brownout: concurrency capped; completions re-trigger.
     }
-    PlacementDemand slot;
-    slot.slots = 1;
     const int chosen = placer_.Pick(
-        slot, [this](int i) { return i < active_count_; });
+        kEngineSlot, [this](int i) { return i < active_count_; });
     if (chosen < 0) {
       return;
     }
@@ -207,7 +208,9 @@ void SocServingFleet::TryDispatch() {
     Tracer& tracer = sim_->tracer();
     tracer.EndSpan(request.queue_span);
     TraceRequestStep(&tracer, &request.ctx, "dispatch", SocTrack(chosen));
-    view_.Reserve(chosen, slot);
+    const SocModel& soc = cluster_->soc(chosen);
+    const Reservation reservation =
+        view_.Reserve(chosen, DispatchDemand(soc));
     ++in_flight_;
     const int attempt = ++request.attempts;
     request.active_attempt = attempt;
@@ -220,17 +223,8 @@ void SocServingFleet::TryDispatch() {
     tracer.AddArg(infer_span, "attempt", static_cast<int64_t>(attempt));
     const SpanId infer_track_span =
         tracer.BeginSpan("infer", "dl.serving", SocTrack(chosen));
-    SocModel& soc = cluster_->soc(chosen);
-    // CPU inference claims the cores additively: co-resident services
-    // (serverless, gaming, CPU transcodes) charge the same cores, so grab
-    // what is left rather than overwriting their shares. Alone on the SoC
-    // the grant is exactly 1.0 — identical to the old absolute write.
-    const double cpu_grant =
-        device_ == DlDevice::kSocCpu ? soc.CpuHeadroom() : 0.0;
-    ChargeEngine(soc, cpu_grant, /*on=*/true);
-    const AttemptRef attempt_ref =
-        attempts_.Allocate(Attempt{ref, chosen, attempt, soc.fail_count(),
-                                   cpu_grant, infer_track_span, infer_span});
+    const AttemptRef attempt_ref = attempts_.Allocate(
+        Attempt{ref, attempt, reservation, infer_track_span, infer_span});
     // A thermal excursion slows the engine without shrinking capacity.
     const Duration service = Duration::SecondsF(
         1.0 / (PerSocThroughput() * soc.throttle_factor()));
@@ -256,7 +250,7 @@ void SocServingFleet::HedgeCheck(AttemptRef attempt_ref) {
   if (request.done || request.active_attempt != attempt.number) {
     return;  // Already finished, or already rescued.
   }
-  if (cluster_->soc(attempt.soc_index).fail_count() == attempt.fail_epoch) {
+  if (!view_.FailedSince(attempt.reservation)) {
     return;  // The SoC is still the one we dispatched to; let it finish.
   }
   // The serving SoC died under the request. Rescue it now instead of
@@ -267,7 +261,7 @@ void SocServingFleet::HedgeCheck(AttemptRef attempt_ref) {
   hedges_metric_->Increment();
   sim_->tracer().Instant("hedge", "dl.serving");
   TraceRequestStep(&sim_->tracer(), &request.ctx, "hedge",
-                   SocTrack(attempt.soc_index));
+                   SocTrack(attempt.reservation.soc_index));
   Requeue(attempt.request);
 }
 
@@ -322,42 +316,37 @@ void SocServingFleet::Complete(int soc_index, RequestRef ref) {
   }
 }
 
-void SocServingFleet::ChargeEngine(SocModel& soc, double cpu_grant, bool on) {
-  Status status;
+PlacementDemand SocServingFleet::DispatchDemand(const SocModel& soc) const {
+  PlacementDemand demand = kEngineSlot;
   switch (device_) {
     case DlDevice::kSocCpu:
-      if (cpu_grant > 0.0) {
-        status = soc.AddCpuUtil(on ? cpu_grant : -cpu_grant);
-      }
+      // CPU inference claims the cores additively: co-resident services
+      // (serverless, gaming, CPU transcodes) charge the same cores, so grab
+      // what is left rather than overwriting their shares. Alone on the
+      // SoC the grant is exactly 1.0.
+      demand.cpu_util = soc.CpuHeadroom();
       break;
     case DlDevice::kSocGpu:
-      status = soc.SetGpuUtil(on ? 1.0 : 0.0);
+      demand.gpu_util = 1.0;
       break;
     default:
-      status = soc.SetDspUtil(on ? 1.0 : 0.0);
+      demand.dsp_util = 1.0;
       break;
   }
-  SOC_CHECK(status.ok()) << status.ToString();
+  return demand;
 }
 
 void SocServingFleet::FinishOn(AttemptRef attempt_ref) {
   const Attempt attempt = attempts_[attempt_ref.index];
   attempts_.Free(attempt_ref.index);
-  const int soc_index = attempt.soc_index;
-  PlacementDemand slot;
-  slot.slots = 1;
-  view_.Release(soc_index, slot);
-  --in_flight_;
-  SocModel& soc = cluster_->soc(soc_index);
+  const int soc_index = attempt.reservation.soc_index;
   // The attempt succeeded only if the SoC never failed while it ran; a
-  // fail/repair/reboot cycle leaves IsUsable() true but bumps fail_count().
-  const bool alive = soc.fail_count() == attempt.fail_epoch && soc.IsUsable();
+  // fail/repair/reboot cycle leaves the SoC usable but moves its epoch.
+  const bool alive = view_.Release(attempt.reservation);
+  --in_flight_;
   // A zombie SoC heartbeats and holds its utilization, but the request
   // comes back broken — the attempt failed even though the SoC is "up".
-  const bool zombie_attempt = alive && soc.zombie();
-  if (alive) {
-    ChargeEngine(soc, attempt.cpu_grant, /*on=*/false);
-  }
+  const bool zombie_attempt = alive && cluster_->soc(soc_index).zombie();
   Tracer& tracer = sim_->tracer();
   tracer.EndSpan(attempt.infer_track_span);
   tracer.EndSpan(attempt.infer_span);

@@ -53,9 +53,11 @@ namespace soccluster {
 //   * EnableHedging — if the serving SoC has died by `hedge_delay` after
 //     dispatch, the request is rescued and re-queued immediately instead of
 //     waiting out the (never-arriving) completion.
-// A mid-flight SoC death is detected by comparing the SoC's fail_count()
-// against a snapshot taken at dispatch — a fail/repair/reboot race cannot
-// masquerade as success.
+// Each dispatch holds one Reservation on the fleet's capacity view: the
+// engine slot plus the engine's compute (the CPU headroom, or the whole
+// GPU/DSP). A mid-flight SoC death is read off that reservation's fail
+// epoch — a fail/repair/reboot race cannot masquerade as success, and the
+// release never takes a charge the failure already wiped.
 //
 // Every request is traced end-to-end as a nested async span group
 // (category "dl.serving"): request ⊃ queue → infer → network, plus a
@@ -214,10 +216,10 @@ class SocServingFleet {
   // still out, so attempts live apart from their request.
   struct Attempt {
     RequestRef request;
-    int soc_index = 0;
     int number = 0;
-    int64_t fail_epoch = 0;
-    double cpu_grant = 0.0;
+    // The engine slot plus the engine's CPU/GPU/DSP charge; its fail epoch
+    // tells whether the SoC died under the attempt.
+    Reservation reservation;
     SpanId infer_track_span = 0;
     SpanId infer_span = 0;
   };
@@ -229,8 +231,8 @@ class SocServingFleet {
   void OnAdmissionDrop(const AdmissionQueue::Item& item,
                        AdmissionQueue::DropReason reason);
   void TryDispatch();
-  // Charges one inference on `soc`'s engine, or releases it (`on` false).
-  void ChargeEngine(SocModel& soc, double cpu_grant, bool on);
+  // One dispatch on `soc`: an engine slot plus the engine's compute.
+  PlacementDemand DispatchDemand(const SocModel& soc) const;
   void FinishOn(AttemptRef attempt_ref);
   void HedgeCheck(AttemptRef attempt_ref);
   // Re-queues a not-yet-done request (retry or hedge rescue).

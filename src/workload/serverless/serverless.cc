@@ -115,7 +115,7 @@ ServerlessPlatform::Instance* ServerlessPlatform::FindWarmInstance(
     const std::string& function) {
   for (auto& [id, instance] : instances_) {
     if (instance.function == function && !instance.busy &&
-        view_.IsPlaceable(instance.soc_index)) {
+        view_.IsPlaceable(instance.memory.soc_index)) {
       return &instance;
     }
   }
@@ -192,10 +192,10 @@ void ServerlessPlatform::ColdStart(InvocationRef ref) {
   cold_starts_metric_->Increment();
   invocation.phase_span = sim_->tracer().BeginAsyncSpan(
       "cold_start", "serverless", invocation.ctx.id, invocation.span);
-  view_.Reserve(soc_index, InstanceDemand(spec.memory_mb));
+  const Reservation memory =
+      view_.Reserve(soc_index, InstanceDemand(spec.memory_mb));
   const int64_t id = next_instance_id_++;
-  instances_.emplace(id, Instance{id, spec.name, soc_index, true,
-                                  EventHandle()});
+  instances_.emplace(id, Instance{id, spec.name, memory, true, EventHandle()});
   invocation.instance_id = id;
   sim_->ScheduleAfter(spec.cold_start, [this, ref] {
     Invocation& provisioned = invocations_[ref.index];
@@ -235,10 +235,11 @@ void ServerlessPlatform::RunOn(Instance* instance, InvocationRef ref) {
   Invocation& invocation = invocations_[ref.index];
   const FunctionSpec& spec = *invocation.spec;
   Tracer& tracer = sim_->tracer();
-  SocModel& soc = cluster_->soc(instance->soc_index);
+  const int soc_index = instance->memory.soc_index;
+  const SocModel& soc = cluster_->soc(soc_index);
   // The SoC may have failed between provisioning and bring-up; shed the
   // invocation and reclaim the instance's memory.
-  if (!view_.IsPlaceable(instance->soc_index)) {
+  if (!view_.IsPlaceable(soc_index)) {
     Drop(ref, RequestLedger::Cause::kNoCapacity, "rejected", "true");
     instance->busy = false;
     Evict(instance->id);
@@ -250,24 +251,19 @@ void ServerlessPlatform::RunOn(Instance* instance, InvocationRef ref) {
       tracer.BeginAsyncSpan("exec", "serverless", invocation.ctx.id,
                             invocation.span);
   tracer.AddArg(invocation.phase_span, "soc",
-                static_cast<int64_t>(instance->soc_index));
+                static_cast<int64_t>(soc_index));
   // CPU may be saturated by co-resident invocations; clamp to headroom
   // (a real runtime would time-slice — the power model only needs the
   // aggregate utilization, which saturates the same way).
-  invocation.grant = std::min(spec.cpu_util, soc.CpuHeadroom());
-  if (invocation.grant > 0.0) {
-    const Status status = soc.AddCpuUtil(invocation.grant);
-    SOC_CHECK(status.ok()) << status.ToString();
-  }
+  PlacementDemand cpu;
+  cpu.cpu_util = std::min(spec.cpu_util, soc.CpuHeadroom());
+  invocation.grant = view_.Reserve(soc_index, cpu);
   // Thermally throttled SoCs execute functions proportionally slower —
   // this is the fail-slow signal the gray-failure scorer feeds on.
   invocation.exec = Duration::SecondsF(
       rng_.LogNormalMedian(spec.exec_median.ToSeconds(), spec.exec_sigma) /
       soc.throttle_factor());
   invocation.instance_id = instance->id;
-  // fail_count() at grant time: a fail/repair/reboot cycle before the
-  // execution ends leaves IsUsable() true but wiped the CPU charge.
-  invocation.fail_epoch = soc.fail_count();
   sim_->ScheduleAfter(invocation.exec, [this, ref] { FinishInvocation(ref); });
 }
 
@@ -277,17 +273,14 @@ void ServerlessPlatform::FinishInvocation(InvocationRef ref) {
   // An executing instance is busy, so it cannot have been evicted.
   const auto it = instances_.find(invocation.instance_id);
   SOC_CHECK(it != instances_.end());
-  SocModel& host = cluster_->soc(it->second.soc_index);
-  const bool alive =
-      host.IsUsable() && host.fail_count() == invocation.fail_epoch;
-  if (alive && invocation.grant > 0.0) {
-    const Status status = host.AddCpuUtil(-invocation.grant);
-    SOC_CHECK(status.ok()) << status.ToString();
-  }
+  // A fail/repair/reboot cycle before the execution ends leaves the SoC
+  // usable but wiped the CPU grant (and the invocation with it).
+  const int soc_index = invocation.grant.soc_index;
+  const bool alive = view_.Release(invocation.grant);
   // Zombie hosts keep heartbeating but drop the work on the floor: the
   // invocation fails even though the SoC looks healthy to the monitor.
-  const bool ok = alive && !host.zombie();
-  ledger_.ReportAttempt(it->second.soc_index, invocation.exec, ok);
+  const bool ok = alive && !cluster_->soc(soc_index).zombie();
+  ledger_.ReportAttempt(soc_index, invocation.exec, ok);
   if (ok) {
     const double latency_ms = (sim_->Now() - invocation.enqueue).ToMillis();
     latency_ms_.Add(latency_ms);
@@ -325,9 +318,7 @@ void ServerlessPlatform::Evict(int64_t instance_id) {
   if (it == instances_.end() || it->second.busy) {
     return;
   }
-  const auto spec = functions_.find(it->second.function);
-  SOC_CHECK(spec != functions_.end());
-  view_.Release(it->second.soc_index, InstanceDemand(spec->second.memory_mb));
+  view_.Release(it->second.memory);
   sim_->Cancel(it->second.eviction);
   instances_.erase(it);
 }
@@ -420,7 +411,7 @@ void ServerlessPlatform::DigestState(StateDigest& digest) const {
   for (const auto& [id, instance] : instances_) {
     digest.Mix(id);
     digest.Mix(std::string_view(instance.function));
-    digest.Mix(instance.soc_index);
+    digest.Mix(instance.memory.soc_index);
     digest.Mix(instance.busy);
   }
   digest.Mix(next_instance_id_);

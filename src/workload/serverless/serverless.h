@@ -147,7 +147,7 @@ class ServerlessPlatform {
   struct Instance {
     int64_t id;
     std::string function;
-    int soc_index;
+    Reservation memory;  // The instance's resident memory on its SoC.
     bool busy = false;
     EventHandle eviction;
   };
@@ -168,8 +168,7 @@ class ServerlessPlatform {
     RequestContext ctx;
     // The instance and execution in progress.
     int64_t instance_id = 0;
-    double grant = 0.0;
-    int64_t fail_epoch = 0;
+    Reservation grant;  // The execution's CPU share of its SoC.
     Duration exec;
   };
   using InvocationRef = Slab<Invocation>::Ref;

@@ -34,13 +34,12 @@ ArchiveTranscodingService::ArchiveTranscodingService(Simulator* sim,
                                                      ArchiveScheduling
                                                          scheduling,
                                                      int max_concurrent_socs)
-    : sim_(sim), cluster_(cluster), scheduling_(scheduling),
+    : sim_(sim), scheduling_(scheduling),
       max_concurrent_(max_concurrent_socs == 0 ? cluster->num_socs()
                                                : max_concurrent_socs),
       view_(cluster, ViewOptions()),
       placer_(sim, &view_, PlacerOptions()) {
   SOC_CHECK(sim_ != nullptr);
-  SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK_GT(max_concurrent_, 0);
 }
 
@@ -86,20 +85,13 @@ void ArchiveTranscodingService::TryDispatch() {
     Job job = std::move(*it);
     queue_.erase(it);
 
-    view_.Reserve(soc_index, kJobDemand);
-    // A fail/repair cycle before the job ends wipes its CPU charge; the
-    // epoch tells the release not to take CPU from whatever runs there now.
-    const int64_t fail_epoch = cluster_->soc(soc_index).fail_count();
+    const Reservation reservation = view_.Reserve(soc_index, kJobDemand);
     ++running_;
     const SimTime started = sim_->Now();
     const Duration processing = ProcessingTime(job);
-    sim_->ScheduleAfter(processing, [this, job = std::move(job), soc_index,
-                                     started, fail_epoch]() mutable {
-      PlacementDemand release = kJobDemand;
-      if (cluster_->soc(soc_index).fail_count() != fail_epoch) {
-        release.cpu_util = 0.0;
-      }
-      view_.Release(soc_index, release);
+    sim_->ScheduleAfter(processing, [this, job = std::move(job), reservation,
+                                     started]() mutable {
+      view_.Release(reservation);
       --running_;
       ++completed_;
       ArchiveJobReport report;

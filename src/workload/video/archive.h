@@ -7,7 +7,10 @@
 // and energy, giving the cluster-side counterpart of the paper's per-job
 // archive measurements. A kSpread Placer picks the host, so archive work
 // only lands on placeable (healthy, unquarantined) SoCs with a whole idle
-// CPU, codec-daemon shares included.
+// CPU, codec-daemon shares included. Each running job holds one
+// Reservation (the SoC's slot and its whole CPU) until its frames are
+// done; if the SoC failed in between, the release returns only the slot,
+// never CPU that belongs to whatever runs there now.
 
 #ifndef SRC_WORKLOAD_VIDEO_ARCHIVE_H_
 #define SRC_WORKLOAD_VIDEO_ARCHIVE_H_
@@ -75,7 +78,6 @@ class ArchiveTranscodingService {
   Duration ProcessingTime(const Job& job) const;
 
   Simulator* sim_;
-  SocCluster* cluster_;
   ArchiveScheduling scheduling_;
   int max_concurrent_;
   // One slot per SoC: a SoC stays busy with its archive job until the job

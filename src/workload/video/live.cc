@@ -86,7 +86,7 @@ void LiveTranscodingService::OnAdmissionDrop(const AdmissionQueue::Item& item,
 int LiveTranscodingService::StreamsOnSoc(int soc_index) const {
   int count = 0;
   for (const auto& [id, stream] : streams_) {
-    if (stream.soc_index == soc_index) {
+    if (stream.reservation.soc_index == soc_index) {
       ++count;
     }
   }
@@ -96,7 +96,7 @@ int LiveTranscodingService::StreamsOnSoc(int soc_index) const {
 int LiveTranscodingService::HwStreamsOnSoc(int soc_index) const {
   int count = 0;
   for (const auto& [id, stream] : streams_) {
-    if (stream.soc_index == soc_index &&
+    if (stream.reservation.soc_index == soc_index &&
         stream.backend == TranscodeBackend::kSocHwCodec) {
       ++count;
     }
@@ -150,7 +150,7 @@ void LiveTranscodingService::Admit(Stream* stream, int soc_index, int rung) {
   const VideoSpec& spec = GetVideo(stream->video);
   const PlacementDemand demand = StreamDemand(
       soc_index, stream->video, stream->backend, BitrateRungCpuScale(rung));
-  capacity_.Reserve(soc_index, demand);
+  stream->reservation = capacity_.Reserve(soc_index, demand);
 
   // Source stream in from the edge, transcoded stream back out (at the
   // rung's output bitrate).
@@ -164,8 +164,6 @@ void LiveTranscodingService::Admit(Stream* stream, int soc_index, int rung) {
       spec.target_bitrate * BitrateRungBitrateScale(rung));
   SOC_CHECK(outbound.ok()) << outbound.status().ToString();
 
-  stream->soc_index = soc_index;
-  stream->cpu_demand = demand.cpu_util;
   stream->rung = rung;
   stream->inbound_load = *inbound;
   stream->outbound_load = *outbound;
@@ -187,7 +185,7 @@ Result<int64_t> LiveTranscodingService::StartStream(VbenchVideo video,
     return Status::ResourceExhausted(
         "stream class below the brownout admission floor");
   }
-  Stream stream{video, backend, -1, 0.0, 0, 0, 0, 0, 0, {}};
+  Stream stream{video, backend, {}, 0, 0, 0, 0, 0, {}};
   stream.ctx.id = next_request_id_++;
   TraceRequestSubmit(&sim_->tracer(), &stream.ctx, "video.live.request",
                      sim_->Now());
@@ -233,14 +231,7 @@ Status LiveTranscodingService::StopStream(int64_t stream_id) {
     return Status::NotFound("no such stream");
   }
   const Stream& stream = it->second;
-  PlacementDemand demand;
-  if (stream.backend == TranscodeBackend::kSocCpu) {
-    demand.cpu_util = stream.cpu_demand;
-  } else {
-    demand.codec_sessions = 1;
-    demand.codec_pixel_rate = GetVideo(stream.video).PixelRate();
-  }
-  capacity_.Release(stream.soc_index, demand);
+  capacity_.Release(stream.reservation);
   Network& net = cluster_->network();
   SOC_RETURN_IF_ERROR(net.RemoveConstantLoad(stream.inbound_load));
   SOC_RETURN_IF_ERROR(net.RemoveConstantLoad(stream.outbound_load));
@@ -298,7 +289,7 @@ void LiveTranscodingService::DrainPending() {
       admission_.RestoreFront(std::move(*item));
       return;
     }
-    Launch(Stream{pending.video, pending.backend, -1, 0.0, 0, 0, 0, 0, 0,
+    Launch(Stream{pending.video, pending.backend, {}, 0, 0, 0, 0, 0,
                   pending.ctx},
            *soc_index, rung, {item->priority, item->enqueue, pending.client});
     pending_.Free(ref.index);
@@ -308,9 +299,8 @@ void LiveTranscodingService::DrainPending() {
 bool LiveTranscodingService::MoveRung(Stream* stream, int rung) {
   SOC_CHECK(stream->backend == TranscodeBackend::kSocCpu);
   const int old_rung = stream->rung;
-  PlacementDemand release;
-  release.cpu_util = stream->cpu_demand;
-  capacity_.Release(stream->soc_index, release);
+  const int soc_index = stream->reservation.soc_index;
+  capacity_.Release(stream->reservation);
   Network& net = cluster_->network();
   Status status = net.RemoveConstantLoad(stream->inbound_load);
   SOC_CHECK(status.ok()) << status.ToString();
@@ -319,14 +309,13 @@ bool LiveTranscodingService::MoveRung(Stream* stream, int rung) {
   if (rung < old_rung) {
     // Promotion needs the extra CPU to still be there.
     const PlacementDemand want = StreamDemand(
-        stream->soc_index, stream->video, stream->backend,
-        BitrateRungCpuScale(rung));
-    if (!capacity_.Fits(stream->soc_index, want)) {
-      Admit(stream, stream->soc_index, old_rung);
+        soc_index, stream->video, stream->backend, BitrateRungCpuScale(rung));
+    if (!capacity_.Fits(soc_index, want)) {
+      Admit(stream, soc_index, old_rung);
       return false;
     }
   }
-  Admit(stream, stream->soc_index, rung);
+  Admit(stream, soc_index, rung);
   sim_->tracer().AddArg(stream->span, "rung", static_cast<int64_t>(rung));
   return true;
 }
@@ -342,7 +331,7 @@ void LiveTranscodingService::SetBrownoutRung(int rung) {
     if (stream.backend != TranscodeBackend::kSocCpu) {
       continue;
     }
-    if (!capacity_.IsPlaceable(stream.soc_index)) {
+    if (!capacity_.IsPlaceable(stream.reservation.soc_index)) {
       // The SoC failed but detection hasn't fired yet; OnSocFailure will
       // re-home the stream. Reserving against the dead SoC's ledger here
       // would oversubscribe it the moment it comes back.
@@ -372,15 +361,17 @@ void LiveTranscodingService::OnSocFailure(int soc_index) {
   SOC_CHECK_LT(soc_index, cluster_->num_socs());
   std::vector<int64_t> displaced;
   for (const auto& [id, stream] : streams_) {
-    if (stream.soc_index == soc_index) {
+    if (stream.reservation.soc_index == soc_index) {
       displaced.push_back(id);
     }
   }
   Tracer& tracer = sim_->tracer();
   for (int64_t id : displaced) {
     Stream& stream = streams_.at(id);
-    // The SoC's own resource charges vanished with Fail(); the network
-    // loads are ours to release before re-homing.
+    // Give back the SoC-side charge (a no-op if Fail() already wiped it;
+    // a report about a SoC that is still up leaves it standing) and the
+    // network loads before re-homing.
+    capacity_.Release(stream.reservation);
     Network& net = cluster_->network();
     Status status = net.RemoveConstantLoad(stream.inbound_load);
     SOC_CHECK(status.ok()) << status.ToString();
@@ -468,8 +459,8 @@ void LiveTranscodingService::DigestState(StateDigest& digest) const {
   for (const auto& [id, stream] : streams_) {
     digest.Mix(id);
     digest.Mix(static_cast<int>(stream.backend));
-    digest.Mix(stream.soc_index);
-    digest.Mix(stream.cpu_demand);
+    digest.Mix(stream.reservation.soc_index);
+    digest.Mix(stream.reservation.demand.cpu_util);
     digest.Mix(stream.rung);
     digest.Mix(stream.base_rung);
     digest.Mix(stream.inbound_load);

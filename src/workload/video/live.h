@@ -4,6 +4,10 @@
 // service handles placement, admission control, and teardown, and is what
 // the Figure 7 energy-proportionality sweep and Table 3 network-bound
 // analysis drive.
+//
+// Each stream holds its SoC-side charge as one Reservation; stop, rung
+// moves and failover all release it, so a false-positive failure report
+// hands the CPU back and an unnoticed reboot never takes a newer stream's.
 
 #ifndef SRC_WORKLOAD_VIDEO_LIVE_H_
 #define SRC_WORKLOAD_VIDEO_LIVE_H_
@@ -117,9 +121,10 @@ class LiveTranscodingService {
   struct Stream {
     VbenchVideo video;
     TranscodeBackend backend;
-    int soc_index;
-    double cpu_demand;  // CPU utilization charged (zero for hw backend).
-    int rung;           // Position on the bitrate ladder (0 = full).
+    // The SoC-side charge: CPU for the cpu backend, one codec session for
+    // the hw backend.
+    Reservation reservation;
+    int rung;  // Position on the bitrate ladder (0 = full).
     int64_t inbound_load;
     int64_t outbound_load;
     SpanId span;  // Async "stream" span (category "video.live").

@@ -107,6 +107,28 @@ TEST_F(OrchestratorTest, FailureTriggersReplacement) {
   }
 }
 
+// SoC 0 fails and reboots before any monitor notices: the first
+// workload's replica keeps its (now wiped) reservation while a second
+// workload lands on the rebooted SoC. Scaling the first away must not take
+// the second's CPU.
+TEST_F(OrchestratorTest, ScaleDownAfterUnnoticedRebootKeepsCoResidentCharge) {
+  ASSERT_TRUE(orchestrator_.RegisterWorkload("a", {0.3, 1.0, 0.0, 0.0}).ok());
+  ASSERT_TRUE(orchestrator_.RegisterWorkload("b", {0.2, 1.0, 0.0, 0.0}).ok());
+  ASSERT_TRUE(orchestrator_.ScaleTo("a", 1).ok());
+  ASSERT_EQ(orchestrator_.GetStatus("a")->placements[0], 0);
+  SocModel& soc = cluster_.soc(0);
+  soc.Fail();
+  soc.Repair();
+  ASSERT_TRUE(soc.PowerOn(Duration::Seconds(20), nullptr).ok());
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(25)).ok());
+  ASSERT_TRUE(orchestrator_.ScaleTo("b", 1).ok());
+  ASSERT_EQ(orchestrator_.GetStatus("b")->placements[0], 0);
+  ASSERT_TRUE(orchestrator_.ScaleTo("a", 0).ok());
+  EXPECT_NEAR(soc.cpu_util(), 0.2, 1e-12);
+  ASSERT_TRUE(orchestrator_.ScaleTo("b", 0).ok());
+  EXPECT_NEAR(soc.cpu_util(), 0.0, 1e-12);
+}
+
 TEST_F(OrchestratorTest, ReplicasLostWhenClusterFull) {
   ASSERT_TRUE(orchestrator_.RegisterWorkload("full", {1.0, 1.0, 0.0, 0.0}).ok());
   ASSERT_TRUE(orchestrator_.ScaleTo("full", 60).ok());

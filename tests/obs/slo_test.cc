@@ -18,9 +18,6 @@ SloSpec TestSpec() {
   spec.class_name = "standard";
   spec.threshold = Duration::Seconds(1);
   spec.objective = 0.99;  // 1% error budget.
-  spec.fast_window = Duration::Seconds(30);
-  spec.slow_window = Duration::Minutes(2);
-  spec.burn_threshold = 3.0;
   return spec;
 }
 

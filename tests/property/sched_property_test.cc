@@ -1,9 +1,17 @@
-// Property test for the unified placement layer: a randomized interleaving
-// of admissions, evictions, failures, and recoveries across all four
-// placement-driven services (orchestrator, live transcoding, serverless,
-// gaming) must (a) never oversubscribe any SoC resource and (b) be
-// bit-identical when replayed with the same seed. Seeds are chosen so every
-// PlacementPolicy — including kBestFit and kRandomOfK — is exercised.
+// Property tests for the unified placement layer.
+//
+// A randomized interleaving of admissions, evictions, failures, and
+// recoveries across all four placement-driven services (orchestrator, live
+// transcoding, serverless, gaming) must (a) never oversubscribe any SoC
+// resource and (b) be bit-identical when replayed with the same seed. Seeds
+// are chosen so every PlacementPolicy — including kBestFit and kRandomOfK —
+// is exercised. A second run of the same interleaving adds reboots no
+// service is told about.
+//
+// Below the services, a view-level interleaving of Reserve/Release/Fail/
+// Repair+PowerOn checks the reservation rule itself: every usable SoC
+// carries exactly the charges of its intact reservations, and the view's
+// ledgers hold exactly those of its live reservations.
 
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +23,7 @@
 #include "src/cluster/cluster.h"
 #include "src/core/orchestrator.h"
 #include "src/hw/specs.h"
+#include "src/sched/capacity.h"
 #include "src/trace/gaming_trace.h"
 #include "src/workload/serverless/serverless.h"
 #include "src/workload/video/live.h"
@@ -88,10 +97,35 @@ void CheckNoOversubscription(const SocCluster& cluster,
   }
 }
 
+// Fails, repairs and reboots one usable SoC without telling any service,
+// as when the outage is shorter than the heartbeat detection window.
+// Returns the victim, or -1 when too few SoCs are up to spare one.
+int UnnoticedReboot(Simulator* sim, SocCluster* cluster, Rng* rng) {
+  int usable = 0;
+  for (int i = 0; i < cluster->num_socs(); ++i) {
+    usable += cluster->soc(i).IsUsable() ? 1 : 0;
+  }
+  if (usable <= cluster->num_socs() / 2) {
+    return -1;
+  }
+  int victim = static_cast<int>(rng->UniformInt(0, cluster->num_socs() - 1));
+  while (!cluster->soc(victim).IsUsable()) {
+    victim = (victim + 1) % cluster->num_socs();
+  }
+  SocModel& soc = cluster->soc(victim);
+  soc.Fail();
+  soc.Repair();
+  SOC_CHECK(soc.PowerOn(Duration::Seconds(20), nullptr).ok());
+  SOC_CHECK(sim->RunFor(Duration::Seconds(25)).ok());
+  return victim;
+}
+
 // Drives one randomized scenario and returns a fingerprint of everything
 // observable: per-op outcomes plus the full final per-SoC state. Two runs
-// with the same seed must return byte-identical strings.
-std::string RunScenario(uint64_t seed) {
+// with the same seed must return byte-identical strings. With
+// `unnoticed_reboots`, an eleventh op kind reboots a SoC behind the
+// services' backs; without it the op stream is the original ten kinds.
+std::string RunScenario(uint64_t seed, bool unnoticed_reboots) {
   const PlacementPolicy policy = PolicyForSeed(seed);
   Simulator sim(seed);
   SocCluster cluster(&sim, SmallChassis(), Snapdragon865Spec());
@@ -134,7 +168,7 @@ std::string RunScenario(uint64_t seed) {
   std::string fingerprint;
 
   for (int op = 0; op < kNumOps; ++op) {
-    const int64_t kind = rng.UniformInt(0, 9);
+    const int64_t kind = rng.UniformInt(0, unnoticed_reboots ? 10 : 9);
     Append(&fingerprint, "op", kind);
     switch (kind) {
       case 0:
@@ -221,6 +255,11 @@ std::string RunScenario(uint64_t seed) {
         }
         break;
       }
+      case 10: {
+        Append(&fingerprint, "reboot",
+               static_cast<int64_t>(UnnoticedReboot(&sim, &cluster, &rng)));
+        break;
+      }
       default: {
         const Duration step = Duration::Minutes(rng.UniformInt(1, 5));
         SOC_CHECK(sim.RunFor(step).ok());
@@ -269,12 +308,151 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SchedPropertyTest,
 
 TEST_P(SchedPropertyTest, NeverOversubscribesAndReplaysBitIdentically) {
   const uint64_t seed = GetParam();
-  const std::string first = RunScenario(seed);
-  const std::string second = RunScenario(seed);
+  const std::string first = RunScenario(seed, /*unnoticed_reboots=*/false);
+  const std::string second = RunScenario(seed, /*unnoticed_reboots=*/false);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second) << "same seed must replay bit-identically "
                               "(policy: "
                            << PlacementPolicyName(PolicyForSeed(seed)) << ")";
+}
+
+TEST_P(SchedPropertyTest, UnnoticedRebootsNeverOversubscribeAndReplay) {
+  const uint64_t seed = GetParam();
+  const std::string first = RunScenario(seed, /*unnoticed_reboots=*/true);
+  const std::string second = RunScenario(seed, /*unnoticed_reboots=*/true);
+  EXPECT_NE(first.find("reboot="), std::string::npos);
+  EXPECT_EQ(first, second) << "same seed must replay bit-identically "
+                              "(policy: "
+                           << PlacementPolicyName(PolicyForSeed(seed)) << ")";
+}
+
+// Every usable SoC carries exactly the SoC-side charges of the
+// reservations still intact on it (same fail epoch), and the view's
+// memory and slot ledgers hold exactly those of all live reservations.
+void CheckReservationsAccountForCharges(const SocCapacityView& view,
+                                        const std::vector<Reservation>& live,
+                                        int step) {
+  const SocCluster& cluster = view.cluster();
+  for (int i = 0; i < cluster.num_socs(); ++i) {
+    const SocModel& soc = cluster.soc(i);
+    double cpu = 0.0;
+    double gpu = 0.0;
+    double dsp = 0.0;
+    int codec = 0;
+    double memory = 0.0;
+    int slots = 0;
+    for (const Reservation& r : live) {
+      if (r.soc_index != i) {
+        continue;
+      }
+      memory += r.demand.memory_gb;
+      slots += r.demand.slots;
+      if (r.fail_epoch == soc.fail_count()) {
+        cpu += r.demand.cpu_util;
+        gpu += r.demand.gpu_util;
+        dsp += r.demand.dsp_util;
+        codec += r.demand.codec_sessions;
+      }
+    }
+    EXPECT_NEAR(view.MemoryUsedGb(i), memory, 1e-9)
+        << "step " << step << " soc " << i;
+    EXPECT_EQ(view.SlotsUsed(i), slots) << "step " << step << " soc " << i;
+    if (!soc.IsUsable()) {
+      continue;
+    }
+    EXPECT_NEAR(soc.cpu_util(), cpu, 1e-9) << "step " << step << " soc " << i;
+    EXPECT_NEAR(soc.gpu_util(), gpu, 1e-9) << "step " << step << " soc " << i;
+    EXPECT_NEAR(soc.dsp_util(), dsp, 1e-9) << "step " << step << " soc " << i;
+    EXPECT_EQ(soc.codec_sessions(), codec) << "step " << step << " soc " << i;
+  }
+}
+
+// One demand from a mix that touches every dimension the view charges.
+PlacementDemand RandomDemand(Rng* rng) {
+  PlacementDemand demand;
+  switch (rng->UniformInt(0, 5)) {
+    case 0:
+      demand.cpu_util = 0.05 * static_cast<double>(rng->UniformInt(1, 6));
+      break;
+    case 1:
+      demand.gpu_util = 0.1 * static_cast<double>(rng->UniformInt(1, 4));
+      break;
+    case 2:
+      demand.dsp_util = 0.1 * static_cast<double>(rng->UniformInt(1, 4));
+      break;
+    case 3:
+      demand.codec_sessions = static_cast<int>(rng->UniformInt(1, 2));
+      demand.codec_pixel_rate = 1.0e6;
+      break;
+    case 4:
+      demand.memory_gb = 0.5 * static_cast<double>(rng->UniformInt(1, 4));
+      break;
+    default:
+      demand.slots = 1;
+      break;
+  }
+  // Half the demands also carry CPU and memory, so one reservation mixes
+  // SoC-side and ledgered dimensions.
+  if (rng->Bernoulli(0.5)) {
+    demand.cpu_util += 0.05;
+    demand.memory_gb += 0.25;
+  }
+  return demand;
+}
+
+class ReservationPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReservationPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+TEST_P(ReservationPropertyTest, ChargesMatchIntactReservations) {
+  const uint64_t seed = GetParam();
+  Simulator sim(seed);
+  SocCluster cluster(&sim, SmallChassis(), Snapdragon865Spec());
+  cluster.PowerOnAll(nullptr);
+  SOC_CHECK(sim.RunFor(Duration::Seconds(30)).ok());
+  SocCapacityView::Options options;
+  options.slot_capacity = 3;
+  SocCapacityView view(&cluster, options);
+  Rng rng(seed * 97 + 13);
+  std::vector<Reservation> live;
+  int reserves = 0;
+  int wiped_releases = 0;
+  for (int step = 0; step < 400; ++step) {
+    const int64_t op = rng.UniformInt(0, 9);
+    const int soc_index = static_cast<int>(rng.UniformInt(0, kNumSocs - 1));
+    SocModel& soc = cluster.soc(soc_index);
+    if (op <= 4) {
+      const PlacementDemand demand = RandomDemand(&rng);
+      if (view.Fits(soc_index, demand)) {
+        live.push_back(view.Reserve(soc_index, demand));
+        ++reserves;
+      }
+    } else if (op <= 7) {
+      if (!live.empty()) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        wiped_releases += view.Release(live[pick]) ? 0 : 1;
+        live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+      }
+    } else if (op == 8) {
+      if (soc.IsUsable()) {
+        soc.Fail();
+      }
+    } else if (soc.state() == SocPowerState::kFailed) {
+      soc.Repair();
+      SOC_CHECK(soc.PowerOn(Duration::Seconds(20), nullptr).ok());
+      SOC_CHECK(sim.RunFor(Duration::Seconds(25)).ok());
+    }
+    CheckReservationsAccountForCharges(view, live, step);
+  }
+  for (const Reservation& r : live) {
+    view.Release(r);
+  }
+  CheckReservationsAccountForCharges(view, {}, -1);
+  // The interleaving must actually exercise both release paths.
+  EXPECT_GT(reserves, 50);
+  EXPECT_GT(wiped_releases, 0);
 }
 
 }  // namespace

@@ -133,14 +133,16 @@ TEST_F(PlacerTest, CapacityViewReservesAndReleasesEveryResource) {
   demand.codec_pixel_rate = 2.0e6;
   demand.slots = 1;
   ASSERT_TRUE(view.Fits(1, demand));
-  view.Reserve(1, demand);
+  const Reservation reservation = view.Reserve(1, demand);
+  EXPECT_EQ(reservation.soc_index, 1);
+  EXPECT_EQ(reservation.fail_epoch, cluster_.soc(1).fail_count());
   EXPECT_DOUBLE_EQ(cluster_.soc(1).cpu_util(), 0.3);
   EXPECT_DOUBLE_EQ(cluster_.soc(1).gpu_util(), 0.4);
   EXPECT_DOUBLE_EQ(cluster_.soc(1).dsp_util(), 0.2);
   EXPECT_EQ(cluster_.soc(1).codec_sessions(), 2);
   EXPECT_DOUBLE_EQ(view.MemoryUsedGb(1), 5.0);
   EXPECT_EQ(view.SlotsUsed(1), 1);
-  view.Release(1, demand);
+  view.Release(reservation);
   EXPECT_DOUBLE_EQ(cluster_.soc(1).cpu_util(), 0.0);
   EXPECT_DOUBLE_EQ(cluster_.soc(1).gpu_util(), 0.0);
   EXPECT_DOUBLE_EQ(cluster_.soc(1).dsp_util(), 0.0);
@@ -194,13 +196,59 @@ TEST_F(PlacerTest, ReleaseAfterFailureKeepsLedgersConsistent) {
   demand.cpu_util = 0.4;
   demand.memory_gb = 3.0;
   demand.slots = 1;
-  view.Reserve(2, demand);
+  const Reservation reservation = view.Reserve(2, demand);
   cluster_.soc(2).Fail();
   // SoC-side charges vanished with Fail(); ledgered memory and slots must
   // still release so the slot is clean after repair.
-  view.Release(2, demand);
+  view.Release(reservation);
   EXPECT_DOUBLE_EQ(view.MemoryUsedGb(2), 0.0);
   EXPECT_EQ(view.SlotsUsed(2), 0);
+}
+
+using CapacityViewTest = PlacerTest;
+
+// A charge wiped by Fail() must not be subtracted again after the SoC
+// reboots: the CPU/GPU/DSP/codec now on the SoC belongs to later work.
+TEST_F(CapacityViewTest, ReleaseSkipsChargesWipedByFailure) {
+  SocCapacityView::Options view_options;
+  view_options.slot_capacity = 2;
+  SocCapacityView view(&cluster_, view_options);
+  PlacementDemand a;
+  a.cpu_util = 0.3;
+  a.gpu_util = 0.4;
+  a.dsp_util = 0.2;
+  a.codec_sessions = 1;
+  a.codec_pixel_rate = 1.0e6;
+  a.memory_gb = 2.0;
+  a.slots = 1;
+  const Reservation first = view.Reserve(0, a);
+  SocModel& soc = cluster_.soc(0);
+  soc.Fail();
+  soc.Repair();
+  ASSERT_TRUE(soc.PowerOn(Duration::Seconds(20), nullptr).ok());
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(25)).ok());
+  ASSERT_TRUE(soc.IsUsable());
+  EXPECT_TRUE(view.FailedSince(first));
+  PlacementDemand b = a;
+  b.cpu_util = 0.2;
+  b.memory_gb = 1.0;
+  const Reservation second = view.Reserve(0, b);
+  EXPECT_FALSE(view.Release(first));
+  // The second charge is untouched; the first's ledgers came back.
+  EXPECT_DOUBLE_EQ(soc.cpu_util(), 0.2);
+  EXPECT_DOUBLE_EQ(soc.gpu_util(), 0.4);
+  EXPECT_DOUBLE_EQ(soc.dsp_util(), 0.2);
+  EXPECT_EQ(soc.codec_sessions(), 1);
+  EXPECT_DOUBLE_EQ(view.MemoryUsedGb(0), 1.0);
+  EXPECT_EQ(view.SlotsUsed(0), 1);
+  EXPECT_FALSE(view.FailedSince(second));
+  EXPECT_TRUE(view.Release(second));
+  EXPECT_DOUBLE_EQ(soc.cpu_util(), 0.0);
+  EXPECT_DOUBLE_EQ(soc.gpu_util(), 0.0);
+  EXPECT_DOUBLE_EQ(soc.dsp_util(), 0.0);
+  EXPECT_EQ(soc.codec_sessions(), 0);
+  EXPECT_DOUBLE_EQ(view.MemoryUsedGb(0), 0.0);
+  EXPECT_EQ(view.SlotsUsed(0), 0);
 }
 
 TEST_F(PlacerTest, FilterExcludesCandidates) {
@@ -275,14 +323,14 @@ TEST_F(PlacerTest, LowestKeyScanMatchesBruteForceReference) {
       options.load.memory_weight_per_gb = 0.125;
       options.load.slot_weight = 0.25;
       Placer placer(&sim_, &view, options);
-      std::vector<PlacementDemand> held(static_cast<size_t>(n));
+      std::vector<Reservation> held;
       for (int i = 0; i < n; ++i) {
-        PlacementDemand& h = held[static_cast<size_t>(i)];
+        PlacementDemand h;
         h.cpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 4));
         h.gpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 2));
         h.memory_gb = static_cast<double>(rng.UniformInt(0, 8));
         h.slots = static_cast<int>(rng.UniformInt(0, 4));
-        view.Reserve(i, h);
+        held.push_back(view.Reserve(i, h));
       }
       std::vector<bool> allowed(static_cast<size_t>(n), true);
       const bool with_filter = round % 2 == 1;
@@ -336,8 +384,8 @@ TEST_F(PlacerTest, LowestKeyScanMatchesBruteForceReference) {
           << PlacementPolicyName(policy) << " round " << round;
       EXPECT_EQ(evaluations->value() - evaluations_before, feasible);
       ++picks_checked;
-      for (int i = 0; i < n; ++i) {
-        view.Release(i, held[static_cast<size_t>(i)]);
+      for (const Reservation& h : held) {
+        view.Release(h);
       }
     }
   }

@@ -357,6 +357,57 @@ TEST_F(LiveServiceTest, HwStreamsUseCodecSessions) {
   EXPECT_EQ(used, 2);
 }
 
+using LiveTranscodingTest = LiveServiceTest;
+
+// Two V1 CPU streams share SoC 0 across a fail/repair/reboot nobody
+// reported: the first stream's charge died with the failure, the second
+// was charged after the reboot. Stopping the first must leave the second's.
+TEST_F(LiveTranscodingTest, StopAfterUnnoticedRebootKeepsCoResidentCharge) {
+  LiveTranscodingService service(&sim_, &cluster_, PlacementPolicy::kSpread);
+  auto first =
+      service.StartStream(VbenchVideo::kV1Holi, TranscodeBackend::kSocCpu);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(service.StreamsOnSoc(0), 1);
+  SocModel& soc = cluster_.soc(0);
+  const double per_stream = soc.cpu_util();
+  ASSERT_GT(per_stream, 0.0);
+  soc.Fail();
+  soc.Repair();
+  ASSERT_TRUE(soc.PowerOn(Duration::Seconds(20), nullptr).ok());
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(25)).ok());
+  auto second =
+      service.StartStream(VbenchVideo::kV1Holi, TranscodeBackend::kSocCpu);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(service.StreamsOnSoc(0), 2);
+  ASSERT_TRUE(service.StopStream(*first).ok());
+  EXPECT_EQ(service.StreamsOnSoc(0), 1);
+  EXPECT_NEAR(soc.cpu_util(), per_stream, 1e-12);
+  ASSERT_TRUE(service.StopStream(*second).ok());
+  EXPECT_NEAR(soc.cpu_util(), 0.0, 1e-12);
+}
+
+// A failure report about a SoC that is still up (a detector false
+// positive) re-homes its streams; the CPU they held must come back.
+TEST_F(LiveTranscodingTest, FalsePositiveFailureReleasesCpu) {
+  LiveTranscodingService service(&sim_, &cluster_, PlacementPolicy::kSpread);
+  ASSERT_TRUE(
+      service.StartStream(VbenchVideo::kV1Holi, TranscodeBackend::kSocCpu)
+          .ok());
+  ASSERT_EQ(service.StreamsOnSoc(0), 1);
+  const double per_stream = cluster_.soc(0).cpu_util();
+  ASSERT_TRUE(cluster_.soc(0).IsUsable());
+  service.OnSocFailure(0);
+  ASSERT_EQ(service.active_streams(), 1);
+  double total = 0.0;
+  for (int i = 0; i < cluster_.num_socs(); ++i) {
+    EXPECT_NEAR(cluster_.soc(i).cpu_util(),
+                per_stream * service.StreamsOnSoc(i), 1e-12)
+        << "soc " << i;
+    total += cluster_.soc(i).cpu_util();
+  }
+  EXPECT_NEAR(total, per_stream, 1e-12);
+}
+
 TEST_F(LiveServiceTest, CapacityShrinksWithFailedSocs) {
   LiveTranscodingService service(&sim_, &cluster_, PlacementPolicy::kSpread);
   cluster_.soc(0).Fail();

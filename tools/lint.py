@@ -93,6 +93,20 @@ Registered as the `lint.repo` ctest. Rules:
                 is an invisible second load generator that no bench or
                 determinism scenario can reproduce or reason about.
 
+  charges        Under src/, only src/hw (the SoC model) and src/sched (the
+                capacity view) may write SoC utilization or codec sessions
+                (AddCpuUtil, SetCpuUtil, SetGpuUtil, SetDspUtil,
+                AddCodecSession, RemoveCodecSession) or read fail_count().
+                Services charge a SoC through SocCapacityView::Reserve and
+                give it back through Release(reservation), which owns the
+                rule for charges a failure already wiped; a service that
+                writes utilization itself or keeps its own fail-epoch copy
+                forks that rule (two copies once took a co-resident
+                workload's CPU after an unnoticed reboot) and hides the
+                load change from the placement layer. The one allowance is
+                the exclusive whole-SoC runs of collab and training, which
+                write SetCpuUtil(1.0)/(0.0) absolutely.
+
   suppression    Every `lint:allow` marker must be well-formed and name a
                 rule that exists: a typo like `lint:allow(unit)` would
                 otherwise silently suppress nothing while looking like it
@@ -234,6 +248,20 @@ HOT_LABEL_DYNAMIC = [
      "string concatenation builds a fresh std::string per event"),
 ]
 
+# SoC-side charges belong to the capacity view: outside src/hw and
+# src/sched no code writes utilization or codec sessions or reads a SoC's
+# fail epoch. Allowlisted files may make only the named calls.
+CHARGES_OWNERS = ("src/hw/", "src/sched/")
+CHARGES_PATTERN = re.compile(
+    r"\b(AddCpuUtil|SetCpuUtil|SetGpuUtil|SetDspUtil|AddCodecSession|"
+    r"RemoveCodecSession|fail_count)\s*\(")
+CHARGES_ALLOWLIST = {
+    # Exclusive whole-SoC runs: every SoC of the run is saturated, then
+    # idled, by an absolute write.
+    "src/workload/dl/collab.cc": {"SetCpuUtil"},
+    "src/workload/dl/training.cc": {"SetCpuUtil"},
+}
+
 ALLOW = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
 ALLOW_MARKER = re.compile(r"lint:allow")
 ALLOW_ANY = re.compile(r"//\s*lint:allow\(([^)]*)\)")
@@ -241,6 +269,7 @@ ALLOW_ANY = re.compile(r"//\s*lint:allow\(([^)]*)\)")
 KNOWN_RULES = frozenset({
     "determinism", "units", "guards", "include-cc", "stdio", "layering",
     "admission", "gray-evidence", "hot-label", "arrival", "lifecycle",
+    "charges",
 })
 
 IGNORED_DIRS = {".git", "build", "third_party", ".github"}
@@ -413,6 +442,23 @@ class Linter:
                         "service's RequestLedger")
                     break
 
+    def lint_charges(self, path, raw_lines, code_lines):
+        if not path.startswith("src/") or path.startswith(CHARGES_OWNERS):
+            return
+        allowed_calls = CHARGES_ALLOWLIST.get(path, set())
+        for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
+            for m in CHARGES_PATTERN.finditer(code):
+                if m.group(1) in allowed_calls or allowed(raw, "charges"):
+                    continue
+                self.report(
+                    path, lineno, "charges",
+                    f"`{m.group(1)}()` outside src/hw and src/sched; charge "
+                    "a SoC through SocCapacityView::Reserve, give it back "
+                    "with Release(reservation) (its result says whether a "
+                    "failure wiped the charge), and ask FailedSince() "
+                    "before that")
+                break
+
     def lint_hot_label(self, path, raw_lines, code_text):
         if not path.startswith("src/"):
             return
@@ -511,6 +557,7 @@ class Linter:
                 self.lint_arrival(path, raw_lines, code_lines)
                 self.lint_gray_evidence(path, raw_lines, code_lines)
                 self.lint_lifecycle(path, raw_lines, code_lines)
+                self.lint_charges(path, raw_lines, code_lines)
                 self.lint_hot_label(path, raw_lines, code_text)
                 self.lint_include_cc(path, raw_lines, code_lines)
                 self.lint_suppressions(path, raw_lines)

@@ -278,6 +278,64 @@ class LifecycleRuleTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+class ChargesRuleTest(unittest.TestCase):
+    def test_service_utilization_write_flagged(self):
+        findings = run_rule(
+            "lint_charges", "src/workload/dl/x.cc",
+            "const Status s = soc.AddCpuUtil(grant);\n"
+            "status = soc.SetGpuUtil(1.0);\n"
+            "soc.SetDspUtil(0.0);\n"
+            "soc.AddCodecSession(rate);\n"
+            "soc.RemoveCodecSession(rate);\n")
+        self.assertEqual(len(findings), 5)
+        self.assertIn("[charges]", findings[0])
+        self.assertIn("Reserve", findings[0])
+
+    def test_fail_epoch_copy_flagged(self):
+        findings = run_rule(
+            "lint_charges", "src/trace/x.cc",
+            "session.fail_epoch = soc.fail_count();\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("`fail_count()`", findings[0])
+
+    def test_core_flagged(self):
+        findings = run_rule("lint_charges", "src/core/x.cc",
+                            "cluster_->soc(i).SetCpuUtil(0.5);\n")
+        self.assertEqual(len(findings), 1)
+
+    def test_owners_clean(self):
+        for path in ("src/sched/capacity.cc", "src/hw/soc.cc"):
+            findings = run_rule(
+                "lint_charges", path,
+                "const Status s = soc.AddCpuUtil(d.cpu_util);\n"
+                "return soc.fail_count() != r.fail_epoch;\n")
+            self.assertEqual(findings, [], path)
+
+    def test_allowlist_covers_only_named_calls(self):
+        findings = run_rule(
+            "lint_charges", "src/workload/dl/training.cc",
+            "const Status s = cluster_->soc(i).SetCpuUtil(1.0);\n"
+            "soc.AddCpuUtil(0.1);\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("training.cc:2:", findings[0])
+
+    def test_outside_src_and_comments_clean(self):
+        self.assertEqual(
+            run_rule("lint_charges", "tests/x.cc", "soc.AddCpuUtil(0.1);\n"),
+            [])
+        self.assertEqual(
+            run_rule("lint_charges", "src/workload/x.h",
+                     "// fail_count() at admission\n"
+                     "int64_t fail_epoch = 0;\n"),
+            [])
+
+    def test_suppressed(self):
+        findings = run_rule(
+            "lint_charges", "src/workload/x.cc",
+            "soc.SetGpuUtil(0.0);  // lint:allow(charges)\n")
+        self.assertEqual(findings, [])
+
+
 class HotLabelRuleTest(unittest.TestCase):
     def test_to_string_label_flagged(self):
         findings = run_rule(
@@ -353,7 +411,8 @@ class SuppressionHygieneTest(unittest.TestCase):
         # Every lint_<rule> method's reports must use a name in
         # KNOWN_RULES, or its suppressions would be self-flagged.
         for rule in ("determinism", "units", "guards", "include-cc",
-                     "stdio", "layering", "admission", "lifecycle"):
+                     "stdio", "layering", "admission", "lifecycle",
+                     "charges"):
             self.assertIn(rule, lint.KNOWN_RULES)
 
 
