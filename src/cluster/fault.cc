@@ -33,14 +33,6 @@ FaultInjector::FaultInjector(Simulator* sim, SocCluster* cluster,
   SOC_CHECK_GT(config_.mtbf_per_soc.nanos(), 0);
   SOC_CHECK_GE(config_.transient_fraction, 0.0);
   SOC_CHECK_LE(config_.transient_fraction, 1.0);
-  SOC_CHECK_GT(config_.thermal_throttle_factor, 0.0);
-  SOC_CHECK_LE(config_.thermal_throttle_factor, 1.0);
-  SOC_CHECK_GT(config_.slow_soc_factor, 0.0);
-  SOC_CHECK_LE(config_.slow_soc_factor, 1.0);
-  SOC_CHECK_GT(config_.link_brownout_factor, 0.0);
-  SOC_CHECK_LE(config_.link_brownout_factor, 1.0);
-  SOC_CHECK_GE(config_.flaky_heartbeat_loss_prob, 0.0);
-  SOC_CHECK_LE(config_.flaky_heartbeat_loss_prob, 1.0);
   MetricRegistry& metrics = sim_->metrics();
   for (int k = 0; k < kNumFaultKinds; ++k) {
     injected_metric_[k] = metrics.GetCounter(
@@ -88,36 +80,7 @@ const FaultInjector::Process FaultInjector::kProcesses[] = {
        // excursion; Fail() clears the factor itself.
        if (f.cluster_->soc(i).throttle_factor() >= 1.0) {
          f.Apply(FaultKind::kThermalTrip, i, f.config_.thermal_duration,
-                 f.config_.thermal_throttle_factor);
-       }
-     }},
-    {&FaultConfig::slow_soc_mtbf, Scope::kSocs,
-     [](FaultInjector& f, int i) {
-       if (f.cluster_->soc(i).throttle_factor() >= 1.0) {
-         f.Apply(FaultKind::kSlowSoc, i, f.config_.slow_soc_duration,
-                 f.config_.slow_soc_factor);
-       }
-     }},
-    {&FaultConfig::link_brownout_mtbf, Scope::kLinks,
-     [](FaultInjector& f, int s) {
-       if (f.cluster_->network().LinkCapacityFactor(f.UplinkOf(s)) >= 1.0) {
-         f.Apply(FaultKind::kLinkBrownout, s,
-                 f.config_.link_brownout_duration,
-                 f.config_.link_brownout_factor);
-       }
-     }},
-    {&FaultConfig::flaky_heartbeat_mtbf, Scope::kSocs,
-     [](FaultInjector& f, int i) {
-       if (f.cluster_->soc(i).heartbeat_loss_prob() <= 0.0) {
-         f.Apply(FaultKind::kFlakyHeartbeat, i,
-                 f.config_.flaky_heartbeat_duration,
-                 f.config_.flaky_heartbeat_loss_prob);
-       }
-     }},
-    {&FaultConfig::zombie_mtbf, Scope::kSocs,
-     [](FaultInjector& f, int i) {
-       if (!f.cluster_->soc(i).zombie()) {
-         f.Apply(FaultKind::kZombie, i, f.config_.zombie_duration, 0.0);
+                 kThermalThrottleFactor);
        }
      }},
 };

@@ -15,16 +15,20 @@
 //   * thermal trips — a SoC is throttled (service-rate scaled) for the
 //     excursion, without losing its load;
 //   * gray failures — fail-slow modes that keep the SoC heartbeating while
-//     degrading service: sustained slow-SoC excursions (deep throttle far
-//     longer than a thermal trip), link brownouts (fractional capacity on a
-//     PCB/ESB uplink that stays "up"), flaky heartbeats (management-path
-//     loss without data-path impact), and zombies (healthy beats, failing
-//     requests).
+//     degrading service: slow SoCs (deep throttle far longer than a thermal
+//     trip), link brownouts (fractional capacity on a PCB/ESB uplink that
+//     stays "up"), flaky heartbeats (management-path loss without data-path
+//     impact), and zombies (healthy beats, failing requests).
+//
+// The five fail-stop and thermal kinds come from seeded Poisson chains run
+// by Start(). The four gray kinds have no chain: a bench or test plants
+// each one at a chosen time, target and severity through the Plant* calls.
 //
 // Failures target only usable (powered-on) SoCs, matching the "under
 // sustained load" MTBF semantics; events landing on off/booting SoCs are
-// re-drawn. All activity is published to the metrics registry ("fault.*")
-// and as instants on the "faults" trace track, and an append-only history
+// re-drawn, and a planted gray fault on such a SoC lands nothing. All
+// activity is published to the metrics registry ("fault.*") and as
+// instants on the "faults" trace track, and an append-only history
 // records every event so two runs with the same seed can be compared
 // bit-for-bit.
 
@@ -71,32 +75,10 @@ struct FaultConfig {
   // uplink. Zero disables.
   Duration uplink_flap_mtbf = Duration::Zero();
   Duration uplink_flap_duration = Duration::Seconds(30);
-  // Thermal-throttle excursions per SoC. Zero disables.
+  // Thermal-throttle excursions per SoC (throttled to
+  // FaultInjector::kThermalThrottleFactor). Zero disables.
   Duration thermal_mtbf = Duration::Zero();
   Duration thermal_duration = Duration::Minutes(10);
-  double thermal_throttle_factor = 0.6;
-
-  // --- Gray (fail-slow) taxonomy; each process zero-MTBF-disabled ---
-  // Sustained slow-SoC excursions: a flash-wear or firmware straggler runs
-  // at slow_soc_factor of nominal speed for slow_soc_duration while
-  // heartbeating normally.
-  Duration slow_soc_mtbf = Duration::Zero();
-  Duration slow_soc_duration = Duration::Hours(2);
-  double slow_soc_factor = 0.3;
-  // Link brownouts, drawn per PCB uplink and the ESB uplink: capacity drops
-  // to link_brownout_factor of nominal but the link reports "up".
-  Duration link_brownout_mtbf = Duration::Zero();
-  Duration link_brownout_duration = Duration::Minutes(30);
-  double link_brownout_factor = 0.25;
-  // Flaky heartbeats: each beat from the afflicted SoC is lost with
-  // flaky_heartbeat_loss_prob; the data path is unaffected.
-  Duration flaky_heartbeat_mtbf = Duration::Zero();
-  Duration flaky_heartbeat_duration = Duration::Minutes(20);
-  double flaky_heartbeat_loss_prob = 0.5;
-  // Zombies: the SoC answers heartbeats but every request dispatched to it
-  // fails until the excursion ends or the board is power-cycled.
-  Duration zombie_mtbf = Duration::Zero();
-  Duration zombie_duration = Duration::Hours(1);
   uint64_t seed = 42;
 };
 
@@ -112,6 +94,9 @@ struct FaultEvent {
 class FaultInjector {
  public:
   using SocCallback = std::function<void(int soc_index)>;
+
+  // Service-rate factor of a SoC during a thermal trip.
+  static constexpr double kThermalThrottleFactor = 0.6;
 
   FaultInjector(Simulator* sim, SocCluster* cluster, FaultConfig config);
   FaultInjector(const FaultInjector&) = delete;
@@ -147,10 +132,11 @@ class FaultInjector {
            faults_of(FaultKind::kZombie);
   }
 
-  // Deterministic planting for benches/tests: inject one gray event at an
-  // absolute time, independent of the seeded Poisson chains (and usable
-  // without Start()). `duration` of zero means "until power-cycle". A
-  // `link_slot` is a PCB index, or num_pcbs for the ESB uplink.
+  // The only way to inject a gray fault: one event at an absolute time,
+  // independent of the seeded chains (and usable without Start()). A SoC
+  // that is not usable at `at` gets nothing. `duration` of zero means
+  // "until power-cycle". A `link_slot` is a PCB index, or num_pcbs for the
+  // ESB uplink.
   void PlantSlowSoc(int soc_index, SimTime at, Duration duration,
                     double factor);
   void PlantLinkBrownout(int link_slot, SimTime at, Duration duration,
@@ -196,9 +182,9 @@ class FaultInjector {
   // Fails one SoC (of a SoC or PCB fault) and runs on_failure_.
   void FailOne(int soc_index);
   void CompleteSocRepair(int soc_index);
-  // The excursion of `kind` at `index`, shared by the seeded chains and
-  // Plant*. `value` is the throttle or brownout factor or the heartbeat
-  // loss probability (unused for flaps and zombies).
+  // The excursion of `kind` at `index`, shared by the flap and thermal
+  // chains and Plant*. `value` is the throttle or brownout factor or the
+  // heartbeat loss probability (unused for flaps and zombies).
   void Apply(FaultKind kind, int index, Duration duration, double value);
   // Schedules Apply() at `at`; SoC-scoped kinds land only on a usable SoC.
   void Plant(FaultKind kind, int index, SimTime at, Duration duration,

@@ -35,7 +35,8 @@ struct ChaosConfig {
   // complete later).
   Duration horizon = Duration::Hours(24 * 90);
   // Gray-failure response layer (suspicion scoring + quarantine). Off by
-  // default: heartbeat-only runs stay bit-identical with earlier builds.
+  // default: the heartbeat-only runs (bench_fault_availability,
+  // edge_resilience) report no request-path evidence for it to judge.
   bool enable_gray = false;
   GrayFailureConfig gray;
 };

@@ -14,6 +14,28 @@ constexpr int64_t kGrayTrack = 81;
 // Async-span id base for per-SoC quarantine spans (one live span per SoC
 // at a time, so soc index offsets are collision-free).
 constexpr uint64_t kQuarantineAsyncBase = 0x6772617900000000ULL;  // "gray"
+
+// Latency suspicion rises linearly from 0 at kRatioOk x the fleet-median
+// p99 to 1 at kRatioBad x.
+constexpr double kRatioOk = 1.5;
+constexpr double kRatioBad = 4.0;
+// Error suspicion reaches 1 at this windowed error rate.
+constexpr double kErrorRateBad = 0.5;
+// EWMA smoothing: score = kAlpha * instant + (1 - kAlpha) * previous.
+constexpr double kAlpha = 0.7;
+
+// Suspicion thresholds (hysteresis: clear < suspect <= quarantine).
+constexpr double kSuspectThreshold = 0.3;
+constexpr double kQuarantineThreshold = 0.5;
+static_assert(GrayFailureManager::kClearThreshold < kSuspectThreshold &&
+              kSuspectThreshold <= kQuarantineThreshold);
+// Consecutive ticks at >= kQuarantineThreshold before quarantining.
+constexpr int kQuarantineAfterTicks = 2;
+// Probe streaks that end probation: reinstate or escalate.
+constexpr int kReinstateAfterOkProbes = 6;
+constexpr int kEscalateAfterFailedProbes = 6;
+// Nominal service time of the canary on an unthrottled SoC.
+constexpr Duration kProbeServiceTime = Duration::MillisF(100);
 }  // namespace
 
 // --- DegradationScorer ---
@@ -25,10 +47,6 @@ DegradationScorer::DegradationScorer(Simulator* sim, int num_socs,
   SOC_CHECK_GT(num_socs, 0);
   SOC_CHECK_GT(config_.window.nanos(), 0);
   SOC_CHECK_GE(config_.min_samples, 1);
-  SOC_CHECK_GT(config_.ratio_bad, config_.ratio_ok);
-  SOC_CHECK_GT(config_.error_rate_bad, 0.0);
-  SOC_CHECK_GT(config_.alpha, 0.0);
-  SOC_CHECK_LE(config_.alpha, 1.0);
   MetricRegistry& metrics = sim_->metrics();
   reports_metric_ = metrics.GetCounter("gray.reports");
   error_reports_metric_ = metrics.GetCounter("gray.error_reports");
@@ -89,16 +107,14 @@ void DegradationScorer::Evaluate() {
           e.last_window.count() >= config_.min_samples) {
         const double ratio = e.last_window.Percentile(99) / fleet;
         latency_score = std::clamp(
-            (ratio - config_.ratio_ok) / (config_.ratio_bad - config_.ratio_ok),
-            0.0, 1.0);
+            (ratio - kRatioOk) / (kRatioBad - kRatioOk), 0.0, 1.0);
       }
       const double error_rate =
           static_cast<double>(e.last_errors) / static_cast<double>(total);
-      const double error_score =
-          std::min(1.0, error_rate / config_.error_rate_bad);
+      const double error_score = std::min(1.0, error_rate / kErrorRateBad);
       instant = std::max(latency_score, error_score);
     }
-    e.suspicion = config_.alpha * instant + (1.0 - config_.alpha) * e.suspicion;
+    e.suspicion = kAlpha * instant + (1.0 - kAlpha) * e.suspicion;
     max_suspicion = std::max(max_suspicion, e.suspicion);
   }
   max_suspicion_gauge_->Set(max_suspicion);
@@ -140,14 +156,11 @@ GrayFailureManager::GrayFailureManager(Simulator* sim, SocCluster* cluster,
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK_GT(config_.tick.nanos(), 0);
+  // The scorer judges whatever accumulated since the last tick, so a tick
+  // that differs from the window would judge a window nobody configured.
+  SOC_CHECK(config_.tick == config_.scorer.window)
+      << "gray tick must equal the scorer window";
   SOC_CHECK_GT(config_.probe_interval.nanos(), 0);
-  SOC_CHECK_GE(config_.quarantine_after_ticks, 1);
-  SOC_CHECK_GE(config_.reinstate_after_ok_probes, 1);
-  SOC_CHECK_GE(config_.escalate_after_failed_probes, 1);
-  SOC_CHECK_GT(config_.max_quarantined_fraction, 0.0);
-  SOC_CHECK_GE(config_.suspect_penalty, 0.0);
-  SOC_CHECK_LE(config_.clear_threshold, config_.suspect_threshold);
-  SOC_CHECK_LE(config_.suspect_threshold, config_.quarantine_threshold);
   scorer_ = std::make_unique<DegradationScorer>(sim, cluster->num_socs(),
                                                 config.scorer);
   MetricRegistry& metrics = sim_->metrics();
@@ -198,7 +211,7 @@ double GrayFailureManager::PlacementPenalty(int soc_index) const {
   // Quarantined SoCs are excluded by IsPlaceable already; the penalty only
   // has to steer load away from suspects.
   return socs_[static_cast<size_t>(soc_index)].state == SocState::kSuspect
-             ? config_.suspect_penalty
+             ? kSuspectPenalty
              : 0.0;
 }
 
@@ -215,7 +228,7 @@ int GrayFailureManager::quarantined_now() const {
 void GrayFailureManager::Tick() {
   scorer_->Evaluate();
   const int quarantine_cap = std::max(
-      1, static_cast<int>(config_.max_quarantined_fraction *
+      1, static_cast<int>(kMaxQuarantinedFraction *
                           static_cast<double>(socs_.size())));
   int suspects_now = 0;
   for (int i = 0; i < static_cast<int>(socs_.size()); ++i) {
@@ -233,16 +246,16 @@ void GrayFailureManager::Tick() {
     const double s = scorer_->Suspicion(i);
     switch (c.state) {
       case SocState::kHealthy:
-        if (s >= config_.suspect_threshold) {
+        if (s >= kSuspectThreshold) {
           EnterSuspect(i);
         }
         break;
       case SocState::kSuspect:
-        if (s < config_.clear_threshold) {
+        if (s < kClearThreshold) {
           c = SocControl{};  // Exonerated; penalty clears with the state.
-        } else if (s >= config_.quarantine_threshold) {
+        } else if (s >= kQuarantineThreshold) {
           ++c.hot_ticks;
-          if (c.hot_ticks >= config_.quarantine_after_ticks &&
+          if (c.hot_ticks >= kQuarantineAfterTicks &&
               quarantined_now() < quarantine_cap) {
             EnterQuarantine(i);
           }
@@ -296,9 +309,8 @@ GrayFailureManager::ProbeResult GrayFailureManager::DefaultProbe(
   if (!soc.IsUsable() || soc.zombie()) {
     return ProbeResult{false, Duration::Zero()};
   }
-  return ProbeResult{
-      true, Duration::SecondsF(config_.probe_service_time.ToSeconds() /
-                               soc.throttle_factor())};
+  return ProbeResult{true, Duration::SecondsF(kProbeServiceTime.ToSeconds() /
+                                              soc.throttle_factor())};
 }
 
 void GrayFailureManager::Probe(int soc_index) {
@@ -311,14 +323,14 @@ void GrayFailureManager::Probe(int soc_index) {
     probe_ok_metric_->Increment();
     ++c.ok_probes;
     c.failed_probes = 0;
-    if (c.ok_probes >= config_.reinstate_after_ok_probes) {
+    if (c.ok_probes >= kReinstateAfterOkProbes) {
       Reinstate(soc_index);
     }
   } else {
     probe_fail_metric_->Increment();
     ++c.failed_probes;
     c.ok_probes = 0;
-    if (c.failed_probes >= config_.escalate_after_failed_probes) {
+    if (c.failed_probes >= kEscalateAfterFailedProbes) {
       Escalate(soc_index);
     }
   }

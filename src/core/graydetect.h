@@ -12,15 +12,22 @@
 //     windowed p99 against the fleet median p99 — relative, so a globally
 //     loaded cluster does not look like sixty stragglers — and folds the
 //     latency ratio and error rate into an EWMA suspicion score in [0, 1].
+//     Latency suspicion rises linearly from 0 at 1.5x the fleet-median p99
+//     to 1 at 4x; error suspicion reaches 1 at a 50% windowed error rate;
+//     the two combine by max, so a zombie (pure errors) and a straggler
+//     (pure latency) both score fully; the EWMA weighs the new window 0.7.
 //
 //   * GrayFailureManager — the control loop. A periodic tick advances the
 //     scorer and walks a per-SoC state machine:
 //
-//       healthy --suspicion >= suspect--> suspect (placement-penalized)
-//       suspect --suspicion >= quarantine, sustained--> quarantined
-//         (drained via on_quarantine, canary-probed every probe_interval)
-//       quarantined --probes pass--> reinstated (penalty cleared)
-//       quarantined --probes fail--> escalated (power-cycle + on_escalate)
+//       healthy --suspicion >= 0.3--> suspect (placement-penalized)
+//       suspect --suspicion < 0.15--> healthy
+//       suspect --suspicion >= 0.5 for 2 ticks--> quarantined
+//         (drained via on_quarantine, canary-probed every probe_interval;
+//         at most 20% of the fleet at once)
+//       quarantined --6 passing probes in a row--> reinstated
+//       quarantined --6 failing probes in a row--> escalated (power-cycle
+//         + on_escalate)
 //
 //     Placement integration is two-pronged: quarantined SoCs are excluded
 //     outright (SocModel::quarantined() feeds SocCapacityView::IsPlaceable)
@@ -50,20 +57,12 @@ namespace soccluster {
 
 struct DegradationScorerConfig {
   // Evidence window; suspicion is evaluated over the last completed
-  // window so a burst cannot flip a verdict mid-accumulation.
+  // window so a burst cannot flip a verdict mid-accumulation. Evaluate()
+  // rotates the window on every call, so the caller's period is the real
+  // window: GrayFailureManager requires it to equal GrayFailureConfig::tick.
   Duration window = Duration::Seconds(30);
   // Minimum completions in a SoC's window before its latency is judged.
   int min_samples = 20;
-  // Latency evidence: suspicion rises linearly from 0 at
-  // `ratio_ok` x fleet-median-p99 to 1 at `ratio_bad` x.
-  double ratio_ok = 1.5;
-  double ratio_bad = 4.0;
-  // Error evidence: suspicion reaches 1 at this windowed error rate.
-  double error_rate_bad = 0.5;
-  // The two channels combine by max: a zombie (pure errors, no latency
-  // evidence) and a straggler (pure latency, no errors) both score fully.
-  // EWMA smoothing: score = alpha * instant + (1 - alpha) * previous.
-  double alpha = 0.7;
 };
 
 // Per-SoC request-path evidence and suspicion scoring. Passive: owns no
@@ -80,7 +79,7 @@ class DegradationScorer {
   void Report(int soc_index, Duration latency, bool ok);
 
   // Rotates windows and recomputes every SoC's suspicion from the window
-  // just completed. Deterministic; call on a fixed period (>= window).
+  // just completed. Deterministic; call once per `window`.
   void Evaluate();
 
   // Current EWMA suspicion in [0, 1].
@@ -118,28 +117,12 @@ class DegradationScorer {
 struct GrayFailureConfig {
   DegradationScorerConfig scorer;
   // Control-loop tick; each tick evaluates the scorer and advances the
-  // state machines. Should equal the scorer window.
+  // state machines. Must equal scorer.window (CHECKed at construction).
   Duration tick = Duration::Seconds(30);
-  // Suspicion thresholds (hysteresis: clear < suspect <= quarantine).
-  double suspect_threshold = 0.3;
-  double quarantine_threshold = 0.5;
-  double clear_threshold = 0.15;
-  // Consecutive ticks at >= quarantine_threshold before quarantining.
-  int quarantine_after_ticks = 2;
-  // Extra load-model units a suspect costs in the Placer (steers new
-  // placements away; ~1.0 is one fully-busy SoC of weighted load).
-  double suspect_penalty = 4.0;
-  // Cap on concurrently quarantined SoCs, as a fraction of the fleet: a
-  // detector gone wrong must not evacuate the cluster.
-  double max_quarantined_fraction = 0.2;
   // Canary probing while quarantined.
   Duration probe_interval = Duration::Seconds(10);
   // A probe passes when it succeeds within this bound.
   Duration probe_latency_threshold = Duration::MillisF(500);
-  // Nominal service time of the canary on an unthrottled SoC.
-  Duration probe_service_time = Duration::MillisF(100);
-  int reinstate_after_ok_probes = 6;
-  int escalate_after_failed_probes = 6;
   // Escalation power-cycles the board (Fail -> Repair -> PowerOn after
   // `reboot_time`), clearing zombie/throttle state. Zero leaves the SoC
   // failed for an external repair path.
@@ -161,8 +144,17 @@ class GrayFailureManager {
   };
   // Override for the canary probe (tests inject outcomes). The default
   // models an in-chassis canary request: fails on unusable/zombie SoCs,
-  // otherwise completes in probe_service_time / throttle_factor.
+  // otherwise completes in 100 ms / throttle_factor.
   using Prober = std::function<ProbeResult(int soc_index)>;
+
+  // Extra load-model units a suspect costs in the Placer (steers new
+  // placements away; ~1.0 is one fully-busy SoC of weighted load).
+  static constexpr double kSuspectPenalty = 4.0;
+  // A suspect whose suspicion falls below this is exonerated.
+  static constexpr double kClearThreshold = 0.15;
+  // Cap on concurrently quarantined SoCs, as a fraction of the fleet: a
+  // detector gone wrong must not evacuate the cluster.
+  static constexpr double kMaxQuarantinedFraction = 0.2;
 
   GrayFailureManager(Simulator* sim, SocCluster* cluster,
                      GrayFailureConfig config);
@@ -202,7 +194,7 @@ class GrayFailureManager {
  private:
   struct SocControl {
     SocState state = SocState::kHealthy;
-    int hot_ticks = 0;  // Consecutive ticks over quarantine_threshold.
+    int hot_ticks = 0;  // Consecutive ticks at the quarantine threshold.
     int ok_probes = 0;
     int failed_probes = 0;
     SpanId span = 0;  // Async quarantine span, open while quarantined.

@@ -36,7 +36,6 @@ HealthMonitor::HealthMonitor(Simulator* sim, SocCluster* cluster,
   up_metric_ = metrics.GetCounter("health.up_events");
   marked_down_gauge_ = metrics.GetGauge("health.socs_marked_down");
   never_healthy_gauge_ = metrics.GetGauge("health.never_healthy");
-  boot_timeout_metric_ = metrics.GetCounter("health.boot_timeouts");
   detection_metric_ = metrics.GetHistogram("health.detection_latency_ms");
   poller_ = std::make_unique<PeriodicTask>(sim_, config_.heartbeat_interval,
                                            [this] { Poll(); },
@@ -106,20 +105,6 @@ void HealthMonitor::Poll() {
     SocHealth& h = health_[static_cast<size_t>(i)];
     const SocModel& soc = cluster_->soc(i);
 
-    // Never-healthy bookkeeping: start (or reset) the boot clock the first
-    // time the SoC is seen powered without ever having produced a beat.
-    if (!h.monitored) {
-      const SocPowerState state = soc.state();
-      const bool powered =
-          state == SocPowerState::kBooting || state == SocPowerState::kOn;
-      if (powered && !h.powered_seen) {
-        h.powered_seen = true;
-        h.powered_at = now;
-      } else if (!powered) {
-        h.powered_seen = false;  // Power-cycle restarts the boot clock.
-      }
-    }
-
     // A usable SoC emits a beat; a flaky management path may lose it. The
     // rng is consulted only when loss is possible, so fault-free runs are
     // bit-identical regardless of the health seed.
@@ -150,23 +135,7 @@ void HealthMonitor::Poll() {
       continue;
     }
 
-    if (!h.monitored) {
-      // Boot-timeout verdict: powered this long and never healthy.
-      if (config_.boot_timeout.nanos() > 0 && h.powered_seen && !h.down &&
-          now - h.powered_at >= config_.boot_timeout) {
-        h.down = true;
-        h.down_at = now;
-        ++boot_timeouts_;
-        boot_timeout_metric_->Increment();
-        ++down_events_;
-        down_metric_->Increment();
-        if (on_soc_down_) {
-          on_soc_down_(i);
-        }
-      }
-      continue;
-    }
-    if (h.down) {
+    if (!h.monitored || h.down) {
       continue;
     }
     ++h.misses;
@@ -190,7 +159,10 @@ void HealthMonitor::Poll() {
     if (h.down) {
       ++marked_down;
     }
-    if (!h.monitored && h.powered_seen) {
+    // Powered (booting or on) but has never produced a healthy beat.
+    const SocPowerState state = cluster_->soc(i).state();
+    if (!h.monitored &&
+        (state == SocPowerState::kBooting || state == SocPowerState::kOn)) {
       ++never;
     }
   }

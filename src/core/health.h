@@ -30,9 +30,8 @@
 // SoCs that have never produced a healthy beat are not monitored — a
 // cluster booting for the first time is not 60 failures. They are,
 // however, *surfaced*: the health.never_healthy gauge counts SoCs that
-// are powered (booting or on) but have never beaten, and an optional
-// boot_timeout fires the down verdict for a SoC stuck in that state, so
-// never-healthy boards are not silently invisible to the control loop.
+// are powered (booting or on) but have never beaten, so a board stuck in
+// boot is visible without a down verdict the control loop would act on.
 
 #ifndef SRC_CORE_HEALTH_H_
 #define SRC_CORE_HEALTH_H_
@@ -66,10 +65,6 @@ struct HealthConfig {
   // chance the beat is merely late; 8 means 1e-8 (Akka's default).
   double phi_threshold = 8.0;
 
-  // Boot-timeout verdict: a SoC powered (booting or on) for this long
-  // without a first healthy beat gets the down verdict. Zero disables.
-  Duration boot_timeout = Duration::Zero();
-
   // Seed for the heartbeat-loss draws (flaky-heartbeat gray faults). The
   // stream is only consumed for SoCs with heartbeat_loss_prob > 0, so
   // runs without flaky faults are bit-identical across seeds.
@@ -94,8 +89,6 @@ class HealthMonitor {
   bool IsMarkedDown(int soc_index) const;
   int64_t down_events() const { return down_events_; }
   int64_t up_events() const { return up_events_; }
-  // Down verdicts issued by the boot-timeout rule (subset of down_events).
-  int64_t boot_timeouts() const { return boot_timeouts_; }
   // SoCs currently powered but never yet healthy (mirrors the gauge).
   int64_t never_healthy() const { return never_healthy_; }
   // Current accrued suspicion for one SoC (kPhiAccrual; 0 when healthy).
@@ -125,10 +118,6 @@ class HealthMonitor {
     int misses = 0;
     SimTime last_ok;
     SimTime down_at;
-    // Never-healthy tracking: when the SoC was first seen powered without
-    // ever having beaten; valid iff powered_seen.
-    bool powered_seen = false;
-    SimTime powered_at;
     // Learned heartbeat inter-arrival distribution (kPhiAccrual).
     RunningStat interarrival_s;
   };
@@ -147,7 +136,6 @@ class HealthMonitor {
   SocCallback on_soc_up_;
   int64_t down_events_ = 0;
   int64_t up_events_ = 0;
-  int64_t boot_timeouts_ = 0;
   int64_t never_healthy_ = 0;
   RunningStat detection_latency_ms_;
   RunningStat observed_outage_hours_;
@@ -158,7 +146,6 @@ class HealthMonitor {
   Counter* up_metric_;
   Gauge* marked_down_gauge_;
   Gauge* never_healthy_gauge_;
-  Counter* boot_timeout_metric_;
   HistogramMetric* detection_metric_;
 };
 

@@ -9,33 +9,23 @@
 namespace soccluster {
 
 namespace {
-
-BrownoutConfig GovernorConfig(const ClusterOverloadConfig& config) {
-  BrownoutConfig out;
-  out.period = config.period;
-  out.wall_cap = config.wall_cap;
-  out.release_fraction = config.release_fraction;
-  out.release_hold_ticks = config.release_hold_ticks;
-  return out;
-}
-
+// The last-resort eviction rung sheds this many serving SoCs per level...
+constexpr int kStepSocs = 4;
+// ...never leaving fewer active than this.
+constexpr int kMinActive = 1;
 }  // namespace
 
 ClusterOverloadManager::ClusterOverloadManager(Simulator* sim,
                                                SocCluster* cluster,
                                                BmcModel* bmc,
                                                ClusterOverloadConfig config)
-    : sim_(sim), config_(config),
-      governor_(sim, cluster, bmc, GovernorConfig(config)) {
-  SOC_CHECK_GE(config_.step_socs, 1);
-  SOC_CHECK_GE(config_.min_active, 0);
-}
+    : sim_(sim),
+      governor_(sim, cluster, bmc,
+                BrownoutConfig{.wall_cap = config.wall_cap}) {}
 
 std::unique_ptr<CircuitBreaker> ClusterOverloadManager::MakeBreaker(
     const char* service) {
-  CircuitBreakerConfig breaker_config = config_.breaker;
-  breaker_config.service = service;
-  return std::make_unique<CircuitBreaker>(sim_, std::move(breaker_config));
+  return std::make_unique<CircuitBreaker>(sim_, service);
 }
 
 void ClusterOverloadManager::AttachServing(SocServingFleet* fleet) {
@@ -149,17 +139,15 @@ void ClusterOverloadManager::BuildLadder() {
   // Rung 6, last resort: evict serving SoCs, exactly like the historical
   // power-cap controller.
   if (serving_ != nullptr) {
-    // Enough levels to walk the Start()-time fleet down to min_active.
-    const int socs = std::max(serving_->active_count(), config_.min_active);
-    const int levels = std::max(
-        1, (socs - config_.min_active + config_.step_socs - 1) /
-               config_.step_socs);
+    // Enough levels to walk the Start()-time fleet down to kMinActive.
+    const int socs = std::max(serving_->active_count(), kMinActive);
+    const int levels =
+        std::max(1, (socs - kMinActive + kStepSocs - 1) / kStepSocs);
     governor_.AddRung(
         "evict_serving", levels,
         [this](int) {
           const int current = serving_->active_count();
-          const int next =
-              std::max(config_.min_active, current - config_.step_socs);
+          const int next = std::max(kMinActive, current - kStepSocs);
           shed_stack_.push_back(current - next);
           if (next < current) {
             serving_->SetActiveCount(next);

@@ -12,10 +12,11 @@
 //   3. serverless_defer — park serverless cold starts (warm traffic flows)
 //   4. gaming_cap    — freeze the gaming session count at its current value
 //   5. serving_dispatch — halve the serving fleet's concurrent dispatch
-//   6. evict_serving — walk serving SoCs down, step_socs per level
+//   6. evict_serving — walk serving SoCs down, 4 per level, never below 1
 //
 // Release unwinds in exact reverse order with hysteresis. Services are
-// attach-as-available: absent services simply contribute no rungs.
+// attach-as-available: absent services simply contribute no rungs. Every
+// service's breaker runs CircuitBreaker's fixed thresholds.
 
 #ifndef SRC_CORE_OVERLOAD_H_
 #define SRC_CORE_OVERLOAD_H_
@@ -36,17 +37,7 @@
 namespace soccluster {
 
 struct ClusterOverloadConfig {
-  // Governor pacing/hysteresis (see BrownoutConfig).
-  Duration period = Duration::Seconds(2);
   Power wall_cap = Power::Zero();  // Zero: thermal-only (BMC-driven).
-  double release_fraction = 0.9;
-  int release_hold_ticks = 1;
-  // The last-resort eviction rung: shed step_socs serving SoCs per level,
-  // never below min_active.
-  int step_socs = 4;
-  int min_active = 1;
-  // Breakers share these thresholds; service labels are set per breaker.
-  CircuitBreakerConfig breaker;  // `service` is overwritten per service.
 };
 
 class ClusterOverloadManager {
@@ -82,7 +73,6 @@ class ClusterOverloadManager {
   std::unique_ptr<CircuitBreaker> MakeBreaker(const char* service);
 
   Simulator* sim_;
-  ClusterOverloadConfig config_;
   BrownoutGovernor governor_;
   SocServingFleet* serving_ = nullptr;
   LiveTranscodingService* live_ = nullptr;
@@ -93,7 +83,7 @@ class ClusterOverloadManager {
   std::unique_ptr<CircuitBreaker> live_breaker_;
   std::unique_ptr<CircuitBreaker> serverless_breaker_;
   // SoCs actually shed at each engaged evict_serving level, LIFO: a step
-  // that bottoms out at min_active sheds fewer than step_socs, and its
+  // that bottoms out at the floor sheds fewer than a full step, and its
   // release restores exactly what it took.
   std::vector<int> shed_stack_;
   bool started_ = false;

@@ -1,7 +1,5 @@
 #include "src/qos/breaker.h"
 
-#include <utility>
-
 #include "src/base/check.h"
 
 namespace soccluster {
@@ -18,24 +16,18 @@ const char* CircuitBreaker::StateName(State state) {
   return "unknown";
 }
 
-CircuitBreaker::CircuitBreaker(Simulator* sim, CircuitBreakerConfig config)
-    : sim_(sim), config_(std::move(config)) {
+CircuitBreaker::CircuitBreaker(Simulator* sim, const std::string& service)
+    : sim_(sim) {
   SOC_CHECK(sim_ != nullptr);
-  SOC_CHECK(!config_.service.empty());
-  SOC_CHECK_GT(config_.window.nanos(), 0);
-  SOC_CHECK_GT(config_.failure_threshold, 0.0);
-  SOC_CHECK_LE(config_.failure_threshold, 1.0);
-  SOC_CHECK_GE(config_.min_samples, 1);
-  SOC_CHECK_GT(config_.open_duration.nanos(), 0);
-  SOC_CHECK_GE(config_.half_open_probes, 1);
+  SOC_CHECK(!service.empty());
   window_start_ = sim_->Now();
   MetricRegistry& metrics = sim_->metrics();
   opens_metric_ =
-      metrics.GetCounter("qos.breaker.opens", {{"service", config_.service}});
+      metrics.GetCounter("qos.breaker.opens", {{"service", service}});
   closes_metric_ =
-      metrics.GetCounter("qos.breaker.closes", {{"service", config_.service}});
-  rejected_metric_ = metrics.GetCounter("qos.breaker.rejected",
-                                        {{"service", config_.service}});
+      metrics.GetCounter("qos.breaker.closes", {{"service", service}});
+  rejected_metric_ =
+      metrics.GetCounter("qos.breaker.rejected", {{"service", service}});
 }
 
 void CircuitBreaker::ResetWindow(SimTime now) {
@@ -74,7 +66,7 @@ bool CircuitBreaker::Allow() {
     case State::kClosed:
       return true;
     case State::kOpen:
-      if (sim_->Now() - opened_at_ >= config_.open_duration) {
+      if (sim_->Now() - opened_at_ >= kOpenDuration) {
         MoveTo(State::kHalfOpen);
         ++probes_issued_;
         return true;
@@ -83,7 +75,7 @@ bool CircuitBreaker::Allow() {
       rejected_metric_->Increment();
       return false;
     case State::kHalfOpen:
-      if (probes_issued_ < config_.half_open_probes) {
+      if (probes_issued_ < kHalfOpenProbes) {
         ++probes_issued_;
         return true;
       }
@@ -96,7 +88,7 @@ bool CircuitBreaker::Allow() {
 
 void CircuitBreaker::RecordSuccess() {
   if (state_ == State::kHalfOpen) {
-    if (++probe_successes_ >= config_.half_open_probes) {
+    if (++probe_successes_ >= kHalfOpenProbes) {
       MoveTo(State::kClosed);
     }
     return;
@@ -105,7 +97,7 @@ void CircuitBreaker::RecordSuccess() {
     return;  // Late report from before the breaker opened.
   }
   const SimTime now = sim_->Now();
-  if (now - window_start_ >= config_.window) {
+  if (now - window_start_ >= kWindow) {
     ResetWindow(now);
   }
   ++window_samples_;
@@ -120,14 +112,14 @@ void CircuitBreaker::RecordFailure() {
     return;  // Already open; the failure is from a straggling call.
   }
   const SimTime now = sim_->Now();
-  if (now - window_start_ >= config_.window) {
+  if (now - window_start_ >= kWindow) {
     ResetWindow(now);
   }
   ++window_samples_;
   ++window_failures_;
-  if (window_samples_ >= config_.min_samples &&
+  if (window_samples_ >= kMinSamples &&
       static_cast<double>(window_failures_) >=
-          config_.failure_threshold * static_cast<double>(window_samples_)) {
+          kFailureThreshold * static_cast<double>(window_samples_)) {
     MoveTo(State::kOpen);
   }
 }

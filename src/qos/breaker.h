@@ -4,9 +4,10 @@
 // immediate rejection while the service drains, then a few half-open
 // probes test the water before full traffic resumes.
 //
-//   closed ──(failure rate ≥ threshold over ≥ min_samples)──► open
-//   open ──(open_duration elapsed, lazily on the next Allow)──► half-open
-//   half-open ──(half_open_probes successes)──► closed
+//   closed ──(failure rate ≥ kFailureThreshold over ≥ kMinSamples in one
+//             kWindow)──► open
+//   open ──(kOpenDuration elapsed, lazily on the next Allow)──► half-open
+//   half-open ──(kHalfOpenProbes successes)──► closed
 //   half-open ──(any failure)──► open
 //
 // The state machine never skips half-open on the way back to closed — a
@@ -28,21 +29,6 @@
 
 namespace soccluster {
 
-struct CircuitBreakerConfig {
-  // Registry label; required.
-  std::string service;
-  // Tumbling window over which the failure rate is measured while closed.
-  Duration window = Duration::Seconds(10);
-  // Open when failures/samples in the window reaches this fraction...
-  double failure_threshold = 0.5;
-  // ...and the window has at least this many samples.
-  int min_samples = 20;
-  // Time spent open before the next Allow() moves to half-open.
-  Duration open_duration = Duration::Seconds(5);
-  // Probes admitted in half-open; this many consecutive successes close.
-  int half_open_probes = 3;
-};
-
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
@@ -54,13 +40,25 @@ class CircuitBreaker {
     State to;
   };
 
-  CircuitBreaker(Simulator* sim, CircuitBreakerConfig config);
+  // Tumbling window over which the failure rate is measured while closed.
+  static constexpr Duration kWindow = Duration::Seconds(10);
+  // Open when failures/samples in the window reaches this fraction...
+  static constexpr double kFailureThreshold = 0.5;
+  // ...and the window has at least this many samples.
+  static constexpr int kMinSamples = 20;
+  // Time spent open before the next Allow() moves to half-open.
+  static constexpr Duration kOpenDuration = Duration::Seconds(5);
+  // Probes admitted in half-open; this many consecutive successes close.
+  static constexpr int kHalfOpenProbes = 3;
+
+  // `service` is the registry label; required.
+  CircuitBreaker(Simulator* sim, const std::string& service);
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
 
   // Admission gate. True: proceed (and report the outcome via
   // RecordSuccess/RecordFailure). False: fast-fail the call. Lazily moves
-  // open → half-open once open_duration has elapsed.
+  // open → half-open once kOpenDuration has elapsed.
   bool Allow();
   void RecordSuccess();
   void RecordFailure();
@@ -79,7 +77,6 @@ class CircuitBreaker {
   void ResetWindow(SimTime now);
 
   Simulator* sim_;
-  CircuitBreakerConfig config_;
   State state_ = State::kClosed;
   // Closed-state tumbling window.
   SimTime window_start_;

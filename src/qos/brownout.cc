@@ -7,15 +7,18 @@
 
 namespace soccluster {
 
+namespace {
+// Governor tick.
+constexpr Duration kPeriod = Duration::Seconds(2);
+// Consecutive comfortable ticks per released level.
+constexpr int kReleaseHoldTicks = 1;
+}  // namespace
+
 BrownoutGovernor::BrownoutGovernor(Simulator* sim, SocCluster* cluster,
                                    BmcModel* bmc, BrownoutConfig config)
     : sim_(sim), cluster_(cluster), bmc_(bmc), config_(config) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
-  SOC_CHECK_GT(config_.period.nanos(), 0);
-  SOC_CHECK_GT(config_.release_fraction, 0.0);
-  SOC_CHECK_LT(config_.release_fraction, 1.0);
-  SOC_CHECK_GE(config_.release_hold_ticks, 1);
   // Feasibility: a wall cap below the chassis overhead (fans + ESB + BMC)
   // can never be met by degrading workloads — the ladder would bottom out
   // and sit over the cap forever.
@@ -30,7 +33,7 @@ BrownoutGovernor::BrownoutGovernor(Simulator* sim, SocCluster* cluster,
   level_series_ = metrics.GetTimeSeries("qos.brownout.level_series");
   sim_->tracer().SetTrackName(kBrownoutTrack, "brownout");
   ticker_ = std::make_unique<PeriodicTask>(
-      sim_, config_.period, [this] { Tick(); }, "brownout.tick");
+      sim_, kPeriod, [this] { Tick(); }, "brownout.tick");
 }
 
 BrownoutGovernor::~BrownoutGovernor() = default;
@@ -82,14 +85,14 @@ void BrownoutGovernor::Tick() {
     EngageNext();
     return;
   }
-  if (total_level_ > 0 && draw.watts() < cap.watts() * config_.release_fraction) {
-    if (++comfortable_ticks_ >= config_.release_hold_ticks) {
+  if (total_level_ > 0 && draw.watts() < cap.watts() * kReleaseFraction) {
+    if (++comfortable_ticks_ >= kReleaseHoldTicks) {
       comfortable_ticks_ = 0;
       ReleaseDeepest();
     }
     return;
   }
-  // In the hysteresis band [release_fraction * cap, cap]: hold.
+  // In the hysteresis band [kReleaseFraction * cap, cap]: hold.
   comfortable_ticks_ = 0;
 }
 

@@ -8,12 +8,13 @@
 //   ladder → defer serverless cold starts → cap gaming sessions → shrink
 //   serving dispatch → evict serving SoCs (last resort)
 //
-// and walks back with hysteresis in exact reverse order once draw stays
-// comfortably below the cap. Rung callbacks own the mechanism; the
-// governor owns the ordering, pacing, and hysteresis. Because engagement
-// always deepens the first non-maxed rung and release always unwinds the
-// deepest engaged rung, engagements release LIFO — each engaged level is a
-// synchronous span on the "brownout" trace track, nesting cleanly.
+// every 2 s, and walks back with hysteresis in exact reverse order, one
+// level per tick while draw stays below kReleaseFraction of the cap. Rung
+// callbacks own the mechanism; the governor owns the ordering, pacing, and
+// hysteresis. Because engagement always deepens the first non-maxed rung
+// and release always unwinds the deepest engaged rung, engagements release
+// LIFO — each engaged level is a synchronous span on the "brownout" trace
+// track, nesting cleanly.
 
 #ifndef SRC_QOS_BROWNOUT_H_
 #define SRC_QOS_BROWNOUT_H_
@@ -32,20 +33,17 @@
 namespace soccluster {
 
 struct BrownoutConfig {
-  Duration period = Duration::Seconds(2);
   // Hard wall-power cap; Power::Zero() means thermal-only (follow the
   // BMC's recommended cap while it throttles).
   Power wall_cap = Power::Zero();
-  // Hysteresis: release only while draw < cap * release_fraction...
-  double release_fraction = 0.9;
-  // ...for this many consecutive ticks per released level.
-  int release_hold_ticks = 1;
 };
 
 class BrownoutGovernor {
  public:
   // Display track hosting the governor's rung spans.
   static constexpr int64_t kBrownoutTrack = 80;
+  // Hysteresis: a level is released only while draw < cap * this.
+  static constexpr double kReleaseFraction = 0.9;
 
   // Called with the level being engaged (1..levels) / released (same
   // level, in reverse). Engage(n) is only ever called with the rung

@@ -9,9 +9,14 @@
 namespace soccluster {
 namespace {
 
+// Timing-wheel quantum: client timeouts, think times, and retry delays
+// resolve at this granularity. Coarse by design — one tick event per
+// quantum serves every waiting session.
+constexpr Duration kWheelQuantum = Duration::Millis(100);
+
 // Wheel slots. Wakes further out than kWheelSlots quanta simply lap; any
-// power of two works, this one keeps laps rare for think-time scales at
-// the default 100 ms quantum (~7 min horizon).
+// power of two works, this one keeps laps rare for think-time scales
+// (~7 min horizon).
 constexpr size_t kWheelSlots = 4096;
 
 // Per-cohort SLO on "success within client_deadline" (5% error budget);
@@ -22,12 +27,8 @@ constexpr double kCohortSloObjective = 0.95;
 
 const char* RetryModeName(RetryMode mode) {
   switch (mode) {
-    case RetryMode::kNone:
-      return "none";
     case RetryMode::kNaive:
       return "naive";
-    case RetryMode::kBackoff:
-      return "backoff";
     case RetryMode::kBudgeted:
       return "budgeted";
   }
@@ -42,7 +43,6 @@ SessionTier::SessionTier(Simulator* sim, SessionTierConfig config,
   SOC_CHECK_GT(config_.peak_rps, 0.0);
   SOC_CHECK_GE(config_.requests_per_session, 1.0);
   SOC_CHECK_GT(config_.client_timeout.nanos(), 0);
-  SOC_CHECK_GT(config_.wheel_quantum.nanos(), 0);
   SOC_CHECK_GT(config_.counter_window.nanos(), 0);
 
   double total_weight = 0.0;
@@ -88,12 +88,9 @@ SessionTier::SessionTier(Simulator* sim, SessionTierConfig config,
     cohorts_.push_back(std::move(cohort));
   }
 
-  if (config_.retry_mode == RetryMode::kBackoff ||
-      config_.retry_mode == RetryMode::kBudgeted) {
+  if (config_.retry_mode == RetryMode::kBudgeted) {
     backoff_ = std::make_unique<RetryBackoff>(config_.backoff,
                                               SplitMix64(seed_chain));
-  }
-  if (config_.retry_mode == RetryMode::kBudgeted) {
     budget_ = std::make_unique<RetryBudget>(config_.budget_tokens_per_success,
                                             config_.budget_max_tokens);
   }
@@ -131,7 +128,7 @@ void SessionTier::Start(Duration horizon) {
   started_ = true;
   horizon_end_ = sim_->Now() + horizon;
   wheel_start_ = sim_->Now();
-  next_tick_ = wheel_start_ + config_.wheel_quantum;
+  next_tick_ = wheel_start_ + kWheelQuantum;
   for (size_t i = 0; i < cohorts_.size(); ++i) {
     ScheduleArrival(i);
   }
@@ -301,18 +298,15 @@ void SessionTier::FailAttempt(uint32_t index, bool server_rejected) {
   bool retry = false;
   Duration delay;
   switch (config_.retry_mode) {
-    case RetryMode::kNone:
-      break;
     case RetryMode::kNaive:
       // No backoff, no budget, no attempt cap: the client hammers at a
       // fixed cadence until patience runs out. This is the storm-maker.
       retry = within_patience;
       delay = config_.naive_retry_delay;
       break;
-    case RetryMode::kBackoff:
     case RetryMode::kBudgeted:
       retry = within_patience && backoff_->ShouldRetry(rec.attempts);
-      if (retry && budget_ != nullptr && !budget_->TryWithdraw()) {
+      if (retry && !budget_->TryWithdraw()) {
         Bump(rec.cohort, &SessionWindow::retries_denied, now);
         retry = false;
       }
@@ -349,9 +343,8 @@ void SessionTier::WheelInsert(Slab<SessionRec>::Ref ref, SimTime wake) {
   SOC_DCHECK(wake >= wheel_start_);
   // Bucket of the first tick strictly after `wake` — an insert during a
   // tick never lands in the bucket being drained.
-  const int64_t tick = (wake - wheel_start_).nanos() /
-                           config_.wheel_quantum.nanos() +
-                       1;
+  const int64_t tick =
+      (wake - wheel_start_).nanos() / kWheelQuantum.nanos() + 1;
   wheel_[static_cast<size_t>(tick) % wheel_.size()].push_back(
       WheelEntry{ref.Pack(), wake.nanos()});
   ++wheel_live_;
@@ -364,8 +357,7 @@ void SessionTier::ArmTick() {
 
 void SessionTier::WheelTick() {
   const SimTime now = sim_->Now();
-  const int64_t tick = (now - wheel_start_).nanos() /
-                       config_.wheel_quantum.nanos();
+  const int64_t tick = (now - wheel_start_).nanos() / kWheelQuantum.nanos();
   std::vector<WheelEntry>& bucket =
       wheel_[static_cast<size_t>(tick) % wheel_.size()];
   std::vector<WheelEntry> due;
@@ -404,7 +396,7 @@ void SessionTier::WheelTick() {
   if (now >= horizon_end_ && slab_.live() == 0 && wheel_live_ == 0) {
     return;  // Drained: the tick chain ends and the sim can run dry.
   }
-  next_tick_ = now + config_.wheel_quantum;
+  next_tick_ = now + kWheelQuantum;
   ArmTick();
 }
 

@@ -14,13 +14,14 @@
 //     request, waits for the outcome or a client-side timeout, thinks,
 //     and repeats for a geometric number of requests. All waiting is
 //     cohort-bucketed on one coarse timing wheel serviced by a single
-//     periodic tick — no per-user heap event chains, so 2M users cost
-//     the same event budget as 2k.
+//     periodic tick every 100 ms — no per-user heap event chains, so 2M
+//     users cost the same event budget as 2k. Client timeouts, think
+//     times and retry delays resolve at that granularity.
 //   * Each request carries a client-side timeout, an end-to-end deadline,
 //     and a retry policy: kNaive (fixed-delay, effectively unbounded —
-//     the storm-maker), kBackoff (RetryBackoff jittered exponential), or
-//     kBudgeted (kBackoff gated by a RetryBudget token bucket). Retry
-//     amplification is therefore an output of the simulation, not a knob.
+//     the storm-maker) or kBudgeted (RetryBackoff jittered exponential
+//     gated by a RetryBudget token bucket). Retry amplification is
+//     therefore an output of the simulation, not a knob.
 //   * Outcomes return through the ClientObserver contract
 //     (src/base/client.h). Tickets are generation-counted slab refs,
 //     renewed on every attempt: a late server completion for an attempt
@@ -60,11 +61,10 @@
 namespace soccluster {
 
 enum class RetryMode {
-  kNone = 0,      // One attempt; a timeout is a give-up.
-  kNaive = 1,     // Fixed-delay retry until the give-up horizon. This is
-                  // the classic storm-maker: no backoff, no budget.
-  kBackoff = 2,   // RetryBackoff jittered exponential, bounded attempts.
-  kBudgeted = 3,  // kBackoff gated by a RetryBudget token bucket.
+  kNaive,     // Fixed-delay retry until the give-up horizon. This is the
+              // classic storm-maker: no backoff, no budget.
+  kBudgeted,  // RetryBackoff jittered exponential with bounded attempts,
+              // gated by a RetryBudget token bucket.
 };
 
 const char* RetryModeName(RetryMode mode);
@@ -103,19 +103,15 @@ struct SessionTierConfig {
   Duration client_timeout = Duration::Seconds(1);   // Per attempt.
   Duration client_deadline = Duration::Seconds(2);  // End-to-end "good".
   // The user walks away this long after the first attempt (bounds naive
-  // retries; zero disables retries entirely once elapsed).
+  // retries; zero gives up on the first failed attempt).
   Duration give_up_after = Duration::Minutes(2);
 
   RetryMode retry_mode = RetryMode::kBudgeted;
   Duration naive_retry_delay = Duration::Seconds(1);
-  RetryPolicy backoff;  // kBackoff/kBudgeted pacing.
+  RetryPolicy backoff;  // kBudgeted pacing.
   double budget_tokens_per_success = 0.1;
   double budget_max_tokens = 100.0;
 
-  // Timing-wheel quantum: client timeouts, think times, and retry delays
-  // resolve at this granularity. Coarse by design — one tick event per
-  // quantum serves every waiting session.
-  Duration wheel_quantum = Duration::Millis(100);
   // Rolling-counter window (the goodput-vs-time resolution).
   Duration counter_window = Duration::Minutes(1);
 
@@ -271,7 +267,7 @@ class SessionTier {
   std::vector<Cohort> cohorts_;
   Submit submit_;
   Slab<SessionRec> slab_;
-  std::unique_ptr<RetryBackoff> backoff_;  // kBackoff/kBudgeted.
+  std::unique_ptr<RetryBackoff> backoff_;  // kBudgeted.
   std::unique_ptr<RetryBudget> budget_;    // kBudgeted.
 
   // Timing wheel: ring of quantum-wide buckets; entries whose wake lies a

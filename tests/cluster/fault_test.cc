@@ -1,5 +1,6 @@
 // Fault-taxonomy tests: transient/permanent splits, PCB-correlated
-// failures, uplink flaps, thermal trips, and the injector's guard rails.
+// failures, uplink flaps, thermal trips, planted gray faults, and the
+// injector's guard rails.
 
 #include "src/cluster/fault.h"
 
@@ -110,11 +111,27 @@ TEST_F(FaultTaxonomyTest, ThermalTripsThrottleAndRestore) {
   config.mtbf_per_soc = Duration::Hours(24 * 365 * 100);
   config.thermal_mtbf = Duration::Hours(24 * 2);
   config.thermal_duration = Duration::Minutes(10);
-  config.thermal_throttle_factor = 0.6;
   FaultInjector injector(&sim_, &cluster_, config);
   injector.Start(Duration::Hours(24 * 10));
+  // Catch one trip in flight: the SoC runs at the thermal factor.
+  bool seen_throttled = false;
+  PeriodicTask watch(
+      &sim_, Duration::Minutes(1),
+      [&] {
+        for (int i = 0; i < cluster_.num_socs(); ++i) {
+          if (cluster_.soc(i).throttle_factor() ==
+              FaultInjector::kThermalThrottleFactor) {
+            seen_throttled = true;
+          }
+        }
+      },
+      "test.watch");
+  watch.Start();
+  ASSERT_TRUE(sim_.RunFor(Duration::Hours(24 * 10)).ok());
+  watch.Stop();
   sim_.Run();
   EXPECT_GT(injector.thermal_trips(), 0);
+  EXPECT_TRUE(seen_throttled);
   EXPECT_EQ(injector.failures_injected(), 0);  // Throttling is not failure.
   // Excursions are bounded: everyone is back at full speed.
   for (int i = 0; i < cluster_.num_socs(); ++i) {
@@ -168,15 +185,17 @@ TEST_F(FaultTaxonomyTest, HistoryRecordsEveryEventInOrder) {
 
 TEST_F(FaultTaxonomyTest, SlowSocExcursionsThrottleDeepAndRestore) {
   BootAll();
-  FaultConfig config;
-  config.mtbf_per_soc = Duration::Hours(24 * 365 * 100);
-  config.slow_soc_mtbf = Duration::Hours(24 * 2);
-  config.slow_soc_duration = Duration::Hours(1);
-  config.slow_soc_factor = 0.3;
-  FaultInjector injector(&sim_, &cluster_, config);
-  injector.Start(Duration::Hours(24 * 10));
+  FaultInjector injector(&sim_, &cluster_, FaultConfig{});
+  // Overlapping hour-long excursions across the fleet, each planted on a
+  // SoC that is not already throttled.
+  for (int i = 0; i < cluster_.num_socs(); i += 3) {
+    injector.PlantSlowSoc(i, sim_.Now() + Duration::Minutes(i),
+                          Duration::Hours(1), 0.3);
+  }
+  ASSERT_TRUE(sim_.RunFor(Duration::Minutes(30)).ok());
+  EXPECT_DOUBLE_EQ(cluster_.soc(0).throttle_factor(), 0.3);
   sim_.Run();
-  EXPECT_GT(injector.faults_of(FaultKind::kSlowSoc), 0);
+  EXPECT_EQ(injector.faults_of(FaultKind::kSlowSoc), 20);
   EXPECT_EQ(injector.gray_faults(), injector.faults_of(FaultKind::kSlowSoc));
   EXPECT_EQ(injector.failures_injected(), 0);  // Fail-slow, not fail-stop.
   for (int i = 0; i < cluster_.num_socs(); ++i) {
@@ -271,19 +290,33 @@ TEST_F(FaultTaxonomyTest, PowerCycleClearsGrayState) {
   EXPECT_DOUBLE_EQ(cluster_.soc(3).throttle_factor(), 1.0);
 }
 
-TEST_F(FaultTaxonomyTest, GrayChainsOnlyTargetEligibleSocs) {
-  // Nobody powered: every gray process draws events, none may land.
-  FaultConfig config;
-  config.mtbf_per_soc = Duration::Hours(24 * 365 * 100);
-  config.slow_soc_mtbf = Duration::Hours(12);
-  config.flaky_heartbeat_mtbf = Duration::Hours(12);
-  config.zombie_mtbf = Duration::Hours(12);
-  FaultInjector injector(&sim_, &cluster_, config);
-  injector.Start(Duration::Hours(24 * 30));
-  sim_.Run();
-  EXPECT_EQ(injector.faults_of(FaultKind::kSlowSoc), 0);
-  EXPECT_EQ(injector.faults_of(FaultKind::kFlakyHeartbeat), 0);
-  EXPECT_EQ(injector.faults_of(FaultKind::kZombie), 0);
+TEST_F(FaultTaxonomyTest, PlantedGrayFaultsOnlyLandOnUsableSocs) {
+  // SoC 1 is up; SoC 2 was never powered and SoC 3 failed. Plants on the
+  // last two land nothing, now or when their time comes.
+  ASSERT_TRUE(cluster_.soc(1).PowerOn(Duration::Seconds(20), nullptr).ok());
+  ASSERT_TRUE(cluster_.soc(3).PowerOn(Duration::Seconds(20), nullptr).ok());
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(30)).ok());
+  cluster_.soc(3).Fail();
+  FaultInjector injector(&sim_, &cluster_, FaultConfig{});
+  for (int soc = 1; soc <= 3; ++soc) {
+    injector.PlantSlowSoc(soc, sim_.Now(), Duration::Hours(1), 0.3);
+    injector.PlantFlakyHeartbeat(soc, sim_.Now() + Duration::Minutes(1),
+                                 Duration::Hours(1), 0.5);
+    injector.PlantZombie(soc, sim_.Now() + Duration::Minutes(2),
+                         Duration::Hours(1));
+  }
+  ASSERT_TRUE(sim_.RunFor(Duration::Minutes(5)).ok());
+  EXPECT_EQ(injector.faults_of(FaultKind::kSlowSoc), 1);
+  EXPECT_EQ(injector.faults_of(FaultKind::kFlakyHeartbeat), 1);
+  EXPECT_EQ(injector.faults_of(FaultKind::kZombie), 1);
+  for (const FaultEvent& event : injector.history()) {
+    EXPECT_EQ(event.index, 1) << FaultKindName(event.kind);
+  }
+  for (int soc : {2, 3}) {
+    EXPECT_DOUBLE_EQ(cluster_.soc(soc).throttle_factor(), 1.0);
+    EXPECT_DOUBLE_EQ(cluster_.soc(soc).heartbeat_loss_prob(), 0.0);
+    EXPECT_FALSE(cluster_.soc(soc).zombie());
+  }
 }
 
 }  // namespace

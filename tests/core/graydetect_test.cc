@@ -5,6 +5,7 @@
 #include "src/core/graydetect.h"
 
 #include <memory>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/cluster/cluster.h"
@@ -107,12 +108,21 @@ class GrayManagerTest : public ::testing::Test {
     config.scorer.window = Duration::Seconds(10);
     config.scorer.min_samples = 5;
     config.tick = Duration::Seconds(10);
-    config.quarantine_after_ticks = 2;
     config.probe_interval = Duration::Seconds(5);
-    config.reinstate_after_ok_probes = 3;
-    config.escalate_after_failed_probes = 3;
     config.reboot_time = Duration::Minutes(1);
     return config;
+  }
+
+  // A canary whose outcome alternates per SoC: neither a passing nor a
+  // failing streak ever gets long enough to end probation, so a
+  // quarantined SoC stays quarantined.
+  GrayFailureManager::Prober AlternatingProber() {
+    std::vector<bool> last_ok(static_cast<size_t>(cluster_.num_socs()));
+    return [last_ok](int soc_index) mutable {
+      const bool ok = !last_ok[static_cast<size_t>(soc_index)];
+      last_ok[static_cast<size_t>(soc_index)] = ok;
+      return GrayFailureManager::ProbeResult{ok, Duration::MillisF(50.0)};
+    };
   }
 
   // Synthetic hot-path evidence: every second each of the first 12 SoCs
@@ -202,19 +212,18 @@ TEST_F(GrayManagerTest, ZombieFailsProbationAndIsPowerCycled) {
 
 TEST_F(GrayManagerTest, QuarantineCapNeverEvacuatesTheFleet) {
   BootAll();
-  GrayFailureConfig config = FastConfig();
-  config.max_quarantined_fraction = 0.02;  // Cap = max(1, 1.2) = 1 of 60.
-  config.escalate_after_failed_probes = 1000;  // Hold quarantine open.
-  GrayFailureManager gray(&sim_, &cluster_, config);
-  gray.set_prober([](int) {
-    return GrayFailureManager::ProbeResult{false, Duration::Zero()};
-  });
-  // Three stragglers at once; only the lowest index fits under the cap.
+  GrayFailureManager gray(&sim_, &cluster_, FastConfig());
+  gray.set_prober(AlternatingProber());  // Hold quarantines open.
+  // Two more stragglers than the cap allows; the lowest indices fit under
+  // it. The whole fleet reports, so the fleet median stays healthy.
+  const int cap = static_cast<int>(GrayFailureManager::kMaxQuarantinedFraction *
+                                   cluster_.num_socs());
+  const int stragglers = cap + 2;
   feed_ = std::make_unique<PeriodicTask>(
       &sim_, Duration::Seconds(1),
-      [this, &gray] {
-        for (int soc = 0; soc < 12; ++soc) {
-          const bool bad = soc >= 1 && soc <= 3;
+      [this, &gray, stragglers] {
+        for (int soc = 0; soc < cluster_.num_socs(); ++soc) {
+          const bool bad = soc >= 1 && soc <= stragglers;
           gray.scorer().Report(soc, Duration::MillisF(bad ? 400.0 : 100.0),
                                true);
         }
@@ -224,24 +233,26 @@ TEST_F(GrayManagerTest, QuarantineCapNeverEvacuatesTheFleet) {
   gray.Start();
   ASSERT_TRUE(sim_.RunFor(Duration::Minutes(3)).ok());
 
-  EXPECT_EQ(gray.quarantines_total(), 1);
-  EXPECT_EQ(gray.quarantined_now(), 1);
-  EXPECT_EQ(gray.state(1), GrayFailureManager::SocState::kQuarantined);
-  EXPECT_EQ(gray.state(2), GrayFailureManager::SocState::kSuspect);
-  EXPECT_EQ(gray.state(3), GrayFailureManager::SocState::kSuspect);
+  EXPECT_EQ(gray.quarantines_total(), cap);
+  EXPECT_EQ(gray.quarantined_now(), cap);
+  for (int soc = 1; soc <= cap; ++soc) {
+    EXPECT_EQ(gray.state(soc), GrayFailureManager::SocState::kQuarantined);
+  }
+  EXPECT_EQ(gray.state(cap + 1), GrayFailureManager::SocState::kSuspect);
+  EXPECT_EQ(gray.state(cap + 2), GrayFailureManager::SocState::kSuspect);
   // Suspects are steered around, quarantined SoCs are excluded outright.
-  EXPECT_DOUBLE_EQ(gray.PlacementPenalty(2), config.suspect_penalty);
+  EXPECT_DOUBLE_EQ(gray.PlacementPenalty(cap + 1),
+                   GrayFailureManager::kSuspectPenalty);
   EXPECT_DOUBLE_EQ(gray.PlacementPenalty(1), 0.0);
   EXPECT_TRUE(cluster_.soc(1).quarantined());
 }
 
 TEST_F(GrayManagerTest, SuspectIsExoneratedWhenEvidenceClears) {
   BootAll();
-  GrayFailureConfig config = FastConfig();
-  config.quarantine_after_ticks = 1000;  // Keep it in the suspect stage.
-  GrayFailureManager gray(&sim_, &cluster_, config);
+  GrayFailureManager gray(&sim_, &cluster_, FastConfig());
   StartFeed(gray, /*bad=*/2);
-  // Stop the excursion once the manager notices it.
+  // Stop the excursion once the manager notices it, before a second hot
+  // tick could quarantine it.
   sim_.ScheduleAfter(Duration::Seconds(15), [this] { feed_bad_ = false; });
   gray.Start();
   ASSERT_TRUE(sim_.RunFor(Duration::Minutes(3)).ok());
@@ -250,18 +261,14 @@ TEST_F(GrayManagerTest, SuspectIsExoneratedWhenEvidenceClears) {
   EXPECT_EQ(gray.quarantines_total(), 0);
   EXPECT_EQ(gray.state(2), GrayFailureManager::SocState::kHealthy);
   EXPECT_DOUBLE_EQ(gray.PlacementPenalty(2), 0.0);
-  EXPECT_LT(gray.scorer().Suspicion(2), config.clear_threshold);
+  EXPECT_LT(gray.scorer().Suspicion(2), GrayFailureManager::kClearThreshold);
 }
 
 TEST_F(GrayManagerTest, ExternalFailureReleasesQuarantineToFailStopPath) {
   BootAll();
-  GrayFailureConfig config = FastConfig();
-  config.escalate_after_failed_probes = 1000;  // Probation never escalates.
-  GrayFailureManager gray(&sim_, &cluster_, config);
+  GrayFailureManager gray(&sim_, &cluster_, FastConfig());
   gray.set_on_quarantine([&](int) { feed_bad_ = false; });
-  gray.set_prober([](int) {
-    return GrayFailureManager::ProbeResult{false, Duration::Zero()};
-  });
+  gray.set_prober(AlternatingProber());  // Probation never ends.
   StartFeed(gray, /*bad=*/6);
   // While quarantined the board fails outright (injector/operator).
   sim_.ScheduleAfter(Duration::Minutes(1), [this] { cluster_.soc(6).Fail(); });
@@ -292,6 +299,15 @@ TEST_F(GrayManagerTest, QuarantinedSocIsNotPlaceable) {
   SocCapacityView view(&cluster_);
   EXPECT_FALSE(view.IsPlaceable(5));
   EXPECT_TRUE(view.IsPlaceable(0));
+}
+
+TEST_F(GrayManagerTest, TickMustEqualScorerWindow) {
+  // Evaluate() judges whatever accumulated since the last tick, so a tick
+  // off the window would silently judge a different window.
+  GrayFailureConfig config = FastConfig();
+  config.tick = Duration::Seconds(15);
+  EXPECT_DEATH(GrayFailureManager(&sim_, &cluster_, config),
+               "tick must equal the scorer window");
 }
 
 TEST_F(GrayManagerTest, HealthyFleetNeverTripsTheDetector) {

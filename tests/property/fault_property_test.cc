@@ -1,12 +1,14 @@
 // Determinism properties of the resilience layer: identical FaultConfig
-// seeds must produce bit-identical failure schedules, and tracing must be
-// purely passive (enabling it cannot perturb a chaos run).
+// seeds (and identically seeded planted gray faults) must produce
+// bit-identical failure schedules, and tracing must be purely passive
+// (enabling it cannot perturb a chaos run).
 
 #include <array>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/base/digest.h"
+#include "src/base/rng.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fault.h"
 #include "src/core/chaos.h"
@@ -29,9 +31,42 @@ ChaosConfig AggressiveChaos(uint64_t seed) {
   return config;
 }
 
+// Gray faults have no seeded chain, so the test draws its own: `count`
+// excursions of random kind, target, start in [start, start + horizon) and
+// length, planted through the injector.
+void PlantGrayFaults(FaultInjector& injector, const SocCluster& cluster,
+                     uint64_t seed, int count, SimTime start,
+                     Duration horizon) {
+  Rng rng(seed);
+  for (int n = 0; n < count; ++n) {
+    const SimTime at =
+        start + Duration::SecondsF(rng.Uniform(0.0, horizon.ToSeconds()));
+    const Duration length = Duration::Minutes(rng.UniformInt(10, 120));
+    const auto soc =
+        static_cast<int>(rng.UniformInt(0, cluster.num_socs() - 1));
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        injector.PlantSlowSoc(soc, at, length, 0.3);
+        break;
+      case 1:
+        injector.PlantZombie(soc, at, length);
+        break;
+      case 2:
+        injector.PlantFlakyHeartbeat(soc, at, length, 0.5);
+        break;
+      default:
+        // Slot num_pcbs is the ESB uplink.
+        injector.PlantLinkBrownout(soc % (cluster.chassis().num_pcbs + 1), at,
+                                   length, 0.25);
+        break;
+    }
+  }
+}
+
 struct ChaosOutcome {
   std::vector<FaultEvent> history;
   ChaosReport report;
+  int64_t gray_faults = 0;
 };
 
 ChaosOutcome RunChaos(uint64_t seed, bool traced) {
@@ -45,10 +80,13 @@ ChaosOutcome RunChaos(uint64_t seed, bool traced) {
   SOC_CHECK(status.ok());
   ChaosRunner chaos(&sim, &cluster, /*orchestrator=*/nullptr,
                     AggressiveChaos(seed));
+  PlantGrayFaults(chaos.injector(), cluster, seed, /*count=*/64, sim.Now(),
+                  AggressiveChaos(seed).horizon);
   chaos.Start();
   status = sim.RunFor(Duration::Hours(24 * 21));
   SOC_CHECK(status.ok());
-  return {chaos.injector().history(), chaos.Report()};
+  return {chaos.injector().history(), chaos.Report(),
+          chaos.injector().gray_faults()};
 }
 
 void ExpectIdentical(const ChaosOutcome& a, const ChaosOutcome& b) {
@@ -74,6 +112,7 @@ TEST(FaultPropertyTest, SameSeedSameSchedule) {
     const ChaosOutcome first = RunChaos(seed, /*traced=*/false);
     const ChaosOutcome second = RunChaos(seed, /*traced=*/false);
     ASSERT_FALSE(first.history.empty());
+    ASSERT_GT(first.gray_faults, 0) << "seed " << seed;
     ExpectIdentical(first, second);
   }
 }
@@ -94,15 +133,17 @@ TEST(FaultPropertyTest, TracingIsPassive) {
   const ChaosOutcome untraced = RunChaos(7, /*traced=*/false);
   const ChaosOutcome traced = RunChaos(7, /*traced=*/true);
   ASSERT_FALSE(untraced.history.empty());
+  ASSERT_GT(untraced.gray_faults, 0);
   ExpectIdentical(untraced, traced);
 }
 
-// Golden schedule: every one of the nine fault kinds enabled at once on the
+// Golden schedule: every seeded chain (per-SoC transient/permanent, PCB,
+// uplink flap, thermal), so all five chained kinds, enabled at once on the
 // default chassis, with repaired SoCs powered back on so every chain keeps
-// finding eligible targets. The pinned values were captured from the
-// injector's original per-kind implementation; any change to the RNG draw
-// order, eligibility rules or restore scheduling moves them.
-TEST(FaultPropertyTest, AllNineKindsGoldenSchedule) {
+// finding eligible targets. Any change to the RNG
+// draw order, eligibility rules or restore scheduling moves the pinned
+// values.
+TEST(FaultPropertyTest, FiveChainedKindsGoldenSchedule) {
   Simulator sim(11);
   SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
   cluster.PowerOnAll(nullptr);
@@ -115,10 +156,6 @@ TEST(FaultPropertyTest, AllNineKindsGoldenSchedule) {
   config.pcb_repair_time = Duration::Hours(12);
   config.uplink_flap_mtbf = Duration::Hours(24);
   config.thermal_mtbf = Duration::Hours(24 * 2);
-  config.slow_soc_mtbf = Duration::Hours(24 * 3);
-  config.link_brownout_mtbf = Duration::Hours(24);
-  config.flaky_heartbeat_mtbf = Duration::Hours(24 * 3);
-  config.zombie_mtbf = Duration::Hours(24 * 4);
   config.seed = 2024;
   FaultInjector injector(&sim, &cluster, config);
   injector.set_on_repair([&cluster](int soc_index) {
@@ -134,16 +171,17 @@ TEST(FaultPropertyTest, AllNineKindsGoldenSchedule) {
     fold.Mix(event.index);
     fold.Mix(event.at.nanos());
   }
+  // Gray kinds have no chain: only Plant* injects them.
   const std::array<int64_t, kNumFaultKinds> expected_counts = {
-      24, 20, 6, 52, 112, 76, 61, 80, 51};
+      27, 20, 8, 50, 119, 0, 0, 0, 0};
   for (int k = 0; k < kNumFaultKinds; ++k) {
     const auto kind = static_cast<FaultKind>(k);
     EXPECT_EQ(injector.faults_of(kind),
               expected_counts[static_cast<size_t>(k)])
         << FaultKindName(kind);
   }
-  EXPECT_EQ(injector.history().size(), 482u);
-  EXPECT_EQ(fold.value(), 5476239388554918950u);
+  EXPECT_EQ(injector.history().size(), 224u);
+  EXPECT_EQ(fold.value(), 2191401857509969654u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// Determinism and safety properties of the gray-failure layer: a seeded
-// gray storm (slow SoCs, brownouts, flaky heartbeats, zombies) with the
-// full detect/quarantine/probe loop must be bit-identical across same-seed
-// runs and indifferent to tracing, and the adaptive detectors must stay
-// silent on a perfectly healthy fleet.
+// Determinism and safety properties of the gray-failure layer: a seeded,
+// planted gray storm (slow SoCs, brownouts, flaky heartbeats, zombies) with
+// the full detect/quarantine/probe loop must be bit-identical across
+// same-seed runs and indifferent to tracing, and the adaptive detectors
+// must stay silent on a perfectly healthy fleet.
 
 #include "gtest/gtest.h"
 #include "src/base/digest.h"
+#include "src/base/rng.h"
 #include "src/cluster/cluster.h"
 #include "src/core/chaos.h"
 #include "src/core/graydetect.h"
@@ -20,13 +21,6 @@ ChaosConfig GrayStormConfig(uint64_t seed) {
   // Pure gray storm: fail-stop chains effectively disabled so every event
   // exercises the fail-slow paths.
   config.faults.mtbf_per_soc = Duration::Hours(24 * 365 * 100);
-  config.faults.slow_soc_mtbf = Duration::Hours(24);
-  config.faults.slow_soc_duration = Duration::Hours(2);
-  config.faults.zombie_mtbf = Duration::Hours(36);
-  config.faults.zombie_duration = Duration::Hours(1);
-  config.faults.flaky_heartbeat_mtbf = Duration::Hours(24);
-  config.faults.flaky_heartbeat_duration = Duration::Minutes(30);
-  config.faults.link_brownout_mtbf = Duration::Hours(48);
   config.faults.seed = seed;
   config.health.mode = DetectorMode::kPhiAccrual;
   config.health.seed = seed + 1;
@@ -37,6 +31,55 @@ ChaosConfig GrayStormConfig(uint64_t seed) {
   config.gray.tick = Duration::Seconds(30);
   config.gray.reboot_time = Duration::Minutes(3);
   return config;
+}
+
+// The storm itself, drawn from the test's own seeded stream: every target
+// gets Poisson arrivals of each gray kind over `horizon` from `start`,
+// planted through the injector (a SoC that is not usable at its arrival
+// gets nothing).
+void PlantGrayStorm(FaultInjector& injector, const SocCluster& cluster,
+                    uint64_t seed, SimTime start, Duration horizon) {
+  struct Process {
+    FaultKind kind;
+    Duration mtbf;
+    Duration duration;
+    double value;  // Throttle or brownout factor, or heartbeat loss.
+  };
+  constexpr Process kStorm[] = {
+      {FaultKind::kSlowSoc, Duration::Hours(24), Duration::Hours(2), 0.3},
+      {FaultKind::kZombie, Duration::Hours(36), Duration::Hours(1), 0.0},
+      {FaultKind::kFlakyHeartbeat, Duration::Hours(24), Duration::Minutes(30),
+       0.5},
+      {FaultKind::kLinkBrownout, Duration::Hours(48), Duration::Minutes(30),
+       0.25},
+  };
+  Rng rng(seed);
+  for (const Process& p : kStorm) {
+    const int targets = p.kind == FaultKind::kLinkBrownout
+                            ? cluster.chassis().num_pcbs + 1
+                            : cluster.num_socs();
+    for (int i = 0; i < targets; ++i) {
+      for (double t = rng.Exponential(1.0 / p.mtbf.ToSeconds());
+           t < horizon.ToSeconds();
+           t += rng.Exponential(1.0 / p.mtbf.ToSeconds())) {
+        const SimTime at = start + Duration::SecondsF(t);
+        switch (p.kind) {
+          case FaultKind::kSlowSoc:
+            injector.PlantSlowSoc(i, at, p.duration, p.value);
+            break;
+          case FaultKind::kZombie:
+            injector.PlantZombie(i, at, p.duration);
+            break;
+          case FaultKind::kFlakyHeartbeat:
+            injector.PlantFlakyHeartbeat(i, at, p.duration, p.value);
+            break;
+          default:
+            injector.PlantLinkBrownout(i, at, p.duration, p.value);
+            break;
+        }
+      }
+    }
+  }
 }
 
 struct StormOutcome {
@@ -58,8 +101,9 @@ StormOutcome RunGrayStorm(uint64_t seed, bool traced) {
   cluster.PowerOnAll(nullptr);
   Status status = sim.RunFor(Duration::Seconds(60));
   SOC_CHECK(status.ok());
-  ChaosRunner chaos(&sim, &cluster, /*orchestrator=*/nullptr,
-                    GrayStormConfig(seed));
+  const ChaosConfig config = GrayStormConfig(seed);
+  ChaosRunner chaos(&sim, &cluster, /*orchestrator=*/nullptr, config);
+  PlantGrayStorm(chaos.injector(), cluster, seed, sim.Now(), config.horizon);
   // Synthetic request-path evidence standing in for a workload: each
   // usable SoC completes one probe-sized request per second, stretched by
   // its throttle and failed by a zombie request path. Deterministic.

@@ -38,16 +38,6 @@ using OutcomeCounts =
     std::array<std::array<std::array<int64_t, kNumOutcomes>, kNumPriorities>,
                kNumServices>;
 
-CircuitBreakerConfig Breaker(const char* service) {
-  CircuitBreakerConfig config;
-  config.service = service;
-  config.window = Duration::Seconds(5);
-  config.min_samples = 10;
-  config.open_duration = Duration::Seconds(2);
-  config.half_open_probes = 2;
-  return config;
-}
-
 struct Ticket {
   Service service;
   Priority priority;
@@ -80,9 +70,9 @@ void RunLifecycle(uint64_t seed) {
     spec.exec_median = Duration::Millis(60 + 40 * f);
     ASSERT_TRUE(serverless.RegisterFunction(spec).ok());
   }
-  CircuitBreaker serving_breaker(&sim, Breaker("dl.serving"));
-  CircuitBreaker live_breaker(&sim, Breaker("video.live"));
-  CircuitBreaker serverless_breaker(&sim, Breaker("serverless"));
+  CircuitBreaker serving_breaker(&sim, "dl.serving");
+  CircuitBreaker live_breaker(&sim, "video.live");
+  CircuitBreaker serverless_breaker(&sim, "serverless");
   fleet.SetBreaker(&serving_breaker);
   live.SetBreaker(&live_breaker);
   serverless.SetBreaker(&serverless_breaker);
@@ -210,10 +200,13 @@ void RunLifecycle(uint64_t seed) {
       EXPECT_EQ(ledger.pending(p), still_pending);
     }
   }
-  // The load must actually exercise every outcome.
+  // The load must actually exercise every outcome, and trip a breaker.
   for (int o = 0; o < kNumOutcomes; ++o) {
     EXPECT_GT(totals[o], 0) << ClientOutcomeName(static_cast<ClientOutcome>(o));
   }
+  EXPECT_GT(serving_breaker.opens() + live_breaker.opens() +
+                serverless_breaker.opens(),
+            0);
 }
 
 TEST(LifecyclePropertyTest, EveryTicketResolvesOnceAndLedgersBalance) {

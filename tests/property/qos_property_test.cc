@@ -149,12 +149,7 @@ TEST(QosPropertyTest, CriticalNeverShedWhileLowerClassesQueued) {
 TEST(QosPropertyTest, BreakerNeverSkipsHalfOpen) {
   for (const uint64_t seed : kSeeds) {
     Simulator sim(seed);
-    CircuitBreakerConfig config;
-    config.service = "prop.breaker";
-    config.min_samples = 5;
-    config.open_duration = Duration::Millis(500);
-    config.half_open_probes = 2;
-    CircuitBreaker breaker(&sim, config);
+    CircuitBreaker breaker(&sim, "prop.breaker");
     Rng rng(seed + 9);
     for (int step = 0; step < 20000; ++step) {
       const double u = rng.NextDouble();
@@ -174,6 +169,17 @@ TEST(QosPropertyTest, BreakerNeverSkipsHalfOpen) {
         breaker.RecordFailure();
       }
     }
+    // The walk must reach half-open and leave it both ways, or the edge
+    // check below is vacuous.
+    int closes = 0;
+    int reopens = 0;
+    for (const auto& transition : breaker.transitions()) {
+      if (transition.from == CircuitBreaker::State::kHalfOpen) {
+        ++(transition.to == CircuitBreaker::State::kClosed ? closes : reopens);
+      }
+    }
+    EXPECT_GT(closes, 0) << "seed " << seed;
+    EXPECT_GT(reopens, 0) << "seed " << seed;
     for (const auto& transition : breaker.transitions()) {
       // Legal edges only; in particular open never jumps straight to
       // closed.

@@ -92,25 +92,33 @@ TEST(AdmissionQueueTest, RestoreFrontPreservesFifoHead) {
   EXPECT_EQ(again->handle, 1u);
 }
 
-CircuitBreakerConfig BreakerConfig(const char* service) {
-  CircuitBreakerConfig config;
-  config.service = service;
-  config.min_samples = 4;
-  config.failure_threshold = 0.5;
-  config.open_duration = Duration::Seconds(5);
-  config.half_open_probes = 2;
-  return config;
+// Trips `breaker` with kMinSamples straight failures.
+void Trip(CircuitBreaker& breaker) {
+  for (int i = 0; i < CircuitBreaker::kMinSamples; ++i) {
+    breaker.RecordFailure();
+  }
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 }
 
 TEST(CircuitBreakerTest, OpensAtFailureThreshold) {
   Simulator sim(1);
-  CircuitBreaker breaker(&sim, BreakerConfig("t.open"));
+  CircuitBreaker breaker(&sim, "t.open");
   EXPECT_TRUE(breaker.Allow());
-  breaker.RecordSuccess();
-  breaker.RecordFailure();
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.RecordFailure();  // 2 failures / 4 samples = threshold.
+  // Success/failure pairs: from the first failure on, the window's failure
+  // ratio is 1/2, at or above kFailureThreshold, so only the kMinSamples
+  // gate keeps the breaker closed until the kMinSamples-th sample.
+  static_assert(CircuitBreaker::kFailureThreshold <= 0.5);
+  static_assert(CircuitBreaker::kMinSamples % 2 == 0);
+  for (int sample = 1; sample < CircuitBreaker::kMinSamples; ++sample) {
+    if (sample % 2 == 1) {
+      breaker.RecordSuccess();
+    } else {
+      breaker.RecordFailure();
+    }
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed)
+        << "sample " << sample;
+  }
+  breaker.RecordFailure();  // kMinSamples samples, half of them failures.
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_FALSE(breaker.Allow());
   EXPECT_EQ(breaker.opens(), 1);
@@ -119,19 +127,23 @@ TEST(CircuitBreakerTest, OpensAtFailureThreshold) {
 
 TEST(CircuitBreakerTest, HalfOpenProbesCloseOnSuccess) {
   Simulator sim(1);
-  CircuitBreaker breaker(&sim, BreakerConfig("t.close"));
-  for (int i = 0; i < 4; ++i) {
-    breaker.RecordFailure();
-  }
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(6)).ok());
-  // First Allow after open_duration is the half-open probe.
+  CircuitBreaker breaker(&sim, "t.close");
+  Trip(breaker);
+  ASSERT_TRUE(sim.RunFor(CircuitBreaker::kOpenDuration - Duration::Seconds(1))
+                  .ok());
+  EXPECT_FALSE(breaker.Allow());  // Still open.
+  ASSERT_TRUE(sim.RunFor(Duration::Seconds(1)).ok());
+  // First Allow after kOpenDuration is the first half-open probe.
   EXPECT_TRUE(breaker.Allow());
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.Allow());
+  for (int i = 1; i < CircuitBreaker::kHalfOpenProbes; ++i) {
+    EXPECT_TRUE(breaker.Allow());
+  }
   EXPECT_FALSE(breaker.Allow());  // Probe budget spent.
-  breaker.RecordSuccess();
-  breaker.RecordSuccess();
+  for (int i = 0; i < CircuitBreaker::kHalfOpenProbes; ++i) {
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
+    breaker.RecordSuccess();
+  }
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   // closed → open → half-open → closed, never skipping half-open.
   ASSERT_EQ(breaker.transitions().size(), 3u);
@@ -140,11 +152,9 @@ TEST(CircuitBreakerTest, HalfOpenProbesCloseOnSuccess) {
 
 TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
   Simulator sim(1);
-  CircuitBreaker breaker(&sim, BreakerConfig("t.reopen"));
-  for (int i = 0; i < 4; ++i) {
-    breaker.RecordFailure();
-  }
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(6)).ok());
+  CircuitBreaker breaker(&sim, "t.reopen");
+  Trip(breaker);
+  ASSERT_TRUE(sim.RunFor(CircuitBreaker::kOpenDuration).ok());
   ASSERT_TRUE(breaker.Allow());
   breaker.RecordFailure();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
@@ -167,11 +177,11 @@ TEST(RequestLedgerTest, BreakerRuleAndSloSamplePerCause) {
   for (size_t c = 0; c < RequestLedger::kNumCauses; ++c) {
     const Cause cause = static_cast<Cause>(c);
     Simulator sim(1);
-    CircuitBreaker breaker(&sim, BreakerConfig("t.ledger"));
-    CircuitBreaker untouched(&sim, BreakerConfig("t.ledger"));
-    CircuitBreaker success(&sim, BreakerConfig("t.ledger"));
+    CircuitBreaker breaker(&sim, "t.ledger");
+    CircuitBreaker untouched(&sim, "t.ledger");
+    CircuitBreaker success(&sim, "t.ledger");
     success.RecordSuccess();
-    CircuitBreaker failure(&sim, BreakerConfig("t.ledger"));
+    CircuitBreaker failure(&sim, "t.ledger");
     failure.RecordFailure();
 
     RequestLedger ledger(&sim, {.service = "t.ledger"});
@@ -240,7 +250,7 @@ TEST_F(BrownoutGovernorTest, LadderEngagesInOrderReleasesInReverse) {
   EXPECT_EQ(governor.rung_level(0), 2);
   EXPECT_EQ(governor.rung_level(1), 1);
   EXPECT_EQ(governor.engagements(), 3);
-  // Drop the load: draw falls below release_fraction * cap and the ladder
+  // Drop the load: draw falls below kReleaseFraction * cap and the ladder
   // unwinds one level per tick, deepest rung first.
   Load(-0.9);
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(10)).ok());
@@ -266,23 +276,36 @@ TEST_F(BrownoutGovernorTest, LadderEngagesInOrderReleasesInReverse) {
 }
 
 TEST_F(BrownoutGovernorTest, HysteresisHoldsBeforeRelease) {
-  BrownoutConfig config;
   const double idle = cluster_.CurrentPower().watts();
-  Load(0.9);
+  Load(0.6);
+  const double partial = cluster_.CurrentPower().watts();
+  Load(0.3);
   const double loaded = cluster_.CurrentPower().watts();
-  config.wall_cap = Power::Watts((idle + loaded) / 2.0);
-  config.release_hold_ticks = 3;
+  // A cap that the full load exceeds and the partial load sits just under,
+  // inside the hysteresis band [kReleaseFraction * cap, cap].
+  const double cap =
+      2.0 * partial / (1.0 + BrownoutGovernor::kReleaseFraction);
+  ASSERT_GT(loaded, cap);
+  ASSERT_GE(partial, BrownoutGovernor::kReleaseFraction * cap);
+  ASSERT_LT(idle, BrownoutGovernor::kReleaseFraction * cap);
+  BrownoutConfig config;
+  config.wall_cap = Power::Watts(cap);
   BrownoutGovernor governor(&sim_, &cluster_, nullptr, config);
   governor.AddRung("a", 1, [](int) {}, [](int) {});
   governor.Start();
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(4)).ok());
   ASSERT_TRUE(governor.IsBrownedOut());
-  Load(-0.9);
-  // Two comfortable ticks are not enough at hold=3.
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(5)).ok());
+  // Back under the cap but inside the band: the level holds, tick after
+  // tick.
+  Load(-0.3);
+  ASSERT_TRUE(sim_.RunFor(Duration::Minutes(1)).ok());
   EXPECT_TRUE(governor.IsBrownedOut());
+  EXPECT_EQ(governor.releases(), 0);
+  // Below the band: released on the next tick.
+  Load(-0.6);
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(4)).ok());
   EXPECT_FALSE(governor.IsBrownedOut());
+  EXPECT_EQ(governor.releases(), 1);
 }
 
 }  // namespace

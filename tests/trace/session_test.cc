@@ -195,9 +195,10 @@ TEST(SessionTierTest, PriorityMixIsTwentyFiftyThirty) {
   EXPECT_NEAR(critical_fraction, 0.2, 0.01);
 }
 
-TEST(SessionTierTest, RetryModeNoneGivesUpOnFirstTimeout) {
+TEST(SessionTierTest, ZeroPatienceGivesUpOnFirstTimeout) {
   SessionTierConfig config = FlatTierConfig(7);
-  config.retry_mode = RetryMode::kNone;
+  config.retry_mode = RetryMode::kNaive;
+  config.give_up_after = Duration::Zero();
   TierHarness h(config);
   h.server.respond = false;
   h.Run(Duration::Minutes(1));
@@ -214,8 +215,10 @@ TEST(SessionTierTest, RetryModeNoneGivesUpOnFirstTimeout) {
 
 TEST(SessionTierTest, BackoffBoundsAttemptsPerRequest) {
   SessionTierConfig config = FlatTierConfig(8);
-  config.retry_mode = RetryMode::kBackoff;
+  config.retry_mode = RetryMode::kBudgeted;
   config.backoff.max_attempts = 3;
+  // A budget no run can drain: only the backoff's attempt cap binds.
+  config.budget_max_tokens = 1e9;
   TierHarness h(config);
   h.server.respond = false;
   h.Run(Duration::Minutes(1));
@@ -225,6 +228,7 @@ TEST(SessionTierTest, BackoffBoundsAttemptsPerRequest) {
   EXPECT_EQ(h.tier.retries(), h.tier.submitted() - h.tier.issued());
   EXPECT_LE(h.tier.submitted(), 3 * h.tier.issued());
   EXPECT_EQ(h.tier.give_ups(), h.tier.issued());
+  EXPECT_EQ(h.tier.retries_denied(), 0);
 }
 
 TEST(SessionTierTest, NaiveRetriesUntilPatienceRunsOut) {
@@ -266,7 +270,7 @@ TEST(SessionTierTest, BudgetDeniesRetriesWithoutSuccesses) {
 
 TEST(SessionTierTest, LateOutcomesCountAsWasted) {
   SessionTierConfig config = FlatTierConfig(11);
-  config.retry_mode = RetryMode::kNone;
+  config.give_up_after = Duration::Zero();  // One attempt per request.
   TierHarness h(config);
   h.server.service = Duration::Millis(800);  // Past the 500 ms timeout.
   h.Run(Duration::Minutes(1));

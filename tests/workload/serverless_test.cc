@@ -184,9 +184,7 @@ TEST_F(ServerlessTest, BreakerClosesOnceQueuePressureClears) {
   config.defer_queue_cap = 2;
   ServerlessPlatform platform(&sim_, &cluster_, config);
   ASSERT_TRUE(platform.RegisterFunction(Fn("a")).ok());
-  CircuitBreakerConfig breaker_config;
-  breaker_config.service = "serverless";
-  CircuitBreaker breaker(&sim_, breaker_config);
+  CircuitBreaker breaker(&sim_, "serverless");
   platform.SetBreaker(&breaker);
   // A cold-start storm under deferral: two invocations park, the rest
   // overflow the deferral queue, and the queue-full drops open the breaker.
@@ -197,7 +195,7 @@ TEST_F(ServerlessTest, BreakerClosesOnceQueuePressureClears) {
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   platform.SetDeferColdStarts(false);
   ASSERT_TRUE(
-      sim_.RunFor(breaker_config.open_duration + Duration::Seconds(1)).ok());
+      sim_.RunFor(CircuitBreaker::kOpenDuration + Duration::Seconds(1)).ok());
   // Healthy traffic afterwards: the half-open probes succeed, the breaker
   // closes, and nothing more is shed.
   int succeeded = 0;

@@ -107,6 +107,23 @@ Registered as the `lint.repo` ctest. Rules:
                 the exclusive whole-SoC runs of collab and training, which
                 write SetCpuUtil(1.0)/(0.0) absolutely.
 
+  knobs          Every field of the resilience-stack config structs
+                (KNOBS_STRUCTS) must be written by some file outside
+                tests/ and outside the struct's own .h/.cc: a bench,
+                example, perfbench workload or audit scenario. A field no
+                workload sets is one value in use, so it belongs as a named
+                constant in the .cc; a settable copy doubles the
+                configurations to test and documents a choice nobody makes.
+                Writes are `a.b.field =` chains and `Type{.field = ...}`
+                designated initializers; a chain's root is typed from a
+                declaration in the same file, and a nested write such as
+                `config.gray.tick =` counts for the innermost struct (and
+                sets every struct member along the way). A field copied
+                from another checked field (`out.period = config.period`)
+                is set only when that field is. The rule checks writes,
+                not distinct values: a field that every workload writes
+                with its default value still passes.
+
   suppression    Every `lint:allow` marker must be well-formed and name a
                 rule that exists: a typo like `lint:allow(unit)` would
                 otherwise silently suppress nothing while looking like it
@@ -262,6 +279,29 @@ CHARGES_ALLOWLIST = {
     "src/workload/dl/training.cc": {"SetCpuUtil"},
 }
 
+# The config structs whose every field some workload must set, each with
+# the path (without extension) of its own .h/.cc.
+KNOBS_STRUCTS = {
+    "FaultConfig": "src/cluster/fault",
+    "HealthConfig": "src/core/health",
+    "DegradationScorerConfig": "src/core/graydetect",
+    "GrayFailureConfig": "src/core/graydetect",
+    "BrownoutConfig": "src/qos/brownout",
+    "ClusterOverloadConfig": "src/core/overload",
+    "SessionTierConfig": "src/trace/session",
+}
+KNOBS_STRUCT_DEF = re.compile(r"\bstruct\s+(\w+)\s*(?::[^{;]*)?\{")
+KNOBS_FIELD = re.compile(
+    r"^(?:mutable\s+)?(?:const\s+)?(?P<type>[A-Za-z_][\w:]*(?:<[^;]*>)?)"
+    r"\s*[*&]?\s+(?P<name>\w+)\s*(?:=.*)?$", re.S)
+KNOBS_NOT_FIELD = re.compile(
+    r"^\s*(?:static|using|enum|struct|class|friend|return|typedef|public|"
+    r"private|protected)\b|\boperator\b")
+KNOBS_CHAIN = r"\b\w+(?:\s*(?:\.|->)\s*\w+)+"
+KNOBS_WRITE = re.compile(
+    r"(" + KNOBS_CHAIN + r")\s*(?:=(?!=)|\.\s*(?:push_back|emplace_back)\s*\()")
+KNOBS_SOURCE = re.compile(r"\s*(" + KNOBS_CHAIN + r")\s*$")
+
 ALLOW = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
 ALLOW_MARKER = re.compile(r"lint:allow")
 ALLOW_ANY = re.compile(r"//\s*lint:allow\(([^)]*)\)")
@@ -269,7 +309,7 @@ ALLOW_ANY = re.compile(r"//\s*lint:allow\(([^)]*)\)")
 KNOWN_RULES = frozenset({
     "determinism", "units", "guards", "include-cc", "stdio", "layering",
     "admission", "gray-evidence", "hot-label", "arrival", "lifecycle",
-    "charges",
+    "charges", "knobs",
 })
 
 IGNORED_DIRS = {".git", "build", "third_party", ".github"}
@@ -292,6 +332,9 @@ def strip_comments_and_strings(text):
             j = n if j < 0 else j + 2
             out.append("".join(ch if ch == "\n" else " " for ch in text[i:j]))
             i = j
+        elif c == "'" and re.search(r"(?<![\w.])\d[\w']*$", text[:i]):
+            out.append(c)  # A digit separator, as in 1'000'000.
+            i += 1
         elif c in "\"'":
             j = i + 1
             while j < n and text[j] != c:
@@ -303,6 +346,51 @@ def strip_comments_and_strings(text):
             out.append(c)
             i += 1
     return "".join(out)
+
+
+def matching_brace(code_text, open_idx):
+    """Index of the brace closing the one at open_idx, or None."""
+    depth = 0
+    for i in range(open_idx, len(code_text)):
+        if code_text[i] == "{":
+            depth += 1
+        elif code_text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
+def struct_fields(code_text):
+    """{struct: {field: (type, offset)}} for every struct defined in
+    code_text. Each nested brace block (a method body or brace initializer)
+    becomes a statement break, so what is left splits into declarations."""
+    structs = {}
+    for m in KNOBS_STRUCT_DEF.finditer(code_text):
+        close = matching_brace(code_text, m.end() - 1)
+        if close is None:
+            continue
+        body = list(code_text[m.end():close])
+        i = 0
+        while i < len(body):
+            if body[i] == "{":
+                end = matching_brace(code_text, m.end() + i) - m.end()
+                body[i:end + 1] = [";"] + [" "] * (end - i)
+                i = end
+            i += 1
+        fields = {}
+        pos = 0
+        for stmt in "".join(body).split(";"):
+            decl = stmt.split("=", 1)[0]
+            f = KNOBS_FIELD.match(stmt.strip())
+            if f is not None and "(" not in decl and \
+                    not KNOBS_NOT_FIELD.search(stmt):
+                lead = len(stmt) - len(stmt.lstrip())
+                offset = m.end() + pos + lead + f.start("name")
+                fields[f.group("name")] = (f.group("type"), offset)
+            pos += len(stmt) + 1
+        structs[m.group(1)] = fields
+    return structs
 
 
 def allowed(raw_line, rule):
@@ -459,6 +547,102 @@ class Linter:
                     "before that")
                 break
 
+    def lint_knobs(self, files, checked=None):
+        """`files` maps every scanned path to (raw_lines, code_text);
+        `checked` maps struct name to its own path without extension."""
+        checked = KNOBS_STRUCTS if checked is None else checked
+        structs = {}
+        for path, (_, code_text) in files.items():
+            if path.startswith("src/") and path.endswith(".h"):
+                structs.update(struct_fields(code_text))
+        decl = re.compile(
+            r"\b(" + "|".join(map(re.escape, sorted(structs))) +
+            r")\s*[&*]?\s+(\w+)\s*(?=[;=,){\[(])") if structs else None
+        written, copies = set(), {}
+
+        def resolve(chain, owner):
+            """The (struct, field) pairs a member chain names when its root
+            has type `owner`, outermost first."""
+            parts, pairs = re.split(r"\s*(?:\.|->)\s*", chain), []
+            for part in parts[1:]:
+                fields = structs.get(owner, {})
+                if part not in fields:
+                    break
+                pairs.append((owner, part))
+                owner = fields[part][0]
+            return pairs
+
+        def record(path, targets, source):
+            targets = [t for t in targets
+                       if t[0] in checked and
+                       not path.startswith(checked[t[0]] + ".")]
+            if source and source[-1][0] in checked:
+                for target in targets:
+                    copies.setdefault(target, set()).add(source[-1])
+            else:
+                written.update(targets)
+
+        for path, (_, code_text) in sorted(files.items()):
+            if path.startswith("tests/") or decl is None:
+                continue
+            decls = [(m.start(), m.group(2), m.group(1))
+                     for m in decl.finditer(code_text)]
+
+            def chain_at(text, at):
+                """resolve() with the root typed by its nearest declaration
+                before `at`; empty unless `text` is a member chain."""
+                m = KNOBS_SOURCE.match(text)
+                if m is None:
+                    return []
+                root = re.match(r"\w+", m.group(1)).group(0)
+                found = [t for pos, var, t in decls if pos < at and var == root]
+                return resolve(m.group(1), found[-1] if found else None)
+
+            for m in KNOBS_WRITE.finditer(code_text):
+                end = code_text.find(";", m.end())
+                record(path, chain_at(m.group(1), m.start()),
+                       chain_at(code_text[m.end():end], m.start()))
+            # Designated initializers: Type{.field = value, ...}.
+            for m in re.finditer(r"\b(\w+)\s*(?:\w+\s*)?(?:=\s*)?\{",
+                                 code_text):
+                if m.group(1) not in checked:
+                    continue
+                inner = code_text[m.end():matching_brace(code_text,
+                                                         m.end() - 1)]
+                for d in re.finditer(r"(?:^|,)\s*\.(\w+)\s*=", inner):
+                    value = re.split(r",(?![^{(]*[})])", inner[d.end():])[0]
+                    record(path, [(m.group(1), d.group(1))],
+                           chain_at(value, m.start()))
+
+        changed = True
+        while changed:
+            changed = False
+            for target, sources in copies.items():
+                if target not in written and sources & written:
+                    written.add(target)
+                    changed = True
+
+        for name, base in sorted(checked.items()):
+            raw_lines, code_text = files.get(base + ".h", ([], ""))
+            fields = struct_fields(code_text)
+            if name not in fields:
+                self.report(base + ".h", 1, "knobs",
+                            f"struct {name} is listed in KNOBS_STRUCTS but "
+                            "not defined here; update the list")
+                continue
+            for field, (_, offset) in fields[name].items():
+                if (name, field) in written:
+                    continue
+                lineno = code_text.count("\n", 0, offset) + 1
+                if allowed(raw_lines[lineno - 1], "knobs"):
+                    continue
+                self.report(
+                    base + ".h", lineno, "knobs",
+                    f"{name}::{field} is set by no file outside tests/ and "
+                    f"{base}.h/.cc; with one value in use it is a named "
+                    f"constant in {base}.cc (a public static constexpr "
+                    "where a test must name it), not a setting")
+
     def lint_hot_label(self, path, raw_lines, code_text):
         if not path.startswith("src/"):
             return
@@ -534,6 +718,7 @@ class Linter:
                             "never #include a .cc file")
 
     def run(self):
+        files = {}
         for dirpath, dirnames, filenames in os.walk(self.root):
             dirnames[:] = [d for d in sorted(dirnames)
                            if d not in IGNORED_DIRS and
@@ -548,6 +733,7 @@ class Linter:
                 code_text = strip_comments_and_strings(text)
                 raw_lines = text.split("\n")
                 code_lines = code_text.split("\n")
+                files[path] = (raw_lines, code_text)
                 self.lint_determinism(path, raw_lines, code_lines)
                 self.lint_units(path, raw_lines, code_text)
                 self.lint_guards(path, raw_lines, code_text)
@@ -561,6 +747,7 @@ class Linter:
                 self.lint_hot_label(path, raw_lines, code_text)
                 self.lint_include_cc(path, raw_lines, code_lines)
                 self.lint_suppressions(path, raw_lines)
+        self.lint_knobs(files)
         return self.findings
 
 

@@ -41,6 +41,13 @@ class StripTest(unittest.TestCase):
         out = lint.strip_comments_and_strings('call("std::cout");\n')
         self.assertNotIn("cout", out)
 
+    def test_digit_separator_is_not_a_char_literal(self):
+        out = lint.strip_comments_and_strings(
+            "int n = 1'000'000;\nint c = 'x';\nrand();\n")
+        self.assertIn("rand()", out)
+        self.assertIn("1'000'000", out)
+        self.assertNotIn("x", out)
+
 
 class DeterminismRuleTest(unittest.TestCase):
     def test_system_clock_flagged(self):
@@ -336,6 +343,130 @@ class ChargesRuleTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+def run_knobs(files, checked):
+    """Runs the knobs rule over {path: text} with its own struct table."""
+    linter = lint.Linter("/nonexistent")
+    linter.lint_knobs(
+        {path: (text.split("\n"), lint.strip_comments_and_strings(text))
+         for path, text in files.items()},
+        checked)
+    return linter.findings
+
+
+KNOBS_HEADER = (
+    "struct InnerConfig {\n"
+    "  Duration window = Duration::Seconds(30);\n"
+    "  int min_samples = 20;\n"
+    "};\n"
+    "struct OuterConfig {\n"
+    "  InnerConfig inner;\n"
+    "  Duration tick = Duration::Seconds(30);\n"
+    "  double unset = 0.5;  // A comment.\n"
+    "  int Method() const { return 1; }\n"
+    "};\n")
+KNOBS_CHECKED = {"InnerConfig": "src/core/x", "OuterConfig": "src/core/x"}
+
+
+class KnobsRuleTest(unittest.TestCase):
+    def test_field_no_workload_sets_is_flagged(self):
+        findings = run_knobs(
+            {"src/core/x.h": KNOBS_HEADER,
+             "bench/b.cc": "OuterConfig config;\n"
+                           "config.inner.window = Duration::Seconds(15);\n"
+                           "config.inner.min_samples = 1'000;\n"
+                           "config.tick = Duration::Seconds(15);\n"},
+            KNOBS_CHECKED)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("src/core/x.h:8: [knobs] OuterConfig::unset", findings[0])
+
+    def test_tests_and_own_files_do_not_count(self):
+        findings = run_knobs(
+            {"src/core/x.h": KNOBS_HEADER,
+             "src/core/x.cc": "OuterConfig c;\nc.unset = 1.0;\n",
+             "tests/core/x_test.cc": "OuterConfig c;\nc.unset = 1.0;\n",
+             "bench/b.cc": "OuterConfig c;\nc.inner.window = w;\n"
+                           "c.inner.min_samples = 5;\nc.tick = w;\n"},
+            KNOBS_CHECKED)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("OuterConfig::unset", findings[0])
+
+    def test_nested_write_counts_for_innermost_struct(self):
+        # `c.inner.tick` is no OuterConfig::tick write: tick is not a field
+        # of InnerConfig, so only `inner` itself is set.
+        findings = run_knobs(
+            {"src/core/x.h": KNOBS_HEADER,
+             "examples/e.cc": "OuterConfig c;\nc.inner.tick = w;\n"
+                              "c.unset = 0.1;\n"},
+            KNOBS_CHECKED)
+        names = sorted(f.split("] ")[1].split(" ")[0] for f in findings)
+        self.assertEqual(names, ["InnerConfig::min_samples",
+                                 "InnerConfig::window", "OuterConfig::tick"])
+
+    def test_root_typed_from_nearest_declaration_and_parameters(self):
+        findings = run_knobs(
+            {"src/core/x.h": KNOBS_HEADER,
+             "perfbench/p.cc":
+                 "void A(InnerConfig* config) {\n"
+                 "  config->window = w;\n"
+                 "  config->min_samples = 3;\n"
+                 "}\n"
+                 "void B() {\n"
+                 "  OuterConfig config;\n"
+                 "  config.inner.window = w;\n"
+                 "  config.tick = w;\n"
+                 "  config.unset = 2.0;\n"
+                 "}\n"},
+            KNOBS_CHECKED)
+        self.assertEqual(findings, [])
+
+    def test_designated_initializer_and_push_back_count(self):
+        header = ("struct ListConfig {\n"
+                  "  std::vector<int> items;\n"
+                  "  int size = 0;\n"
+                  "};\n")
+        findings = run_knobs(
+            {"src/core/l.h": header,
+             "bench/b.cc": "ListConfig c;\nc.items.push_back(1);\n"
+                           "Run(ListConfig{.size = 4});\n"},
+            {"ListConfig": "src/core/l"})
+        self.assertEqual(findings, [])
+
+    def test_copy_from_another_checked_field_needs_that_field_set(self):
+        header = ("struct FromConfig {\n  int period = 2;\n};\n"
+                  "struct ToConfig {\n  int period = 2;\n};\n")
+        copy = ("ToConfig Make(const FromConfig& config) {\n"
+                "  ToConfig out;\n"
+                "  out.period = config.period;\n"
+                "  return out;\n"
+                "}\n")
+        checked = {"FromConfig": "src/core/f", "ToConfig": "src/core/f"}
+        findings = run_knobs({"src/core/f.h": header, "src/core/m.cc": copy},
+                             checked)
+        self.assertEqual(len(findings), 2)
+        findings = run_knobs(
+            {"src/core/f.h": header, "src/core/m.cc": copy,
+             "bench/b.cc": "FromConfig c;\nc.period = 5;\n"},
+            checked)
+        self.assertEqual(findings, [])
+
+    def test_listed_struct_missing_is_flagged(self):
+        findings = run_knobs({"src/core/x.h": KNOBS_HEADER},
+                             {"GoneConfig": "src/core/x"})
+        self.assertEqual(len(findings), 1)
+        self.assertIn("GoneConfig", findings[0])
+
+    def test_suppressed(self):
+        header = KNOBS_HEADER.replace(
+            "double unset = 0.5;  // A comment.",
+            "double unset = 0.5;  // lint:allow(knobs)")
+        findings = run_knobs(
+            {"src/core/x.h": header,
+             "bench/b.cc": "OuterConfig c;\nc.inner.window = w;\n"
+                           "c.inner.min_samples = 5;\nc.tick = w;\n"},
+            KNOBS_CHECKED)
+        self.assertEqual(findings, [])
+
+
 class HotLabelRuleTest(unittest.TestCase):
     def test_to_string_label_flagged(self):
         findings = run_rule(
@@ -412,7 +543,7 @@ class SuppressionHygieneTest(unittest.TestCase):
         # KNOWN_RULES, or its suppressions would be self-flagged.
         for rule in ("determinism", "units", "guards", "include-cc",
                      "stdio", "layering", "admission", "lifecycle",
-                     "charges"):
+                     "charges", "knobs"):
             self.assertIn(rule, lint.KNOWN_RULES)
 
 
