@@ -32,8 +32,8 @@ CollabResult RunAt(DataRate fabric, DnnModel model, bool pipelined,
   cluster.PowerOnAll(nullptr);
   Status status = sim.RunFor(Duration::Seconds(30));
   SOC_CHECK(status.ok());
-  CollaborativeInference collab(&sim, &cluster, DefaultCollabConfig(model),
-                                /*num_socs=*/5, pipelined);
+  CollaborativeInference collab(&sim, &cluster, model, /*num_socs=*/5,
+                                pipelined);
   CollabResult result;
   collab.Run([&](const CollabResult& r) { result = r; });
   sim.Run();

@@ -49,9 +49,7 @@ int Run(int permutations, const std::string& only,
     if (!only.empty() && only != spec.name) {
       continue;
     }
-    DeterminismAuditor::Options options;
-    options.permutations = permutations;
-    DeterminismAuditor auditor(spec.name, spec.make(), options);
+    DeterminismAuditor auditor(spec.name, spec.make(), permutations);
     DivergenceReport report = auditor.Run();
     char digest[32];
     std::snprintf(digest, sizeof(digest), "%016llx",

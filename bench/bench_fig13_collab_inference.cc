@@ -18,8 +18,7 @@ namespace {
 
 CollabResult RunOnce(Simulator* sim, SocCluster* cluster, DnnModel model,
                      int num_socs, bool pipelined) {
-  CollaborativeInference collab(sim, cluster, DefaultCollabConfig(model),
-                                num_socs, pipelined);
+  CollaborativeInference collab(sim, cluster, model, num_socs, pipelined);
   CollabResult result;
   collab.Run([&](const CollabResult& r) { result = r; });
   sim->Run();

@@ -21,10 +21,10 @@ void Run(const ObsFlags& obs_flags) {
 
   // Ping: one RTT via SendMessage with an empty payload.
   SimTime echo_time;
-  auto ping = cluster.network().SendMessage(
+  const Status ping = cluster.network().SendMessage(
       cluster.soc_node(0), cluster.soc_node(7), DataSize::Bytes(64),
       [&] { echo_time = sim.Now(); });
-  SOC_CHECK(ping.ok());
+  SOC_CHECK(ping.ok()) << ping.ToString();
   sim.Run();
   std::printf("RTT soc0 -> soc7 (cross-PCB): %.2f ms   (paper: ~0.44 ms)\n",
               (echo_time - SimTime::Zero()).ToMillis());

@@ -30,9 +30,8 @@ int main(int argc, char** argv) {
       if (socs == 1 && pipelined) {
         continue;  // Identical to sequential with one SoC.
       }
-      CollaborativeInference collab(&sim, &cluster,
-                                    DefaultCollabConfig(DnnModel::kResNet50),
-                                    socs, pipelined);
+      CollaborativeInference collab(&sim, &cluster, DnnModel::kResNet50, socs,
+                                    pipelined);
       const Energy e0 = cluster.TotalEnergy();
       CollabResult result;
       collab.Run([&](const CollabResult& r) { result = r; });

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     peak_memory = std::max(peak_memory, platform.SocMemoryMb(i));
   }
   std::printf("max per-SoC function memory: %.0f MB of %.0f MB budget\n",
-              peak_memory, config.soc_memory_budget_mb);
+              peak_memory, ServerlessPlatform::kSocMemoryBudgetMb);
   const Status obs_status = FlushObsFlags(obs_flags, sim.obs());
   SOC_CHECK(obs_status.ok()) << obs_status.ToString();
   return 0;

@@ -7,6 +7,17 @@
 
 namespace soccluster {
 
+namespace {
+
+// Control period: one rate sample and one sizing decision per tick.
+constexpr Duration kPeriod = Duration::Seconds(1);
+// SoCs kept active even with no traffic.
+constexpr int kMinActive = 1;
+// Smoothing factor for the arrival-rate estimate.
+constexpr double kRateEwmaAlpha = 0.3;
+
+}  // namespace
+
 ClusterAutoscaler::ClusterAutoscaler(Simulator* sim, SocCluster* cluster,
                                      SocServingFleet* fleet,
                                      AutoscalerConfig config)
@@ -16,20 +27,16 @@ ClusterAutoscaler::ClusterAutoscaler(Simulator* sim, SocCluster* cluster,
   SOC_CHECK(fleet_ != nullptr);
   // Config sanity: these feed divisions and clamps in Tick(); a zero or
   // out-of-range value would quietly pin the fleet at min or max size.
-  SOC_CHECK_GT(config_.period.nanos(), 0);
   SOC_CHECK_GT(config_.target_utilization, 0.0);
   SOC_CHECK_LE(config_.target_utilization, 1.0);
-  SOC_CHECK_GT(config_.rate_ewma_alpha, 0.0);
-  SOC_CHECK_LE(config_.rate_ewma_alpha, 1.0);
-  SOC_CHECK_GE(config_.min_active, 0);
-  SOC_CHECK_LE(config_.min_active, cluster_->num_socs());
+  SOC_CHECK_LE(kMinActive, cluster_->num_socs());
   SOC_CHECK_GE(config_.warm_pool, 0);
   MetricRegistry& metrics = sim_->metrics();
   desired_series_ = metrics.GetTimeSeries("autoscaler.desired_active");
   powered_series_ = metrics.GetTimeSeries("autoscaler.powered_socs");
   power_ons_ = metrics.GetCounter("autoscaler.power_ons");
   power_offs_ = metrics.GetCounter("autoscaler.power_offs");
-  ticker_ = std::make_unique<PeriodicTask>(sim_, config_.period,
+  ticker_ = std::make_unique<PeriodicTask>(sim_, kPeriod,
                                            [this] { Tick(); });
 }
 
@@ -54,11 +61,10 @@ void ClusterAutoscaler::Tick() {
   // Estimate the serving rate from completions over the last period.
   const int64_t completed = fleet_->completed();
   const double window_rate =
-      static_cast<double>(completed - last_completed_) /
-      config_.period.ToSeconds();
+      static_cast<double>(completed - last_completed_) / kPeriod.ToSeconds();
   last_completed_ = completed;
-  rate_estimate_ = config_.rate_ewma_alpha * window_rate +
-                   (1.0 - config_.rate_ewma_alpha) * rate_estimate_;
+  rate_estimate_ =
+      kRateEwmaAlpha * window_rate + (1.0 - kRateEwmaAlpha) * rate_estimate_;
 
   const double per_soc = fleet_->PerSocThroughput();
   SOC_CHECK_GT(per_soc, 0.0) << "fleet reports non-positive per-SoC capacity";
@@ -68,10 +74,10 @@ void ClusterAutoscaler::Tick() {
   // size the correction to drain the queue within one period.
   if (fleet_->queue_length() > 0) {
     const int drain = static_cast<int>(std::ceil(
-        fleet_->queue_length() / (per_soc * config_.period.ToSeconds())));
+        fleet_->queue_length() / (per_soc * kPeriod.ToSeconds())));
     desired = std::max(desired, fleet_->active_count() + std::max(1, drain));
   }
-  desired = std::clamp(desired, config_.min_active, cluster_->num_socs());
+  desired = std::clamp(desired, kMinActive, cluster_->num_socs());
   if (desired != desired_active_) {
     sim_->tracer().Instant(
         desired > desired_active_ ? "scale_up" : "scale_down", "autoscaler");

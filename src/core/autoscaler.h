@@ -19,12 +19,8 @@
 namespace soccluster {
 
 struct AutoscalerConfig {
-  Duration period = Duration::Seconds(1);
   double target_utilization = 0.85;
-  int min_active = 1;
   int warm_pool = 2;  // Idle-on SoCs kept beyond the active set.
-  // Smoothing factor for the arrival-rate estimate.
-  double rate_ewma_alpha = 0.3;
 };
 
 class ClusterAutoscaler {

@@ -19,9 +19,7 @@ ClusterOverloadManager::ClusterOverloadManager(Simulator* sim,
                                                SocCluster* cluster,
                                                BmcModel* bmc,
                                                ClusterOverloadConfig config)
-    : sim_(sim),
-      governor_(sim, cluster, bmc,
-                BrownoutConfig{.wall_cap = config.wall_cap}) {}
+    : sim_(sim), governor_(sim, cluster, bmc, config.wall_cap) {}
 
 std::unique_ptr<CircuitBreaker> ClusterOverloadManager::MakeBreaker(
     const char* service) {

@@ -1,8 +1,20 @@
 #include "src/cost/tco.h"
 
-#include "src/base/check.h"
-
 namespace soccluster {
+
+namespace {
+
+// Table 4 parameters.
+// 3-year server lifetime [42,55,59].
+constexpr int kAmortizationMonths = 36;
+// Operate at avg peak power 50% of time.
+constexpr double kUtilization = 0.5;
+// U.S. industrial average [9].
+constexpr double kElectricityUsdPerKwh = 0.0786;
+// Edge PUE (vs ~1.5 in cloud DCs) [42].
+constexpr double kPue = 2.0;
+
+}  // namespace
 
 const char* ServerKindName(ServerKind kind) {
   switch (kind) {
@@ -58,25 +70,22 @@ Power TcoModel::DefaultAvgPeakPower(ServerKind kind) {
   return Power::Zero();
 }
 
-TcoBreakdown TcoModel::Compute(ServerKind kind, Power avg_peak_power,
-                               const TcoParams& params) {
-  SOC_CHECK_GT(params.amortization_months, 0);
+TcoBreakdown TcoModel::Compute(ServerKind kind) {
+  const Power avg_peak_power = DefaultAvgPeakPower(kind);
   TcoBreakdown tco;
   tco.kind = kind;
   tco.capex_items = CapExFor(kind);
   for (const CapExItem& item : tco.capex_items) {
     tco.total_capex_usd += item.cost_usd;
   }
-  tco.monthly_capex_usd = tco.total_capex_usd / params.amortization_months;
+  tco.monthly_capex_usd = tco.total_capex_usd / kAmortizationMonths;
 
   tco.avg_peak_power = avg_peak_power;
-  // Monthly kWh at `utilization` duty over a 30-day month.
+  // Monthly kWh at kUtilization duty over a 30-day month.
   tco.monthly_kwh =
-      avg_peak_power.watts() * params.utilization * 24.0 * 30.0 / 1000.0;
-  tco.monthly_electricity_usd =
-      tco.monthly_kwh * params.electricity_usd_per_kwh;
-  tco.monthly_pue_overhead_usd =
-      tco.monthly_electricity_usd * (params.pue - 1.0);
+      avg_peak_power.watts() * kUtilization * 24.0 * 30.0 / 1000.0;
+  tco.monthly_electricity_usd = tco.monthly_kwh * kElectricityUsdPerKwh;
+  tco.monthly_pue_overhead_usd = tco.monthly_electricity_usd * (kPue - 1.0);
   tco.monthly_opex_usd =
       tco.monthly_electricity_usd + tco.monthly_pue_overhead_usd;
   tco.monthly_tco_usd = tco.monthly_capex_usd + tco.monthly_opex_usd;

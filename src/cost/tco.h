@@ -26,13 +26,6 @@ struct CapExItem {
   double cost_usd = 0.0;
 };
 
-struct TcoParams {
-  int amortization_months = 36;   // 3-year server lifetime [42,55,59].
-  double utilization = 0.5;       // Operate at avg peak power 50% of time.
-  double electricity_usd_per_kwh = 0.0786;  // U.S. industrial average [9].
-  double pue = 2.0;               // Edge PUE (vs ~1.5 in cloud DCs) [42].
-};
-
 struct TcoBreakdown {
   ServerKind kind = ServerKind::kEdgeWithGpu;
   std::vector<CapExItem> capex_items;
@@ -53,12 +46,10 @@ class TcoModel {
   // The paper's measured average peak power (live V5 transcoding, Table 4).
   static Power DefaultAvgPeakPower(ServerKind kind);
 
-  // Full breakdown for a server at a given average peak power.
-  static TcoBreakdown Compute(ServerKind kind, Power avg_peak_power,
-                              const TcoParams& params);
-  static TcoBreakdown Compute(ServerKind kind) {
-    return Compute(kind, DefaultAvgPeakPower(kind), TcoParams{});
-  }
+  // Full breakdown for a server at its measured average peak power, under
+  // the paper's Table 4 parameters (36-month amortization, 50% duty,
+  // $0.0786/kWh, PUE 2.0).
+  static TcoBreakdown Compute(ServerKind kind);
 
   // Throughput normalized to monthly TCO (Table 5 rows).
   static double ThroughputPerCost(double throughput,

@@ -144,9 +144,11 @@ Result<FlowId> Network::StartFlow(NetNodeId src, NetNodeId dst, DataSize size,
   return id;
 }
 
-Result<FlowId> Network::SendMessage(NetNodeId src, NetNodeId dst,
-                                    DataSize size,
-                                    std::function<void()> on_complete) {
+Status Network::SendMessage(NetNodeId src, NetNodeId dst, DataSize size,
+                            std::function<void()> on_complete) {
+  if (Result<std::vector<LinkId>> path = Route(src, dst); !path.ok()) {
+    return path.status();
+  }
   // One RTT of handshake/latency, then the bulk transfer.
   auto deferred = [this, src, dst, size, cb = std::move(on_complete)]() mutable {
     Result<FlowId> flow = StartFlow(src, dst, size, DataRate::Zero(),
@@ -155,7 +157,7 @@ Result<FlowId> Network::SendMessage(NetNodeId src, NetNodeId dst,
   };
   sim_->ScheduleAfter(src == dst ? Duration::Zero() : rtt_,
                       std::move(deferred));
-  return next_flow_id_;  // Informational; the flow id is assigned later.
+  return Status::Ok();
 }
 
 Result<DataRate> Network::FlowRate(FlowId flow) const {

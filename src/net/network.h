@@ -62,9 +62,11 @@ class Network {
   int num_active_flows() const { return static_cast<int>(flows_.size()); }
 
   // Convenience: a request/response-style message — one RTT of latency plus
-  // the bulk transfer time.
-  Result<FlowId> SendMessage(NetNodeId src, NetNodeId dst, DataSize size,
-                             std::function<void()> on_complete);
+  // the bulk transfer time. The route is resolved now (kInvalidArgument for
+  // an unknown node, kNotFound when no route exists, and nothing is
+  // scheduled); the flow starts one RTT later.
+  Status SendMessage(NetNodeId src, NetNodeId dst, DataSize size,
+                     std::function<void()> on_complete);
 
   // --- Constant-rate loads (non-adaptive traffic) ---
   // Reserves `rate` along the path; reduces capacity seen by flows. The

@@ -78,15 +78,13 @@ class HistogramMetric {
 
   // Switches this instrument to sketch-backed percentiles. Samples observed
   // before the switch are folded into the sketch and then released, so the
-  // instrument's Percentile view stays continuous across the switch.
-  // Idempotent; the first call's accuracy wins.
-  void EnableSketch(double relative_accuracy = 0.01) {
+  // instrument's Percentile view stays continuous across the switch. The
+  // sketch keeps its default 1% relative accuracy. Idempotent.
+  void EnableSketch() {
     if (sketch_ != nullptr) {
       return;
     }
-    QuantileSketch::Options options;
-    options.relative_accuracy = relative_accuracy;
-    sketch_ = std::make_unique<QuantileSketch>(options);
+    sketch_ = std::make_unique<QuantileSketch>();
     for (double x : samples_.samples()) {
       sketch_->Add(x);
     }

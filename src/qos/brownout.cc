@@ -15,15 +15,15 @@ constexpr int kReleaseHoldTicks = 1;
 }  // namespace
 
 BrownoutGovernor::BrownoutGovernor(Simulator* sim, SocCluster* cluster,
-                                   BmcModel* bmc, BrownoutConfig config)
-    : sim_(sim), cluster_(cluster), bmc_(bmc), config_(config) {
+                                   BmcModel* bmc, Power wall_cap)
+    : sim_(sim), cluster_(cluster), bmc_(bmc), wall_cap_(wall_cap) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   // Feasibility: a wall cap below the chassis overhead (fans + ESB + BMC)
   // can never be met by degrading workloads — the ladder would bottom out
   // and sit over the cap forever.
-  if (config_.wall_cap.watts() > 0.0) {
-    SOC_CHECK_GE(config_.wall_cap.watts(), cluster_->OverheadPower().watts())
+  if (wall_cap_.watts() > 0.0) {
+    SOC_CHECK_GE(wall_cap_.watts(), cluster_->OverheadPower().watts())
         << "wall cap below chassis overhead is infeasible";
   }
   MetricRegistry& metrics = sim_->metrics();
@@ -57,8 +57,8 @@ void BrownoutGovernor::Start() { ticker_->Start(); }
 void BrownoutGovernor::Stop() { ticker_->Stop(); }
 
 Power BrownoutGovernor::EffectiveCap() const {
-  if (config_.wall_cap.watts() > 0.0) {
-    return config_.wall_cap;
+  if (wall_cap_.watts() > 0.0) {
+    return wall_cap_;
   }
   if (bmc_ != nullptr && bmc_->IsThrottling()) {
     return bmc_->RecommendedPowerCap();

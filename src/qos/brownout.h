@@ -32,12 +32,6 @@
 
 namespace soccluster {
 
-struct BrownoutConfig {
-  // Hard wall-power cap; Power::Zero() means thermal-only (follow the
-  // BMC's recommended cap while it throttles).
-  Power wall_cap = Power::Zero();
-};
-
 class BrownoutGovernor {
  public:
   // Display track hosting the governor's rung spans.
@@ -58,9 +52,11 @@ class BrownoutGovernor {
     bool engage = false;
   };
 
-  // `bmc` may be null when only a wall cap drives the governor.
+  // `wall_cap` is the hard wall-power cap; Power::Zero() means thermal-only
+  // (follow the BMC's recommended cap while it throttles). `bmc` may be
+  // null when only a wall cap drives the governor.
   BrownoutGovernor(Simulator* sim, SocCluster* cluster, BmcModel* bmc,
-                   BrownoutConfig config);
+                   Power wall_cap);
   ~BrownoutGovernor();
   BrownoutGovernor(const BrownoutGovernor&) = delete;
   BrownoutGovernor& operator=(const BrownoutGovernor&) = delete;
@@ -108,7 +104,7 @@ class BrownoutGovernor {
   Simulator* sim_;
   SocCluster* cluster_;
   BmcModel* bmc_;
-  BrownoutConfig config_;
+  Power wall_cap_;
   std::unique_ptr<PeriodicTask> ticker_;
   std::vector<Rung> rungs_;
   int total_level_ = 0;

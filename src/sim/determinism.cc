@@ -10,6 +10,17 @@ namespace soccluster {
 
 namespace {
 
+constexpr uint64_t kSimSeed = 2024;
+// Permutation p runs with tie-break seed kFirstPerturbSeed + p.
+constexpr uint64_t kFirstPerturbSeed = 1;
+// Digest checkpoints per run (evenly spaced over the audit horizon).
+constexpr int kCheckpoints = 32;
+// Sub-checkpoints used to refine a divergent window before replaying it
+// with event recording.
+constexpr int kRefineSteps = 16;
+// Cap on recorded events in the replayed window.
+constexpr size_t kMaxRecordedEvents = 1 << 20;
+
 void WriteJsonString(std::ostream& out, const std::string& s) {
   out << '"';
   for (const char c : s) {
@@ -63,14 +74,12 @@ void WriteDivergenceReportJson(const DivergenceReport& report,
 }
 
 DeterminismAuditor::DeterminismAuditor(std::string scenario_name,
-                                       DetScenario scenario, Options options)
+                                       DetScenario scenario, int permutations)
     : name_(std::move(scenario_name)),
       scenario_(std::move(scenario)),
-      options_(options) {
+      permutations_(permutations) {
   SOC_CHECK(scenario_ != nullptr);
-  SOC_CHECK_GE(options_.permutations, 1);
-  SOC_CHECK_GE(options_.checkpoints, 2);
-  SOC_CHECK_GE(options_.refine_steps, 2);
+  SOC_CHECK_GE(permutations_, 1);
 }
 
 std::vector<SimTime> DeterminismAuditor::Checkpoints(SimTime begin,
@@ -93,7 +102,7 @@ std::vector<SimTime> DeterminismAuditor::Checkpoints(SimTime begin,
 DeterminismAuditor::RunResult DeterminismAuditor::RunOnce(
     bool perturb, uint64_t perturb_seed,
     const std::vector<SimTime>& checkpoints) {
-  Simulator sim(options_.sim_seed);
+  Simulator sim(kSimSeed);
   if (perturb) {
     sim.EnableTieBreakPerturbation(perturb_seed);
   }
@@ -119,12 +128,12 @@ DeterminismAuditor::RunResult DeterminismAuditor::RunOnce(
 
 std::vector<Simulator::FiredEvent> DeterminismAuditor::RunRecorded(
     bool perturb, uint64_t seed, SimTime begin, SimTime end) {
-  Simulator sim(options_.sim_seed);
+  Simulator sim(kSimSeed);
   if (perturb) {
     sim.EnableTieBreakPerturbation(seed);
   }
   DetScenarioRun run = scenario_(sim);
-  sim.RecordFiredEvents(begin, end, options_.max_recorded_events);
+  sim.RecordFiredEvents(begin, end, kMaxRecordedEvents);
   SOC_CHECK(sim.RunUntil(end).ok());
   return sim.fired_events();
 }
@@ -136,21 +145,20 @@ DivergenceReport DeterminismAuditor::Run() {
   // Discover the audit window (build-phase end, horizon) with a probe run
   // that digests only at the horizon, then lay out the real checkpoints.
   {
-    Simulator sim(options_.sim_seed);
+    Simulator sim(kSimSeed);
     DetScenarioRun run = scenario_(sim);
     SOC_CHECK(run.digest != nullptr);
     audit_begin_ = sim.Now();
     audit_end_ = run.end;
   }
   const std::vector<SimTime> checkpoints =
-      Checkpoints(audit_begin_, audit_end_, options_.checkpoints);
+      Checkpoints(audit_begin_, audit_end_, kCheckpoints);
 
   const RunResult baseline = RunOnce(false, 0, checkpoints);
   report.baseline_digest = baseline.digests.back();
 
-  for (int p = 0; p < options_.permutations; ++p) {
-    const uint64_t seed = options_.first_perturb_seed +
-                          static_cast<uint64_t>(p);
+  for (int p = 0; p < permutations_; ++p) {
+    const uint64_t seed = kFirstPerturbSeed + static_cast<uint64_t>(p);
     const RunResult permuted = RunOnce(true, seed, checkpoints);
     ++report.permutations_run;
     size_t mismatch = checkpoints.size();
@@ -171,8 +179,7 @@ DivergenceReport DeterminismAuditor::Run() {
     SimTime lo = mismatch == 0 ? audit_begin_ : checkpoints[mismatch - 1];
     SimTime hi = checkpoints[mismatch];
     if (hi.nanos() - lo.nanos() > 1) {
-      const std::vector<SimTime> fine =
-          Checkpoints(lo, hi, options_.refine_steps);
+      const std::vector<SimTime> fine = Checkpoints(lo, hi, kRefineSteps);
       const RunResult fifo_fine = RunOnce(false, 0, fine);
       const RunResult perm_fine = RunOnce(true, seed, fine);
       for (size_t i = 0; i < fine.size(); ++i) {

@@ -81,26 +81,10 @@ void WriteDivergenceReportJson(const DivergenceReport& report,
 
 class DeterminismAuditor {
  public:
-  struct Options {
-    uint64_t sim_seed = 2024;
-    // Tie-break permutations compared against the FIFO baseline; seeds are
-    // first_perturb_seed, first_perturb_seed + 1, ...
-    int permutations = 8;
-    uint64_t first_perturb_seed = 1;
-    // Digest checkpoints per run (evenly spaced over the audit horizon).
-    int checkpoints = 32;
-    // Sub-checkpoints used to refine a divergent window before replaying
-    // it with event recording.
-    int refine_steps = 16;
-    // Cap on recorded events in the replayed window.
-    size_t max_recorded_events = 1 << 20;
-  };
-
-  DeterminismAuditor(std::string scenario_name, DetScenario scenario)
-      : DeterminismAuditor(std::move(scenario_name), std::move(scenario),
-                           Options()) {}
+  // Compares `permutations` seeded tie-break permutations against the FIFO
+  // baseline.
   DeterminismAuditor(std::string scenario_name, DetScenario scenario,
-                     Options options);
+                     int permutations);
 
   // FIFO baseline + N permuted runs; bisects and labels the first
   // divergence found, or certifies the scenario order-independent.
@@ -125,7 +109,7 @@ class DeterminismAuditor {
 
   std::string name_;
   DetScenario scenario_;
-  Options options_;
+  int permutations_;
   // Build-phase end and audit horizon, discovered on the first run.
   SimTime audit_begin_;
   SimTime audit_end_;

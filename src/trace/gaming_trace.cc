@@ -8,11 +8,28 @@ namespace soccluster {
 
 namespace {
 
+// Peak arrival rate (sessions per hour) at the evening maximum.
+constexpr double kPeakArrivalsPerHour = 220.0;
+// Overnight floor as a fraction of the peak (sets the ~25x traffic swing
+// together with session-count dynamics).
+constexpr double kTroughFraction = 0.08;
+// Hour of local time with peak demand.
+constexpr double kPeakHour = 21.0;
+// Median session length and log-space sigma.
+constexpr Duration kMedianSession = Duration::Minutes(28);
+constexpr double kSessionSigma = 0.8;
+// Per-session streaming rates (720p60 game video plus control inbound).
+constexpr DataRate kOutboundPerSession = DataRate::Mbps(15.0);
+constexpr DataRate kInboundPerSession = DataRate::Kbps(300.0);
+// Per-session SoC demand: game render/encode pipeline.
+constexpr double kCpuUtilPerSession = 0.34;
+constexpr uint64_t kSeed = 7;
+
 constexpr PlacementDemand kSessionSlot{.slots = 1};
 
-SocCapacityView::Options ViewOptions(const GamingWorkloadConfig& config) {
+SocCapacityView::Options ViewOptions() {
   SocCapacityView::Options options;
-  options.slot_capacity = config.max_sessions_per_soc;
+  options.slot_capacity = GamingWorkload::kMaxSessionsPerSoc;
   return options;
 }
 
@@ -28,9 +45,9 @@ Placer::Options PlacerOptions() {
 }  // namespace
 
 GamingWorkload::GamingWorkload(Simulator* sim, SocCluster* cluster,
-                               GamingWorkloadConfig config)
-    : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed),
-      view_(cluster, ViewOptions(config)),
+                               GamingWorkloadConfig)
+    : sim_(sim), cluster_(cluster), rng_(kSeed),
+      view_(cluster, ViewOptions()),
       placer_(sim, &view_, PlacerOptions()) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
@@ -43,15 +60,14 @@ GamingWorkload::GamingWorkload(Simulator* sim, SocCluster* cluster,
 }
 
 double GamingWorkload::ArrivalRate(SimTime t) const {
-  // Diurnal curve: a raised cosine peaking at `peak_hour` with a sharpened
+  // Diurnal curve: a raised cosine peaking at `kPeakHour` with a sharpened
   // evening shoulder, floored at the overnight trough.
   const double hour = std::fmod(t.ToHours(), 24.0);
-  const double phase = (hour - config_.peak_hour) / 24.0 * 2.0 * M_PI;
+  const double phase = (hour - kPeakHour) / 24.0 * 2.0 * M_PI;
   const double base = 0.5 * (1.0 + std::cos(phase));
   const double shaped = std::pow(base, 2.2);  // Sharpen the peak.
-  const double fraction =
-      config_.trough_fraction + (1.0 - config_.trough_fraction) * shaped;
-  return config_.peak_arrivals_per_hour * fraction;
+  const double fraction = kTroughFraction + (1.0 - kTroughFraction) * shaped;
+  return kPeakArrivalsPerHour * fraction;
 }
 
 void GamingWorkload::Start(Duration horizon) {
@@ -61,14 +77,13 @@ void GamingWorkload::Start(Duration horizon) {
 void GamingWorkload::ScheduleNextArrival(SimTime horizon_end) {
   // Thinning: propose with the peak rate, accept with rate(t)/peak.
   SimTime t = sim_->Now();
-  const double peak_per_s = config_.peak_arrivals_per_hour / 3600.0;
+  const double peak_per_s = kPeakArrivalsPerHour / 3600.0;
   while (true) {
     t = t + Duration::SecondsF(rng_.Exponential(peak_per_s));
     if (t > horizon_end) {
       return;
     }
-    if (rng_.NextDouble() <
-        ArrivalRate(t) / config_.peak_arrivals_per_hour) {
+    if (rng_.NextDouble() < ArrivalRate(t) / kPeakArrivalsPerHour) {
       break;
     }
   }
@@ -95,7 +110,7 @@ void GamingWorkload::StartSession() {
   // The session's slot steers the pick; its CPU only gates admission.
   const int soc_index = placer_.Pick(kSessionSlot, nullptr, &ctx);
   PlacementDemand demand = kSessionSlot;
-  demand.cpu_util = config_.cpu_util_per_session;
+  demand.cpu_util = kCpuUtilPerSession;
   if (soc_index < 0 || !view_.Fits(soc_index, demand)) {
     ++rejected_;
     sessions_rejected_metric_->Increment();
@@ -107,11 +122,11 @@ void GamingWorkload::StartSession() {
   Network& net = cluster_->network();
   Result<int64_t> outbound = net.AddConstantLoad(
       cluster_->soc_node(soc_index), cluster_->external_node(),
-      config_.outbound_per_session);
+      kOutboundPerSession);
   SOC_CHECK(outbound.ok()) << outbound.status().ToString();
   Result<int64_t> inbound = net.AddConstantLoad(
       cluster_->external_node(), cluster_->soc_node(soc_index),
-      config_.inbound_per_session);
+      kInboundPerSession);
   SOC_CHECK(inbound.ok()) << inbound.status().ToString();
 
   const int64_t id = next_id_++;
@@ -119,9 +134,8 @@ void GamingWorkload::StartSession() {
   ++started_;
   sessions_started_metric_->Increment();
 
-  const double median_s = config_.median_session.ToSeconds();
   const Duration length = Duration::SecondsF(
-      rng_.LogNormalMedian(median_s, config_.session_sigma));
+      rng_.LogNormalMedian(kMedianSession.ToSeconds(), kSessionSigma));
   sim_->ScheduleAfter(length, [this, id] { EndSession(id); },
                       "gaming.session_end");
 }

@@ -21,30 +21,17 @@
 
 namespace soccluster {
 
-struct GamingWorkloadConfig {
-  // Peak arrival rate (sessions per hour) at the evening maximum.
-  double peak_arrivals_per_hour = 220.0;
-  // Overnight floor as a fraction of the peak (sets the ~25x traffic swing
-  // together with session-count dynamics).
-  double trough_fraction = 0.08;
-  // Hour of local time with peak demand.
-  double peak_hour = 21.0;
-  // Median session length and log-space sigma.
-  Duration median_session = Duration::Minutes(28);
-  double session_sigma = 0.8;
-  // Per-session streaming rates (720p60 game video plus control inbound).
-  DataRate outbound_per_session = DataRate::Mbps(15.0);
-  DataRate inbound_per_session = DataRate::Kbps(300.0);
-  // Per-session SoC demands: game render/encode pipeline.
-  double cpu_util_per_session = 0.34;
-  int max_sessions_per_soc = 2;
-  uint64_t seed = 7;
-};
+// The workload has no settings: the Fig. 5 operating point (arrival curve,
+// session length, streaming rates, per-session CPU) is fixed by constants
+// in gaming_trace.cc. The empty type keeps the constructor's signature.
+struct GamingWorkloadConfig {};
 
 class GamingWorkload {
  public:
-  GamingWorkload(Simulator* sim, SocCluster* cluster,
-                 GamingWorkloadConfig config);
+  // Concurrent sessions one SoC hosts (its slot capacity).
+  static constexpr int kMaxSessionsPerSoc = 2;
+
+  GamingWorkload(Simulator* sim, SocCluster* cluster, GamingWorkloadConfig);
   GamingWorkload(const GamingWorkload&) = delete;
   GamingWorkload& operator=(const GamingWorkload&) = delete;
 
@@ -91,9 +78,8 @@ class GamingWorkload {
 
   Simulator* sim_;
   SocCluster* cluster_;
-  GamingWorkloadConfig config_;
   Rng rng_;
-  // Session slots (max_sessions_per_soc each) are ledgered in the capacity
+  // Session slots (kMaxSessionsPerSoc each) are ledgered in the capacity
   // view; the placer spreads over them. Session CPU is reserved with the
   // slot but only gates admission — it never steered placement.
   SocCapacityView view_;

@@ -8,32 +8,43 @@
 
 namespace soccluster {
 
-CollabConfig DefaultCollabConfig(DnnModel model) {
-  CollabConfig config;
-  config.model = model;
+namespace {
+
+// Halo activations travel at FP32.
+constexpr Precision kPrecision = Precision::kFp32;
+// Partitioning overhead: compute(N) = single * (1/N + c*(N-1)/N).
+// c = 0.28 reproduces the paper's 80 ms -> 34 ms at N = 5.
+constexpr double kPartitionOverhead = 0.28;
+// Non-overlappable per-exchange serialization cost (tensor pack/unpack
+// plus socket syscalls).
+constexpr Duration kSerializeCost = Duration::MillisF(0.18);
+
+// Single-SoC MNN compute latency (§5.3: 80 ms on ResNet-50 — MNN's CPU
+// path, distinct from the TFLite serving anchor).
+Duration SingleSocCompute(DnnModel model) {
   switch (model) {
     case DnnModel::kResNet50:
-      config.single_soc_compute = Duration::MillisF(80.0);  // §5.3 anchor.
-      break;
+      return Duration::MillisF(80.0);  // §5.3 anchor.
     case DnnModel::kResNet152:
-      config.single_soc_compute = Duration::MillisF(258.0);
-      break;
+      return Duration::MillisF(258.0);
     case DnnModel::kYoloV5x:
-      config.single_soc_compute = Duration::MillisF(1100.0);
-      break;
+      return Duration::MillisF(1100.0);
     case DnnModel::kBertBase:
-      SOC_CHECK(false) << "BERT does not width-partition (§5.3)";
       break;
   }
-  return config;
+  SOC_CHECK(false) << "BERT does not width-partition (§5.3)";
+  return Duration::Zero();
 }
+
+}  // namespace
 
 CollaborativeInference::CollaborativeInference(Simulator* sim,
                                                SocCluster* cluster,
-                                               CollabConfig config,
-                                               int num_socs, bool pipelined)
-    : sim_(sim), cluster_(cluster), config_(config), num_socs_(num_socs),
-      pipelined_(pipelined), spec_(&GetDnnModel(config.model)) {
+                                               DnnModel model, int num_socs,
+                                               bool pipelined)
+    : sim_(sim), cluster_(cluster), num_socs_(num_socs),
+      pipelined_(pipelined), spec_(&GetDnnModel(model)),
+      single_soc_compute_(SingleSocCompute(model)) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK_GE(num_socs_, 1);
@@ -48,9 +59,8 @@ CollaborativeInference::CollaborativeInference(Simulator* sim,
 
 Duration CollaborativeInference::TotalCompute() const {
   const double n = static_cast<double>(members_.size());
-  const double scale =
-      1.0 / n + config_.partition_overhead * (n - 1.0) / n;
-  return config_.single_soc_compute * scale;
+  const double scale = 1.0 / n + kPartitionOverhead * (n - 1.0) / n;
+  return single_soc_compute_ * scale;
 }
 
 Duration CollaborativeInference::BlockCompute(int block_index) const {
@@ -128,7 +138,7 @@ void CollaborativeInference::HandleFailover(size_t block_index) {
     Finish(/*completed=*/false);
     return;
   }
-  sim_->ScheduleAfter(config_.failover_penalty, [this, block_index] {
+  sim_->ScheduleAfter(kFailoverPenalty, [this, block_index] {
     // Re-check at re-start: another member may have died during the
     // re-partitioning window.
     if (!AllMembersUsable()) {
@@ -150,8 +160,7 @@ void CollaborativeInference::ExchangeDone(size_t block_index) {
     return;
   }
   // Blocking handshake: tensor pack/unpack plus one RTT.
-  const Duration handshake =
-      config_.serialize_cost + cluster_->network().rtt();
+  const Duration handshake = kSerializeCost + cluster_->network().rtt();
   sim_->ScheduleAfter(handshake, [this, block_index] {
     LaunchExchange(block_index, [this, block_index] {
       prev_exchange_in_flight_ = false;
@@ -174,7 +183,7 @@ void CollaborativeInference::ExchangeDone(size_t block_index) {
 void CollaborativeInference::LaunchExchange(size_t block_index,
                                             std::function<void()> on_all_done) {
   const DnnBlock& block = spec_->blocks[block_index];
-  const DataSize halo = block.HaloBytes(config_.precision);
+  const DataSize halo = block.HaloBytes(kPrecision);
   Network& net = cluster_->network();
   // TCP goodput over whatever NIC this cluster generation ships.
   const DataRate cap = Network::TcpGoodput(cluster_->soc(0).spec().nic);

@@ -44,40 +44,26 @@ struct CollabResult {
   }
 };
 
-struct CollabConfig {
-  DnnModel model = DnnModel::kResNet50;
-  Precision precision = Precision::kFp32;
-  // Single-SoC MNN compute latency anchor (§5.3: 80 ms on ResNet-50 —
-  // MNN's CPU path, distinct from the TFLite serving anchor).
-  Duration single_soc_compute = Duration::MillisF(80.0);
-  // Partitioning overhead: compute(N) = single * (1/N + c*(N-1)/N).
-  // c = 0.28 reproduces the paper's 80 ms -> 34 ms at N = 5.
-  double partition_overhead = 0.28;
-  // Non-overlappable per-exchange serialization cost (tensor pack/unpack
-  // plus socket syscalls).
-  Duration serialize_cost = Duration::MillisF(0.18);
-  // Cost of a mid-run failover: survivors re-partition the layer widths and
-  // reload the dropped SoC's weight slices before re-running the
-  // interrupted block.
-  Duration failover_penalty = Duration::MillisF(50.0);
-};
-
-CollabConfig DefaultCollabConfig(DnnModel model);
-
 class CollaborativeInference {
  public:
   using DoneCallback = std::function<void(const CollabResult&)>;
 
-  // Uses SoCs [0, num_socs) of the cluster, which the paper takes from one
+  // Cost of a mid-run failover: survivors re-partition the layer widths and
+  // reload the dropped SoC's weight slices before re-running the
+  // interrupted block.
+  static constexpr Duration kFailoverPenalty = Duration::MillisF(50.0);
+
+  // Runs `model` (ResNet-50/152 or YOLOv5x; BERT does not width-partition)
+  // on SoCs [0, num_socs) of the cluster, which the paper takes from one
   // PCB group. All must be usable.
-  CollaborativeInference(Simulator* sim, SocCluster* cluster,
-                         CollabConfig config, int num_socs, bool pipelined);
+  CollaborativeInference(Simulator* sim, SocCluster* cluster, DnnModel model,
+                         int num_socs, bool pipelined);
   CollaborativeInference(const CollaborativeInference&) = delete;
   CollaborativeInference& operator=(const CollaborativeInference&) = delete;
 
   // Runs one inference; `done` fires with the latency breakdown. If a
   // participating SoC dies mid-run, the survivors re-partition and re-run
-  // the interrupted block after config.failover_penalty (tensor parallelism
+  // the interrupted block after kFailoverPenalty (tensor parallelism
   // has no partial results to salvage within a block); the run aborts
   // (result.completed = false) only when every participant is gone.
   void Run(DoneCallback done);
@@ -106,10 +92,10 @@ class CollaborativeInference {
 
   Simulator* sim_;
   SocCluster* cluster_;
-  CollabConfig config_;
   int num_socs_;
   bool pipelined_;
   const DnnModelSpec* spec_;
+  Duration single_soc_compute_;
 
   // Per-run state.
   DoneCallback done_;

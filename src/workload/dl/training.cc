@@ -7,16 +7,25 @@
 
 namespace soccluster {
 
+namespace {
+
+constexpr DnnModel kModel = DnnModel::kResNet50;
+constexpr int kMicroBatch = 8;  // Samples per SoC per step.
+// Per-sample forward+backward time on one SoC at micro-batch granularity
+// (≈3x the inference cost; MNN CPU path).
+constexpr Duration kPerSampleFwdBwd = Duration::MillisF(240.0);
+
+}  // namespace
+
 CollaborativeTraining::CollaborativeTraining(Simulator* sim,
                                              SocCluster* cluster,
                                              TrainingConfig config)
     : sim_(sim), cluster_(cluster), config_(config),
-      spec_(&GetDnnModel(config.model)) {
+      spec_(&GetDnnModel(kModel)) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK_GE(config_.num_socs, 1);
   SOC_CHECK_LE(config_.num_socs, cluster_->num_socs());
-  SOC_CHECK_GE(config_.micro_batch, 1);
 }
 
 DataSize CollaborativeTraining::PhaseBytes() const {
@@ -29,7 +38,7 @@ DataSize CollaborativeTraining::PhaseBytes() const {
 }
 
 Duration CollaborativeTraining::ComputePerStep() const {
-  return config_.per_sample_fwd_bwd * config_.micro_batch;
+  return kPerSampleFwdBwd * kMicroBatch;
 }
 
 void CollaborativeTraining::Run(int steps, StepCallback on_step) {
@@ -92,8 +101,7 @@ void CollaborativeTraining::FinishStep(int remaining_steps, SimTime step_start,
   result.compute = compute_end - step_start;
   result.allreduce = sim_->Now() - compute_end;
   result.samples_per_second =
-      config_.micro_batch * config_.num_socs /
-      result.step_time.ToSeconds();
+      kMicroBatch * config_.num_socs / result.step_time.ToSeconds();
   if (on_step_) {
     on_step_(result);
   }

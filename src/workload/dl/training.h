@@ -19,13 +19,10 @@
 
 namespace soccluster {
 
+// The model is ResNet-50, 8 samples per SoC per step at 240 ms each
+// (constants in training.cc).
 struct TrainingConfig {
-  DnnModel model = DnnModel::kResNet50;
   int num_socs = 4;
-  int micro_batch = 8;  // Samples per SoC per step.
-  // Per-sample forward+backward time on one SoC at micro-batch granularity
-  // (≈3x the inference cost; MNN CPU path).
-  Duration per_sample_fwd_bwd = Duration::MillisF(240.0);
   // Gradients are exchanged at this precision (FP32, or INT8 for
   // compressed/quantized gradients — a §8-style mitigation).
   Precision gradient_precision = Precision::kFp32;

@@ -13,12 +13,20 @@ namespace soccluster {
 namespace {
 
 constexpr double kMbPerGb = 1024.0;
+constexpr uint64_t kSeed = 97;
+// Brownout cold-start deferral: invocations that would cold-start wait in
+// the qos admission queue (at most kDeferQueueCap of them, each for at most
+// kDeferTimeout) instead of provisioning while power is scarce. Warm
+// invocations keep flowing.
+constexpr int kDeferQueueCap = 256;
+constexpr Duration kDeferTimeout = Duration::Seconds(30);
 
-SocCapacityView::Options ViewOptions(const ServerlessConfig& config) {
+SocCapacityView::Options ViewOptions() {
   SocCapacityView::Options options;
   // Function instances are charged against the platform's budget (the SoC
   // spec memory minus what Android keeps), not the raw spec memory.
-  options.memory_capacity_gb = config.soc_memory_budget_mb / kMbPerGb;
+  options.memory_capacity_gb =
+      ServerlessPlatform::kSocMemoryBudgetMb / kMbPerGb;
   return options;
 }
 
@@ -41,8 +49,8 @@ PlacementDemand InstanceDemand(double memory_mb) {
 
 ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
                                        ServerlessConfig config)
-    : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed),
-      view_(cluster, ViewOptions(config)),
+    : sim_(sim), cluster_(cluster), config_(config), rng_(kSeed),
+      view_(cluster, ViewOptions()),
       placer_(sim, &view_, PlacerOptions()),
       admission_(sim, "serverless"),
       ledger_(sim, {.service = "serverless",
@@ -62,7 +70,7 @@ ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
   // Invocation latency is per-request on the Zipf workloads — sketch-backed
   // keeps the registry fixed-memory (exact samples stay in latency_ms_).
   latency_metric_->EnableSketch();
-  admission_.SetMaxQueue(config.defer_queue_cap);
+  admission_.SetMaxQueue(kDeferQueueCap);
   admission_.set_on_drop(
       [this](const AdmissionQueue::Item& item,
              AdmissionQueue::DropReason reason) { OnAdmissionDrop(item, reason); });
@@ -102,7 +110,7 @@ Status ServerlessPlatform::RegisterFunction(const FunctionSpec& spec) {
     return Status::AlreadyExists("function " + spec.name +
                                  " already registered");
   }
-  if (spec.memory_mb <= 0.0 || spec.memory_mb > config_.soc_memory_budget_mb ||
+  if (spec.memory_mb <= 0.0 || spec.memory_mb > kSocMemoryBudgetMb ||
       spec.cpu_util <= 0.0 || spec.cpu_util > 1.0 ||
       spec.exec_median.nanos() <= 0) {
     return Status::InvalidArgument("invalid function spec");
@@ -167,7 +175,7 @@ Status ServerlessPlatform::Invoke(const std::string& function,
     // is scarce. The parked invocation runs when deferral releases, a
     // warm instance frees up, or its deferral deadline lapses (shed).
     tracer.AddArg(invocation.span, "deferred", "true");
-    if (admission_.Offer(priority, config_.defer_timeout, ref.Pack(),
+    if (admission_.Offer(priority, kDeferTimeout, ref.Pack(),
                          &invocation.ctx)) {
       ++deferred_;
       deferred_metric_->Increment();

@@ -51,15 +51,6 @@ struct FunctionSpec {
 struct ServerlessConfig {
   // How long an idle instance stays warm before eviction.
   Duration keep_alive = Duration::Minutes(10);
-  // Per-instance resident memory is charged against the SoC's 12 GB.
-  double soc_memory_budget_mb = 10240.0;  // Leave 2 GB to Android.
-  uint64_t seed = 97;
-  // Brownout cold-start deferral: invocations that would cold-start wait
-  // in the qos admission queue (at most `defer_queue_cap` of them, each
-  // for at most `defer_timeout`) instead of provisioning while power is
-  // scarce. Warm invocations keep flowing.
-  int defer_queue_cap = 256;
-  Duration defer_timeout = Duration::Seconds(30);
 };
 
 struct InvocationStats {
@@ -81,6 +72,10 @@ struct InvocationStats {
 class ServerlessPlatform {
  public:
   using Callback = std::function<void()>;
+
+  // Per-instance resident memory is charged against this much of the
+  // SoC's 12 GB (Android keeps the other 2 GB).
+  static constexpr double kSocMemoryBudgetMb = 10240.0;
 
   ServerlessPlatform(Simulator* sim, SocCluster* cluster,
                      ServerlessConfig config);

@@ -74,14 +74,14 @@ TEST(TcoTest, CapExDominatesTco) {
 }
 
 TEST(TcoTest, ParametersPropagate) {
-  TcoParams params;
-  params.pue = 1.0;  // No overhead.
-  params.utilization = 1.0;
-  const TcoBreakdown tco =
-      TcoModel::Compute(ServerKind::kSocCluster, Power::Watts(500.0), params);
-  EXPECT_NEAR(tco.monthly_kwh, 360.0, 1e-6);
-  EXPECT_DOUBLE_EQ(tco.monthly_pue_overhead_usd, 0.0);
-  EXPECT_NEAR(tco.monthly_opex_usd, 360.0 * 0.0786, 1e-6);
+  // Each Table 4 parameter reaches its line of the breakdown: 36-month
+  // amortization, 50% duty at the measured 589 W, $0.0786/kWh, PUE 2.0.
+  const TcoBreakdown tco = TcoModel::Compute(ServerKind::kSocCluster);
+  EXPECT_NEAR(tco.monthly_capex_usd, tco.total_capex_usd / 36.0, 1e-9);
+  EXPECT_NEAR(tco.monthly_kwh, 589.0 * 0.5 * 24.0 * 30.0 / 1000.0, 1e-9);
+  EXPECT_NEAR(tco.monthly_electricity_usd, tco.monthly_kwh * 0.0786, 1e-9);
+  EXPECT_NEAR(tco.monthly_pue_overhead_usd, tco.monthly_electricity_usd,
+              1e-9);
 }
 
 TEST(TcoTest, ThroughputPerCost) {

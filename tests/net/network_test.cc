@@ -147,6 +147,22 @@ TEST_F(NetworkTest, SendMessageAddsRtt) {
   EXPECT_NEAR((end - SimTime::Zero()).ToSeconds(), 0.10044, 1e-6);
 }
 
+TEST_F(NetworkTest, SendMessageWithoutRouteFailsAndSchedulesNothing) {
+  Network net(&sim_, rtt_);
+  const NetNodeId a = net.AddNode("a");
+  const NetNodeId b = net.AddNode("b");  // Isolated.
+  bool done = false;
+  const Status status =
+      net.SendMessage(a, b, DataSize::Bytes(64), [&] { done = true; });
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(net.SendMessage(a, b + 1, DataSize::Bytes(64), nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  sim_.Run();
+  EXPECT_FALSE(done);
+  EXPECT_EQ(net.num_active_flows(), 0);
+}
+
 TEST_F(NetworkTest, ConstantLoadReducesFlowBandwidth) {
   Network net(&sim_, rtt_);
   const NetNodeId a = net.AddNode("a");

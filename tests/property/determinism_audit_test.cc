@@ -187,9 +187,7 @@ DetScenario AnchoredScenario() {
 }
 
 TEST(DeterminismAuditor, DetectsAndLabelsRace) {
-  DeterminismAuditor::Options options;
-  options.permutations = 8;
-  DeterminismAuditor auditor("racy", RacyScenario(), options);
+  DeterminismAuditor auditor("racy", RacyScenario(), /*permutations=*/8);
   const DivergenceReport report = auditor.Run();
   ASSERT_TRUE(report.diverged);
   EXPECT_NE(report.fifo_digest, report.perturbed_digest);
@@ -205,18 +203,15 @@ TEST(DeterminismAuditor, DetectsAndLabelsRace) {
 }
 
 TEST(DeterminismAuditor, AnchoredRaceIsCertified) {
-  DeterminismAuditor::Options options;
-  options.permutations = 8;
-  DeterminismAuditor auditor("anchored", AnchoredScenario(), options);
+  DeterminismAuditor auditor("anchored", AnchoredScenario(),
+                             /*permutations=*/8);
   const DivergenceReport report = auditor.Run();
   EXPECT_FALSE(report.diverged) << report.detail;
   EXPECT_EQ(report.permutations_run, 8);
 }
 
 TEST(DeterminismAuditor, DivergenceReportJsonRoundTrips) {
-  DeterminismAuditor::Options options;
-  options.permutations = 2;
-  DeterminismAuditor auditor("racy", RacyScenario(), options);
+  DeterminismAuditor auditor("racy", RacyScenario(), /*permutations=*/2);
   const DivergenceReport report = auditor.Run();
   std::ostringstream out;
   WriteDivergenceReportJson(report, out);
@@ -261,10 +256,8 @@ TEST(DeterminismAuditor, TickAlignedFaultIsARealRace) {
     };
     return run;
   };
-  DeterminismAuditor::Options options;
-  options.permutations = 8;
   DeterminismAuditor auditor("tick_aligned_fault", std::move(scenario),
-                             options);
+                             /*permutations=*/8);
   const DivergenceReport report = auditor.Run();
   EXPECT_TRUE(report.diverged);
 }
@@ -279,9 +272,7 @@ class FlagshipScenario : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlagshipScenario, OrderIndependentAcrossEightPermutations) {
   const DetScenarioSpec spec = AllDetScenarios()[static_cast<size_t>(GetParam())];
-  DeterminismAuditor::Options options;
-  options.permutations = 8;
-  DeterminismAuditor auditor(spec.name, spec.make(), options);
+  DeterminismAuditor auditor(spec.name, spec.make(), /*permutations=*/8);
   const DivergenceReport report = auditor.Run();
   EXPECT_FALSE(report.diverged)
       << spec.name << ": " << report.detail << " (seed "

@@ -60,10 +60,7 @@ void RunLifecycle(uint64_t seed) {
   fleet.admission().SetMaxQueue(20);
   LiveTranscodingService live(&sim, &cluster, PlacementPolicy::kSpread);
   live.admission().SetMaxQueue(10);
-  ServerlessConfig serverless_config;
-  serverless_config.defer_queue_cap = 4;
-  serverless_config.defer_timeout = Duration::Seconds(1);
-  ServerlessPlatform serverless(&sim, &cluster, serverless_config);
+  ServerlessPlatform serverless(&sim, &cluster, ServerlessConfig{});
   for (int f = 0; f < 4; ++f) {
     FunctionSpec spec;
     spec.name = "fn" + std::to_string(f);

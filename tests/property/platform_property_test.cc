@@ -147,8 +147,7 @@ TEST_P(CollabInvariants, BreakdownIsConsistent) {
   SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
   cluster.PowerOnAll(nullptr);
   ASSERT_TRUE(sim.RunFor(Duration::Seconds(26)).ok());
-  CollaborativeInference collab(&sim, &cluster,
-                                DefaultCollabConfig(c.model), c.num_socs,
+  CollaborativeInference collab(&sim, &cluster, c.model, c.num_socs,
                                 c.pipelined);
   CollabResult result;
   bool done = false;
@@ -170,9 +169,8 @@ TEST_P(CollabInvariants, BreakdownIsConsistent) {
               collab.TotalCompute().ToMillis(), 0.01);
   // Pipelining never loses to sequential.
   if (c.pipelined && c.num_socs > 1) {
-    CollaborativeInference sequential(&sim, &cluster,
-                                      DefaultCollabConfig(c.model),
-                                      c.num_socs, false);
+    CollaborativeInference sequential(&sim, &cluster, c.model, c.num_socs,
+                                      false);
     CollabResult seq_result;
     sequential.Run([&](const CollabResult& r) { seq_result = r; });
     sim.Run();

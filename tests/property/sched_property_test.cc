@@ -72,10 +72,7 @@ void Append(std::string* fingerprint, const char* tag, int64_t value) {
 // SoC is ever oversubscribed, no ledger ever goes negative.
 void CheckNoOversubscription(const SocCluster& cluster,
                              const ServerlessPlatform& platform,
-                             const GamingWorkload& gaming,
-                             const GamingWorkloadConfig& gaming_config,
-                             const ServerlessConfig& serverless_config,
-                             int op) {
+                             const GamingWorkload& gaming, int op) {
   for (int i = 0; i < cluster.num_socs(); ++i) {
     const SocModel& soc = cluster.soc(i);
     EXPECT_LE(soc.cpu_util(), 1.0 + 1e-9) << "op " << op << " soc " << i;
@@ -89,10 +86,10 @@ void CheckNoOversubscription(const SocCluster& cluster,
         << "op " << op << " soc " << i;
     EXPECT_GE(platform.SocMemoryMb(i), -1e-6) << "op " << op << " soc " << i;
     EXPECT_LE(platform.SocMemoryMb(i),
-              serverless_config.soc_memory_budget_mb + 1e-6)
+              ServerlessPlatform::kSocMemoryBudgetMb + 1e-6)
         << "op " << op << " soc " << i;
     EXPECT_GE(gaming.SessionsOnSoc(i), 0) << "op " << op << " soc " << i;
-    EXPECT_LE(gaming.SessionsOnSoc(i), gaming_config.max_sessions_per_soc)
+    EXPECT_LE(gaming.SessionsOnSoc(i), GamingWorkload::kMaxSessionsPerSoc)
         << "op " << op << " soc " << i;
   }
 }
@@ -146,20 +143,14 @@ std::string RunScenario(uint64_t seed, bool unnoticed_reboots) {
 
   LiveTranscodingService live(&sim, &cluster, policy);
 
-  ServerlessConfig serverless_config;
-  serverless_config.seed = seed + 1;
-  ServerlessPlatform platform(&sim, &cluster, serverless_config);
+  ServerlessPlatform platform(&sim, &cluster, ServerlessConfig{});
   FunctionSpec function;
   function.name = "probe";
   function.memory_mb = 512.0;
   function.cpu_util = 0.1;
   SOC_CHECK(platform.RegisterFunction(function).ok());
 
-  GamingWorkloadConfig gaming_config;
-  gaming_config.peak_arrivals_per_hour = 60.0;
-  gaming_config.median_session = Duration::Minutes(10);
-  gaming_config.seed = seed + 2;
-  GamingWorkload gaming(&sim, &cluster, gaming_config);
+  GamingWorkload gaming(&sim, &cluster, GamingWorkloadConfig{});
   gaming.Start(Duration::Hours(12));
 
   Rng rng(seed * 31 + 7);
@@ -267,8 +258,7 @@ std::string RunScenario(uint64_t seed, bool unnoticed_reboots) {
         break;
       }
     }
-    CheckNoOversubscription(cluster, platform, gaming, gaming_config,
-                            serverless_config, op);
+    CheckNoOversubscription(cluster, platform, gaming, op);
   }
 
   // Final-state digest: any divergence in placement decisions, however it

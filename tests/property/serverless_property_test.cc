@@ -50,7 +50,7 @@ TEST_P(ServerlessProperty, MemoryAccountingIsConserved) {
     for (int i = 0; i < cluster.num_socs(); ++i) {
       const double mb = platform.SocMemoryMb(i);
       EXPECT_GE(mb, -1e-9);
-      EXPECT_LE(mb, config.soc_memory_budget_mb + 1e-9);
+      EXPECT_LE(mb, ServerlessPlatform::kSocMemoryBudgetMb + 1e-9);
       actual_total += mb;
     }
     EXPECT_NEAR(actual_total, expected_total, 1e-6);

@@ -231,15 +231,14 @@ class BrownoutGovernorTest : public ::testing::Test {
 };
 
 TEST_F(BrownoutGovernorTest, LadderEngagesInOrderReleasesInReverse) {
-  BrownoutConfig config;
   // Cap midway between idle and fully loaded draw: load pushes over it,
   // unloading falls comfortably under it.
   const double idle = cluster_.CurrentPower().watts();
   Load(0.9);
   const double loaded = cluster_.CurrentPower().watts();
   ASSERT_GT(loaded, idle + 10.0);
-  config.wall_cap = Power::Watts((idle + loaded) / 2.0);
-  BrownoutGovernor governor(&sim_, &cluster_, nullptr, config);
+  BrownoutGovernor governor(&sim_, &cluster_, nullptr,
+                            Power::Watts((idle + loaded) / 2.0));
   governor.AddRung("a", 2, [](int) {}, [](int) {});
   governor.AddRung("b", 1, [](int) {}, [](int) {});
   governor.Start();
@@ -288,9 +287,7 @@ TEST_F(BrownoutGovernorTest, HysteresisHoldsBeforeRelease) {
   ASSERT_GT(loaded, cap);
   ASSERT_GE(partial, BrownoutGovernor::kReleaseFraction * cap);
   ASSERT_LT(idle, BrownoutGovernor::kReleaseFraction * cap);
-  BrownoutConfig config;
-  config.wall_cap = Power::Watts(cap);
-  BrownoutGovernor governor(&sim_, &cluster_, nullptr, config);
+  BrownoutGovernor governor(&sim_, &cluster_, nullptr, Power::Watts(cap));
   governor.AddRung("a", 1, [](int) {}, [](int) {});
   governor.Start();
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(4)).ok());

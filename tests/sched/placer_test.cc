@@ -419,9 +419,7 @@ TEST(PlacementFaultRegressionTest, GamingAndServerlessNeverPlaceOnFailedSoc) {
   const int failed = 2;
   cluster.soc(failed).Fail();
 
-  GamingWorkloadConfig gaming_config;
-  gaming_config.peak_arrivals_per_hour = 40.0;
-  GamingWorkload gaming(&sim, &cluster, gaming_config);
+  GamingWorkload gaming(&sim, &cluster, GamingWorkloadConfig{});
   gaming.Start(Duration::Hours(6));
 
   ServerlessPlatform platform(&sim, &cluster, ServerlessConfig{});
@@ -443,7 +441,7 @@ TEST(PlacementFaultRegressionTest, GamingAndServerlessNeverPlaceOnFailedSoc) {
     if (i == failed) {
       continue;
     }
-    EXPECT_LE(platform.SocMemoryMb(i), ServerlessConfig{}.soc_memory_budget_mb);
+    EXPECT_LE(platform.SocMemoryMb(i), ServerlessPlatform::kSocMemoryBudgetMb);
   }
 }
 

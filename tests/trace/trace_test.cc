@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/core/telemetry.h"
 #include "src/trace/gaming_trace.h"
@@ -69,20 +71,17 @@ class GamingTest : public ::testing::Test {
 
 TEST_F(GamingTest, DiurnalRateShape) {
   GamingWorkload workload(&sim_, &cluster_, GamingWorkloadConfig{});
-  const GamingWorkloadConfig config;
-  // Peak at 21:00, trough near 09:00.
+  // Peak at 21:00 (220 sessions/hour), trough near 09:00.
   const double peak = workload.ArrivalRate(
       SimTime::Zero() + Duration::Hours(21));
   const double trough = workload.ArrivalRate(
       SimTime::Zero() + Duration::Hours(9));
-  EXPECT_NEAR(peak, config.peak_arrivals_per_hour, 1.0);
+  EXPECT_NEAR(peak, 220.0, 1.0);
   EXPECT_GT(peak / trough, 10.0);
 }
 
 TEST_F(GamingTest, SessionsComeAndGo) {
-  GamingWorkloadConfig config;
-  config.peak_arrivals_per_hour = 400.0;
-  GamingWorkload workload(&sim_, &cluster_, config);
+  GamingWorkload workload(&sim_, &cluster_, GamingWorkloadConfig{});
   // Start mid-evening so arrivals flow immediately.
   ASSERT_TRUE(sim_.RunUntil(SimTime::Zero() + Duration::Hours(20)).ok());
   workload.Start(Duration::Hours(2));
@@ -112,16 +111,23 @@ TEST_F(GamingTest, TrafficShowsLargePeakToTroughSwing) {
 }
 
 TEST_F(GamingTest, RespectsPerSocSessionLimit) {
-  GamingWorkloadConfig config;
-  config.max_sessions_per_soc = 1;
-  config.peak_arrivals_per_hour = 100000.0;  // Flood.
-  config.median_session = Duration::Hours(10);
-  GamingWorkload workload(&sim_, &cluster_, config);
+  // Three live SoCs hold six sessions; the evening peak (~220/hour, 28 min
+  // median sessions) offers far more, so every slot fills.
+  for (int i = 3; i < cluster_.num_socs(); ++i) {
+    ASSERT_TRUE(cluster_.soc(i).PowerOff().ok());
+  }
+  GamingWorkload workload(&sim_, &cluster_, GamingWorkloadConfig{});
   ASSERT_TRUE(sim_.RunUntil(SimTime::Zero() + Duration::Hours(21)).ok());
-  workload.Start(Duration::Minutes(10));
-  ASSERT_TRUE(sim_.RunFor(Duration::Minutes(10)).ok());
-  EXPECT_LE(workload.active_sessions(), 60);
+  workload.Start(Duration::Minutes(30));
+  ASSERT_TRUE(sim_.RunFor(Duration::Minutes(30)).ok());
   EXPECT_GT(workload.sessions_rejected(), 0);
+  int fullest = 0;
+  for (int i = 0; i < 3; ++i) {
+    fullest = std::max(fullest, workload.SessionsOnSoc(i));
+  }
+  // Two sessions per SoC (§2.3), never more.
+  EXPECT_EQ(fullest, 2);
+  EXPECT_LE(workload.active_sessions(), 6);
 }
 
 }  // namespace

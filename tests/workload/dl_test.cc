@@ -324,8 +324,7 @@ class CollabTest : public ::testing::Test {
   }
 
   CollabResult RunOnce(int num_socs, bool pipelined) {
-    CollaborativeInference collab(&sim_, &cluster_,
-                                  DefaultCollabConfig(DnnModel::kResNet50),
+    CollaborativeInference collab(&sim_, &cluster_, DnnModel::kResNet50,
                                   num_socs, pipelined);
     CollabResult result;
     bool done = false;

@@ -123,11 +123,10 @@ TEST_F(ServerlessTest, ConcurrentInvocationsSpawnInstances) {
 }
 
 TEST_F(ServerlessTest, MemoryExhaustionShedsInvocations) {
-  ServerlessConfig config;
-  config.soc_memory_budget_mb = 512.0;  // Two 256 MB instances per SoC.
-  ServerlessPlatform platform(&sim_, &cluster_, config);
+  ServerlessPlatform platform(&sim_, &cluster_, ServerlessConfig{});
   ASSERT_TRUE(platform.RegisterFunction(Fn("a")).ok());
-  const int capacity = 60 * 2;
+  // The 10240 MB per-SoC budget holds exactly forty 256 MB instances.
+  const int capacity = 60 * 40;
   for (int i = 0; i < capacity + 10; ++i) {
     ASSERT_TRUE(platform.Invoke("a", nullptr).ok());
   }
@@ -180,18 +179,18 @@ TEST_F(ServerlessTest, ColdStartRateFallsWithKeepAlive) {
 }
 
 TEST_F(ServerlessTest, BreakerClosesOnceQueuePressureClears) {
-  ServerlessConfig config;
-  config.defer_queue_cap = 2;
-  ServerlessPlatform platform(&sim_, &cluster_, config);
+  ServerlessPlatform platform(&sim_, &cluster_, ServerlessConfig{});
   ASSERT_TRUE(platform.RegisterFunction(Fn("a")).ok());
   CircuitBreaker breaker(&sim_, "serverless");
   platform.SetBreaker(&breaker);
-  // A cold-start storm under deferral: two invocations park, the rest
-  // overflow the deferral queue, and the queue-full drops open the breaker.
+  // A cold-start storm under deferral: 256 invocations fill the deferral
+  // queue, the other 38 overflow it, and the queue-full drops open the
+  // breaker.
   platform.SetDeferColdStarts(true);
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 256 + 38; ++i) {
     ASSERT_TRUE(platform.Invoke("a", nullptr).ok());
   }
+  ASSERT_EQ(platform.deferred_pending(), 256);
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   platform.SetDeferColdStarts(false);
   ASSERT_TRUE(

@@ -107,22 +107,22 @@ Registered as the `lint.repo` ctest. Rules:
                 the exclusive whole-SoC runs of collab and training, which
                 write SetCpuUtil(1.0)/(0.0) absolutely.
 
-  knobs          Every field of the resilience-stack config structs
-                (KNOBS_STRUCTS) must be written by some file outside
-                tests/ and outside the struct's own .h/.cc: a bench,
-                example, perfbench workload or audit scenario. A field no
-                workload sets is one value in use, so it belongs as a named
-                constant in the .cc; a settable copy doubles the
+  knobs          Every field of the checked config structs (KNOBS_STRUCTS:
+                the resilience stack, the session tier, the autoscaler,
+                training and serverless) must be written by some file
+                outside tests/ and outside the struct's own .h/.cc: a
+                bench, example, perfbench workload or audit scenario. A
+                field no workload sets is one value in use, so it belongs
+                as a named constant in the .cc; a settable copy doubles the
                 configurations to test and documents a choice nobody makes.
                 Writes are `a.b.field =` chains and `Type{.field = ...}`
                 designated initializers; a chain's root is typed from a
                 declaration in the same file, and a nested write such as
                 `config.gray.tick =` counts for the innermost struct (and
-                sets every struct member along the way). A field copied
-                from another checked field (`out.period = config.period`)
-                is set only when that field is. The rule checks writes,
-                not distinct values: a field that every workload writes
-                with its default value still passes.
+                sets every struct member along the way). Any write counts,
+                whatever its value: the rule checks writes, not distinct
+                values, so a field that every workload writes with its
+                default value still passes.
 
   suppression    Every `lint:allow` marker must be well-formed and name a
                 rule that exists: a typo like `lint:allow(unit)` would
@@ -286,9 +286,11 @@ KNOBS_STRUCTS = {
     "HealthConfig": "src/core/health",
     "DegradationScorerConfig": "src/core/graydetect",
     "GrayFailureConfig": "src/core/graydetect",
-    "BrownoutConfig": "src/qos/brownout",
     "ClusterOverloadConfig": "src/core/overload",
     "SessionTierConfig": "src/trace/session",
+    "AutoscalerConfig": "src/core/autoscaler",
+    "TrainingConfig": "src/workload/dl/training",
+    "ServerlessConfig": "src/workload/serverless/serverless",
 }
 KNOBS_STRUCT_DEF = re.compile(r"\bstruct\s+(\w+)\s*(?::[^{;]*)?\{")
 KNOBS_FIELD = re.compile(
@@ -300,7 +302,6 @@ KNOBS_NOT_FIELD = re.compile(
 KNOBS_CHAIN = r"\b\w+(?:\s*(?:\.|->)\s*\w+)+"
 KNOBS_WRITE = re.compile(
     r"(" + KNOBS_CHAIN + r")\s*(?:=(?!=)|\.\s*(?:push_back|emplace_back)\s*\()")
-KNOBS_SOURCE = re.compile(r"\s*(" + KNOBS_CHAIN + r")\s*$")
 
 ALLOW = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
 ALLOW_MARKER = re.compile(r"lint:allow")
@@ -558,7 +559,7 @@ class Linter:
         decl = re.compile(
             r"\b(" + "|".join(map(re.escape, sorted(structs))) +
             r")\s*[&*]?\s+(\w+)\s*(?=[;=,){\[(])") if structs else None
-        written, copies = set(), {}
+        written = set()
 
         def resolve(chain, owner):
             """The (struct, field) pairs a member chain names when its root
@@ -572,36 +573,22 @@ class Linter:
                 owner = fields[part][0]
             return pairs
 
-        def record(path, targets, source):
-            targets = [t for t in targets
-                       if t[0] in checked and
-                       not path.startswith(checked[t[0]] + ".")]
-            if source and source[-1][0] in checked:
-                for target in targets:
-                    copies.setdefault(target, set()).add(source[-1])
-            else:
-                written.update(targets)
+        def record(path, targets):
+            written.update(t for t in targets
+                           if t[0] in checked and
+                           not path.startswith(checked[t[0]] + "."))
 
         for path, (_, code_text) in sorted(files.items()):
             if path.startswith("tests/") or decl is None:
                 continue
             decls = [(m.start(), m.group(2), m.group(1))
                      for m in decl.finditer(code_text)]
-
-            def chain_at(text, at):
-                """resolve() with the root typed by its nearest declaration
-                before `at`; empty unless `text` is a member chain."""
-                m = KNOBS_SOURCE.match(text)
-                if m is None:
-                    return []
-                root = re.match(r"\w+", m.group(1)).group(0)
-                found = [t for pos, var, t in decls if pos < at and var == root]
-                return resolve(m.group(1), found[-1] if found else None)
-
             for m in KNOBS_WRITE.finditer(code_text):
-                end = code_text.find(";", m.end())
-                record(path, chain_at(m.group(1), m.start()),
-                       chain_at(code_text[m.end():end], m.start()))
+                # The chain's root is typed by its nearest declaration.
+                root = re.match(r"\w+", m.group(1)).group(0)
+                found = [t for pos, var, t in decls
+                         if pos < m.start() and var == root]
+                record(path, resolve(m.group(1), found[-1] if found else None))
             # Designated initializers: Type{.field = value, ...}.
             for m in re.finditer(r"\b(\w+)\s*(?:\w+\s*)?(?:=\s*)?\{",
                                  code_text):
@@ -609,18 +596,8 @@ class Linter:
                     continue
                 inner = code_text[m.end():matching_brace(code_text,
                                                          m.end() - 1)]
-                for d in re.finditer(r"(?:^|,)\s*\.(\w+)\s*=", inner):
-                    value = re.split(r",(?![^{(]*[})])", inner[d.end():])[0]
-                    record(path, [(m.group(1), d.group(1))],
-                           chain_at(value, m.start()))
-
-        changed = True
-        while changed:
-            changed = False
-            for target, sources in copies.items():
-                if target not in written and sources & written:
-                    written.add(target)
-                    changed = True
+                record(path, [(m.group(1), d.group(1)) for d in
+                              re.finditer(r"(?:^|,)\s*\.(\w+)\s*=", inner)])
 
         for name, base in sorted(checked.items()):
             raw_lines, code_text = files.get(base + ".h", ([], ""))

@@ -431,24 +431,6 @@ class KnobsRuleTest(unittest.TestCase):
             {"ListConfig": "src/core/l"})
         self.assertEqual(findings, [])
 
-    def test_copy_from_another_checked_field_needs_that_field_set(self):
-        header = ("struct FromConfig {\n  int period = 2;\n};\n"
-                  "struct ToConfig {\n  int period = 2;\n};\n")
-        copy = ("ToConfig Make(const FromConfig& config) {\n"
-                "  ToConfig out;\n"
-                "  out.period = config.period;\n"
-                "  return out;\n"
-                "}\n")
-        checked = {"FromConfig": "src/core/f", "ToConfig": "src/core/f"}
-        findings = run_knobs({"src/core/f.h": header, "src/core/m.cc": copy},
-                             checked)
-        self.assertEqual(len(findings), 2)
-        findings = run_knobs(
-            {"src/core/f.h": header, "src/core/m.cc": copy,
-             "bench/b.cc": "FromConfig c;\nc.period = 5;\n"},
-            checked)
-        self.assertEqual(findings, [])
-
     def test_listed_struct_missing_is_flagged(self):
         findings = run_knobs({"src/core/x.h": KNOBS_HEADER},
                              {"GoneConfig": "src/core/x"})
