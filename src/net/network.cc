@@ -12,6 +12,14 @@ namespace soccluster {
 namespace {
 // Rates below this are treated as zero when freezing allocations.
 constexpr double kRateEpsilonBps = 1e-6;
+// A fair share below this fraction of its link's capacity is rounding
+// residue (nine 20/9 Gbps loads leave ~4e-6 bps of a 20 Gbps link), not
+// bandwidth: it counts as zero, so the flow stalls instead of receiving a
+// rate whose completion time overflows the clock.
+constexpr double kResidueShare = 1e-9;
+// Event labels; at most 15 characters, so copies stay in the SSO buffer.
+constexpr char kFlowDoneLabel[] = "net.flow.done";
+constexpr char kMessageStartLabel[] = "net.msg.start";
 }  // namespace
 
 Network::Network(Simulator* sim, Duration rtt) : sim_(sim), rtt_(rtt) {
@@ -38,8 +46,8 @@ LinkId Network::AddBidirectionalLink(NetNodeId a, NetNodeId b,
   SOC_CHECK(flows_.empty() && constant_loads_.empty())
       << "topology must be built before traffic starts";
   const LinkId forward = static_cast<LinkId>(links_.size());
-  links_.push_back(LinkState{a, b, capacity, DataRate::Zero(), true, {}});
-  links_.push_back(LinkState{b, a, capacity, DataRate::Zero(), true, {}});
+  links_.push_back(LinkState{a, b, capacity, DataRate::Zero()});
+  links_.push_back(LinkState{b, a, capacity, DataRate::Zero()});
   out_links_[static_cast<size_t>(a)].push_back(forward);
   out_links_[static_cast<size_t>(b)].push_back(forward + 1);
   return forward;
@@ -51,19 +59,16 @@ const std::string& Network::node_name(NetNodeId node) const {
   return nodes_[static_cast<size_t>(node)];
 }
 
-Result<std::vector<LinkId>> Network::Route(NetNodeId src, NetNodeId dst) {
+Result<const Network::Path*> Network::Route(NetNodeId src, NetNodeId dst) {
   if (src < 0 || src >= num_nodes() || dst < 0 || dst >= num_nodes()) {
     return Status::InvalidArgument("no such node");
-  }
-  if (src == dst) {
-    return std::vector<LinkId>{};
   }
   const auto key = std::make_pair(src, dst);
   const auto cached = route_cache_.find(key);
   if (cached != route_cache_.end()) {
-    return cached->second;
+    return &cached->second;
   }
-  // BFS for the hop-shortest path.
+  // BFS for the hop-shortest path (empty when src == dst).
   std::vector<LinkId> via(static_cast<size_t>(num_nodes()), -1);
   std::vector<bool> seen(static_cast<size_t>(num_nodes()), false);
   std::deque<NetNodeId> frontier{src};
@@ -87,93 +92,103 @@ Result<std::vector<LinkId>> Network::Route(NetNodeId src, NetNodeId dst) {
     return Status::NotFound("no route from " + node_name(src) + " to " +
                             node_name(dst));
   }
-  std::vector<LinkId> path;
+  Path path;
   for (NetNodeId node = dst; node != src;) {
     const LinkId link = via[static_cast<size_t>(node)];
     path.push_back(link);
     node = links_[static_cast<size_t>(link)].from;
   }
   std::reverse(path.begin(), path.end());
-  route_cache_[key] = path;
-  return path;
+  return &route_cache_.emplace(key, std::move(path)).first->second;
+}
+
+Network::FlowState* Network::FindFlow(FlowId id) {
+  return const_cast<FlowState*>(std::as_const(*this).FindFlow(id));
+}
+
+const Network::FlowState* Network::FindFlow(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const FlowState& flow, FlowId key) { return flow.id < key; });
+  return it != flows_.end() && it->id == id ? &*it : nullptr;
 }
 
 Result<FlowId> Network::StartFlow(NetNodeId src, NetNodeId dst, DataSize size,
                                   DataRate rate_cap,
-                                  std::function<void()> on_complete) {
-  Result<std::vector<LinkId>> path = Route(src, dst);
+                                  InlineCallback on_complete) {
+  Result<const Path*> path = Route(src, dst);
   if (!path.ok()) {
     return path.status();
   }
   const FlowId id = next_flow_id_++;
-  FlowState flow;
-  flow.path = std::move(path.value());
-  flow.bits_remaining = static_cast<double>(size.bits());
+  const double bits = static_cast<double>(size.bits());
+  flows_started_->Increment();
+  flow_mbits_->Observe(bits * 1e-6);
+  Tracer& tracer = sim_->tracer();
+  const SpanId span =
+      tracer.BeginAsyncSpan("flow", "net", static_cast<uint64_t>(id));
+  tracer.AddArg(span, "src", node_name(src));
+  tracer.AddArg(span, "dst", node_name(dst));
+  tracer.AddArg(span, "mbits", bits * 1e-6);
+  // Local (src == dst) or empty transfers complete immediately.
+  if ((*path)->empty() || bits <= 0.0) {
+    sim_->ScheduleAfter(
+        Duration::Zero(),
+        [this, cb = std::move(on_complete), span]() mutable {
+          flows_completed_->Increment();
+          flow_duration_ms_->Observe(0.0);
+          sim_->tracer().EndSpan(span);
+          if (cb) {
+            cb();
+          }
+        },
+        kFlowDoneLabel);
+    return id;
+  }
+  FlowState& flow = flows_.emplace_back();
+  flow.id = id;
+  flow.path = *path;
+  flow.bits_remaining = bits;
   flow.cap = rate_cap;
   flow.start = sim_->Now();
   flow.last_update = sim_->Now();
   flow.on_complete = std::move(on_complete);
-  flows_started_->Increment();
-  flow_mbits_->Observe(static_cast<double>(size.bits()) * 1e-6);
-  Tracer& tracer = sim_->tracer();
-  flow.span =
-      tracer.BeginAsyncSpan("flow", "net", static_cast<uint64_t>(id));
-  tracer.AddArg(flow.span, "src", node_name(src));
-  tracer.AddArg(flow.span, "dst", node_name(dst));
-  tracer.AddArg(flow.span, "mbits",
-                static_cast<double>(size.bits()) * 1e-6);
-  // Local (src == dst) or empty transfers complete immediately.
-  if (flow.path.empty() || flow.bits_remaining <= 0.0) {
-    auto cb = std::move(flow.on_complete);
-    const SpanId span = flow.span;
-    sim_->ScheduleAfter(Duration::Zero(), [this, cb = std::move(cb), span] {
-      flows_completed_->Increment();
-      flow_duration_ms_->Observe(0.0);
-      sim_->tracer().EndSpan(span);
-      if (cb) {
-        cb();
-      }
-    });
-    return id;
-  }
-  for (LinkId link : flow.path) {
-    links_[static_cast<size_t>(link)].active_flows.push_back(id);
-  }
-  flows_.emplace(id, std::move(flow));
+  flow.span = span;
   Reallocate();
   return id;
 }
 
 Status Network::SendMessage(NetNodeId src, NetNodeId dst, DataSize size,
-                            std::function<void()> on_complete) {
-  if (Result<std::vector<LinkId>> path = Route(src, dst); !path.ok()) {
+                            InlineCallback on_complete) {
+  if (Result<const Path*> path = Route(src, dst); !path.ok()) {
     return path.status();
   }
   // One RTT of handshake/latency, then the bulk transfer.
-  auto deferred = [this, src, dst, size, cb = std::move(on_complete)]() mutable {
-    Result<FlowId> flow = StartFlow(src, dst, size, DataRate::Zero(),
-                                    std::move(cb));
-    SOC_CHECK(flow.ok()) << flow.status().ToString();
-  };
-  sim_->ScheduleAfter(src == dst ? Duration::Zero() : rtt_,
-                      std::move(deferred));
+  sim_->ScheduleAfter(
+      src == dst ? Duration::Zero() : rtt_,
+      [this, src, dst, size, cb = std::move(on_complete)]() mutable {
+        Result<FlowId> flow =
+            StartFlow(src, dst, size, DataRate::Zero(), std::move(cb));
+        SOC_CHECK(flow.ok()) << flow.status().ToString();
+      },
+      kMessageStartLabel);
   return Status::Ok();
 }
 
 Result<DataRate> Network::FlowRate(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  if (it == flows_.end()) {
+  const FlowState* state = FindFlow(flow);
+  if (state == nullptr) {
     return Status::NotFound("no such flow");
   }
-  return it->second.rate;
+  return state->rate;
 }
 
 Result<std::vector<LinkId>> Network::FlowPath(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  if (it == flows_.end()) {
+  const FlowState* state = FindFlow(flow);
+  if (state == nullptr) {
     return Status::NotFound("no such flow");
   }
-  return it->second.path;
+  return *state->path;
 }
 
 Result<int64_t> Network::AddConstantLoad(NetNodeId src, NetNodeId dst,
@@ -181,15 +196,15 @@ Result<int64_t> Network::AddConstantLoad(NetNodeId src, NetNodeId dst,
   if (rate.bps() < 0.0) {
     return Status::InvalidArgument("negative load");
   }
-  Result<std::vector<LinkId>> path = Route(src, dst);
+  Result<const Path*> path = Route(src, dst);
   if (!path.ok()) {
     return path.status();
   }
   const int64_t id = next_load_id_++;
-  for (LinkId link : path.value()) {
+  for (LinkId link : **path) {
     links_[static_cast<size_t>(link)].constant_load += rate;
   }
-  constant_loads_.emplace(id, ConstantLoad{std::move(path.value()), rate});
+  constant_loads_.emplace(id, ConstantLoad{*path, rate});
   Reallocate();
   return id;
 }
@@ -199,7 +214,7 @@ Status Network::RemoveConstantLoad(int64_t load_id) {
   if (it == constant_loads_.end()) {
     return Status::NotFound("no such constant load");
   }
-  for (LinkId link : it->second.path) {
+  for (LinkId link : *it->second.path) {
     auto& load = links_[static_cast<size_t>(link)].constant_load;
     load = DataRate::Bps(std::max(0.0, load.bps() - it->second.rate.bps()));
   }
@@ -247,10 +262,12 @@ double Network::LinkCapacityFactor(LinkId link) const {
 DataRate Network::LinkOfferedRate(LinkId link) const {
   SOC_CHECK_GE(link, 0);
   SOC_CHECK_LT(link, num_links());
-  const LinkState& state = links_[static_cast<size_t>(link)];
-  DataRate offered = state.constant_load;
-  for (FlowId flow : state.active_flows) {
-    offered += flows_.at(flow).rate;
+  DataRate offered = links_[static_cast<size_t>(link)].constant_load;
+  for (const FlowState& flow : flows_) {
+    if (std::find(flow.path->begin(), flow.path->end(), link) !=
+        flow.path->end()) {
+      offered += flow.rate;
+    }
   }
   return offered;
 }
@@ -259,6 +276,12 @@ DataRate Network::LinkCapacity(LinkId link) const {
   SOC_CHECK_GE(link, 0);
   SOC_CHECK_LT(link, num_links());
   return links_[static_cast<size_t>(link)].capacity;
+}
+
+DataRate Network::LinkConstantLoad(LinkId link) const {
+  SOC_CHECK_GE(link, 0);
+  SOC_CHECK_LT(link, num_links());
+  return links_[static_cast<size_t>(link)].constant_load;
 }
 
 double Network::LinkUtilization(LinkId link) const {
@@ -273,130 +296,143 @@ double Network::LinkUtilization(LinkId link) const {
 }
 
 void Network::Reallocate() {
-  const SimTime now = sim_->Now();
-  // 1. Account bytes moved at the old rates and cancel completions.
-  for (auto& [id, flow] : flows_) {
-    flow.bits_remaining -= flow.rate.bps() * (now - flow.last_update).ToSeconds();
-    if (flow.bits_remaining < 0.0) {
-      flow.bits_remaining = 0.0;
+  // Link and path entries visited, published as net.fill_visits.
+  int64_t visits = 0;
+  // The fair share of busy link `l` among its unfrozen flows.
+  const auto share = [this](size_t l) {
+    const double fair = available_[l] / unfrozen_[l];
+    return fair < links_[l].capacity.bps() * kResidueShare ? 0.0 : fair;
+  };
+
+  // 1. Collect the busy links with their capacity left for flows.
+  if (unfrozen_.size() != links_.size()) {
+    available_.resize(links_.size());
+    unfrozen_.resize(links_.size(), 0);
+  }
+  busy_links_.clear();
+  for (FlowState& flow : flows_) {
+    flow.frozen = false;
+    visits += static_cast<int64_t>(flow.path->size());
+    for (LinkId link : *flow.path) {
+      const size_t l = static_cast<size_t>(link);
+      if (unfrozen_[l]++ > 0) {
+        continue;
+      }
+      busy_links_.push_back(link);
+      const LinkState& state = links_[l];
+      available_[l] =
+          state.up ? std::max(0.0, state.capacity.bps() * state.capacity_factor -
+                                       state.constant_load.bps())
+                   : 0.0;
     }
-    flow.last_update = now;
-    sim_->Cancel(flow.completion);
-    flow.completion = EventHandle();
   }
 
-  // 2. Progressive filling with per-flow caps.
-  std::map<FlowId, bool> frozen;
-  for (const auto& [id, flow] : flows_) {
-    frozen[id] = false;
-    (void)flow;
-  }
-  std::vector<double> available(links_.size());
-  std::vector<int> unfrozen_count(links_.size(), 0);
-  for (size_t l = 0; l < links_.size(); ++l) {
-    available[l] =
-        links_[l].up
-            ? std::max(0.0, links_[l].capacity.bps() * links_[l].capacity_factor -
-                                links_[l].constant_load.bps())
-            : 0.0;
-    unfrozen_count[l] = static_cast<int>(links_[l].active_flows.size());
-  }
-  int remaining = static_cast<int>(flows_.size());
+  // 2. Progressive filling with per-flow caps. Each round freezes every
+  // flow held to the smallest fair share; freezing drains its links'
+  // counts, so every count is zero again when the loop ends.
+  size_t remaining = flows_.size();
+  // Freezes `flow` at `rate`, taking it off its links' unfrozen counts.
+  const auto freeze = [&](FlowState& flow, double rate) {
+    flow.fill_bps = rate;
+    flow.frozen = true;
+    --remaining;
+    visits += static_cast<int64_t>(flow.path->size());
+    for (LinkId link : *flow.path) {
+      const size_t l = static_cast<size_t>(link);
+      available_[l] = std::max(0.0, available_[l] - rate);
+      --unfrozen_[l];
+    }
+  };
   while (remaining > 0) {
-    // Smallest per-link fair share among links carrying unfrozen flows.
+    // Smallest per-link fair share among links carrying unfrozen flows;
+    // links whose flows are all frozen leave the busy list.
     double bottleneck = std::numeric_limits<double>::infinity();
-    for (size_t l = 0; l < links_.size(); ++l) {
-      if (unfrozen_count[l] > 0) {
-        bottleneck =
-            std::min(bottleneck, available[l] / unfrozen_count[l]);
+    for (size_t i = 0; i < busy_links_.size();) {
+      ++visits;
+      const size_t l = static_cast<size_t>(busy_links_[i]);
+      if (unfrozen_[l] == 0) {
+        busy_links_[i] = busy_links_.back();
+        busy_links_.pop_back();
+        continue;
       }
+      bottleneck = std::min(bottleneck, share(l));
+      ++i;
     }
     SOC_CHECK(bottleneck < std::numeric_limits<double>::infinity());
     // Cap-limited flows below the bottleneck share freeze at their cap.
     bool froze_capped = false;
-    for (auto& [id, flow] : flows_) {
-      if (frozen[id]) {
-        continue;
-      }
+    for (FlowState& flow : flows_) {
       const double cap = flow.cap.bps();
-      if (cap > 0.0 && cap <= bottleneck + kRateEpsilonBps) {
-        flow.rate = flow.cap;
-        frozen[id] = true;
-        --remaining;
+      if (!flow.frozen && cap > 0.0 && cap <= bottleneck + kRateEpsilonBps) {
+        freeze(flow, cap);
         froze_capped = true;
-        for (LinkId link : flow.path) {
-          available[static_cast<size_t>(link)] =
-              std::max(0.0, available[static_cast<size_t>(link)] - cap);
-          --unfrozen_count[static_cast<size_t>(link)];
-        }
       }
     }
     if (froze_capped) {
       continue;  // Shares changed; recompute the bottleneck.
     }
     // Freeze every unfrozen flow that crosses a bottleneck link.
-    for (auto& [id, flow] : flows_) {
-      if (frozen[id]) {
+    for (FlowState& flow : flows_) {
+      if (flow.frozen) {
         continue;
       }
-      bool at_bottleneck = false;
-      for (LinkId link : flow.path) {
+      for (LinkId link : *flow.path) {
+        ++visits;
         const size_t l = static_cast<size_t>(link);
-        if (unfrozen_count[l] > 0 &&
-            available[l] / unfrozen_count[l] <=
-                bottleneck + kRateEpsilonBps) {
-          at_bottleneck = true;
+        if (unfrozen_[l] > 0 && share(l) <= bottleneck + kRateEpsilonBps) {
+          freeze(flow, bottleneck);
           break;
         }
       }
-      if (!at_bottleneck) {
-        continue;
-      }
-      flow.rate = DataRate::Bps(bottleneck);
-      frozen[id] = true;
-      --remaining;
-      for (LinkId link : flow.path) {
-        available[static_cast<size_t>(link)] = std::max(
-            0.0, available[static_cast<size_t>(link)] - bottleneck);
-        --unfrozen_count[static_cast<size_t>(link)];
-      }
     }
   }
+  if (fill_visits_ == nullptr) {
+    fill_visits_ = sim_->metrics().GetCounter("net.fill_visits");
+  }
+  fill_visits_->Add(visits);
 
-  // 3. Schedule completions at the new rates.
-  for (auto& [id, flow] : flows_) {
+  // 3. A flow whose rate changed has its bits advanced at the old rate and
+  // its completion rescheduled at the new one; the others keep theirs.
+  const SimTime now = sim_->Now();
+  for (FlowState& flow : flows_) {
+    if (flow.fill_bps == flow.rate.bps()) {
+      continue;
+    }
+    flow.bits_remaining -=
+        flow.rate.bps() * (now - flow.last_update).ToSeconds();
+    if (flow.bits_remaining < 0.0) {
+      flow.bits_remaining = 0.0;
+    }
+    flow.last_update = now;
+    flow.rate = DataRate::Bps(flow.fill_bps);
+    sim_->Cancel(flow.completion);
+    flow.completion = EventHandle();
+    const FlowId id = flow.id;
     if (flow.bits_remaining <= 0.0) {
-      const FlowId fid = id;
       flow.completion = sim_->ScheduleAfter(
-          Duration::Zero(), [this, fid] { CompleteFlow(fid); });
+          Duration::Zero(), [this, id] { CompleteFlow(id); }, kFlowDoneLabel);
       continue;
     }
     if (flow.rate.bps() <= kRateEpsilonBps) {
-      continue;  // Stalled; will be rescheduled when capacity frees up.
+      continue;  // Stalled; rescheduled when its rate changes.
     }
     const Duration eta =
         Duration::SecondsF(flow.bits_remaining / flow.rate.bps());
-    const FlowId fid = id;
-    flow.completion =
-        sim_->ScheduleAfter(eta, [this, fid] { CompleteFlow(fid); });
+    flow.completion = sim_->ScheduleAfter(
+        eta, [this, id] { CompleteFlow(id); }, kFlowDoneLabel);
   }
 }
 
 void Network::CompleteFlow(FlowId flow_id) {
-  const auto it = flows_.find(flow_id);
-  if (it == flows_.end()) {
+  FlowState* flow = FindFlow(flow_id);
+  if (flow == nullptr) {
     return;
   }
-  std::function<void()> callback = std::move(it->second.on_complete);
+  InlineCallback callback = std::move(flow->on_complete);
   flows_completed_->Increment();
-  flow_duration_ms_->Observe((sim_->Now() - it->second.start).ToMillis());
-  sim_->tracer().EndSpan(it->second.span);
-  for (LinkId link : it->second.path) {
-    auto& active = links_[static_cast<size_t>(link)].active_flows;
-    active.erase(std::remove(active.begin(), active.end(), flow_id),
-                 active.end());
-  }
-  flows_.erase(it);
+  flow_duration_ms_->Observe((sim_->Now() - flow->start).ToMillis());
+  sim_->tracer().EndSpan(flow->span);
+  flows_.erase(flows_.begin() + (flow - flows_.data()));
   Reallocate();
   if (callback) {
     callback();

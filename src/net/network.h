@@ -6,6 +6,14 @@
 // TCP sharing and application-limited senders). Constant-rate loads (live
 // video streams, gaming sessions) occupy capacity without adapting.
 //
+// A recompute costs the links and path entries of the active flows only:
+// idle links are never visited, the filling runs in member scratch buffers,
+// and a flow's completion event is cancelled and rescheduled only when its
+// rate changes (bits are accounted lazily, at each rate change). A fair
+// share below a tiny fraction of its link's capacity is floating-point
+// residue, not bandwidth, and counts as zero: the flow stalls as on a down
+// link. Every event the network schedules is labeled `net.*`.
+//
 // This reproduces TCP behaviour at the >=100 ms timescales the paper
 // measures, and is exact for the bulk-transfer phases of collaborative
 // inference (§5.3).
@@ -14,11 +22,11 @@
 #define SRC_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/base/callback.h"
 #include "src/base/result.h"
 #include "src/base/units.h"
 #include "src/sim/simulator.h"
@@ -53,8 +61,7 @@ class Network {
   // flow's rate (use DataRate::Zero() for uncapped). `on_complete` fires
   // when the last byte is delivered. Fails if no route exists.
   Result<FlowId> StartFlow(NetNodeId src, NetNodeId dst, DataSize size,
-                           DataRate rate_cap,
-                           std::function<void()> on_complete);
+                           DataRate rate_cap, InlineCallback on_complete);
   // Current fair-share rate of an active flow.
   Result<DataRate> FlowRate(FlowId flow) const;
   // The links an active flow traverses (in order).
@@ -66,7 +73,7 @@ class Network {
   // an unknown node, kNotFound when no route exists, and nothing is
   // scheduled); the flow starts one RTT later.
   Status SendMessage(NetNodeId src, NetNodeId dst, DataSize size,
-                     std::function<void()> on_complete);
+                     InlineCallback on_complete);
 
   // --- Constant-rate loads (non-adaptive traffic) ---
   // Reserves `rate` along the path; reduces capacity seen by flows. The
@@ -97,6 +104,8 @@ class Network {
   // Instantaneous offered rate on a link (flows + constant loads).
   DataRate LinkOfferedRate(LinkId link) const;
   DataRate LinkCapacity(LinkId link) const;
+  // Sum of the constant-rate loads crossing a link.
+  DataRate LinkConstantLoad(LinkId link) const;
   // Offered / capacity; may exceed 1.0 under constant-load oversubscription.
   double LinkUtilization(LinkId link) const;
 
@@ -106,36 +115,47 @@ class Network {
   static DataRate UdpGoodput(DataRate raw) { return raw * 0.895; }
 
  private:
+  using Path = std::vector<LinkId>;
+
   struct LinkState {
     NetNodeId from = 0;
     NetNodeId to = 0;
     DataRate capacity;
     DataRate constant_load;
     bool up = true;
-    std::vector<FlowId> active_flows;
     // Usable fraction of `capacity` in (0, 1]; < 1.0 models brownout.
     double capacity_factor = 1.0;
   };
   struct FlowState {
-    std::vector<LinkId> path;
+    FlowId id = 0;
+    const Path* path = nullptr;  // Owned by route_cache_.
+    // Bits left as of `last_update`; advanced only when the rate changes.
     double bits_remaining = 0.0;
     DataRate rate;
     DataRate cap;
     SimTime start;
     SimTime last_update;
-    std::function<void()> on_complete;
+    InlineCallback on_complete;
     EventHandle completion;
     SpanId span = 0;  // Async "flow" span (category "net"), id = flow id.
+    // Progressive-filling scratch (Reallocate).
+    double fill_bps = 0.0;
+    bool frozen = false;
   };
   struct ConstantLoad {
-    std::vector<LinkId> path;
+    const Path* path = nullptr;  // Owned by route_cache_.
     DataRate rate;
   };
 
-  // BFS over links; cached per (src, dst).
-  Result<std::vector<LinkId>> Route(NetNodeId src, NetNodeId dst);
-  // Advances every active flow's bits_remaining to now, recomputes max-min
-  // fair rates, and reschedules completion events.
+  // BFS over links; cached per (src, dst). The returned path lives as long
+  // as the network.
+  Result<const Path*> Route(NetNodeId src, NetNodeId dst);
+  // The active flow `id`, or nullptr.
+  FlowState* FindFlow(FlowId id);
+  const FlowState* FindFlow(FlowId id) const;
+  // Recomputes max-min fair rates over the links the active flows cross;
+  // a flow whose rate changed has its bits advanced to now and its
+  // completion rescheduled.
   void Reallocate();
   void CompleteFlow(FlowId flow);
 
@@ -144,16 +164,26 @@ class Network {
   std::vector<std::string> nodes_;
   std::vector<LinkState> links_;
   std::vector<std::vector<LinkId>> out_links_;  // Per node.
-  std::map<FlowId, FlowState> flows_;
+  std::vector<FlowState> flows_;  // Active flows, ascending FlowId.
   std::map<int64_t, ConstantLoad> constant_loads_;
-  std::map<std::pair<NetNodeId, NetNodeId>, std::vector<LinkId>> route_cache_;
+  // Node-based, so the paths flows and loads point at never move.
+  std::map<std::pair<NetNodeId, NetNodeId>, Path> route_cache_;
   FlowId next_flow_id_ = 1;
   int64_t next_load_id_ = 1;
+  // Reallocate scratch, indexed by LinkId and sized on first use: each busy
+  // link's capacity left for unfrozen flows and their count, and the busy
+  // links themselves. Every count is back at zero between calls.
+  std::vector<double> available_;
+  std::vector<int> unfrozen_;
+  std::vector<LinkId> busy_links_;
   // Flow lifecycle published to the registry ("net.*").
   Counter* flows_started_;
   Counter* flows_completed_;
   HistogramMetric* flow_duration_ms_;
   HistogramMetric* flow_mbits_;
+  // Link and path entries visited by Reallocate ("net.fill_visits");
+  // registered on first use, so building a network costs what it did.
+  Counter* fill_visits_ = nullptr;
 };
 
 }  // namespace soccluster

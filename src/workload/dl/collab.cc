@@ -181,18 +181,23 @@ void CollaborativeInference::ExchangeDone(size_t block_index) {
 }
 
 void CollaborativeInference::LaunchExchange(size_t block_index,
-                                            std::function<void()> on_all_done) {
+                                            InlineCallback on_all_done) {
   const DnnBlock& block = spec_->blocks[block_index];
   const DataSize halo = block.HaloBytes(kPrecision);
   Network& net = cluster_->network();
   // TCP goodput over whatever NIC this cluster generation ships.
   const DataRate cap = Network::TcpGoodput(cluster_->soc(0).spec().nic);
 
-  auto remaining = std::make_shared<int>(0);
-  auto all_done = std::make_shared<std::function<void()>>(std::move(on_all_done));
-  auto flow_done = [remaining, all_done] {
-    if (--*remaining == 0) {
-      (*all_done)();
+  // The last transfer to land runs `on_all_done`.
+  struct ExchangeJoin {
+    int flows_left = 0;
+    InlineCallback on_all_done;
+  };
+  auto join = std::make_shared<ExchangeJoin>();
+  join->on_all_done = std::move(on_all_done);
+  auto flow_done = [join] {
+    if (--join->flows_left == 0) {
+      join->on_all_done();
     }
   };
   // Width partition: a chain of SoCs, each exchanging boundary columns with
@@ -203,12 +208,12 @@ void CollaborativeInference::LaunchExchange(size_t block_index,
       const int b = members_[i + 1];
       const NetNodeId src = cluster_->soc_node(dir == 0 ? a : b);
       const NetNodeId dst = cluster_->soc_node(dir == 0 ? b : a);
-      ++*remaining;
+      ++join->flows_left;
       Result<FlowId> flow = net.StartFlow(src, dst, halo, cap, flow_done);
       SOC_CHECK(flow.ok()) << flow.status().ToString();
     }
   }
-  SOC_CHECK_GT(*remaining, 0);
+  SOC_CHECK_GT(join->flows_left, 0);
 }
 
 void CollaborativeInference::Finish(bool completed) {

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/callback.h"
 #include "src/cluster/cluster.h"
 #include "src/workload/dl/model.h"
 
@@ -88,7 +89,7 @@ class CollaborativeInference {
   void Finish(bool completed);
   // Launches the halo flows for `block_index`; `on_all_done` fires when
   // every pairwise transfer completes.
-  void LaunchExchange(size_t block_index, std::function<void()> on_all_done);
+  void LaunchExchange(size_t block_index, InlineCallback on_all_done);
 
   Simulator* sim_;
   SocCluster* cluster_;

@@ -77,12 +77,21 @@ void CollaborativeTraining::StartAllReducePhase(int remaining_steps, int phase,
   Network& net = cluster_->network();
   const DataRate cap = Network::TcpGoodput(cluster_->soc(0).spec().nic);
   const DataSize chunk = PhaseBytes();
-  auto remaining_flows = std::make_shared<int>(config_.num_socs);
-  auto on_flow_done = [this, remaining_steps, phase, step_start, compute_end,
-                       remaining_flows] {
-    if (--*remaining_flows == 0) {
-      StartAllReducePhase(remaining_steps, phase + 1, step_start,
-                          compute_end);
+  // The last transfer to land starts the next phase. The shared join keeps
+  // each flow's callback small enough to stay inline.
+  struct PhaseJoin {
+    int flows_left;
+    int remaining_steps;
+    int phase;
+    SimTime step_start;
+    SimTime compute_end;
+  };
+  auto join = std::make_shared<PhaseJoin>(PhaseJoin{
+      config_.num_socs, remaining_steps, phase, step_start, compute_end});
+  auto on_flow_done = [this, join] {
+    if (--join->flows_left == 0) {
+      StartAllReducePhase(join->remaining_steps, join->phase + 1,
+                          join->step_start, join->compute_end);
     }
   };
   for (int i = 0; i < config_.num_socs; ++i) {

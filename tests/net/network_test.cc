@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace soccluster {
@@ -314,6 +315,169 @@ TEST_F(NetworkTest, DisjointPathsDoNotInterfere) {
   ASSERT_TRUE(f2.ok());
   EXPECT_NEAR(net.FlowRate(*f1)->ToMbps(), 100.0, 1e-6);
   EXPECT_NEAR(net.FlowRate(*f2)->ToMbps(), 100.0, 1e-6);
+}
+
+TEST_F(NetworkTest, RoundingResidueStallsInsteadOfAborting) {
+  Network net(&sim_, rtt_);
+  const NetNodeId a = net.AddNode("a");
+  const NetNodeId b = net.AddNode("b");
+  const LinkId ab = net.AddBidirectionalLink(a, b, DataRate::Gbps(20.0));
+  std::vector<int64_t> loads;
+  for (int i = 0; i < 9; ++i) {
+    auto load = net.AddConstantLoad(a, b, DataRate::Gbps(20.0 / 9.0));
+    ASSERT_TRUE(load.ok());
+    loads.push_back(*load);
+  }
+  // The loads fill the link up to a floating-point residue that is above
+  // the absolute rate epsilon (1e-6 bps) yet is no bandwidth at all.
+  const double residue =
+      net.LinkCapacity(ab).bps() - net.LinkConstantLoad(ab).bps();
+  EXPECT_GT(residue, 1e-6);
+  EXPECT_LT(residue, 1e-3);
+  bool done = false;
+  auto flow = net.StartFlow(a, b, DataSize::Megabytes(0.5), DataRate::Zero(),
+                            [&] { done = true; });
+  ASSERT_TRUE(flow.ok());
+  // Handed the residue, the flow's ETA (~1e12 s) would overflow the clock;
+  // instead it stalls as on a down link.
+  EXPECT_EQ(net.FlowRate(*flow)->bps(), 0.0);
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(1)).ok());
+  EXPECT_FALSE(done);
+  ASSERT_TRUE(net.RemoveConstantLoad(loads.back()).ok());
+  EXPECT_NEAR(net.FlowRate(*flow)->ToGbps(), 20.0 / 9.0, 1e-9);
+  sim_.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(net.num_active_flows(), 0);
+}
+
+TEST_F(NetworkTest, CappedFlowsFillingALinkStillShareWithAnUncappedFlow) {
+  Network net(&sim_, rtt_);
+  const NetNodeId a = net.AddNode("a");
+  const NetNodeId b = net.AddNode("b");
+  net.AddBidirectionalLink(a, b, DataRate::Gbps(20.0));
+  const DataRate cap = DataRate::Gbps(20.0 / 9.0);
+  std::vector<FlowId> capped;
+  int completed = 0;
+  for (int i = 0; i < 9; ++i) {
+    auto flow = net.StartFlow(a, b, DataSize::Megabytes(10.0), cap,
+                              [&] { ++completed; });
+    ASSERT_TRUE(flow.ok());
+    capped.push_back(*flow);
+  }
+  for (FlowId flow : capped) {
+    EXPECT_NEAR(net.FlowRate(flow)->ToGbps(), 20.0 / 9.0, 1e-9);
+  }
+  // The capped flows leave the same residue as the loads above, but a new
+  // flow is owed a fair share, not the residue: all ten get 2 Gbps.
+  SimTime uncapped_end;
+  auto uncapped = net.StartFlow(a, b, DataSize::Megabytes(0.5),
+                                DataRate::Zero(), [&] {
+                                  ++completed;
+                                  uncapped_end = sim_.Now();
+                                });
+  ASSERT_TRUE(uncapped.ok());
+  EXPECT_NEAR(net.FlowRate(*uncapped)->ToGbps(), 2.0, 1e-9);
+  for (FlowId flow : capped) {
+    EXPECT_NEAR(net.FlowRate(flow)->ToGbps(), 2.0, 1e-9);
+  }
+  sim_.Run();
+  EXPECT_EQ(completed, 10);
+  // 4 Mbit at 2 Gbps.
+  EXPECT_NEAR((uncapped_end - SimTime::Zero()).ToMillis(), 2.0, 1e-6);
+}
+
+TEST_F(NetworkTest, CompletionIsRescheduledOnlyWhenItsRateChanges) {
+  Network net(&sim_, rtt_);
+  const NetNodeId a = net.AddNode("a");
+  const NetNodeId b = net.AddNode("b");
+  const NetNodeId c = net.AddNode("c");
+  const NetNodeId d = net.AddNode("d");
+  net.AddBidirectionalLink(a, b, DataRate::Mbps(100.0));
+  net.AddBidirectionalLink(c, d, DataRate::Mbps(100.0));
+  SimTime first_end;
+  ASSERT_TRUE(net.StartFlow(a, b, DataSize::Megabytes(12.5), DataRate::Zero(),
+                            [&] { first_end = sim_.Now(); })
+                  .ok());
+  // A disjoint flow leaves the first flow's rate, and its completion, alone.
+  ASSERT_TRUE(net.StartFlow(c, d, DataSize::Megabytes(6.25), DataRate::Zero(),
+                            nullptr)
+                  .ok());
+  EXPECT_EQ(sim_.events_cancelled(), 0);
+  // A flow on the same link halves it: exactly one completion moves.
+  ASSERT_TRUE(net.StartFlow(a, b, DataSize::Megabytes(12.5), DataRate::Zero(),
+                            nullptr)
+                  .ok());
+  EXPECT_EQ(sim_.events_cancelled(), 1);
+  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(1)).ok());
+  // The disjoint flow's completion at 0.5 s changed no rate either.
+  EXPECT_EQ(sim_.events_cancelled(), 1);
+  sim_.Run();
+  // 100 Mbit at 50 Mbps.
+  EXPECT_NEAR((first_end - SimTime::Zero()).ToSeconds(), 2.0, 1e-6);
+}
+
+// net.fill_visits after five rounds of two flows from different PCBs to the
+// external node, on a 60-SoC chassis-shaped fabric with `idle_links` extra
+// idle ports on the ESB.
+int64_t FillVisitsForTwoFlowChurn(int idle_links) {
+  Simulator sim(1);
+  Network net(&sim, Duration::MicrosF(440.0));
+  const NetNodeId external = net.AddNode("external");
+  const NetNodeId esb = net.AddNode("esb");
+  net.AddBidirectionalLink(esb, external, DataRate::Gbps(20.0));
+  std::vector<NetNodeId> socs;
+  for (int pcb = 0; pcb < 12; ++pcb) {
+    const NetNodeId pcb_switch = net.AddNode("pcb" + std::to_string(pcb));
+    net.AddBidirectionalLink(pcb_switch, esb, DataRate::Gbps(1.0));
+    for (int slot = 0; slot < 5; ++slot) {
+      socs.push_back(net.AddNode("soc" + std::to_string(socs.size())));
+      net.AddBidirectionalLink(socs.back(), pcb_switch, DataRate::Gbps(1.0));
+    }
+  }
+  for (int i = 0; i < idle_links; ++i) {
+    net.AddBidirectionalLink(net.AddNode("idle" + std::to_string(i)), esb,
+                             DataRate::Gbps(1.0));
+  }
+  for (int round = 0; round < 5; ++round) {
+    EXPECT_TRUE(net.StartFlow(socs[0], external, DataSize::Megabytes(0.5),
+                              DataRate::Zero(), nullptr)
+                    .ok());
+    EXPECT_TRUE(net.StartFlow(socs[7], external, DataSize::Megabytes(1.0),
+                              DataRate::Zero(), nullptr)
+                    .ok());
+    sim.Run();
+  }
+  return sim.metrics().GetCounter("net.fill_visits")->value();
+}
+
+TEST_F(NetworkTest, IdleLinksCostNothing) {
+  const int64_t visits = FillVisitsForTwoFlowChurn(0);
+  EXPECT_GT(visits, 0);
+  EXPECT_EQ(FillVisitsForTwoFlowChurn(1000), visits);
+}
+
+TEST_F(NetworkTest, EveryNetworkEventIsLabeled) {
+  Network net(&sim_, rtt_);
+  const NetNodeId a = net.AddNode("a");
+  const NetNodeId b = net.AddNode("b");
+  net.AddBidirectionalLink(a, b, DataRate::Mbps(100.0));
+  sim_.RecordFiredEvents(SimTime::Zero(), SimTime::Max());
+  ASSERT_TRUE(net.StartFlow(a, b, DataSize::Megabytes(1.0), DataRate::Zero(),
+                            nullptr)
+                  .ok());
+  ASSERT_TRUE(
+      net.StartFlow(a, b, DataSize::Zero(), DataRate::Zero(), nullptr).ok());
+  ASSERT_TRUE(net.StartFlow(a, a, DataSize::Megabytes(1.0), DataRate::Zero(),
+                            nullptr)
+                  .ok());
+  ASSERT_TRUE(net.SendMessage(a, b, DataSize::Megabytes(1.0), nullptr).ok());
+  sim_.Run();
+  ASSERT_EQ(sim_.fired_events().size(), 5u);
+  for (const Simulator::FiredEvent& event : sim_.fired_events()) {
+    EXPECT_EQ(event.label.rfind("net.", 0), 0u) << event.label;
+    // Short enough for the SSO buffer: recording the label never allocates.
+    EXPECT_LE(event.label.size(), std::string().capacity()) << event.label;
+  }
 }
 
 }  // namespace
