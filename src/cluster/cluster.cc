@@ -1,5 +1,6 @@
 #include "src/cluster/cluster.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -37,6 +38,7 @@ SocCluster::SocCluster(Simulator* sim, ClusterChassisSpec chassis,
     SocSpec& spec = soc_specs[static_cast<size_t>(i)];
     const DataRate nic = spec.nic;
     socs_.push_back(std::make_unique<SocModel>(sim_, std::move(spec), i));
+    socs_.back()->set_observer(this);
     const NetNodeId node = network_->AddNode("soc" + std::to_string(i));
     soc_nodes_.push_back(node);
     network_->AddBidirectionalLink(node, pcb_nodes_[static_cast<size_t>(PcbOf(i))],
@@ -44,6 +46,30 @@ SocCluster::SocCluster(Simulator* sim, ClusterChassisSpec chassis,
   }
 
   overhead_meter_.SetPower(sim_->Now(), OverheadPower());
+}
+
+SocCluster::~SocCluster() {
+  SOC_CHECK(watchers_.empty())
+      << watchers_.size() << " watcher(s) outlive their SocCluster";
+}
+
+void SocCluster::AddWatcher(SocObserver* watcher) {
+  SOC_CHECK(watcher != nullptr);
+  SOC_CHECK(std::find(watchers_.begin(), watchers_.end(), watcher) ==
+            watchers_.end());
+  watchers_.push_back(watcher);
+}
+
+void SocCluster::RemoveWatcher(SocObserver* watcher) {
+  const auto it = std::find(watchers_.begin(), watchers_.end(), watcher);
+  SOC_CHECK(it != watchers_.end()) << "removing an unknown watcher";
+  watchers_.erase(it);
+}
+
+void SocCluster::NotifySocChanged(int soc_index) {
+  for (SocObserver* watcher : watchers_) {
+    watcher->OnSocChanged(soc_index);
+  }
 }
 
 SocModel& SocCluster::soc(int i) {

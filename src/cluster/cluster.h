@@ -2,6 +2,12 @@
 // Ethernet Switch Board (ESB) with a 20 Gbps uplink, a BMC, fans, and
 // redundant power supplies. This class wires the SoC models to the network
 // fabric and aggregates chassis power.
+//
+// It also fans SoC changes out to watchers (the placement indexes of
+// src/sched/placer.h): it is every SoC's SocObserver, and each SoC's
+// Recompute()/SetQuarantined() and each capacity-view ledger change
+// (NotifySocChanged) reaches every watcher. A watcher removes itself
+// before it is destroyed, and all watchers are gone before the cluster is.
 
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
@@ -18,7 +24,7 @@
 
 namespace soccluster {
 
-class SocCluster {
+class SocCluster final : private SocObserver {
  public:
   // Homogeneous cluster: every slot holds the same SoC.
   SocCluster(Simulator* sim, ClusterChassisSpec chassis, SocSpec soc_spec);
@@ -28,6 +34,8 @@ class SocCluster {
              std::vector<SocSpec> soc_specs);
   SocCluster(const SocCluster&) = delete;
   SocCluster& operator=(const SocCluster&) = delete;
+  // CHECK-fails while a watcher is still subscribed.
+  ~SocCluster();
 
   const ClusterChassisSpec& chassis() const { return chassis_; }
   int num_socs() const { return chassis_.num_socs; }
@@ -36,6 +44,13 @@ class SocCluster {
   const SocModel& soc(int i) const;
   // PCB index hosting SoC `i` (five SoCs per PCB).
   int PcbOf(int soc_index) const;
+
+  // --- Change notification ---
+  void AddWatcher(SocObserver* watcher);
+  void RemoveWatcher(SocObserver* watcher);
+  // Tells every watcher that SoC `soc_index` changed in a way its own
+  // observer does not see (a capacity view's memory or slot ledger).
+  void NotifySocChanged(int soc_index);
 
   // --- Network fabric ---
   Network& network() { return *network_; }
@@ -72,6 +87,8 @@ class SocCluster {
   void DigestState(StateDigest& digest) const;
 
  private:
+  void OnSocChanged(int soc_id) override { NotifySocChanged(soc_id); }
+
   Simulator* sim_;
   ClusterChassisSpec chassis_;
   std::vector<std::unique_ptr<SocModel>> socs_;
@@ -83,6 +100,7 @@ class SocCluster {
   std::vector<LinkId> pcb_uplinks_;
   LinkId esb_uplink_out_ = -1;
   EnergyMeter overhead_meter_;
+  std::vector<SocObserver*> watchers_;
 };
 
 }  // namespace soccluster

@@ -93,6 +93,11 @@ void SocModel::SetThrottleFactor(double factor) {
   throttle_factor_ = factor;
 }
 
+void SocModel::SetQuarantined(bool quarantined) {
+  quarantined_ = quarantined;
+  Notify();
+}
+
 void SocModel::SetHeartbeatLossProb(double prob) {
   SOC_CHECK_GE(prob, 0.0);
   SOC_CHECK_LE(prob, 1.0);
@@ -218,7 +223,16 @@ Power SocModel::ComputePower() const {
 
 Power SocModel::CurrentPower() const { return ComputePower(); }
 
-void SocModel::Recompute() { meter_.SetPower(sim_->Now(), ComputePower()); }
+void SocModel::Recompute() {
+  meter_.SetPower(sim_->Now(), ComputePower());
+  Notify();
+}
+
+void SocModel::Notify() {
+  if (observer_ != nullptr) {
+    observer_->OnSocChanged(id_);
+  }
+}
 
 void SocModel::DigestState(StateDigest& digest) const {
   digest.Mix(static_cast<int>(state_));

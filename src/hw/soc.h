@@ -1,6 +1,14 @@
 // Runtime model of one mobile SoC: power states, per-component utilization,
 // and exact energy accounting. Workload models drive utilization; the SoC
 // turns it into watts using its calibrated spec.
+//
+// Change contract: every change that can move placement (utilization,
+// codec sessions, power state, quarantine) reaches the SoC's observer, so
+// the placement index (src/sched/placer.h) never reads a stale key. All
+// utilization and power-state mutators funnel through Recompute(), which
+// notifies; SetQuarantined() notifies itself. A new mutator that can change
+// SocCapacityView::Fits or Placer::Load must go through Recompute() or
+// notify the observer the same way.
 
 #ifndef SRC_HW_SOC_H_
 #define SRC_HW_SOC_H_
@@ -24,6 +32,17 @@ enum class SocPowerState {
 };
 
 const char* SocPowerStateName(SocPowerState state);
+
+// Told after each placement-relevant change of a SoC (see the contract
+// above). SocCluster installs itself on every SoC it owns and fans the
+// call out to its watchers; the callee must not mutate the SoC.
+class SocObserver {
+ public:
+  virtual void OnSocChanged(int soc_id) = 0;
+
+ protected:
+  ~SocObserver() = default;
+};
 
 // One SoC. All mutators update the energy meter at the current sim time, so
 // Joules are exact under the piecewise-constant power model.
@@ -76,8 +95,11 @@ class SocModel {
   // Quarantine is control-plane state owned by GrayFailureManager: a
   // quarantined SoC stays kOn (in-flight work finishes, canary probes run)
   // but SocCapacityView::IsPlaceable excludes it from new placements.
-  void SetQuarantined(bool quarantined) { quarantined_ = quarantined; }
+  void SetQuarantined(bool quarantined);
   bool quarantined() const { return quarantined_; }
+
+  // Installs the one observer of this SoC (its SocCluster).
+  void set_observer(SocObserver* observer) { observer_ = observer; }
 
   // Component utilization, each in [0, 1]. Fails if the SoC is not usable
   // or the new value is out of range / over capacity.
@@ -110,7 +132,9 @@ class SocModel {
   Power AveragePower() { return meter_.AveragePower(sim_->Now()); }
 
  private:
+  // Re-meters power and notifies the observer.
   void Recompute();
+  void Notify();
   Power ComputePower() const;
 
   Simulator* sim_;
@@ -127,6 +151,7 @@ class SocModel {
   bool zombie_ = false;
   double heartbeat_loss_prob_ = 0.0;
   bool quarantined_ = false;
+  SocObserver* observer_ = nullptr;
   EventHandle boot_event_;
   EnergyMeter meter_;
 };

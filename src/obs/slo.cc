@@ -63,6 +63,10 @@ double SloTracker::BurnRate(SimTime now, Duration window) const {
   int64_t good = 0;
   int64_t bad = 0;
   WindowCounts(now, window, &good, &bad);
+  return Burn(good, bad);
+}
+
+double SloTracker::Burn(int64_t good, int64_t bad) const {
   const int64_t total = good + bad;
   if (total == 0) {
     return 0.0;
@@ -82,12 +86,25 @@ void SloTracker::Record(SimTime now, bool good) {
     ++slot->bad;
     ++bad_total_;
   }
+  // The bucket is the newest of both windows at its own epoch, and any
+  // bucket BucketFor() evicted lies 61k epochs away, outside both; a cache
+  // for another epoch is rebuilt by the Advance() below.
+  if (slot->epoch == cached_epoch_) {
+    ++(good ? fast_.good : fast_.bad);
+    ++(good ? slow_.good : slow_.bad);
+  }
   Advance(now);
 }
 
 void SloTracker::Advance(SimTime now) {
-  const double fast = BurnRate(now, kFastWindow);
-  const double slow = BurnRate(now, kSlowWindow);
+  const int64_t epoch = now.nanos() / kBucketNanos;
+  if (epoch != cached_epoch_) {
+    WindowCounts(now, kFastWindow, &fast_.good, &fast_.bad);
+    WindowCounts(now, kSlowWindow, &slow_.good, &slow_.bad);
+    cached_epoch_ = epoch;
+  }
+  const double fast = Burn(fast_.good, fast_.bad);
+  const double slow = Burn(slow_.good, slow_.bad);
   const bool over = fast >= kBurnThreshold && slow >= kBurnThreshold;
   const bool under = fast < kBurnThreshold && slow < kBurnThreshold;
   if (!firing_ && over) {

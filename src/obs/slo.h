@@ -89,13 +89,24 @@ class SloTracker {
     int64_t good = 0;
     int64_t bad = 0;
   };
+  struct Counts {
+    int64_t good = 0;
+    int64_t bad = 0;
+  };
   // Sums (good, bad) over the trailing `window` ending at `now`.
   void WindowCounts(SimTime now, Duration window, int64_t* good,
                     int64_t* bad) const;
+  double Burn(int64_t good, int64_t bad) const;
   Bucket* BucketFor(SimTime now);
 
   SloSpec spec_;
   std::vector<Bucket> ring_;
+  // The fast- and slow-window (good, bad) sums at bucket epoch
+  // `cached_epoch_`, so Advance() rescans the ring only when the epoch
+  // moves; Record() bumps them in place. -1: nothing cached yet.
+  int64_t cached_epoch_ = -1;
+  Counts fast_;
+  Counts slow_;
   int64_t good_total_ = 0;
   int64_t bad_total_ = 0;
   bool firing_ = false;

@@ -113,7 +113,15 @@ Reservation SocCapacityView::Reserve(int soc_index,
   }
   memory_used_gb_[static_cast<size_t>(soc_index)] += d.memory_gb;
   slots_used_[static_cast<size_t>(soc_index)] += d.slots;
+  AnnounceLedgerChange(soc_index, d);
   return Reservation{soc_index, d, soc.fail_count()};
+}
+
+void SocCapacityView::AnnounceLedgerChange(int soc_index,
+                                           const PlacementDemand& d) {
+  if (d.memory_gb != 0.0 || d.slots != 0) {
+    cluster_->NotifySocChanged(soc_index);
+  }
 }
 
 bool SocCapacityView::FailedSince(const Reservation& r) const {
@@ -155,6 +163,7 @@ bool SocCapacityView::Release(const Reservation& r) {
   int& slots = slots_used_[static_cast<size_t>(soc_index)];
   slots -= d.slots;
   SOC_CHECK_GE(slots, 0) << "slot ledger underflow on SoC " << soc_index;
+  AnnounceLedgerChange(soc_index, d);
   return intact;
 }
 

@@ -12,6 +12,13 @@
 // and slots, but CPU/GPU/DSP/codec only while the SoC is usable and still
 // in that fail epoch: Fail() wiped them, and after a reboot nobody noticed
 // they belong to whatever runs there now.
+//
+// Change contract: everything Fits() and Placer::Load read is either SoC
+// state, whose changes reach the cluster's watchers through the SoC's
+// observer (src/hw/soc.h), or this view's memory and slot ledgers, whose
+// changes Reserve() and Release() announce through
+// SocCluster::NotifySocChanged. A new ledger mutator must announce too, or
+// a placement index keeps a stale key.
 
 #ifndef SRC_SCHED_CAPACITY_H_
 #define SRC_SCHED_CAPACITY_H_
@@ -81,11 +88,22 @@ class SocCapacityView {
 
   const SocCluster& cluster() const { return *cluster_; }
 
+  // Subscribes (unsubscribes) `watcher` to every change announced under the
+  // contract above, through the cluster's fan-out.
+  void AddWatcher(SocObserver* watcher) { cluster_->AddWatcher(watcher); }
+  void RemoveWatcher(SocObserver* watcher) {
+    cluster_->RemoveWatcher(watcher);
+  }
+
   // Mixes the ledgered dimensions (memory, slots) per SoC in index order.
   // SoC-side charges are digested by SocCluster::DigestState.
   void DigestState(StateDigest& digest) const;
 
  private:
+  // Announces a change of the memory or slot ledger (the SoC-side charges
+  // announce themselves).
+  void AnnounceLedgerChange(int soc_index, const PlacementDemand& demand);
+
   SocCluster* cluster_;
   Options options_;
   std::vector<double> memory_used_gb_;

@@ -4,7 +4,7 @@
 // policy decides which placeable SoC hosts it. Policies are pluggable so
 // scheduling experiments (packing for energy proportionality, tail
 // latency) swap strategies without touching any service. kSpread, kPack
-// and kBestFit differ only in the key one scan minimizes (see Placer);
+// and kBestFit differ only in the key a pick minimizes (see Placer);
 // there is one feasibility rule, the caller's filter plus
 // SocCapacityView::Fits.
 

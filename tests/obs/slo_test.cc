@@ -3,10 +3,14 @@
 
 #include "src/obs/slo.h"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/base/rng.h"
 
 namespace soccluster {
 namespace {
@@ -116,6 +120,125 @@ TEST(SloTrackerTest, RecordLatencyComparesAgainstThreshold) {
   tracker.RecordLatency(At(1.0), Duration::MillisF(1001));  // Bad.
   EXPECT_EQ(tracker.good_total(), 2);
   EXPECT_EQ(tracker.bad_total(), 1);
+}
+
+// The tracker as it was before its window sums were cached: a 61-slot
+// ring of 2 s buckets, rescanned for both windows on every evaluation.
+class RingScanReference {
+ public:
+  explicit RingScanReference(double objective)
+      : budget_(1.0 - objective), ring_(61) {}
+
+  void Record(SimTime now, bool good) {
+    const int64_t epoch = now.nanos() / kBucketNanos;
+    Slot& slot = ring_[static_cast<size_t>(epoch % 61)];
+    if (slot.epoch != epoch) {
+      slot = Slot{epoch, 0, 0};
+    }
+    ++(good ? slot.good : slot.bad);
+    Advance(now);
+  }
+
+  void Advance(SimTime now) {
+    const double fast = Burn(now, 15);
+    const double slow = Burn(now, 60);
+    if (!firing_ && fast >= 3.0 && slow >= 3.0) {
+      firing_ = true;
+      alerts.push_back(SloAlert{now, true, fast, slow});
+    } else if (firing_ && fast < 3.0 && slow < 3.0) {
+      firing_ = false;
+      alerts.push_back(SloAlert{now, false, fast, slow});
+    }
+  }
+
+  std::vector<SloAlert> alerts;
+
+ private:
+  static constexpr int64_t kBucketNanos = 2'000'000'000;
+  struct Slot {
+    int64_t epoch = -1;
+    int64_t good = 0;
+    int64_t bad = 0;
+  };
+
+  double Burn(SimTime now, int64_t buckets) const {
+    const int64_t newest = now.nanos() / kBucketNanos;
+    int64_t good = 0;
+    int64_t bad = 0;
+    for (const Slot& slot : ring_) {
+      if (slot.epoch > newest - buckets && slot.epoch <= newest) {
+        good += slot.good;
+        bad += slot.bad;
+      }
+    }
+    if (good + bad == 0) {
+      return 0.0;
+    }
+    return static_cast<double>(bad) / static_cast<double>(good + bad) /
+           budget_;
+  }
+
+  double budget_;
+  std::vector<Slot> ring_;
+  bool firing_ = false;
+};
+
+// Random outcome streams whose clock mostly moves forward, with bursts of
+// bad outcomes, idle gaps, and steps back in time (within a window and
+// past the whole ring) on both Record and Advance: the cached window sums
+// must give the ring scan's alert history exactly.
+TEST(SloTrackerTest, CachedWindowsMatchRingScanOnRandomStreams) {
+  int64_t transitions = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    SloTracker tracker(TestSpec());
+    RingScanReference reference(TestSpec().objective);
+    int64_t now_ns = 0;
+    double bad_prob = 0.0;
+    for (int op = 0; op < 20000; ++op) {
+      const int64_t kind = rng.UniformInt(0, 99);
+      if (kind < 2) {
+        bad_prob = 0.01 * static_cast<double>(rng.UniformInt(0, 30));
+      } else if (kind < 4) {
+        now_ns += rng.UniformInt(1, 200) * 1'000'000'000;  // Idle gap.
+      } else if (kind < 6) {
+        now_ns -= rng.UniformInt(0, 30) * 1'000'000'000;  // Step back.
+      } else if (kind < 7) {
+        now_ns -= 130'000'000'000;  // Further back than the ring reaches.
+      }
+      if (now_ns < 0) {
+        now_ns = 0;
+      }
+      now_ns += rng.UniformInt(0, 50'000'000);
+      const SimTime now = SimTime::FromNanos(now_ns);
+      if (kind < 90) {
+        const bool good = !rng.Bernoulli(bad_prob);
+        tracker.Record(now, good);
+        reference.Record(now, good);
+      } else {
+        const int64_t at_ns =
+            now_ns + rng.UniformInt(-40, 40) * 1'000'000'000;
+        const SimTime at = SimTime::FromNanos(at_ns < 0 ? 0 : at_ns);
+        tracker.Advance(at);
+        reference.Advance(at);
+      }
+      ASSERT_EQ(tracker.alerts().size(), reference.alerts.size())
+          << "seed " << seed << " op " << op;
+    }
+    for (size_t i = 0; i < reference.alerts.size(); ++i) {
+      const SloAlert& got = tracker.alerts()[i];
+      const SloAlert& want = reference.alerts[i];
+      EXPECT_EQ(got.time.nanos(), want.time.nanos())
+          << "seed " << seed << " alert " << i;
+      EXPECT_EQ(got.firing, want.firing) << "seed " << seed << " alert " << i;
+      EXPECT_EQ(got.fast_burn, want.fast_burn)
+          << "seed " << seed << " alert " << i;
+      EXPECT_EQ(got.slow_burn, want.slow_burn)
+          << "seed " << seed << " alert " << i;
+    }
+    transitions += static_cast<int64_t>(reference.alerts.size());
+  }
+  EXPECT_GT(transitions, 100);
 }
 
 TEST(SloEngineTest, RegisterDeduplicatesByName) {

@@ -12,9 +12,16 @@
 // Repair+PowerOn checks the reservation rule itself: every usable SoC
 // carries exactly the charges of its intact reservations, and the view's
 // ledgers hold exactly those of its live reservations.
+//
+// A churn of the same steps plus quarantine and penalty changes checks the
+// placement index: long-lived kSpread and kPack placers, which only learn
+// of changes through the cluster's notifications, must pick what a
+// brute-force scan of the current state picks after every step.
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +31,7 @@
 #include "src/core/orchestrator.h"
 #include "src/hw/specs.h"
 #include "src/sched/capacity.h"
+#include "src/sched/placer.h"
 #include "src/trace/gaming_trace.h"
 #include "src/workload/serverless/serverless.h"
 #include "src/workload/video/live.h"
@@ -443,6 +451,154 @@ TEST_P(ReservationPropertyTest, ChargesMatchIntactReservations) {
   // The interleaving must actually exercise both release paths.
   EXPECT_GT(reserves, 50);
   EXPECT_GT(wiped_releases, 0);
+}
+
+// The lowest key among SoCs that pass `allowed` and Fits, ties to the
+// lowest index, with the key read from the placer's own Load().
+int ReferencePick(const Placer& placer, PlacementPolicy policy,
+                  const SocCapacityView& view, const PlacementDemand& demand,
+                  const std::vector<bool>* allowed) {
+  int best = -1;
+  double best_key = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < view.num_socs(); ++i) {
+    if ((allowed != nullptr && !(*allowed)[static_cast<size_t>(i)]) ||
+        !view.Fits(i, demand)) {
+      continue;
+    }
+    const double load = placer.Load(i);
+    const double key = policy == PlacementPolicy::kPack ? -load : load;
+    if (best < 0 || key < best_key) {
+      best_key = key;
+      best = i;
+    }
+  }
+  return best;
+}
+
+class PlacementIndexPropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlacementIndexPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+TEST_P(PlacementIndexPropertyTest, ChurnedIndexPicksMatchBruteForce) {
+  const uint64_t seed = GetParam();
+  Simulator sim(seed);
+  SocCluster cluster(&sim, SmallChassis(), Snapdragon865Spec());
+  cluster.PowerOnAll(nullptr);
+  SOC_CHECK(sim.RunFor(Duration::Seconds(30)).ok());
+  // The slotted view's placers pick slot demands, so their index leaves
+  // out full pools; the second view has no pool and charges CPU too.
+  SocCapacityView::Options slotted_options;
+  slotted_options.slot_capacity = 2;
+  SocCapacityView slotted(&cluster, slotted_options);
+  SocCapacityView plain(&cluster);
+  SocCapacityView* views[] = {&slotted, &plain};
+  std::vector<double> penalty(static_cast<size_t>(kNumSocs), 0.0);
+
+  struct Case {
+    PlacementPolicy policy;
+    SocCapacityView* view;
+    std::unique_ptr<Placer> placer;
+  };
+  std::vector<Case> cases;
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kSpread, PlacementPolicy::kPack}) {
+    for (SocCapacityView* view : views) {
+      for (const bool penalized : {false, true}) {
+        Placer::Options options;
+        options.policy = policy;
+        options.load.gpu_weight = 1.0;
+        options.load.memory_weight_per_gb = 0.125;
+        options.load.slot_weight = 0.25;
+        auto placer = std::make_unique<Placer>(&sim, view, options);
+        if (penalized) {
+          placer->set_penalty(
+              [&penalty](int i) { return penalty[static_cast<size_t>(i)]; });
+        }
+        cases.push_back(Case{policy, view, std::move(placer)});
+      }
+    }
+  }
+
+  Rng rng(seed * 131 + 7);
+  std::vector<Reservation> live[2];
+  int placed = 0;
+  int refused = 0;
+  for (int step = 0; step < 600; ++step) {
+    const int op = static_cast<int>(rng.UniformInt(0, 11));
+    const int soc_index = static_cast<int>(rng.UniformInt(0, kNumSocs - 1));
+    SocModel& soc = cluster.soc(soc_index);
+    const size_t v = static_cast<size_t>(rng.UniformInt(0, 1));
+    if (op <= 3) {
+      // Quarter steps, like the penalties, make exact key ties common.
+      PlacementDemand demand;
+      demand.cpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 2));
+      demand.gpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 1));
+      demand.memory_gb = static_cast<double>(rng.UniformInt(0, 2));
+      demand.slots = views[v] == &slotted
+                         ? static_cast<int>(rng.UniformInt(0, 1))
+                         : 0;
+      if (views[v]->Fits(soc_index, demand)) {
+        live[v].push_back(views[v]->Reserve(soc_index, demand));
+      }
+    } else if (op <= 6) {
+      if (!live[v].empty()) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live[v].size()) - 1));
+        views[v]->Release(live[v][pick]);
+        live[v].erase(live[v].begin() + static_cast<ptrdiff_t>(pick));
+      }
+    } else if (op == 7) {
+      if (soc.IsUsable()) {
+        soc.Fail();
+      }
+    } else if (op == 8) {
+      // Boots finish at a later step's clock advance, so picks also see
+      // booting SoCs.
+      if (soc.state() == SocPowerState::kFailed) {
+        soc.Repair();
+        SOC_CHECK(soc.PowerOn(Duration::Seconds(20), nullptr).ok());
+      }
+      SOC_CHECK(sim.RunFor(Duration::Seconds(10)).ok());
+    } else if (op == 9) {
+      soc.SetQuarantined(!soc.quarantined());
+    } else {
+      penalty[static_cast<size_t>(soc_index)] =
+          0.25 * static_cast<double>(rng.UniformInt(0, 2));
+    }
+
+    std::vector<bool> allowed(static_cast<size_t>(kNumSocs));
+    for (int i = 0; i < kNumSocs; ++i) {
+      allowed[static_cast<size_t>(i)] = rng.UniformInt(0, 3) != 0;
+    }
+    for (Case& c : cases) {
+      PlacementDemand demand;
+      demand.cpu_util = 0.25 * static_cast<double>(rng.UniformInt(0, 2));
+      demand.memory_gb = static_cast<double>(rng.UniformInt(0, 2));
+      demand.slots = c.view == &slotted ? 1 : 0;
+      for (const bool filtered : {false, true}) {
+        const int expected = ReferencePick(*c.placer, c.policy, *c.view,
+                                           demand,
+                                           filtered ? &allowed : nullptr);
+        const int picked =
+            filtered ? c.placer->Pick(demand,
+                                      [&allowed](int i) {
+                                        return allowed[static_cast<size_t>(i)];
+                                      })
+                     : c.placer->Pick(demand);
+        ASSERT_EQ(picked, expected)
+            << "step " << step << " op " << op << " "
+            << PlacementPolicyName(c.policy)
+            << (c.view == &slotted ? " slotted" : " plain")
+            << (filtered ? " filtered" : "");
+        (picked >= 0 ? placed : refused) += 1;
+      }
+    }
+  }
+  // Both outcomes must occur, or the churn proves little.
+  EXPECT_GT(placed, 1000);
+  EXPECT_GT(refused, 100);
 }
 
 }  // namespace
