@@ -216,16 +216,9 @@ GoodputOutcome MeasureGoodput(bool resilient, uint64_t seed,
   outcome.p99_ms =
       fleet.latencies().count() > 0 ? fleet.latencies().Percentile(99) : 0.0;
   // Drain-end evaluation records the clear for any alert still firing.
-  sim.obs().slos.Advance(sim.Now());
-  for (const auto& tracker : sim.obs().slos.trackers()) {
-    for (const SloAlert& alert : tracker->alerts()) {
-      if (alert.firing) {
-        ++outcome.slo_fires;
-      } else {
-        ++outcome.slo_clears;
-      }
-    }
-  }
+  const SloAlertTally slo = sim.obs().slos.TallyAlerts(sim.Now());
+  outcome.slo_fires = slo.fired;
+  outcome.slo_clears = slo.cleared;
   if (obs_flags != nullptr) {
     SOC_CHECK(FlushObsFlags(*obs_flags, sim.obs(), sim.Now()).ok());
     StateDigest digest;

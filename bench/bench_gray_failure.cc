@@ -12,6 +12,9 @@
 // storm (digest must match bit-for-bit), and a fault-free run with
 // detection on (must quarantine nothing).
 //
+// The storm itself is the GrayStorm builder (src/core/flagships.h); this
+// file runs its four variants and reports.
+//
 // Flags: --minutes=N (storm length, default 8), --seed=S (default 42),
 //        --trace-out/--metrics-out/--digest-out/--slo-out=PATH.
 
@@ -22,25 +25,12 @@
 #include "src/base/check.h"
 #include "src/base/digest.h"
 #include "src/base/table.h"
-#include "src/cluster/cluster.h"
-#include "src/core/chaos.h"
+#include "src/core/flagships.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/flags.h"
-#include "src/trace/loadgen.h"
-#include "src/workload/dl/serving.h"
 
 namespace soccluster {
 namespace {
-
-// SoCs 0..10 serve (PCBs 0-2); the planted faults all land inside the
-// active set so the storm hits the serving path, not idle boards. PCB 2
-// contributes a single active SoC (10), so the browned-out uplink runs hot
-// (~0.75 utilization) without tipping into an unbounded flow pile-up.
-constexpr int kActiveSocs = 11;
-constexpr int kSlowSoc = 1;       // Deep throttle, 12x service time.
-constexpr int kZombieSoc = 4;     // Beats fine, fails every request.
-constexpr int kBrownoutSlot = 2;  // PCB 2 uplink at 15% capacity.
-constexpr int kFlakySoc = 30;     // Outside the fleet: pure detector test.
 
 struct StormOutcome {
   int64_t generated = 0;
@@ -65,88 +55,27 @@ struct StormOutcome {
   }
 };
 
-ChaosConfig MakeConfig(bool detect, uint64_t seed) {
-  ChaosConfig config;
-  // No random fail-stop faults: the storm is planted, so both runs see
-  // exactly the same gray events.
-  config.faults.mtbf_per_soc = Duration::Hours(24 * 365 * 100);
-  config.faults.seed = seed;
-  config.health.heartbeat_interval = Duration::Seconds(10);
-  config.health.miss_threshold = 3;
-  // Adaptive detection: phi absorbs the flaky SoC's lost beats once its
-  // inter-arrival history reflects them, where fixed-miss keeps flapping.
-  config.health.mode = DetectorMode::kPhiAccrual;
-  config.health.phi_threshold = 8.0;
-  config.health.seed = seed + 1;
-  config.horizon = Duration::Hours(1);
-  config.enable_gray = detect;
-  config.gray.scorer.window = Duration::Seconds(15);
-  config.gray.scorer.min_samples = 10;
-  config.gray.tick = Duration::Seconds(15);
-  config.gray.probe_interval = Duration::Seconds(10);
-  // A deep-throttled canary (100 ms / 0.08 = 1.25 s) must fail probation so
-  // the straggler is power-cycled rather than reinstated while still slow.
-  config.gray.probe_latency_threshold = Duration::MillisF(250.0);
-  config.gray.reboot_time = Duration::Minutes(1);
-  return config;
-}
-
 StormOutcome MeasureStorm(bool detect, bool plant, int minutes, uint64_t seed,
                           const ObsFlags* obs_flags) {
   Simulator sim(seed);
   if (obs_flags != nullptr) {
     ApplyObsFlags(*obs_flags, &sim.obs());
   }
-  SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
-  cluster.PowerOnAll(nullptr);
-  Status status = sim.RunFor(Duration::Seconds(60));
-  SOC_CHECK(status.ok());
-
-  SocServingFleet fleet(&sim, &cluster, DlDevice::kSocGpu, DnnModel::kResNet50,
-                        Precision::kFp32);
-  fleet.SetActiveCount(kActiveSocs);
-  // Responses cross the PCB uplinks and count toward the recorded latency,
-  // so the browned-out uplink surfaces in the per-SoC evidence.
-  fleet.SetResponseSize(DataSize::Megabytes(0.5));
-  fleet.SetLatencyIncludesResponse(true);
-
-  ChaosRunner chaos(&sim, &cluster, nullptr, MakeConfig(detect, seed));
-  if (detect) {
-    GrayFailureManager* gray = chaos.gray();
-    fleet.SetAttemptObserver([gray](int soc, Duration latency, bool ok) {
-      gray->scorer().Report(soc, latency, ok);
-    });
-    fleet.placer().set_penalty(
-        [gray](int soc) { return gray->PlacementPenalty(soc); });
-  }
-  chaos.Start();
-
-  if (plant) {
-    const SimTime storm_at = sim.Now() + Duration::Seconds(90);
-    const Duration storm_len = Duration::Minutes(minutes) - Duration::Minutes(2);
-    chaos.injector().PlantSlowSoc(kSlowSoc, storm_at, storm_len, 0.08);
-    chaos.injector().PlantZombie(kZombieSoc, storm_at, storm_len);
-    chaos.injector().PlantLinkBrownout(kBrownoutSlot, storm_at, storm_len,
-                                       0.15);
-    chaos.injector().PlantFlakyHeartbeat(kFlakySoc, storm_at, storm_len, 0.5);
-  }
-
-  // ~50% of nominal fleet capacity: survivors can absorb the quarantined
-  // SoCs' share, so detection converts tail pain into a clean p99 instead
-  // of trading it for overload.
-  const double rate =
-      0.5 * static_cast<double>(kActiveSocs) * fleet.PerSocThroughput();
-  OpenLoopSource source(&sim, rate, Duration::Minutes(minutes),
-                        [&fleet] { fleet.Submit(Priority::kCritical); });
-  source.Start();
+  GrayStormParams params;
+  params.seed = seed;
+  params.minutes = minutes;
+  params.detect = detect;
+  params.plant = plant;
+  GrayStorm storm(&sim, params);
+  SocServingFleet& fleet = *storm.fleet;
+  ChaosRunner& chaos = *storm.chaos;
   // Run well past the source: the undetected slow SoC accumulates a deep
   // backlog that must drain (and the SLO burn windows roll clear) before
   // the end-of-run alert state means anything.
-  status = sim.RunFor(Duration::Minutes(2 * minutes));
-  SOC_CHECK(status.ok());
+  SOC_CHECK(sim.RunFor(Duration::Minutes(2 * minutes)).ok());
 
   StormOutcome outcome;
-  outcome.generated = source.generated();
+  outcome.generated = storm.source->generated();
   outcome.completed = fleet.completed();
   outcome.failed = fleet.failed();
   outcome.shed = fleet.shed();
@@ -164,22 +93,13 @@ StormOutcome MeasureStorm(bool detect, bool plant, int minutes, uint64_t seed,
   // firing() is the at-end state after the final Advance. A contained storm
   // never fires at all; an uncontained one fires mid-storm and only clears
   // once the drain rolls the burn windows past it.
-  sim.obs().slos.Advance(sim.Now());
-  for (const auto& tracker : sim.obs().slos.trackers()) {
-    if (tracker->firing()) {
-      ++outcome.slo_firing_at_end;
-    }
-    for (const SloAlert& alert : tracker->alerts()) {
-      if (alert.firing) {
-        ++outcome.slo_fired;
-      } else {
-        ++outcome.slo_cleared;
-      }
-    }
-  }
+  const SloAlertTally slo = sim.obs().slos.TallyAlerts(sim.Now());
+  outcome.slo_fired = slo.fired;
+  outcome.slo_cleared = slo.cleared;
+  outcome.slo_firing_at_end = slo.firing_at_end;
   StateDigest digest;
   sim.DigestState(digest);
-  cluster.DigestState(digest);
+  storm.cluster->DigestState(digest);
   fleet.DigestState(digest);
   if (chaos.gray() != nullptr) {
     chaos.gray()->DigestState(digest);
@@ -209,8 +129,9 @@ int Run(int minutes, uint64_t seed, const ObsFlags& obs_flags) {
   std::printf("=== Gray-failure storm: slow SoC %d (12x), zombie SoC %d, PCB "
               "%d uplink at 15%%, flaky heartbeats on SoC %d (%d min, "
               "ResNet-50 on %d SoCs) ===\n\n",
-              kSlowSoc, kZombieSoc, kBrownoutSlot, kFlakySoc, minutes,
-              kActiveSocs);
+              GrayStorm::kSlowSoc, GrayStorm::kZombieSoc,
+              GrayStorm::kBrownoutSlot, GrayStorm::kFlakySoc, minutes,
+              GrayStorm::kActiveSocs);
   TextTable table({"mode", "goodput", "p99 ms", "completed", "failed",
                    "expired", "suspects", "quarantines", "reinstated",
                    "escalated", "SLO alerts fired", "firing at end"});

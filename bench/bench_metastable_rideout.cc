@@ -24,6 +24,8 @@
 // two outcomes. The report carries the goodput-vs-time series of both.
 // The bench checks its headline claims itself and exits 1 when one fails;
 // one of them is a cost ceiling on placement work (cost.* in the report).
+// The day itself is the RideoutDay builder (src/core/flagships.h); this
+// file runs it, extracts the outcome and reports.
 //
 // Flags: --seed=S (default 42), --users=N (default 1000000),
 //        --day-minutes=D (default 60; the full 24 h day compressed),
@@ -46,16 +48,13 @@
 #include "src/base/digest.h"
 #include "src/base/stats.h"
 #include "src/base/table.h"
-#include "src/core/overload.h"
+#include "src/core/flagships.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/flags.h"
-#include "src/trace/session.h"
 
 namespace soccluster {
 namespace {
 
-constexpr Duration kClientTimeout = Duration::Seconds(1);
-constexpr Duration kClientDeadline = Duration::Seconds(2);
 // Ceiling on the fleet placer's SoCs tested per placement. A scan tests
 // all 60 SoCs of the chassis on every pick (146.4-146.7 per placement at
 // the claims arguments, seeds 42/1/2); the placement index tests the
@@ -66,41 +65,19 @@ constexpr Duration kClientDeadline = Duration::Seconds(2);
 constexpr double kMaxSchedChecksPerPlacement = 76.2;
 
 struct RideoutParams {
-  uint64_t seed = 42;
-  int64_t users = 1'000'000;
-  int day_minutes = 60;
+  // The day both runs share; RunDay sets `rideout` per run. Smaller fleets
+  // (--socs) run the same experiment at proportionally lower event cost.
+  RideoutDayParams day{.seed = 42,
+                       .users = 1'000'000,
+                       .day_minutes = 60,
+                       .socs = 40,
+                       .exact_latency = true};
   int post_minutes = 30;
-  // Offered load is 0.95x this fleet's capacity; the fault burst kills
-  // ~10% of it and the wall cap scales with it, so smaller fleets run the
-  // same experiment at proportionally lower event cost.
-  int socs = 40;
-  bool exact_latency = true;
   // "both" runs the A/B pair; "naive" or "rideout" runs one side (a full
   // uncompressed 2M-user day is wall-clock-minutes cheap in rideout mode,
   // while the naive side deliberately amplifies itself ~200x).
   std::string mode = "both";
 };
-
-// Trigger timeline, derived from the (possibly compressed) day length.
-struct Trigger {
-  SimTime flash_start;
-  Duration ramp;
-  Duration hold;
-  Duration decay;
-  SimTime clear;  // Flash decayed (2 time constants) and faults repaired.
-};
-
-Trigger MakeTrigger(Duration day) {
-  Trigger trigger;
-  // The flash crowd lands exactly on the diurnal peak (peak_hour 21).
-  trigger.flash_start = SimTime::Zero() + day * (21.0 / 24.0);
-  trigger.ramp = day / 30.0;
-  trigger.hold = day / 12.0;
-  trigger.decay = day / 60.0;
-  trigger.clear = trigger.flash_start + trigger.ramp + trigger.hold +
-                  trigger.decay * 2.0;
-  return trigger;
-}
 
 struct RideoutOutcome {
   int64_t sessions = 0;
@@ -131,115 +108,18 @@ struct RideoutOutcome {
   Duration window;
 };
 
-SessionTierConfig TierConfig(const RideoutParams& params, double peak_rps,
-                             RetryMode mode, const Trigger& trigger) {
-  SessionTierConfig config;
-  config.users = params.users;
-  config.peak_rps = peak_rps;
-  config.diurnal.day = Duration::Minutes(params.day_minutes);
-  FlashCrowd crowd;
-  crowd.start = trigger.flash_start;
-  crowd.ramp = trigger.ramp;
-  crowd.hold = trigger.hold;
-  crowd.decay = trigger.decay;
-  crowd.peak_multiplier = 4.0;
-  config.flash_crowds.push_back(crowd);
-  config.requests_per_session = 4.0;
-  config.think_median = Duration::Seconds(20);
-  config.think_sigma = 0.7;
-  config.client_timeout = kClientTimeout;
-  config.client_deadline = kClientDeadline;
-  config.give_up_after = Duration::Minutes(4);
-  config.retry_mode = mode;
-  config.naive_retry_delay = Duration::Millis(250);
-  config.backoff.max_attempts = 4;
-  config.backoff.initial_backoff = Duration::Millis(200);
-  config.backoff.max_backoff = Duration::Seconds(5);
-  config.budget_tokens_per_success = 0.1;
-  config.budget_max_tokens = 100.0;
-  // Goodput-vs-time resolution: 120 windows per day.
-  config.counter_window = config.diurnal.day / 120.0;
-  config.seed = params.seed;
-  return config;
-}
-
 RideoutOutcome RunDay(bool rideout, const RideoutParams& params,
                       const ObsFlags* obs_flags) {
-  Simulator sim(params.seed);
+  Simulator sim(params.day.seed);
   if (obs_flags != nullptr) {
     ApplyObsFlags(*obs_flags, &sim.obs());
   }
-  SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
-  cluster.PowerOnAll(nullptr);
-  SOC_CHECK(sim.RunFor(Duration::Seconds(26)).ok());
-
-  SocServingFleet fleet(&sim, &cluster, DlDevice::kSocCpu, DnnModel::kResNet50,
-                        Precision::kFp32);
-  fleet.SetActiveCount(params.socs);
-  fleet.SetExactLatencySamples(params.exact_latency);
-
-  // Server-side posture: the naive server is the unprotected strawman — a
-  // deep FIFO queue that happily serves work whose client has left.
-  BmcModel bmc(&sim, &cluster, BmcConfig{});
-  ClusterOverloadConfig overload_config;
-  // Wall power includes the ~255 W host floor; only the SoC share of the
-  // 450 W / 40-SoC budget scales with the fleet.
-  overload_config.wall_cap = Power::Watts(255.0 + 195.0 * params.socs / 40.0);
-  ClusterOverloadManager manager(&sim, &cluster, &bmc, overload_config);
-  if (rideout) {
-    fleet.SetDeadline(kClientDeadline);
-    fleet.SetHonorClientDeadline(true);
-    fleet.admission().SetMaxQueue(500);
-    bmc.StartSampling();
-    manager.AttachServing(&fleet);
-    manager.Start();
-  } else {
-    fleet.admission().SetMaxQueue(5000);
-  }
-
-  const Duration day = Duration::Minutes(params.day_minutes);
-  const Trigger trigger = MakeTrigger(day);
-  const double peak_rps = 0.95 * params.socs * fleet.PerSocThroughput();
-  SessionTier tier(
-      &sim,
-      TierConfig(params, peak_rps,
-                 rideout ? RetryMode::kBudgeted : RetryMode::kNaive, trigger),
-      {{"east", 0.55, 0.0}, {"west", 0.45, 3.0}});
-  tier.SetSubmit([&fleet](Priority priority, const ClientAttribution& client) {
-    fleet.Submit(priority, client);
-  });
-  fleet.SetClientObserver(tier.Observer());
-  // The wheel grid makes tier/fleet timestamp collisions systematic; pin
-  // the shared pipeline so tie-break audits stay clean.
-  fleet.SetEventAnchorGroup(tier.anchor_group());
-
-  // Correlated fault burst riding the flash crowd: ~10% of the serving
-  // SoCs die in quick succession while the crowd holds, and repair 90 s
-  // later. Victim indices scale with the fleet so --socs=40 keeps the
-  // original 12/17/22/27 pattern.
-  const int fault_count = std::max(1, params.socs / 10);
-  for (int k = 0; k < fault_count; ++k) {
-    const int victim = (12 + 5 * k) * params.socs / 40;
-    const SimTime fail_at =
-        trigger.flash_start + trigger.ramp + Duration::Seconds(20 * k);
-    sim.ScheduleAt(fail_at, [&cluster, victim] {
-      cluster.soc(victim).Fail();
-    }, "rideout.fault");
-    sim.ScheduleAt(fail_at + Duration::Seconds(90), [&cluster, victim] {
-      cluster.soc(victim).Repair();
-    }, "rideout.repair");
-  }
-
-  // 1.5 diurnal days: the full day plus the next morning's ramp, so the
-  // post-trigger window sits well inside generated traffic.
-  const Duration horizon = day * 1.5;
-  tier.Start(horizon);
-  int peak_brownout = 0;
-  PeriodicTask probe(&sim, Duration::Seconds(5), [&manager, &peak_brownout] {
-    peak_brownout = std::max(peak_brownout, manager.brownout_level());
-  }, "rideout.probe");
-  probe.Start();
-  SOC_CHECK(sim.RunFor(horizon + Duration::Minutes(5)).ok());
+  RideoutDayParams day_params = params.day;
+  day_params.rideout = rideout;
+  RideoutDay day(&sim, day_params);
+  const SessionTier& tier = *day.tier;
+  const RideoutDay::Trigger& trigger = day.trigger;
+  SOC_CHECK(sim.RunFor(day.horizon() + Duration::Minutes(5)).ok());
 
   RideoutOutcome outcome;
   outcome.sessions = tier.sessions_started();
@@ -257,7 +137,7 @@ RideoutOutcome RunDay(bool rideout, const RideoutParams& params,
   outcome.wasted = tier.wasted();
   outcome.series = tier.series();
   outcome.window = tier.config().counter_window;
-  outcome.peak_brownout = peak_brownout;
+  outcome.peak_brownout = day.peak_brownout;
 
   const int64_t window_ns = outcome.window.nanos();
   const size_t flash_idx =
@@ -299,8 +179,9 @@ RideoutOutcome RunDay(bool rideout, const RideoutParams& params,
       tier.GoodputOver(post_end >= 3 ? post_end - 3 : 0, post_end) >=
           recover_bar;
 
-  if (params.exact_latency) {
-    const SampleStats& critical = fleet.latencies_of(Priority::kCritical);
+  if (params.day.exact_latency) {
+    const SampleStats& critical =
+        day.fleet->latencies_of(Priority::kCritical);
     outcome.critical_p99_ms =
         critical.count() > 0 ? critical.Percentile(99) : 0.0;
   } else {
@@ -315,25 +196,18 @@ RideoutOutcome RunDay(bool rideout, const RideoutParams& params,
   outcome.placements =
       sim.metrics().GetCounter("sched.placements", spread)->value();
 
-  sim.obs().slos.Advance(sim.Now());
-  for (const auto& tracker : sim.obs().slos.trackers()) {
-    for (const SloAlert& alert : tracker->alerts()) {
-      if (alert.firing) {
-        ++outcome.slo_fires;
-      } else {
-        ++outcome.slo_clears;
-      }
-    }
-  }
+  const SloAlertTally slo = sim.obs().slos.TallyAlerts(sim.Now());
+  outcome.slo_fires = slo.fired;
+  outcome.slo_clears = slo.cleared;
 
   if (obs_flags != nullptr) {
     SOC_CHECK(FlushObsFlags(*obs_flags, sim.obs(), sim.Now()).ok());
     StateDigest digest;
     sim.DigestState(digest);
-    cluster.DigestState(digest);
-    fleet.DigestState(digest);
+    day.cluster->DigestState(digest);
+    day.fleet->DigestState(digest);
     tier.DigestState(digest);
-    manager.governor().DigestState(digest);
+    day.manager->governor().DigestState(digest);
     SOC_CHECK(FlushDigestFlag(*obs_flags, digest.value()).ok());
   }
   return outcome;
@@ -373,19 +247,20 @@ void Report(BenchReport& report, const char* mode,
 
 int Run(const RideoutParams& params, const ObsFlags& obs_flags) {
   BenchReport report("metastable_rideout");
-  report.SetParam("seed", static_cast<int64_t>(params.seed));
-  report.SetParam("users", params.users);
-  report.SetParam("day_minutes", static_cast<int64_t>(params.day_minutes));
+  report.SetParam("seed", static_cast<int64_t>(params.day.seed));
+  report.SetParam("users", params.day.users);
+  report.SetParam("day_minutes", static_cast<int64_t>(params.day.day_minutes));
   report.SetParam("post_minutes", static_cast<int64_t>(params.post_minutes));
-  report.SetParam("serving_socs", static_cast<int64_t>(params.socs));
-  report.SetParam("client_timeout_ms", kClientTimeout.ToMillis());
-  report.SetParam("client_deadline_ms", kClientDeadline.ToMillis());
+  report.SetParam("serving_socs", static_cast<int64_t>(params.day.socs));
+  report.SetParam("client_timeout_ms", RideoutDay::kClientTimeout.ToMillis());
+  report.SetParam("client_deadline_ms",
+                  RideoutDay::kClientDeadline.ToMillis());
 
   report.SetParam("mode", params.mode);
 
   std::printf("=== Metastable ride-out: one day, one seed, two retry "
               "disciplines (%lld users, %d-minute day, mode %s) ===\n\n",
-              static_cast<long long>(params.users), params.day_minutes,
+              static_cast<long long>(params.day.users), params.day.day_minutes,
               params.mode.c_str());
   const bool run_naive = params.mode != "rideout";
   const bool run_rideout = params.mode != "naive";
@@ -475,8 +350,8 @@ int Run(const RideoutParams& params, const ObsFlags& obs_flags) {
 
   // Goodput-vs-time, both runs side by side, from the flash onset through
   // the post-trigger window.
-  const Duration day = Duration::Minutes(params.day_minutes);
-  const Trigger trigger = MakeTrigger(day);
+  const RideoutDay::Trigger trigger =
+      RideoutDay::MakeTrigger(Duration::Minutes(params.day.day_minutes));
   const int64_t window_ns = naive.window.nanos();
   const size_t begin =
       static_cast<size_t>(trigger.flash_start.nanos() / window_ns) - 4;
@@ -532,17 +407,17 @@ int main(int argc, char** argv) {
   soccluster::RideoutParams params;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      params.seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
+      params.day.seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--users=", 8) == 0) {
-      params.users = std::atoll(argv[i] + 8);
+      params.day.users = std::atoll(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--day-minutes=", 14) == 0) {
-      params.day_minutes = std::atoi(argv[i] + 14);
+      params.day.day_minutes = std::atoi(argv[i] + 14);
     } else if (std::strncmp(argv[i], "--post-minutes=", 15) == 0) {
       params.post_minutes = std::atoi(argv[i] + 15);
     } else if (std::strncmp(argv[i], "--socs=", 7) == 0) {
-      params.socs = std::atoi(argv[i] + 7);
+      params.day.socs = std::atoi(argv[i] + 7);
     } else if (std::strncmp(argv[i], "--exact-latency=", 16) == 0) {
-      params.exact_latency = std::atoi(argv[i] + 16) != 0;
+      params.day.exact_latency = std::atoi(argv[i] + 16) != 0;
     } else if (std::strncmp(argv[i], "--mode=", 7) == 0) {
       params.mode = argv[i] + 7;
     }
@@ -553,21 +428,21 @@ int main(int argc, char** argv) {
                  params.mode.c_str());
     return 1;
   }
-  if (params.day_minutes < 12) {
-    params.day_minutes = 12;
+  if (params.day.day_minutes < 12) {
+    params.day.day_minutes = 12;
   }
   // One chassis: the fleet (and the scaled fault-victim indices) must fit.
-  if (params.socs < 8) {
-    params.socs = 8;
+  if (params.day.socs < 8) {
+    params.day.socs = 8;
   }
-  if (params.socs > soccluster::DefaultChassisSpec().num_socs) {
-    params.socs = soccluster::DefaultChassisSpec().num_socs;
+  if (params.day.socs > soccluster::DefaultChassisSpec().num_socs) {
+    params.day.socs = soccluster::DefaultChassisSpec().num_socs;
   }
   if (params.post_minutes < 1) {
     params.post_minutes = 1;
   }
   // The post window must fit inside the generated 1.5-day horizon.
-  const int max_post = params.day_minutes / 2;
+  const int max_post = params.day.day_minutes / 2;
   if (params.post_minutes > max_post) {
     params.post_minutes = max_post;
   }

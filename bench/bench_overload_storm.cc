@@ -10,73 +10,36 @@
 // releases in strict LIFO order. The bench checks these claims itself and
 // exits 1 when one fails.
 //
+// The scenario itself is the OverloadStorm builder (src/core/flagships.h);
+// this file sweeps it and reports.
+//
 // Flags: --seed=S (default 42), --surge-minutes=M (default 5),
-//        --open-loop (drive the serving surge through the SessionTier —
-//        budgeted retries, client timeouts, give-ups — instead of the raw
-//        rated source; adds ol.* report keys, default output unchanged),
 //        --trace-out=PATH / --metrics-out=PATH / --slo-out=PATH (applied to
 //        the 3x run; --slo-out writes the burn-rate alert timeline).
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
 #include "src/base/digest.h"
 #include "src/base/stats.h"
 #include "src/base/table.h"
-#include "src/core/overload.h"
+#include "src/core/flagships.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/flags.h"
-#include "src/trace/loadgen.h"
-#include "src/trace/session.h"
 
 namespace soccluster {
 namespace {
 
 constexpr double kMultipliers[] = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0};
 constexpr int kServingSocs = 40;
-constexpr Duration kDeadline = Duration::Seconds(2);
-
-// Deterministic 20/50/30 class mix keyed off the submit counter, so every
-// run (and every sanitizer) sees the identical request sequence.
-Priority MixedPriority(int64_t n) {
-  const int slot = static_cast<int>(n % 10);
-  if (slot < 2) {
-    return Priority::kCritical;
-  }
-  return slot < 7 ? Priority::kStandard : Priority::kBestEffort;
-}
-
-// The reverse-order walk-back promise, checked against the governor's
-// event history: engagements only deepen forward through the rung list and
-// every release undoes the most recent un-released engagement.
-bool LadderOrderOk(const std::vector<BrownoutGovernor::LadderEvent>& events) {
-  std::vector<std::pair<int, int>> engaged;
-  for (const auto& event : events) {
-    if (event.engage) {
-      if (!engaged.empty() && event.rung < engaged.back().first) {
-        return false;
-      }
-      engaged.emplace_back(event.rung, event.level);
-    } else {
-      if (engaged.empty() || event.rung != engaged.back().first ||
-          event.level != engaged.back().second) {
-        return false;
-      }
-      engaged.pop_back();
-    }
-  }
-  return true;
-}
+constexpr Duration kDeadline = OverloadStorm::kDeadline;
 
 struct StormOutcome {
   double multiplier = 0.0;
@@ -112,163 +75,40 @@ struct StormOutcome {
   // Shed order shows in the paging order: no service's critical class
   // fires before its best_effort class has.
   bool slo_page_order_ok = true;
-  // --open-loop extras (the surge arrives through a SessionTier): session
-  // and retry accounting that does not exist for the raw rated source.
-  int64_t ol_sessions = 0;
-  int64_t ol_submitted = 0;
-  int64_t ol_timeouts = 0;
-  int64_t ol_retries = 0;
-  int64_t ol_retries_denied = 0;
-  int64_t ol_give_ups = 0;
-  int64_t ol_wasted = 0;
-  double ol_amplification = 0.0;  // submitted / issued.
 };
 
 StormOutcome RunStorm(double multiplier, uint64_t seed, int surge_minutes,
-                      bool open_loop, const ObsFlags* obs_flags) {
+                      const ObsFlags* obs_flags) {
   Simulator sim(seed);
   if (obs_flags != nullptr) {
     ApplyObsFlags(*obs_flags, &sim.obs());
   }
-  SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
-  cluster.PowerOnAll(nullptr);
-  Status status = sim.RunFor(Duration::Seconds(26));
-  SOC_CHECK(status.ok());
-  BmcModel bmc(&sim, &cluster, BmcConfig{});
-  bmc.StartSampling();
+  OverloadStormParams params;
+  params.serving_socs = kServingSocs;
+  params.multiplier = multiplier;
+  params.surge = Duration::Minutes(surge_minutes);
+  params.live_streams = 30;
+  params.functions = 20;
+  params.function_rps = 20.0 * multiplier;
+  params.function_seed = seed + 3;
+  OverloadStorm storm(&sim, params);
+  SocServingFleet& fleet = *storm.fleet;
+  ClusterOverloadManager& manager = *storm.manager;
+  LiveTranscodingService& live = *storm.live;
+  ServerlessPlatform& serverless = *storm.serverless;
+  GamingWorkload& gaming = *storm.gaming;
+  Orchestrator& orchestrator = *storm.orchestrator;
 
-  // The four services of the paper's workload mix.
-  SocServingFleet fleet(&sim, &cluster, DlDevice::kSocCpu,
-                        DnnModel::kResNet50, Precision::kFp32);
-  fleet.SetActiveCount(kServingSocs);
-  fleet.SetDeadline(kDeadline);
-  fleet.admission().SetMaxQueue(500);
-  LiveTranscodingService live(&sim, &cluster, PlacementPolicy::kSpread);
-  ServerlessPlatform serverless(&sim, &cluster, ServerlessConfig{});
-  GamingWorkload gaming(&sim, &cluster, GamingWorkloadConfig{});
-  Orchestrator orchestrator(&sim, &cluster, PlacementPolicy::kSpread);
-  status = orchestrator.RegisterWorkload("batch", ReplicaDemand{0.05, 0.1},
-                                         Priority::kBestEffort);
-  SOC_CHECK(status.ok()) << status.ToString();
-  status = orchestrator.ScaleTo("batch", 8);
-  SOC_CHECK(status.ok()) << status.ToString();
-
-  ClusterOverloadConfig config;
-  config.wall_cap = Power::Watts(450.0);
-  ClusterOverloadManager manager(&sim, &cluster, &bmc, config);
-  manager.AttachServing(&fleet);
-  manager.AttachLive(&live);
-  manager.AttachServerless(&serverless);
-  manager.AttachGaming(&gaming);
-  manager.AttachOrchestrator(&orchestrator);
-  manager.Start();
-
-  const Duration surge = Duration::Minutes(surge_minutes);
-
-  // Background services: a bed of live streams (mixed classes), a
-  // heavy-tailed serverless arrival process, diurnal gaming sessions.
-  for (int i = 0; i < 30; ++i) {
-    live.RequestStream(VbenchVideo::kV3Game3, TranscodeBackend::kSocCpu,
-                       MixedPriority(i));
-  }
-  ServerlessWorkload functions(&sim, &serverless, /*num_functions=*/20,
-                               /*total_rate_per_s=*/20.0 * multiplier,
-                               seed + 3);
-  SOC_CHECK(functions.Start(surge).ok());
-  gaming.Start(surge);
-
-  // Serving surge at `multiplier` times the rated fleet throughput:
-  // either a raw rated source (default, the closed-form offered load) or —
-  // under --open-loop — a session tier whose client timeouts, budgeted
-  // retries, and give-ups react to what the fleet actually returns.
-  const double rate =
-      multiplier * kServingSocs * fleet.PerSocThroughput();
-  int64_t submit_counter = 0;
-  std::unique_ptr<OpenLoopSource> source;
-  std::unique_ptr<SessionTier> tier;
-  if (open_loop) {
-    SessionTierConfig tier_config;
-    tier_config.users = 200'000;
-    tier_config.peak_rps = rate;
-    // Flat day: Value(t) floors at trough_fraction, so 1.0 pins the rate
-    // to peak_rps and keeps the offered load comparable to the default
-    // rated source at the same multiplier.
-    tier_config.diurnal.trough_fraction = 1.0;
-    tier_config.requests_per_session = 4.0;
-    tier_config.think_median = Duration::Seconds(5);
-    tier_config.think_sigma = 0.5;
-    tier_config.client_timeout = Duration::Seconds(1);
-    tier_config.client_deadline = kDeadline;
-    tier_config.give_up_after = Duration::Seconds(30);
-    tier_config.retry_mode = RetryMode::kBudgeted;
-    tier_config.counter_window = Duration::Seconds(30);
-    tier_config.seed = seed + 11;
-    tier = std::make_unique<SessionTier>(
-        &sim, tier_config,
-        std::vector<SessionCohortConfig>{{"global", 1.0, 0.0}});
-    tier->SetSubmit([&fleet](Priority p, const ClientAttribution& client) {
-      fleet.Submit(p, client);
-    });
-    fleet.SetClientObserver(tier->Observer());
-    fleet.SetHonorClientDeadline(true);
-    fleet.SetEventAnchorGroup(tier->anchor_group());
-    tier->Start(surge);
-  } else {
-    source = std::make_unique<OpenLoopSource>(
-        &sim, rate, surge, [&fleet, &submit_counter] {
-          fleet.Submit(MixedPriority(submit_counter++));
-        });
-    source->Start();
-  }
-
-  // Thermal excursion (§8): a third of the serving SoCs throttle to 65%
-  // speed for the middle third of the surge — capacity sags exactly when
-  // the offered load peaks.
-  sim.ScheduleAfter(surge / 3.0, [&cluster] {
-    for (int i = 0; i < kServingSocs / 3; ++i) {
-      cluster.soc(i).SetThrottleFactor(0.65);
-    }
-  });
-  sim.ScheduleAfter(surge * (2.0 / 3.0), [&cluster] {
-    for (int i = 0; i < kServingSocs / 3; ++i) {
-      cluster.soc(i).SetThrottleFactor(1.0);
-    }
-  });
-  // A handful of hard SoC faults mid-surge: in-flight requests die and
-  // feed the serving circuit breaker; boards come back a minute later.
-  // Oracle detection (as in the core tests): the failure notification
-  // fires with the fault so live streams and replicas re-home at once.
-  for (int k = 0; k < 4; ++k) {
-    const int victim = 20 + 5 * k;
-    sim.ScheduleAfter(surge / 4.0 + Duration::Seconds(15 * k),
-                      [&cluster, &live, &orchestrator, victim] {
-                        cluster.soc(victim).Fail();
-                        live.OnSocFailure(victim);
-                        orchestrator.OnSocFailure(victim);
-                      });
-    sim.ScheduleAfter(surge / 4.0 + Duration::Seconds(15 * k + 60),
-                      [&cluster, victim] { cluster.soc(victim).Repair(); });
-  }
-
-  // Track the deepest governor level and the serving trough while the
-  // storm runs.
-  StormOutcome outcome;
-  outcome.multiplier = multiplier;
-  outcome.min_active = kServingSocs;
-  PeriodicTask probe(&sim, Duration::Seconds(1),
-                     [&outcome, &manager, &fleet] {
-                       outcome.peak_level = std::max(
-                           outcome.peak_level, manager.brownout_level());
-                       outcome.min_active = std::min(outcome.min_active,
-                                                     fleet.active_count());
-                     });
-  probe.Start();
-  status = sim.RunFor(surge);
+  Status status = sim.RunFor(params.surge);
   SOC_CHECK(status.ok());
   // Drain: arrivals stop, the backlog clears, the ladder walks back.
   status = sim.RunFor(Duration::Minutes(10));
   SOC_CHECK(status.ok());
 
+  StormOutcome outcome;
+  outcome.multiplier = multiplier;
+  outcome.peak_level = storm.peak_level;
+  outcome.min_active = storm.min_active;
   for (int c = 0; c < kNumPriorities; ++c) {
     const Priority p = static_cast<Priority>(c);
     outcome.completed += fleet.completed_of(p);
@@ -278,35 +118,12 @@ StormOutcome RunStorm(double multiplier, uint64_t seed, int surge_minutes,
                             ? fleet.latencies_of(p).Percentile(99)
                             : 0.0;
   }
-  if (open_loop) {
-    // Client's-eye accounting: a request is good only if some attempt
-    // succeeded within the client deadline.
-    outcome.generated = tier->issued();
-    outcome.goodput =
-        outcome.generated > 0
-            ? static_cast<double>(tier->good()) /
-                  static_cast<double>(outcome.generated)
-            : 0.0;
-    outcome.ol_sessions = tier->sessions_started();
-    outcome.ol_submitted = tier->submitted();
-    outcome.ol_timeouts = tier->timeouts();
-    outcome.ol_retries = tier->retries();
-    outcome.ol_retries_denied = tier->retries_denied();
-    outcome.ol_give_ups = tier->give_ups();
-    outcome.ol_wasted = tier->wasted();
-    outcome.ol_amplification =
-        outcome.generated > 0
-            ? static_cast<double>(outcome.ol_submitted) /
-                  static_cast<double>(outcome.generated)
-            : 0.0;
-  } else {
-    outcome.generated = source->generated();
-    outcome.goodput =
-        outcome.generated > 0
-            ? static_cast<double>(outcome.completed) /
-                  static_cast<double>(outcome.generated)
-            : 0.0;
-  }
+  outcome.generated = storm.source->generated();
+  outcome.goodput =
+      outcome.generated > 0
+          ? static_cast<double>(outcome.completed) /
+                static_cast<double>(outcome.generated)
+          : 0.0;
   const CircuitBreaker* breaker = manager.serving_breaker();
   SOC_CHECK(breaker != nullptr);
   outcome.breaker_opens = breaker->opens();
@@ -322,18 +139,15 @@ StormOutcome RunStorm(double multiplier, uint64_t seed, int surge_minutes,
   outcome.ladder_order_ok = LadderOrderOk(manager.governor().history());
   // Final burn-rate evaluation at drain end: windows have emptied, so any
   // still-firing alert records its clear transition here.
-  sim.obs().slos.Advance(sim.Now());
+  const SloAlertTally slo = sim.obs().slos.TallyAlerts(sim.Now());
+  outcome.slo_fires = slo.fired;
+  outcome.slo_clears = slo.cleared;
+  outcome.slo_firing_at_end = slo.firing_at_end;
   std::map<std::string, SimTime> first_fire;  // By SLO name.
   for (const auto& tracker : sim.obs().slos.trackers()) {
-    if (tracker->firing()) {
-      ++outcome.slo_firing_at_end;
-    }
     for (const SloAlert& alert : tracker->alerts()) {
       if (alert.firing) {
-        ++outcome.slo_fires;
         first_fire.emplace(tracker->spec().name, alert.time);
-      } else {
-        ++outcome.slo_clears;
       }
     }
   }
@@ -370,15 +184,12 @@ StormOutcome RunStorm(double multiplier, uint64_t seed, int surge_minutes,
     SOC_CHECK(FlushObsFlags(*obs_flags, sim.obs(), sim.Now()).ok());
     StateDigest digest;
     sim.DigestState(digest);
-    cluster.DigestState(digest);
+    storm.cluster->DigestState(digest);
     fleet.DigestState(digest);
     live.DigestState(digest);
     serverless.DigestState(digest);
     gaming.DigestState(digest);
     orchestrator.DigestState(digest);
-    if (tier != nullptr) {
-      tier->DigestState(digest);
-    }
     SOC_CHECK(FlushDigestFlag(*obs_flags, digest.value()).ok());
   }
   return outcome;
@@ -390,50 +201,33 @@ std::string Tag(double multiplier, const char* metric) {
   return std::string(buffer);
 }
 
-int Run(uint64_t seed, int surge_minutes, bool open_loop,
-        const ObsFlags& obs_flags) {
+int Run(uint64_t seed, int surge_minutes, const ObsFlags& obs_flags) {
   BenchReport report("overload_storm");
   report.SetParam("seed", static_cast<int64_t>(seed));
   report.SetParam("surge_minutes", static_cast<int64_t>(surge_minutes));
   report.SetParam("serving_socs", static_cast<int64_t>(kServingSocs));
   report.SetParam("deadline_ms", kDeadline.ToMillis());
-  report.SetParam("wall_cap_w", 450.0);
-  if (open_loop) {
-    // Gated so the default report stays byte-identical run to run.
-    report.SetParam("open_loop", static_cast<int64_t>(1));
-  }
+  report.SetParam("wall_cap_w", OverloadStorm::kWallCapWatts);
 
   std::printf("=== Overload storm: four services under the brownout ladder "
-              "(450 W cap, thermal excursion, SoC faults%s) ===\n\n",
-              open_loop ? ", open-loop session tier" : "");
-  std::vector<std::string> columns = {
-      "load", "goodput", "crit p99 ms", "std p99 ms", "be p99 ms",
-      "shed be", "expired", "peak lvl", "min socs", "brk opens",
-      "ladder ok"};
-  if (open_loop) {
-    columns.insert(columns.end(), {"amplif", "give ups", "wasted"});
-  }
-  TextTable table(columns);
+              "(450 W cap, thermal excursion, SoC faults) ===\n\n");
+  TextTable table({"load", "goodput", "crit p99 ms", "std p99 ms",
+                   "be p99 ms", "shed be", "expired", "peak lvl", "min socs",
+                   "brk opens", "ladder ok"});
   std::vector<StormOutcome> outcomes;
   for (const double multiplier : kMultipliers) {
     // The showcase 3x run carries the trace/metrics flags.
     const bool last = multiplier == kMultipliers[std::size(kMultipliers) - 1];
-    outcomes.push_back(RunStorm(multiplier, seed, surge_minutes, open_loop,
+    outcomes.push_back(RunStorm(multiplier, seed, surge_minutes,
                                 last ? &obs_flags : nullptr));
     const StormOutcome& o = outcomes.back();
-    std::vector<std::string> row = {
-        FormatDouble(multiplier, 1) + "x", FormatDouble(o.goodput, 4),
-        FormatDouble(o.p99_ms[0], 0), FormatDouble(o.p99_ms[1], 0),
-        FormatDouble(o.p99_ms[2], 0), std::to_string(o.shed[2]),
-        std::to_string(o.expired), std::to_string(o.peak_level),
-        std::to_string(o.min_active), std::to_string(o.breaker_opens),
-        o.ladder_order_ok ? "yes" : "NO"};
-    if (open_loop) {
-      row.push_back(FormatDouble(o.ol_amplification, 2));
-      row.push_back(std::to_string(o.ol_give_ups));
-      row.push_back(std::to_string(o.ol_wasted));
-    }
-    table.AddRow(row);
+    table.AddRow({FormatDouble(multiplier, 1) + "x",
+                  FormatDouble(o.goodput, 4), FormatDouble(o.p99_ms[0], 0),
+                  FormatDouble(o.p99_ms[1], 0), FormatDouble(o.p99_ms[2], 0),
+                  std::to_string(o.shed[2]), std::to_string(o.expired),
+                  std::to_string(o.peak_level), std::to_string(o.min_active),
+                  std::to_string(o.breaker_opens),
+                  o.ladder_order_ok ? "yes" : "NO"});
 
     report.Add(Tag(multiplier, "goodput"), o.goodput, "fraction");
     report.Add(Tag(multiplier, "generated"),
@@ -485,26 +279,6 @@ int Run(uint64_t seed, int surge_minutes, bool open_loop,
                static_cast<double>(o.slo_fires), "count");
     report.Add(Tag(multiplier, "slo_clears"),
                static_cast<double>(o.slo_clears), "count");
-    if (open_loop) {
-      // ol.* keys exist only under --open-loop: the default report must
-      // stay byte-identical.
-      report.Add(Tag(multiplier, "ol.sessions"),
-                 static_cast<double>(o.ol_sessions), "count");
-      report.Add(Tag(multiplier, "ol.submitted"),
-                 static_cast<double>(o.ol_submitted), "count");
-      report.Add(Tag(multiplier, "ol.amplification"), o.ol_amplification,
-                 "ratio");
-      report.Add(Tag(multiplier, "ol.timeouts"),
-                 static_cast<double>(o.ol_timeouts), "count");
-      report.Add(Tag(multiplier, "ol.retries"),
-                 static_cast<double>(o.ol_retries), "count");
-      report.Add(Tag(multiplier, "ol.retries_denied"),
-                 static_cast<double>(o.ol_retries_denied), "count");
-      report.Add(Tag(multiplier, "ol.give_ups"),
-                 static_cast<double>(o.ol_give_ups), "count");
-      report.Add(Tag(multiplier, "ol.wasted"),
-                 static_cast<double>(o.ol_wasted), "count");
-    }
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("Takeaway: under the ladder the cluster sheds best-effort "
@@ -512,11 +286,8 @@ int Run(uint64_t seed, int surge_minutes, bool open_loop,
               "only evicts serving SoCs at the deepest rung — goodput falls "
               "smoothly with load, critical p99 holds under the %.0f ms "
               "deadline, and every degradation is walked back in reverse "
-              "once the storm passes.%s\n",
-              kDeadline.ToMillis(),
-              open_loop ? " Open-loop: budgeted clients keep retry "
-                          "amplification near 1x even at 3x offered load."
-                        : "");
+              "once the storm passes.\n",
+              kDeadline.ToMillis());
 
   // Graceful degradation: overload sheds work instead of queueing it
   // without bound, critical traffic holds its deadline at 3x, goodput
@@ -532,13 +303,9 @@ int Run(uint64_t seed, int surge_minutes, bool open_loop,
                "admission control sheds best-effort work over the sweep "
                "(%lld)",
                static_cast<long long>(shed_besteffort));
-  if (!open_loop) {
-    // Not claimed under --open-loop: client give-ups thin the retried
-    // load, and at seed 42 the 3x open-loop run never opens the breaker.
-    report.Claim(triple.breaker_opens > 0,
-                 "SoC faults open the serving breaker at 3x (%lld opens)",
-                 static_cast<long long>(triple.breaker_opens));
-  }
+  report.Claim(triple.breaker_opens > 0,
+               "SoC faults open the serving breaker at 3x (%lld opens)",
+               static_cast<long long>(triple.breaker_opens));
   report.Claim(triple.p99_ms[0] < kDeadline.ToMillis(),
                "critical p99 at 3x (%.0f ms) < %.0f ms deadline",
                triple.p99_ms[0], kDeadline.ToMillis());
@@ -587,14 +354,11 @@ int Run(uint64_t seed, int surge_minutes, bool open_loop,
 int main(int argc, char** argv) {
   uint64_t seed = 42;
   int surge_minutes = 5;
-  bool open_loop = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--surge-minutes=", 16) == 0) {
       surge_minutes = std::atoi(argv[i] + 16);
-    } else if (std::strcmp(argv[i], "--open-loop") == 0) {
-      open_loop = true;
     }
   }
   if (surge_minutes < 1) {
@@ -602,5 +366,5 @@ int main(int argc, char** argv) {
   }
   const soccluster::ObsFlags obs_flags =
       soccluster::ParseObsFlags(argc, argv);
-  return soccluster::Run(seed, surge_minutes, open_loop, obs_flags);
+  return soccluster::Run(seed, surge_minutes, obs_flags);
 }

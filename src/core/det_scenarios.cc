@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/cluster/bmc.h"
 #include "src/cluster/cluster.h"
 #include "src/core/chaos.h"
+#include "src/core/flagships.h"
 #include "src/core/orchestrator.h"
 #include "src/core/overload.h"
 #include "src/core/telemetry.h"
@@ -15,21 +15,10 @@
 #include "src/trace/loadgen.h"
 #include "src/trace/session.h"
 #include "src/workload/dl/serving.h"
-#include "src/workload/serverless/serverless.h"
 #include "src/workload/video/live.h"
 
 namespace soccluster {
 namespace {
-
-// Deterministic 20/50/30 class mix keyed off a counter (the overload-storm
-// bench's convention).
-Priority MixedPriority(int64_t n) {
-  const int slot = static_cast<int>(n % 10);
-  if (slot < 2) {
-    return Priority::kCritical;
-  }
-  return slot < 7 ? Priority::kStandard : Priority::kBestEffort;
-}
 
 void MixTelemetry(StateDigest& digest, const ClusterTelemetry& telemetry) {
   const std::vector<TelemetrySample> samples = telemetry.samples();
@@ -233,142 +222,42 @@ DetScenario DetFaultAvailabilityScenario() {
 
 DetScenario DetOverloadStormScenario() {
   return [](Simulator& sim) {
-    constexpr int kServingSocs = 20;
-    constexpr double kMultiplier = 1.5;
-    const Duration surge = Duration::Minutes(2);
-
-    struct State {
-      std::unique_ptr<SocCluster> cluster;
-      std::unique_ptr<BmcModel> bmc;
-      std::unique_ptr<SocServingFleet> fleet;
-      std::unique_ptr<LiveTranscodingService> live;
-      std::unique_ptr<ServerlessPlatform> serverless;
-      std::unique_ptr<GamingWorkload> gaming;
-      std::unique_ptr<Orchestrator> orchestrator;
-      std::unique_ptr<ClusterOverloadManager> manager;
-      std::unique_ptr<ServerlessWorkload> functions;
-      std::unique_ptr<OpenLoopSource> source;
-      std::unique_ptr<PeriodicTask> probe;
-      int64_t submit_counter = 0;
-      int peak_level = 0;
-    };
-    auto state = std::make_shared<State>();
-    state->cluster = std::make_unique<SocCluster>(
-        &sim, DefaultChassisSpec(), Snapdragon865Spec());
-    state->cluster->PowerOnAll(nullptr);
-    SOC_CHECK(sim.RunFor(Duration::Seconds(26)).ok());
-    state->bmc = std::make_unique<BmcModel>(&sim, state->cluster.get(),
-                                            BmcConfig{});
-    state->bmc->StartSampling();
-
-    state->fleet = std::make_unique<SocServingFleet>(
-        &sim, state->cluster.get(), DlDevice::kSocCpu, DnnModel::kResNet50,
-        Precision::kFp32);
-    state->fleet->SetActiveCount(kServingSocs);
-    state->fleet->SetDeadline(Duration::Seconds(2));
-    state->fleet->admission().SetMaxQueue(500);
-    state->live = std::make_unique<LiveTranscodingService>(
-        &sim, state->cluster.get(), PlacementPolicy::kSpread);
-    state->serverless = std::make_unique<ServerlessPlatform>(
-        &sim, state->cluster.get(), ServerlessConfig{});
-    state->gaming = std::make_unique<GamingWorkload>(
-        &sim, state->cluster.get(), GamingWorkloadConfig{});
-    state->orchestrator = std::make_unique<Orchestrator>(
-        &sim, state->cluster.get(), PlacementPolicy::kSpread);
-    SOC_CHECK(state->orchestrator
-                  ->RegisterWorkload("batch", ReplicaDemand{0.05, 0.1},
-                                     Priority::kBestEffort)
-                  .ok());
-    SOC_CHECK(state->orchestrator->ScaleTo("batch", 8).ok());
-
-    ClusterOverloadConfig config;
-    config.wall_cap = Power::Watts(450.0);
-    state->manager = std::make_unique<ClusterOverloadManager>(
-        &sim, state->cluster.get(), state->bmc.get(), config);
-    state->manager->AttachServing(state->fleet.get());
-    state->manager->AttachLive(state->live.get());
-    state->manager->AttachServerless(state->serverless.get());
-    state->manager->AttachGaming(state->gaming.get());
-    state->manager->AttachOrchestrator(state->orchestrator.get());
-    state->manager->Start();
-
-    for (int i = 0; i < 12; ++i) {
-      state->live->RequestStream(VbenchVideo::kV3Game3,
-                                 TranscodeBackend::kSocCpu, MixedPriority(i));
-    }
-    state->functions = std::make_unique<ServerlessWorkload>(
-        &sim, state->serverless.get(), /*num_functions=*/10,
-        /*total_rate_per_s=*/10.0, /*seed=*/45);
-    SOC_CHECK(state->functions->Start(surge).ok());
-    state->gaming->Start(surge);
-
-    const double rate =
-        kMultiplier * kServingSocs * state->fleet->PerSocThroughput();
-    State* s = state.get();
-    state->source = std::make_unique<OpenLoopSource>(
-        &sim, rate, surge,
-        [s] { s->fleet->Submit(MixedPriority(s->submit_counter++)); });
-    state->source->Start();
-
-    // Thermal excursion over the middle third of the surge, plus two hard
-    // SoC faults feeding the breaker — both colliding with the 1 s/2 s
+    // The storm bench's scenario at half its fleet: one 1.5x surge whose
+    // thermal excursion and two hard SoC faults collide with the 1 s/2 s
     // sampling and governor ticks.
-    SocCluster* cluster = state->cluster.get();
-    sim.ScheduleAfter(surge / 3.0, [cluster] {
-      for (int i = 0; i < 6; ++i) {
-        cluster->soc(i).SetThrottleFactor(0.65);
-      }
-    }, "det.storm.throttle_on");
-    sim.ScheduleAfter(surge * (2.0 / 3.0), [cluster] {
-      for (int i = 0; i < 6; ++i) {
-        cluster->soc(i).SetThrottleFactor(1.0);
-      }
-    }, "det.storm.throttle_off");
-    for (int k = 0; k < 2; ++k) {
-      const int victim = 10 + 5 * k;
-      sim.ScheduleAfter(surge / 4.0 + Duration::Seconds(15 * k),
-                        [s, cluster, victim] {
-                          cluster->soc(victim).Fail();
-                          s->live->OnSocFailure(victim);
-                          s->orchestrator->OnSocFailure(victim);
-                        },
-                        "det.storm.fault");
-      sim.ScheduleAfter(surge / 4.0 + Duration::Seconds(15 * k + 60),
-                        [cluster, victim] { cluster->soc(victim).Repair(); },
-                        "det.storm.repair");
-    }
-    state->probe = std::make_unique<PeriodicTask>(
-        &sim, Duration::Seconds(1),
-        [s] {
-          s->peak_level =
-              std::max(s->peak_level, s->manager->brownout_level());
-        },
-        "det.storm.probe");
-    state->probe->Start();
+    OverloadStormParams params;
+    params.serving_socs = 20;
+    params.multiplier = 1.5;
+    params.surge = Duration::Minutes(2);
+    params.live_streams = 12;
+    params.functions = 10;
+    params.function_rps = 10.0;
+    params.function_seed = 45;
+    auto storm = std::make_shared<OverloadStorm>(&sim, params);
 
     DetScenarioRun run;
-    run.end = sim.Now() + surge + Duration::Minutes(3);
-    run.keepalive = state;
-    run.digest = [state] {
+    run.end = sim.Now() + params.surge + Duration::Minutes(3);
+    run.keepalive = storm;
+    run.digest = [storm] {
       StateDigest digest;
-      state->cluster->DigestState(digest);
-      state->fleet->DigestState(digest);
-      state->live->DigestState(digest);
-      state->serverless->DigestState(digest);
-      state->gaming->DigestState(digest);
-      state->orchestrator->DigestState(digest);
-      state->manager->governor().DigestState(digest);
+      storm->cluster->DigestState(digest);
+      storm->fleet->DigestState(digest);
+      storm->live->DigestState(digest);
+      storm->serverless->DigestState(digest);
+      storm->gaming->DigestState(digest);
+      storm->orchestrator->DigestState(digest);
+      storm->manager->governor().DigestState(digest);
       for (CircuitBreaker* breaker :
-           {state->manager->serving_breaker(), state->manager->live_breaker(),
-            state->manager->serverless_breaker()}) {
+           {storm->manager->serving_breaker(), storm->manager->live_breaker(),
+            storm->manager->serverless_breaker()}) {
         digest.Mix(breaker != nullptr);
         if (breaker != nullptr) {
           breaker->DigestState(digest);
         }
       }
-      digest.Mix(state->submit_counter);
-      digest.Mix(state->peak_level);
-      digest.Mix(state->source->generated());
+      digest.Mix(storm->submit_counter);
+      digest.Mix(storm->peak_level);
+      digest.Mix(storm->source->generated());
       return digest.value();
     };
     return run;

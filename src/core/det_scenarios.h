@@ -9,7 +9,8 @@
 //   det_fig05_gaming        diurnal cloud-gaming trace + telemetry capture
 //   det_fig07_live          live-transcoding stream churn with failover
 //   det_fault_availability  chaos run: faults, heartbeats, re-placement
-//   det_overload_storm      four services under the brownout ladder
+//   det_overload_storm      four services under the brownout ladder (the
+//                           OverloadStorm builder of src/core/flagships.h)
 //   det_sessions_day        open-loop session tier: compressed diurnal day
 //                           with a flash crowd, budgeted retries, timeouts
 //

@@ -143,6 +143,18 @@ void SloEngine::Advance(SimTime now) {
   }
 }
 
+SloAlertTally SloEngine::TallyAlerts(SimTime now) {
+  Advance(now);
+  SloAlertTally tally;
+  for (const auto& tracker : trackers_) {
+    tally.firing_at_end += tracker->firing() ? 1 : 0;
+    for (const SloAlert& alert : tracker->alerts()) {
+      ++(alert.firing ? tally.fired : tally.cleared);
+    }
+  }
+  return tally;
+}
+
 void SloEngine::WriteJson(std::ostream& out, SimTime now) const {
   JsonWriter w(&out);
   w.BeginObject();

@@ -113,6 +113,13 @@ class SloTracker {
   std::vector<SloAlert> alerts_;
 };
 
+// Alert totals over every tracker of an SloEngine (SloEngine::TallyAlerts).
+struct SloAlertTally {
+  int64_t fired = 0;          // Fire transitions.
+  int64_t cleared = 0;        // Clear transitions.
+  int64_t firing_at_end = 0;  // Trackers still firing.
+};
+
 // Registry of trackers, hung off Observability so every subsystem reaches
 // it through sim.obs().slos. Registration order is deterministic for a
 // deterministic program, and the JSON export follows it.
@@ -131,6 +138,10 @@ class SloEngine {
   // Re-evaluates every tracker at `now` (typically after a drain, so
   // clears are recorded even when no further requests arrive).
   void Advance(SimTime now);
+  // Advance(now), then totals every tracker's fire/clear transitions and
+  // counts the trackers still firing. At the end of a drained run the
+  // final Advance records the clear of any alert whose windows emptied.
+  SloAlertTally TallyAlerts(SimTime now);
 
   const std::vector<std::unique_ptr<SloTracker>>& trackers() const {
     return trackers_;

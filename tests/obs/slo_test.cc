@@ -273,6 +273,43 @@ TEST(SloEngineTest, AdvanceSweepsEveryTracker) {
   EXPECT_FALSE(tb->firing());
 }
 
+TEST(SloEngineTest, TallyAlertsAdvancesThenCountsTransitions) {
+  SloEngine engine;
+  SloSpec spec = TestSpec();
+  spec.name = "svc/refires";
+  SloTracker* refires = engine.Register(spec);
+  spec.name = "svc/healthy";
+  SloTracker* healthy = engine.Register(spec);
+  spec.name = "svc/drains";
+  SloTracker* drains = engine.Register(spec);
+  for (int second = 0; second < 120; ++second) {
+    refires->Record(At(second), false);
+    healthy->Record(At(second), true);
+    drains->Record(At(second), false);
+  }
+  // `refires` clears on an idle stretch, then burns and fires again.
+  refires->Advance(At(600.0));
+  for (int second = 600; second < 720; ++second) {
+    refires->Record(At(second), false);
+  }
+  ASSERT_EQ(refires->alerts().size(), 3u);
+  EXPECT_TRUE(refires->alerts()[0].firing);
+  EXPECT_FALSE(refires->alerts()[1].firing);
+  EXPECT_TRUE(refires->alerts()[2].firing);
+  EXPECT_TRUE(healthy->alerts().empty());
+  // `drains` has fired and not yet been evaluated since its burst ended.
+  ASSERT_EQ(drains->alerts().size(), 1u);
+  ASSERT_TRUE(drains->firing());
+
+  // The tally's own Advance records the clear of `drains`.
+  const SloAlertTally tally = engine.TallyAlerts(At(720.0));
+  EXPECT_EQ(tally.fired, 3);
+  EXPECT_EQ(tally.cleared, 2);
+  EXPECT_EQ(tally.firing_at_end, 1);
+  EXPECT_FALSE(drains->firing());
+  EXPECT_TRUE(refires->firing());
+}
+
 TEST(SloEngineTest, JsonTimelineHasSpecsTotalsAndAlerts) {
   SloEngine engine;
   SloTracker* tracker = engine.Register(TestSpec());

@@ -109,7 +109,8 @@ Registered as the `lint.repo` ctest. Rules:
 
   knobs          Every field of the checked config structs (KNOBS_STRUCTS:
                 the resilience stack, the session tier, the autoscaler,
-                training and serverless) must be written by some file
+                training, serverless and the flagship builders' params)
+                must be written by some file
                 outside tests/ and outside the struct's own .h/.cc: a
                 bench, example, perfbench workload or audit scenario. A
                 field no workload sets is one value in use, so it belongs
@@ -196,6 +197,9 @@ LAYERING_ALLOWLIST = {
     # and drive every service, like the benchmark suite.
     "src/core/det_scenarios.h",
     "src/core/det_scenarios.cc",
+    # The flagship builders those scenarios and the benches share.
+    "src/core/flagships.h",
+    "src/core/flagships.cc",
 }
 
 # Queue caps belong to the qos admission layer: service code must not grow
@@ -291,6 +295,9 @@ KNOBS_STRUCTS = {
     "AutoscalerConfig": "src/core/autoscaler",
     "TrainingConfig": "src/workload/dl/training",
     "ServerlessConfig": "src/workload/serverless/serverless",
+    "RideoutDayParams": "src/core/flagships",
+    "OverloadStormParams": "src/core/flagships",
+    "GrayStormParams": "src/core/flagships",
 }
 KNOBS_STRUCT_DEF = re.compile(r"\bstruct\s+(\w+)\s*(?::[^{;]*)?\{")
 KNOBS_FIELD = re.compile(
