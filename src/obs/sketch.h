@@ -6,21 +6,28 @@
 // Properties the rest of the repo relies on:
 //   - Mergeable: Merge() is commutative and associative (bucket counts add),
 //     so per-shard sketches can be combined in any order.
-//   - Deterministic: bucket state is an ordered map keyed by integer bucket
-//     index; iteration order, Fingerprint(), and quantile answers depend only
-//     on the multiset of added values, never on insertion order.
-//   - Bounded: when the bucket count would exceed Options::max_buckets the
-//     lowest buckets collapse together (the DDSketch collapsing strategy), so
-//     tail quantiles keep their guarantee and memory stays fixed.
+//   - Deterministic: bucket counts live in DDSketch's dense store, a vector
+//     of counts indexed by integer bucket index minus an offset, walked in
+//     index order; Fingerprint() and quantile answers depend only on the
+//     multiset of added values, never on insertion order.
+//   - Bounded: when the count of non-empty buckets would exceed
+//     Options::max_buckets the lowest non-empty bucket folds into the next
+//     one (the DDSketch collapsing strategy), so tail quantiles keep their
+//     guarantee. The store itself spans the indices added so far, so Add is
+//     an array increment; it allocates nothing before the first Add and
+//     never exceeds the index span of the finite range, 1e-12 to DBL_MAX
+//     (about 37k counts at the default relative_accuracy of 0.01).
 //
-// Values must be finite; negative values are clamped to the zero bucket
-// (request latencies, sojourn times, and sizes are all non-negative here).
+// Non-finite values are dropped; values below 1e-12, negatives included,
+// land in the zero bucket (request latencies, sojourn times, and sizes are
+// all non-negative here).
 
 #ifndef SRC_OBS_SKETCH_H_
 #define SRC_OBS_SKETCH_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 namespace soccluster {
 
@@ -56,7 +63,7 @@ class QuantileSketch {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double relative_accuracy() const { return options_.relative_accuracy; }
   int bucket_count() const {
-    return static_cast<int>(buckets_.size()) + (zero_count_ > 0 ? 1 : 0);
+    return nonempty_ + (zero_count_ > 0 ? 1 : 0);
   }
   // Number of lowest-bucket collapse operations performed (0 until the
   // max_buckets cap is hit).
@@ -70,7 +77,16 @@ class QuantileSketch {
  private:
   int32_t BucketIndex(double x) const;
   double BucketValue(int32_t index) const;
+  // Widens the store to cover bucket indices [lo, hi].
+  void Cover(int32_t lo, int32_t hi);
+  // Adds `n` values to bucket `index`, which the store covers.
+  void AddToBucket(int32_t index, int64_t n);
   void CollapseLowest();
+  // Position in counts_ of the lowest bucket that may be non-empty.
+  size_t FirstCount() const {
+    return nonempty_ > 0 ? static_cast<size_t>(lowest_ - offset_)
+                         : counts_.size();
+  }
 
   Options options_;
   double gamma_ = 0.0;      // (1 + alpha) / (1 - alpha)
@@ -78,8 +94,12 @@ class QuantileSketch {
   // Values below this map to the zero bucket (guards log underflow).
   double min_indexable_ = 0.0;
 
-  std::map<int32_t, int64_t> buckets_;  // bucket index -> count
-  int64_t zero_count_ = 0;              // values in [0, min_indexable_)
+  // counts_[i] counts bucket offset_ + i; buckets below lowest_ are empty.
+  std::vector<int64_t> counts_;
+  int32_t offset_ = 0;
+  int32_t lowest_ = 0;
+  int nonempty_ = 0;       // Non-empty buckets in counts_.
+  int64_t zero_count_ = 0;  // values below min_indexable_
   int64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -11,6 +11,7 @@ SocCapacityView::SocCapacityView(SocCluster* cluster)
 
 SocCapacityView::SocCapacityView(SocCluster* cluster, Options options)
     : cluster_(cluster), options_(options),
+      active_count_(cluster->num_socs()),
       memory_used_gb_(static_cast<size_t>(cluster->num_socs()), 0.0),
       slots_used_(static_cast<size_t>(cluster->num_socs()), 0) {
   SOC_CHECK(cluster_ != nullptr);
@@ -22,10 +23,24 @@ int SocCapacityView::num_socs() const { return cluster_->num_socs(); }
 bool SocCapacityView::IsPlaceable(int soc_index) const {
   SOC_DCHECK_GE(soc_index, 0);
   SOC_DCHECK_LT(soc_index, num_socs());
+  if (soc_index >= active_count_) {
+    return false;
+  }
   // Quarantined SoCs stay usable (in-flight work drains, canary probes
   // run) but accept no new placements anywhere in the stack.
   const SocModel& soc = cluster_->soc(soc_index);
   return soc.IsUsable() && !soc.quarantined();
+}
+
+void SocCapacityView::SetActiveCount(int count) {
+  SOC_CHECK_GE(count, 0);
+  SOC_CHECK_LE(count, num_socs());
+  const int changed_from = std::min(count, active_count_);
+  const int changed_to = std::max(count, active_count_);
+  active_count_ = count;
+  for (int i = changed_from; i < changed_to; ++i) {
+    cluster_->NotifySocChanged(i);
+  }
 }
 
 double SocCapacityView::MemoryCapacityGb(int soc_index) const {

@@ -17,8 +17,9 @@
 // state, whose changes reach the cluster's watchers through the SoC's
 // observer (src/hw/soc.h), or this view's memory and slot ledgers, whose
 // changes Reserve() and Release() announce through
-// SocCluster::NotifySocChanged. A new ledger mutator must announce too, or
-// a placement index keeps a stale key.
+// SocCluster::NotifySocChanged, as SetActiveCount() does for the active
+// set. A new mutator must announce too, or a placement index keeps a stale
+// key.
 
 #ifndef SRC_SCHED_CAPACITY_H_
 #define SRC_SCHED_CAPACITY_H_
@@ -59,9 +60,16 @@ class SocCapacityView {
   int num_socs() const;
 
   // The fault taxonomy's single notion of "can host new work": false for
-  // failed, rebooting, and powered-off SoCs. Every placement path must go
-  // through this — no service re-derives usability on its own.
+  // failed, rebooting, and powered-off SoCs, and for SoCs outside the
+  // view's active set. Every placement path must go through this — no
+  // service re-derives usability on its own.
   bool IsPlaceable(int soc_index) const;
+
+  // Limits new placements through this view to SoCs [0, count); every SoC
+  // is active until the first call. Announces each SoC whose membership
+  // changed. Work already placed on a SoC that leaves keeps running.
+  void SetActiveCount(int count);
+  int active_count() const { return active_count_; }
 
   // True when `demand` fits on the SoC right now (usability included).
   bool Fits(int soc_index, const PlacementDemand& demand) const;
@@ -106,6 +114,7 @@ class SocCapacityView {
 
   SocCluster* cluster_;
   Options options_;
+  int active_count_;
   std::vector<double> memory_used_gb_;
   std::vector<int> slots_used_;
 };

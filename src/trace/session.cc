@@ -111,6 +111,11 @@ SessionTier::SessionTier(Simulator* sim, SessionTierConfig config,
   give_up_metric_ = metrics.GetCounter("session.give_ups");
   wasted_metric_ = metrics.GetCounter("session.wasted");
   live_sessions_metric_ = metrics.GetGauge("session.live");
+  proposals_metric_ = metrics.GetCounter("trace.rate_proposals");
+  Counter* rate_evals_metric = metrics.GetCounter("trace.rate_evals");
+  for (Cohort& cohort : cohorts_) {
+    cohort.rate->set_eval_counter(rate_evals_metric);
+  }
 }
 
 SessionTier::~SessionTier() = default;
@@ -155,7 +160,8 @@ void SessionTier::ScheduleArrival(size_t cohort_index) {
   Cohort& cohort = cohorts_[cohort_index];
   // NHPP thinning, looped inline: propose at MaxRate, accept at
   // rate(t)/MaxRate. Only the accepted arrival becomes an event, so the
-  // event cost tracks the realized rate, not the proposal rate.
+  // event cost tracks the realized rate, not the proposal rate, and Below
+  // decides most proposals from its envelope without evaluating rate(t).
   const double max_rate = cohort.rate->MaxRate();
   SimTime t = sim_->Now();
   for (;;) {
@@ -163,8 +169,8 @@ void SessionTier::ScheduleArrival(size_t cohort_index) {
     if (t >= horizon_end_) {
       return;
     }
-    const double rate = cohort.rate->RateAt(t);
-    if (cohort.arrival_rng.NextDouble() * max_rate < rate) {
+    proposals_metric_->Increment();
+    if (cohort.rate->Below(t, cohort.arrival_rng.NextDouble() * max_rate)) {
       break;
     }
   }

@@ -286,6 +286,7 @@ class SessionTier {
   std::vector<SessionWindow> series_;
 
   // Registry counters (observers-only; never digested).
+  Counter* proposals_metric_;  // Thinning proposals (trace.rate_proposals).
   Counter* issued_metric_;
   Counter* submitted_metric_;
   Counter* good_metric_;

@@ -52,6 +52,7 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
             soc_device == DlDevice::kSocGpu || soc_device == DlDevice::kSocDsp)
       << "fleet devices must live on the SoC";
   SOC_CHECK(DlEngineModel::Supports(device_, model_, precision_));
+  view_.SetActiveCount(0);  // No SoC serves until SetActiveCount.
   MetricRegistry& metrics = sim_->metrics();
   retries_metric_ = metrics.GetCounter("dl.serving.retries");
   hedges_metric_ = metrics.GetCounter("dl.serving.hedges");
@@ -94,9 +95,7 @@ double SocServingFleet::PerSocThroughput() const {
 }
 
 void SocServingFleet::SetActiveCount(int count) {
-  SOC_CHECK_GE(count, 0);
-  SOC_CHECK_LE(count, cluster_->num_socs());
-  active_count_ = count;
+  view_.SetActiveCount(count);
   TryDispatch();
 }
 
@@ -192,8 +191,7 @@ void SocServingFleet::TryDispatch() {
     if (dispatch_limit_ > 0 && in_flight_ >= dispatch_limit_) {
       return;  // Brownout: concurrency capped; completions re-trigger.
     }
-    const int chosen = placer_.Pick(
-        kEngineSlot, [this](int i) { return i < active_count_; });
+    const int chosen = placer_.Pick(kEngineSlot);
     if (chosen < 0) {
       return;
     }
@@ -481,7 +479,7 @@ void GpuBatchServer::FinishBatch(std::vector<SimTime> batch,
 }
 
 void SocServingFleet::DigestState(StateDigest& digest) const {
-  digest.Mix(active_count_);
+  digest.Mix(view_.active_count());
   view_.DigestState(digest);
   admission_.DigestState(digest);
   digest.Mix(completed());

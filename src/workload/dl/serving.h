@@ -74,7 +74,7 @@ class SocServingFleet {
   // Declares the first `count` usable SoCs as the active serving set.
   // Shrinking does not abort in-flight work.
   void SetActiveCount(int count);
-  int active_count() const { return active_count_; }
+  int active_count() const { return view_.active_count(); }
 
   // When nonzero, each completed inference also ships its response of
   // `size` through the cluster fabric to the external node as a bulk flow
@@ -249,9 +249,9 @@ class SocServingFleet {
   DlDevice device_;
   DnnModel model_;
   Precision precision_;
-  int active_count_ = 0;
   // One engine slot per SoC; dispatch spreads over free slots (== the
   // historical first-free scan, since free engines all carry zero load).
+  // Only the active set [0, active_count()) is placeable through it.
   SocCapacityView view_;
   Placer placer_;
   AdmissionQueue admission_;

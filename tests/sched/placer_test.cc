@@ -259,6 +259,39 @@ TEST_F(PlacerTest, FilterExcludesCandidates) {
   EXPECT_EQ(placer.Pick(demand, [](int i) { return i >= 3; }), 3);
 }
 
+TEST_F(PlacerTest, ActiveSetLimitsIndexedPicksAndTheirChecks) {
+  // The serving fleet's shape: one engine slot per SoC, kSpread by slot
+  // load. SoCs outside the view's active prefix leave the index, so a pick
+  // on a full active set tests nothing.
+  SocCapacityView view(&cluster_, {.slot_capacity = 1});
+  Placer::Options options = PolicyOptions(PlacementPolicy::kSpread);
+  options.load.cpu_weight = 0.0;
+  options.load.slot_weight = 1.0;
+  Placer placer(&sim_, &view, options);
+  Counter* checked = sim_.metrics().GetCounter(
+      "sched.candidates_checked", {{"policy", "spread"}});
+  const PlacementDemand slot{.slots = 1};
+  view.SetActiveCount(2);
+  EXPECT_FALSE(view.IsPlaceable(2));
+  EXPECT_FALSE(view.Fits(4, slot));
+  ASSERT_EQ(placer.Pick(slot), 0);
+  view.Reserve(0, slot);
+  ASSERT_EQ(placer.Pick(slot), 1);
+  view.Reserve(1, slot);
+  const int64_t before = checked->value();
+  EXPECT_EQ(placer.Pick(slot), -1);
+  EXPECT_EQ(checked->value(), before);
+  // Growing the set announces the SoCs that joined; shrinking it keeps
+  // the placed work, and only the remaining active SoCs are picked.
+  view.SetActiveCount(4);
+  EXPECT_EQ(placer.Pick(slot), 2);
+  view.SetActiveCount(1);
+  EXPECT_EQ(placer.Pick(slot), -1);
+  EXPECT_EQ(view.SlotsUsed(1), 1);
+  view.SetActiveCount(5);
+  EXPECT_EQ(placer.Pick(slot), 2);
+}
+
 TEST_F(PlacerTest, PublishesPlacementMetricsLabeledByPolicy) {
   SocCapacityView view(&cluster_);
   Placer placer(&sim_, &view, PolicyOptions(PlacementPolicy::kPack));

@@ -101,6 +101,28 @@ TEST(RateProcessTest, MaxRateBoundsFlashAndBurst) {
   }
 }
 
+TEST(RateProcessDeathTest, RejectsShapesOutsideTheEnvelopeContract) {
+  // MaxRate() and the thinning envelope assume Value stays in
+  // [trough_fraction, 1] with one peak and one trough per day.
+  const auto make = [](DiurnalShape shape) {
+    RateProcess process(10.0, shape, MmppConfig{}, /*seed=*/1);
+  };
+  DiurnalShape ok;
+  make(ok);
+  DiurnalShape high_trough;
+  high_trough.trough_fraction = 1.5;
+  EXPECT_DEATH(make(high_trough), "trough_fraction");
+  DiurnalShape negative_trough;
+  negative_trough.trough_fraction = -0.1;
+  EXPECT_DEATH(make(negative_trough), "trough_fraction");
+  DiurnalShape flat_sharpen;
+  flat_sharpen.sharpen = 0.0;
+  EXPECT_DEATH(make(flat_sharpen), "sharpen");
+  DiurnalShape no_day;
+  no_day.day = Duration::Nanos(0);
+  EXPECT_DEATH(make(no_day), "day");
+}
+
 // --- session tier against a fake server ---------------------------------
 
 // Minimal in-sim service: every submission either completes after a fixed
