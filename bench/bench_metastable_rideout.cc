@@ -35,13 +35,16 @@
 //        cap, and offered load scale with it, so sanitizer smoke runs can
 //        shrink the whole experiment proportionally),
 //        --exact-latency=0|1 (default 1; pass 0 on very long days to keep
-//        latency memory O(sketch) — p99 then reads the registry sketch),
+//        latency memory O(sketch) — the fleet then keeps no per-class
+//        samples, so the critical p99 is left out of the report and the
+//        table reads n/a),
 //        --trace-out/--metrics-out/--slo-out/--digest-out (rideout run).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,7 +108,8 @@ struct RideoutOutcome {
   double collapsed_minutes = 0.0;
   bool recovered = false;  // Goodput back to >= 95% of pre, and held.
   double recovery_minutes = -1.0;  // Clear -> first recovered window.
-  double critical_p99_ms = 0.0;
+  // Unset without exact samples: the registry sketch mixes every class.
+  std::optional<double> critical_p99_ms;
   int peak_brownout = 0;
   int64_t slo_fires = 0;
   int64_t slo_clears = 0;
@@ -196,9 +200,6 @@ RideoutOutcome RunDay(bool rideout, const RideoutParams& params,
         day.fleet->latencies_of(Priority::kCritical);
     outcome.critical_p99_ms =
         critical.count() > 0 ? critical.Percentile(99) : 0.0;
-  } else {
-    outcome.critical_p99_ms =
-        sim.metrics().GetHistogram("dl.serving.latency_ms")->Percentile(99);
   }
 
   const MetricLabels spread{{"policy", PlacementPolicyName(
@@ -251,7 +252,9 @@ void Report(BenchReport& report, const char* mode,
   report.Add(Tag(mode, "collapsed_minutes"), o.collapsed_minutes, "min");
   report.Add(Tag(mode, "recovered"), o.recovered ? 1.0 : 0.0, "bool");
   report.Add(Tag(mode, "recovery_minutes"), o.recovery_minutes, "min");
-  report.Add(Tag(mode, "critical_p99_ms"), o.critical_p99_ms, "ms");
+  if (o.critical_p99_ms.has_value()) {
+    report.Add(Tag(mode, "critical_p99_ms"), *o.critical_p99_ms, "ms");
+  }
   report.Add(Tag(mode, "peak_brownout_level"),
              static_cast<double>(o.peak_brownout), "level");
   report.Add(Tag(mode, "slo_fires"), static_cast<double>(o.slo_fires),
@@ -312,7 +315,9 @@ int Run(const RideoutParams& params, const ObsFlags& obs_flags) {
                   FormatDouble(o.post_goodput, 3),
                   FormatDouble(o.collapsed_minutes, 1),
                   o.recovered ? "yes" : "NO", std::to_string(o.wasted),
-                  FormatDouble(o.critical_p99_ms, 0)});
+                  o.critical_p99_ms.has_value()
+                      ? FormatDouble(*o.critical_p99_ms, 0)
+                      : "n/a"});
     Report(report, names[i], o);
   }
   std::printf("%s\n", table.Render().c_str());

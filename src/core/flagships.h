@@ -63,7 +63,8 @@ struct RideoutDayParams {
   // Serving fleet size. Offered load is 0.95x its capacity; the fault
   // burst kills ~10% of it and the wall cap scales with it.
   int socs = 0;
-  // False keeps latency memory O(sketch); p99 then reads the registry.
+  // False keeps latency memory O(sketch): the fleet keeps no exact
+  // samples, and only the all-class registry histogram sees latency.
   bool exact_latency = true;
   // True: budgeted retries, a bounded queue with client-deadline purge and
   // the brownout ladder. False: the naive strawman — fixed-delay unbounded

@@ -99,6 +99,11 @@ Status FlushDigestFlag(const ObsFlags& flags, uint64_t digest) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(digest));
   out << "{\"state_digest\": \"" << hex << "\"}\n";
+  out.flush();
+  if (!out.good()) {
+    return Status::Internal("failed writing state digest to " +
+                            flags.digest_out);
+  }
   SOC_LOG(Info) << "state digest " << hex << " written to "
                 << flags.digest_out;
   return Status::Ok();

@@ -55,11 +55,8 @@ void WriteEntry(JsonWriter* w, const MetricRegistry::Entry& entry) {
       w->KeyValue("p99", entry.histogram->Percentile(99.0));
       w->KeyValue("p999", entry.histogram->Percentile(99.9));
     }
-    if (entry.histogram->sketch_backed()) {
-      w->KeyValue("sketch", true);
-      w->KeyValue("sketch_buckets",
-                  static_cast<int64_t>(entry.histogram->sketch()->bucket_count()));
-    }
+    w->KeyValue("sketch_buckets",
+                static_cast<int64_t>(entry.histogram->sketch().bucket_count()));
   } else if (entry.series != nullptr) {
     w->KeyValue("count", static_cast<int64_t>(entry.series->size()));
     if (entry.series->dropped_points() > 0) {

@@ -57,59 +57,28 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Distribution of observed values: streaming moments plus either stored
-// samples (exact percentiles, O(n) memory) or a fixed-memory quantile
-// sketch (relative-error-bounded percentiles, O(buckets) memory).
-//
-// Sample mode is the default so small experiments stay exact. Hot request
-// paths (serving, live, serverless, gaming, admission sojourn) call
-// EnableSketch() once at setup so million-request runs stop accumulating
-// per-observation state.
+// Distribution of observed values: streaming moments (count, mean, min,
+// max, stddev) plus a fixed-memory quantile sketch for percentiles, so every
+// registry histogram stays O(buckets) however many values it observes.
+// Percentiles are within the sketch's 1% relative-error bound; callers that
+// need exact percentiles keep their own samples.
 class HistogramMetric {
  public:
   void Observe(double x) {
     running_.Add(x);
-    if (sketch_ != nullptr) {
-      sketch_->Add(x);
-    } else {
-      samples_.Add(x);
-    }
+    sketch_.Add(x);
   }
 
-  // Switches this instrument to sketch-backed percentiles. Samples observed
-  // before the switch are folded into the sketch and then released, so the
-  // instrument's Percentile view stays continuous across the switch. The
-  // sketch keeps its default 1% relative accuracy. Idempotent.
-  void EnableSketch() {
-    if (sketch_ != nullptr) {
-      return;
-    }
-    sketch_ = std::make_unique<QuantileSketch>();
-    for (double x : samples_.samples()) {
-      sketch_->Add(x);
-    }
-    samples_ = SampleStats();
-  }
-  bool sketch_backed() const { return sketch_ != nullptr; }
-
-  // Percentile in [0, 100] from whichever backend is active: exact
-  // (interpolated) in sample mode, relative-error-bounded in sketch mode.
-  double Percentile(double p) const {
-    if (sketch_ != nullptr) {
-      return sketch_->Percentile(p);
-    }
-    return samples_.count() > 0 ? samples_.Percentile(p) : 0.0;
-  }
+  // Percentile in [0, 100], relative-error-bounded; 0 before any Observe.
+  double Percentile(double p) const { return sketch_.Percentile(p); }
 
   const RunningStat& running() const { return running_; }
-  const SampleStats& samples() const { return samples_; }
-  const QuantileSketch* sketch() const { return sketch_.get(); }
+  const QuantileSketch& sketch() const { return sketch_; }
   int64_t count() const { return running_.count(); }
 
  private:
   RunningStat running_;
-  SampleStats samples_;
-  std::unique_ptr<QuantileSketch> sketch_;  // Null in sample mode.
+  QuantileSketch sketch_;
 };
 
 // An appended (sim-time, value) series, e.g. a sampled power trace. Exported

@@ -14,7 +14,6 @@ void AttachRetryMetrics(MetricRegistry* metrics, std::string_view service,
     Counter* attempts = metrics->GetCounter("retry.attempts", labels);
     HistogramMetric* backoff_ms =
         metrics->GetHistogram("retry.backoff_ms", labels);
-    backoff_ms->EnableSketch();
     backoff->set_attempt_observer([attempts, backoff_ms](Duration wait) {
       attempts->Increment();
       backoff_ms->Observe(wait.ToMillis());

@@ -40,9 +40,6 @@ AdmissionQueue::AdmissionQueue(Simulator* sim, const std::string& service)
                                        {{"service", service}});
   sojourn_metric_ = metrics.GetHistogram("qos.admission.sojourn_ms",
                                          {{"service", service}});
-  // Sojourn is observed per dispatch — a hot path — so it is sketch-backed
-  // from the start.
-  sojourn_metric_->EnableSketch();
 }
 
 void AdmissionQueue::SetMaxQueue(int max_queue) {

@@ -56,7 +56,6 @@ GamingWorkload::GamingWorkload(Simulator* sim, SocCluster* cluster,
   sessions_rejected_metric_ = metrics.GetCounter("gaming.sessions_rejected");
   sessions_capped_metric_ = metrics.GetCounter("gaming.sessions_capped");
   session_length_metric_ = metrics.GetHistogram("gaming.session_length_ms");
-  session_length_metric_->EnableSketch();
 }
 
 double GamingWorkload::ArrivalRate(SimTime t) const {

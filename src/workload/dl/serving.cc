@@ -57,10 +57,6 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
   retries_metric_ = metrics.GetCounter("dl.serving.retries");
   hedges_metric_ = metrics.GetCounter("dl.serving.hedges");
   latency_metric_ = metrics.GetHistogram("dl.serving.latency_ms");
-  // The fleet serves the open-loop millions-of-requests scenarios; the
-  // registry histogram is sketch-backed so memory stays O(buckets). Exact
-  // per-request samples remain in latencies_ for digests and baselines.
-  latency_metric_->EnableSketch();
   max_queue_metric_ = metrics.GetGauge("dl.serving.max_queue_length");
   Tracer& tracer = sim_->tracer();
   for (int i = 0; i < cluster_->num_socs(); ++i) {

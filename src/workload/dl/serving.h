@@ -140,10 +140,11 @@ class SocServingFleet {
   // abandoned is purged at dispatch instead of burning a SoC slot — the
   // server-side half of retry-storm ride-out. Off by default.
   void SetHonorClientDeadline(bool honor) { honor_client_deadline_ = honor; }
-  // Exact per-request latency samples (SampleStats) power digests and
-  // small-run baselines but cost O(requests) memory. Million-request
-  // session runs disable them and read the sketch-backed registry
-  // histogram instead. On by default.
+  // Exact per-request latency samples (SampleStats), overall and per
+  // class, power digests and small-run baselines but cost O(requests)
+  // memory. Million-request session runs disable them; the registry
+  // histogram, a sketch over every class, still sees each completion.
+  // On by default.
   void SetExactLatencySamples(bool exact) { exact_latency_samples_ = exact; }
   // Seq-anchors the fleet's internal event chains (inference completions,
   // hedge checks, retry requeues) into `group`. An open-loop session tier

@@ -67,9 +67,6 @@ ServerlessPlatform::ServerlessPlatform(Simulator* sim, SocCluster* cluster,
   cold_starts_metric_ = metrics.GetCounter("serverless.cold_starts");
   deferred_metric_ = metrics.GetCounter("serverless.deferred");
   latency_metric_ = metrics.GetHistogram("serverless.latency_ms");
-  // Invocation latency is per-request on the Zipf workloads — sketch-backed
-  // keeps the registry fixed-memory (exact samples stay in latency_ms_).
-  latency_metric_->EnableSketch();
   admission_.SetMaxQueue(kDeferQueueCap);
   admission_.set_on_drop(
       [this](const AdmissionQueue::Item& item,

@@ -3,6 +3,7 @@
 // that recording never changes a run's results.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -277,6 +278,17 @@ TEST(ExportTest, FlagsRoundTripThroughFiles) {
   std::remove(metrics_path.c_str());
 }
 
+TEST(ExportTest, DigestFlagReportsFailedWrite) {
+  // /dev/full opens fine and fails every write, so only a check after the
+  // write catches it.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  ObsFlags flags;
+  flags.digest_out = "/dev/full";
+  EXPECT_FALSE(FlushDigestFlag(flags, 0x1234).ok());
+}
+
 TEST(ExportTest, EmptyObservabilityEmitsSelfDescribingTrace) {
   // Nothing recorded at all: the export is still a complete document with
   // the tracer-health metadata, so downstream tooling never special-cases
@@ -455,13 +467,12 @@ uint64_t RunFleetDigest(bool obs_on) {
   Simulator sim(42);
   if (obs_on) {
     sim.tracer().Enable();
-    // SLO evaluation and sketch-backed histograms on top of tracing.
+    // SLO evaluation on top of tracing.
     SloSpec spec;
     spec.name = "dl.serving/test";
     spec.service = "dl.serving";
     spec.class_name = "standard";
     sim.obs().slos.Register(spec);
-    sim.metrics().GetHistogram("dl.serving.latency_ms")->EnableSketch();
   }
   SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
   cluster.PowerOnAll(nullptr);

@@ -1,6 +1,8 @@
 // DL workload tests: model zoo structure, engine calibration (Fig. 11,
 // Table 7), serving DES components, and collaborative inference (Fig. 13).
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "src/base/check.h"
@@ -269,6 +271,62 @@ TEST_F(ServingTest, ZeroActiveSocsQueuesRequests) {
   fleet.SetActiveCount(1);
   sim_.Run();
   EXPECT_EQ(fleet.completed(), 2);
+}
+
+// What a fleet run does, read through the counters exact latency samples
+// must not change, plus the sample store itself.
+struct ExactLatencyRun {
+  int64_t completed = 0;
+  std::array<int64_t, kNumPriorities> completed_of{};
+  int64_t histogram_count = 0;
+  size_t samples = 0;
+  std::array<size_t, kNumPriorities> samples_of{};
+};
+
+ExactLatencyRun RunFleetWithExactSamples(bool exact) {
+  Simulator sim(31);
+  SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
+  cluster.PowerOnAll(nullptr);
+  SOC_CHECK(sim.RunFor(Duration::Seconds(26)).ok());
+  SocServingFleet fleet(&sim, &cluster, DlDevice::kSocGpu,
+                        DnnModel::kResNet50, Precision::kFp32);
+  fleet.SetActiveCount(4);
+  fleet.SetExactLatencySamples(exact);
+  int64_t submitted = 0;
+  OpenLoopSource source(&sim, /*rate_per_s=*/200.0, Duration::Seconds(20),
+                        [&] {
+                          fleet.Submit(static_cast<Priority>(
+                              submitted++ % kNumPriorities));
+                        });
+  source.Start();
+  sim.Run();
+  ExactLatencyRun run;
+  run.completed = fleet.completed();
+  run.histogram_count =
+      sim.metrics().GetHistogram("dl.serving.latency_ms")->count();
+  run.samples = fleet.latencies().count();
+  for (int p = 0; p < kNumPriorities; ++p) {
+    run.completed_of[p] = fleet.completed_of(static_cast<Priority>(p));
+    run.samples_of[p] = fleet.latencies_of(static_cast<Priority>(p)).count();
+  }
+  return run;
+}
+
+TEST(ServingExactLatencyTest, SamplesOffChangesNothingButTheSamples) {
+  const ExactLatencyRun on = RunFleetWithExactSamples(true);
+  const ExactLatencyRun off = RunFleetWithExactSamples(false);
+  EXPECT_GT(on.completed, 0);
+  EXPECT_EQ(off.completed, on.completed);
+  EXPECT_EQ(off.completed_of, on.completed_of);
+  EXPECT_EQ(on.histogram_count, on.completed);
+  EXPECT_EQ(off.histogram_count, on.histogram_count);
+  EXPECT_EQ(on.samples, static_cast<size_t>(on.completed));
+  for (int p = 0; p < kNumPriorities; ++p) {
+    EXPECT_GT(on.completed_of[p], 0) << "class " << p;
+    EXPECT_EQ(on.samples_of[p], static_cast<size_t>(on.completed_of[p]));
+    EXPECT_EQ(off.samples_of[p], 0u) << "class " << p;
+  }
+  EXPECT_EQ(off.samples, 0u);
 }
 
 TEST(GpuBatchServerTest, BatchesUpToLimit) {

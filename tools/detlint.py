@@ -4,8 +4,8 @@
 The dynamic half (src/sim/determinism.h) certifies that concrete runs do
 not depend on equal-timestamp dispatch order; this pass flags the source
 patterns that *create* such dependence, before any run exists. It walks
-the deterministic zones -- src/{sim,sched,core,cluster,qos,workload,net}
--- and reports:
+the deterministic zone (lint.DETERMINISM_DIRS, shared with the base
+linter's determinism rule) and reports:
 
   unordered-mutate      A range-for over a std::unordered_{map,set,...}
                         whose body mutates state, schedules events, or
@@ -51,10 +51,7 @@ import os
 import re
 import sys
 
-import lint  # strip_comments_and_strings lives in the base linter.
-
-DET_ZONES = ("src/sim", "src/sched", "src/core", "src/cluster", "src/qos",
-             "src/workload", "src/net")
+import lint  # Shares the zone and the comment stripper.
 
 RULES = ("unordered-mutate", "unordered-float-accum", "pointer-keyed",
          "pointer-order", "exempt-syntax", "stale-exempt")
@@ -255,7 +252,7 @@ class DetLinter:
                     continue
                 full = os.path.join(dirpath, name)
                 path = os.path.relpath(full, self.root).replace(os.sep, "/")
-                if not path.startswith(DET_ZONES):
+                if not path.startswith(lint.DETERMINISM_DIRS):
                     continue
                 with open(full, encoding="utf-8") as f:
                     text = f.read()

@@ -3,7 +3,9 @@
 ctest). Each rule gets a positive (flagged), a suppressed, and a negative
 (clean) case, driven through DetLinter.lint_file on synthetic sources."""
 
+import os
 import sys
+import tempfile
 import unittest
 
 import detlint
@@ -95,7 +97,22 @@ class UnorderedMutateTest(unittest.TestCase):
             path="src/obs/fake.cc")
         # lint_file itself does not zone-filter (run() does); simulate the
         # zone check here.
-        self.assertFalse("src/obs/fake.cc".startswith(detlint.DET_ZONES))
+        self.assertFalse(
+            "src/obs/fake.cc".startswith(detlint.lint.DETERMINISM_DIRS))
+
+    def test_session_tier_is_in_the_zone(self):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "src/trace"))
+            with open(os.path.join(root, "src/trace/fake.cc"), "w") as f:
+                f.write("std::unordered_set<uint64_t> ids_;\n"
+                        "void F() {\n"
+                        "  for (const uint64_t id : ids_) {\n"
+                        "    fold.Add(id);\n"
+                        "  }\n"
+                        "}\n")
+            findings = detlint.DetLinter(root).run()
+        self.assertEqual(rules_of(findings), ["unordered-mutate"])
+        self.assertIn("src/trace/fake.cc", findings[0])
 
 
 class FloatAccumTest(unittest.TestCase):

@@ -3,8 +3,9 @@
 
 Registered as the `lint.repo` ctest. Rules:
 
-  determinism   No wall-clock/nondeterminism primitives under
-                src/{sim,cluster,core,workload}. The simulator's core
+  determinism   No wall-clock/nondeterminism primitives in the
+                deterministic zone, src/{sim,sched,core,cluster,qos,
+                workload,net,trace}. The simulator's core
                 contract (src/sim/simulator.h) is that a given seed always
                 produces identical runs; one stray system_clock or rand()
                 call breaks every calibrated table downstream. Simulation
@@ -140,7 +141,11 @@ import os
 import re
 import sys
 
-DETERMINISM_DIRS = ("src/sim", "src/cluster", "src/core", "src/workload")
+# The deterministic zone: everything that runs inside a simulation, the
+# session tier and load generators (src/trace) included. tools/detlint.py
+# scans the same zone.
+DETERMINISM_DIRS = ("src/sim", "src/sched", "src/core", "src/cluster",
+                    "src/qos", "src/workload", "src/net", "src/trace")
 
 # Each pattern is (regex, human-readable reason).
 DETERMINISM_PATTERNS = [

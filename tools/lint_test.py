@@ -62,6 +62,12 @@ class DeterminismRuleTest(unittest.TestCase):
                             "int r = rand();\n")
         self.assertEqual(len(findings), 1)
 
+    def test_session_tier_in_zone(self):
+        findings = run_rule("lint_determinism", "src/trace/x.cc",
+                            "int r = rand();\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("[determinism]", findings[0])
+
     def test_outside_zone_ignored(self):
         findings = run_rule("lint_determinism", "src/obs/x.cc",
                             "int r = rand();\n")
