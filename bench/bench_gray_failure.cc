@@ -32,6 +32,14 @@
 namespace soccluster {
 namespace {
 
+// Ceiling on the engine events the fabric schedules per completed flow
+// (`net.wakes_scheduled` over `net.flows_completed`, summed over the four
+// storms). One pending wake per network, moved only when the earliest
+// projected finish changes, reads 1.5126-1.5130 at the defaults and at the
+// claims arguments (seeds 42/1/2); an event per flow, rescheduled on every
+// rate change, reads 3.267-3.280.
+constexpr double kMaxNetEventsPerFlow = 1.52;
+
 struct StormOutcome {
   int64_t generated = 0;
   int64_t completed = 0;
@@ -47,6 +55,8 @@ struct StormOutcome {
   int64_t slo_fired = 0;
   int64_t slo_firing_at_end = 0;
   int64_t slo_cleared = 0;
+  int64_t net_wakes = 0;
+  int64_t net_flows = 0;
   uint64_t digest = 0;
   double Goodput() const {
     return generated > 0
@@ -97,6 +107,10 @@ StormOutcome MeasureStorm(bool detect, bool plant, int minutes, uint64_t seed,
   outcome.slo_fired = slo.fired;
   outcome.slo_cleared = slo.cleared;
   outcome.slo_firing_at_end = slo.firing_at_end;
+  outcome.net_wakes =
+      sim.metrics().GetCounter("net.wakes_scheduled")->value();
+  outcome.net_flows =
+      sim.metrics().GetCounter("net.flows_completed")->value();
   StateDigest digest;
   sim.DigestState(digest);
   storm.cluster->DigestState(digest);
@@ -188,6 +202,16 @@ int Run(int minutes, uint64_t seed, const ObsFlags& obs_flags) {
              "count");
   report.Add("clean_suspects", static_cast<double>(clean.suspects), "count");
   report.Add("digest_match", on.digest == repeat.digest ? 1.0 : 0.0, "bool");
+  // Fabric cost, counted rather than timed, so it repeats exactly per seed.
+  const int64_t net_wakes =
+      off.net_wakes + on.net_wakes + repeat.net_wakes + clean.net_wakes;
+  const int64_t net_flows =
+      off.net_flows + on.net_flows + repeat.net_flows + clean.net_flows;
+  const double net_events_per_flow =
+      net_flows > 0 ? static_cast<double>(net_wakes) /
+                          static_cast<double>(net_flows)
+                    : 0.0;
+  report.Add("cost.net_events_per_flow", net_events_per_flow, "count");
 
   // The storm must walk the whole gray loop (suspect -> quarantine ->
   // probe -> escalate) and detection must pay off; matching p99s or a
@@ -214,6 +238,9 @@ int Run(int minutes, uint64_t seed, const ObsFlags& obs_flags) {
   report.Claim(clean.suspects == 0, "no suspicion on a healthy fleet (%lld)",
                static_cast<long long>(clean.suspects));
   report.Claim(on.digest == repeat.digest, "same-seed digests match");
+  report.Claim(net_events_per_flow <= kMaxNetEventsPerFlow,
+               "fabric events per completed flow %.4f <= %.2f",
+               net_events_per_flow, kMaxNetEventsPerFlow);
   return report.ExitCode();
 }
 

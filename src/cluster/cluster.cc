@@ -119,7 +119,8 @@ void SocCluster::PowerOnAll(std::function<void()> on_all_ready) {
     SOC_CHECK(status.ok()) << status.ToString();
   }
   if (*remaining == 0 && *done) {
-    sim_->ScheduleAfter(Duration::Zero(), [done] { (*done)(); });
+    sim_->ScheduleAfter(Duration::Zero(), [done] { (*done)(); },
+                        "cluster.booted");
   }
 }
 

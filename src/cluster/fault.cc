@@ -58,7 +58,7 @@ void FaultInjector::Excursion(FaultKind kind, int index, Duration duration,
     };
     static_assert(sizeof(end) <= InlineCallback::kInlineBytes,
                   "restore captures must not box the event callback");
-    sim_->ScheduleAfter(duration, std::move(end));
+    sim_->ScheduleAfter(duration, std::move(end), "fault.restore");
   }
 }
 
@@ -120,7 +120,7 @@ void FaultInjector::Chain(int process, int index) {
       p.fire(*this, index);
     }
     Chain(process, index);
-  });
+  }, "fault.arrival");
 }
 
 Duration FaultInjector::DrawWait(Duration mtbf) {
@@ -164,8 +164,9 @@ void FaultInjector::FailSoc(int soc_index) {
       transient ? config_.transient_outage : config_.repair_time;
   if (outage.nanos() > 0) {
     // Repairs complete even past the horizon — only new faults are bounded.
-    sim_->ScheduleAfter(outage,
-                        [this, soc_index] { CompleteSocRepair(soc_index); });
+    sim_->ScheduleAfter(
+        outage, [this, soc_index] { CompleteSocRepair(soc_index); },
+        "fault.repair");
   }
 }
 
@@ -191,7 +192,8 @@ void FaultInjector::FailPcb(int pcb_index) {
                           for (int i : victims) {
                             CompleteSocRepair(i);
                           }
-                        });
+                        },
+                        "fault.pcb_fix");
   }
 }
 
@@ -295,7 +297,7 @@ void FaultInjector::Plant(FaultKind kind, int index, SimTime at,
     if (kind == FaultKind::kLinkBrownout || cluster_->soc(index).IsUsable()) {
       Apply(kind, index, duration, value);
     }
-  });
+  }, "fault.plant");
 }
 
 void FaultInjector::PlantSlowSoc(int soc_index, SimTime at, Duration duration,

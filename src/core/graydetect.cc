@@ -371,7 +371,7 @@ void GrayFailureManager::Escalate(int soc_index) {
       }
       s.Repair();
       (void)s.PowerOn(cluster_->chassis().soc_boot, nullptr);
-    });
+    }, "gray.reboot");
   }
   if (on_escalate_) {
     on_escalate_(soc_index);

@@ -51,7 +51,8 @@ Status SocModel::PowerOn(Duration boot_latency, std::function<void()> on_ready) 
         if (cb) {
           cb();
         }
-      });
+      },
+      "soc.boot");
   return Status::Ok();
 }
 

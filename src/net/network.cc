@@ -392,42 +392,67 @@ void Network::Reallocate() {
   fill_visits_->Add(visits);
 
   // 3. A flow whose rate changed has its bits advanced at the old rate and
-  // its completion rescheduled at the new one; the others keep theirs.
+  // its finish re-projected at the new one under a fresh stamp; the others
+  // keep theirs. The same pass finds the earliest (finish, stamp) pair.
   const SimTime now = sim_->Now();
+  const FlowState* earliest = nullptr;
   for (FlowState& flow : flows_) {
-    if (flow.fill_bps == flow.rate.bps()) {
-      continue;
+    if (flow.fill_bps != flow.rate.bps()) {
+      flow.bits_remaining -=
+          flow.rate.bps() * (now - flow.last_update).ToSeconds();
+      if (flow.bits_remaining < 0.0) {
+        flow.bits_remaining = 0.0;
+      }
+      flow.last_update = now;
+      flow.rate = DataRate::Bps(flow.fill_bps);
+      if (flow.bits_remaining <= 0.0) {
+        flow.finish = now;
+        flow.stamp = next_stamp_++;
+      } else if (flow.rate.bps() <= kRateEpsilonBps) {
+        flow.finish = SimTime::Max();  // Stalled until its rate changes.
+      } else {
+        flow.finish =
+            now + Duration::SecondsF(flow.bits_remaining / flow.rate.bps());
+        flow.stamp = next_stamp_++;
+      }
     }
-    flow.bits_remaining -=
-        flow.rate.bps() * (now - flow.last_update).ToSeconds();
-    if (flow.bits_remaining < 0.0) {
-      flow.bits_remaining = 0.0;
+    if (flow.finish != SimTime::Max() &&
+        (earliest == nullptr || flow.finish < earliest->finish ||
+         (flow.finish == earliest->finish && flow.stamp < earliest->stamp))) {
+      earliest = &flow;
     }
-    flow.last_update = now;
-    flow.rate = DataRate::Bps(flow.fill_bps);
-    sim_->Cancel(flow.completion);
-    flow.completion = EventHandle();
-    const FlowId id = flow.id;
-    if (flow.bits_remaining <= 0.0) {
-      flow.completion = sim_->ScheduleAfter(
-          Duration::Zero(), [this, id] { CompleteFlow(id); }, kFlowDoneLabel);
-      continue;
-    }
-    if (flow.rate.bps() <= kRateEpsilonBps) {
-      continue;  // Stalled; rescheduled when its rate changes.
-    }
-    const Duration eta =
-        Duration::SecondsF(flow.bits_remaining / flow.rate.bps());
-    flow.completion = sim_->ScheduleAfter(
-        eta, [this, id] { CompleteFlow(id); }, kFlowDoneLabel);
   }
+
+  // 4. Move the wake only if the earliest pair changed. A stamp names one
+  // projection, so it stands for the pair.
+  const uint64_t stamp = earliest != nullptr ? earliest->stamp : 0;
+  if (stamp == wake_stamp_) {
+    return;
+  }
+  sim_->Cancel(wake_);
+  wake_ = EventHandle();
+  wake_stamp_ = stamp;
+  if (earliest == nullptr) {
+    return;
+  }
+  if (wakes_scheduled_ == nullptr) {
+    wakes_scheduled_ = sim_->metrics().GetCounter("net.wakes_scheduled");
+  }
+  wakes_scheduled_->Increment();
+  const FlowId id = earliest->id;
+  wake_ = sim_->ScheduleAt(
+      earliest->finish,
+      [this, id] {
+        wake_ = EventHandle();
+        wake_stamp_ = 0;
+        CompleteFlow(id);
+      },
+      kFlowDoneLabel);
 }
 
 void Network::CompleteFlow(FlowId flow_id) {
   FlowState* flow = FindFlow(flow_id);
-  if (flow == nullptr) {
-    return;
-  }
+  SOC_CHECK(flow != nullptr);
   InlineCallback callback = std::move(flow->on_complete);
   flows_completed_->Increment();
   flow_duration_ms_->Observe((sim_->Now() - flow->start).ToMillis());

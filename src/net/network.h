@@ -8,11 +8,20 @@
 //
 // A recompute costs the links and path entries of the active flows only:
 // idle links are never visited, the filling runs in member scratch buffers,
-// and a flow's completion event is cancelled and rescheduled only when its
-// rate changes (bits are accounted lazily, at each rate change). A fair
-// share below a tiny fraction of its link's capacity is floating-point
-// residue, not bandwidth, and counts as zero: the flow stalls as on a down
-// link. Every event the network schedules is labeled `net.*`.
+// and a flow's finish is re-projected only when its rate changes (bits are
+// accounted lazily, at each rate change). A fair share below a tiny
+// fraction of its link's capacity is floating-point residue, not
+// bandwidth, and counts as zero: the flow stalls as on a down link.
+//
+// The network keeps one pending engine event, its wake, at the earliest
+// projected finish over its active flows, not one event per flow. Each
+// projection takes a fresh per-network stamp, and flows finishing at the
+// same instant complete in stamp (projection) order, one per wake: that
+// order is pinned, the way an anchor group pins order, so tie-break
+// perturbation cannot reorder equal-instant completions. The wake is
+// rescheduled only when the earliest (instant, stamp) pair changes
+// (`net.wakes_scheduled` counts each scheduling). Every event the network
+// schedules is labeled `net.*`.
 //
 // This reproduces TCP behaviour at the >=100 ms timescales the paper
 // measures, and is exact for the bulk-transfer phases of collaborative
@@ -135,8 +144,12 @@ class Network {
     DataRate cap;
     SimTime start;
     SimTime last_update;
+    // Projected completion at the current rate (SimTime::Max() while
+    // stalled) and the stamp taken when it was projected; the earliest
+    // (finish, stamp) pair over the active flows holds the wake.
+    SimTime finish = SimTime::Max();
+    uint64_t stamp = 0;
     InlineCallback on_complete;
-    EventHandle completion;
     SpanId span = 0;  // Async "flow" span (category "net"), id = flow id.
     // Progressive-filling scratch (Reallocate).
     double fill_bps = 0.0;
@@ -154,8 +167,8 @@ class Network {
   FlowState* FindFlow(FlowId id);
   const FlowState* FindFlow(FlowId id) const;
   // Recomputes max-min fair rates over the links the active flows cross;
-  // a flow whose rate changed has its bits advanced to now and its
-  // completion rescheduled.
+  // a flow whose rate changed has its bits advanced to now and its finish
+  // re-projected, and the wake moves if the earliest finish changed.
   void Reallocate();
   void CompleteFlow(FlowId flow);
 
@@ -170,6 +183,11 @@ class Network {
   std::map<std::pair<NetNodeId, NetNodeId>, Path> route_cache_;
   FlowId next_flow_id_ = 1;
   int64_t next_load_id_ = 1;
+  // The one pending completion event, scheduled at the finish of the flow
+  // whose projection took `wake_stamp_` (0: no wake pending).
+  EventHandle wake_;
+  uint64_t wake_stamp_ = 0;
+  uint64_t next_stamp_ = 1;
   // Reallocate scratch, indexed by LinkId and sized on first use: each busy
   // link's capacity left for unfrozen flows and their count, and the busy
   // links themselves. Every count is back at zero between calls.
@@ -181,9 +199,11 @@ class Network {
   Counter* flows_completed_;
   HistogramMetric* flow_duration_ms_;
   HistogramMetric* flow_mbits_;
-  // Link and path entries visited by Reallocate ("net.fill_visits");
-  // registered on first use, so building a network costs what it did.
+  // Link and path entries visited by Reallocate ("net.fill_visits") and
+  // wakes scheduled ("net.wakes_scheduled"); registered on first use, so
+  // building a network costs what it did.
   Counter* fill_visits_ = nullptr;
+  Counter* wakes_scheduled_ = nullptr;
 };
 
 }  // namespace soccluster

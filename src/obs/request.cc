@@ -3,8 +3,11 @@
 namespace soccluster {
 namespace {
 
+// Tests enablement first, so with tracing off no hop reads the context
+// or measures its category.
 bool Ready(const Tracer* tracer, const RequestContext* ctx) {
-  return tracer != nullptr && ctx != nullptr && ctx->id != 0;
+  return tracer != nullptr && tracer->enabled() && ctx != nullptr &&
+         ctx->id != 0;
 }
 
 void End(Tracer* tracer, const RequestContext* ctx, const char* hop,

@@ -5,8 +5,9 @@
 // A workload allocates one RequestContext per logical request (the service
 // owns it; the AdmissionQueue and Placer only borrow a pointer), then calls
 // the Trace* helpers at each hop. Helpers emit a flow point only when a
-// tracer is attached, so instrumented paths never branch on enablement
-// themselves. Everything here is observers-only state: nothing is folded
+// tracer is attached and enabled, and test that before they read the
+// context (the category's length included), so instrumented paths never
+// branch on enablement themselves. Everything here is observers-only state: nothing is folded
 // into digests and nothing feeds back into the simulation.
 
 #ifndef SRC_OBS_REQUEST_H_

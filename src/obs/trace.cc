@@ -10,11 +10,8 @@ SimTime Tracer::NowForSpan() const {
   return *clock_;
 }
 
-SpanId Tracer::BeginSpan(std::string_view name, std::string_view category,
-                         int64_t track, SpanId parent) {
-  if (!enabled_) {
-    return 0;
-  }
+SpanId Tracer::RecordSpan(std::string_view name, std::string_view category,
+                          int64_t track, SpanId parent) {
   if (Full()) {
     ++dropped_spans_;
     return 0;
@@ -31,20 +28,18 @@ SpanId Tracer::BeginSpan(std::string_view name, std::string_view category,
   return static_cast<SpanId>(spans_.size());
 }
 
-SpanId Tracer::BeginAsyncSpan(std::string_view name, std::string_view category,
-                              uint64_t async_id, SpanId parent) {
+SpanId Tracer::RecordAsyncSpan(std::string_view name,
+                               std::string_view category, uint64_t async_id,
+                               SpanId parent) {
   SOC_DCHECK(async_id != 0) << "async spans need a nonzero id";
-  const SpanId id = BeginSpan(name, category, /*track=*/0, parent);
+  const SpanId id = RecordSpan(name, category, /*track=*/0, parent);
   if (id != 0) {
     spans_[id - 1].async_id = async_id;
   }
   return id;
 }
 
-void Tracer::EndSpan(SpanId id) {
-  if (id == 0) {
-    return;
-  }
+void Tracer::RecordEnd(SpanId id) {
   SOC_CHECK_LE(id, spans_.size()) << "unknown span id";
   TraceSpan& span = spans_[id - 1];
   SOC_CHECK(span.open) << "span '" << span.name << "' ended twice";
@@ -53,33 +48,22 @@ void Tracer::EndSpan(SpanId id) {
   --open_spans_;
 }
 
-void Tracer::AddArg(SpanId id, std::string_view key, std::string_view value) {
-  if (id == 0) {
-    return;
-  }
+void Tracer::RecordArg(SpanId id, std::string_view key,
+                       std::string_view value) {
   SOC_CHECK_LE(id, spans_.size()) << "unknown span id";
   spans_[id - 1].args.emplace_back(std::string(key), std::string(value));
 }
 
-void Tracer::AddArg(SpanId id, std::string_view key, double value) {
-  if (id == 0) {
-    return;
-  }
-  AddArg(id, key, std::string_view(JsonNumber(value)));
+void Tracer::RecordArg(SpanId id, std::string_view key, double value) {
+  RecordArg(id, key, std::string_view(JsonNumber(value)));
 }
 
-void Tracer::AddArg(SpanId id, std::string_view key, int64_t value) {
-  if (id == 0) {
-    return;
-  }
-  AddArg(id, key, std::string_view(std::to_string(value)));
+void Tracer::RecordArg(SpanId id, std::string_view key, int64_t value) {
+  RecordArg(id, key, std::string_view(std::to_string(value)));
 }
 
-void Tracer::Instant(std::string_view name, std::string_view category,
-                     int64_t track) {
-  if (!enabled_) {
-    return;
-  }
+void Tracer::RecordInstant(std::string_view name, std::string_view category,
+                           int64_t track) {
   if (Full()) {
     ++dropped_spans_;
     return;
@@ -92,11 +76,9 @@ void Tracer::Instant(std::string_view name, std::string_view category,
   instants_.push_back(std::move(instant));
 }
 
-void Tracer::AddFlow(std::string_view name, std::string_view category,
-                     uint64_t flow_id, int64_t track, TraceFlow::Phase phase) {
-  if (!enabled_) {
-    return;
-  }
+void Tracer::RecordFlow(std::string_view name, std::string_view category,
+                        uint64_t flow_id, int64_t track,
+                        TraceFlow::Phase phase) {
   SOC_DCHECK(flow_id != 0) << "flow points need a nonzero id";
   if (Full()) {
     ++dropped_spans_;
@@ -110,21 +92,6 @@ void Tracer::AddFlow(std::string_view name, std::string_view category,
   flow.phase = phase;
   flow.time = NowForSpan();
   flows_.push_back(std::move(flow));
-}
-
-void Tracer::FlowBegin(std::string_view name, std::string_view category,
-                       uint64_t flow_id, int64_t track) {
-  AddFlow(name, category, flow_id, track, TraceFlow::Phase::kBegin);
-}
-
-void Tracer::FlowStep(std::string_view name, std::string_view category,
-                      uint64_t flow_id, int64_t track) {
-  AddFlow(name, category, flow_id, track, TraceFlow::Phase::kStep);
-}
-
-void Tracer::FlowEnd(std::string_view name, std::string_view category,
-                     uint64_t flow_id, int64_t track) {
-  AddFlow(name, category, flow_id, track, TraceFlow::Phase::kEnd);
 }
 
 void Tracer::SetTrackName(int64_t track, std::string_view name) {

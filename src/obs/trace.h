@@ -12,9 +12,11 @@
 //
 // Recording is passive: nothing feeds back into the simulation, so a run
 // is bit-identical with tracing on or off. When the tracer is disabled
-// (the default), every call is an early-returning no-op that allocates
-// nothing; span ids handed out while disabled are 0 and all operations on
-// id 0 are no-ops, so instrumentation never needs its own `if (enabled)`.
+// (the default), every call is an inline test of `enabled_` (or of a zero
+// span id) that calls nothing and allocates nothing; only recording goes
+// out of line. Span ids handed out while disabled are 0 and all operations
+// on id 0 are no-ops, so instrumentation never needs its own
+// `if (enabled)`.
 //
 // The span store is bounded (set_max_spans); once full, new spans are
 // dropped and counted rather than growing without limit.
@@ -90,30 +92,66 @@ class Tracer {
 
   // Begins a synchronous span on `track`. Returns 0 when disabled or full.
   SpanId BeginSpan(std::string_view name, std::string_view category,
-                   int64_t track = 0, SpanId parent = 0);
+                   int64_t track = 0, SpanId parent = 0) {
+    return enabled_ ? RecordSpan(name, category, track, parent) : 0;
+  }
   // Begins an async span grouped by (category, async_id).
   SpanId BeginAsyncSpan(std::string_view name, std::string_view category,
-                        uint64_t async_id, SpanId parent = 0);
+                        uint64_t async_id, SpanId parent = 0) {
+    return enabled_ ? RecordAsyncSpan(name, category, async_id, parent) : 0;
+  }
   // Closes a span at the current sim time. No-op for id 0.
-  void EndSpan(SpanId id);
+  void EndSpan(SpanId id) {
+    if (id != 0) {
+      RecordEnd(id);
+    }
+  }
   // Attaches a key/value annotation. No-op for id 0.
-  void AddArg(SpanId id, std::string_view key, std::string_view value);
-  void AddArg(SpanId id, std::string_view key, double value);
-  void AddArg(SpanId id, std::string_view key, int64_t value);
+  void AddArg(SpanId id, std::string_view key, std::string_view value) {
+    if (id != 0) {
+      RecordArg(id, key, value);
+    }
+  }
+  void AddArg(SpanId id, std::string_view key, double value) {
+    if (id != 0) {
+      RecordArg(id, key, value);
+    }
+  }
+  void AddArg(SpanId id, std::string_view key, int64_t value) {
+    if (id != 0) {
+      RecordArg(id, key, value);
+    }
+  }
 
   // A zero-duration marker on `track`.
   void Instant(std::string_view name, std::string_view category,
-               int64_t track = 0);
+               int64_t track = 0) {
+    if (enabled_) {
+      RecordInstant(name, category, track);
+    }
+  }
 
   // Causal flow points (exported as Perfetto s/t/f events). Chain points by
   // reusing (category, flow_id); begin once, step at each hop, end at the
   // terminal event. Flows share the span cap and the dropped counter.
   void FlowBegin(std::string_view name, std::string_view category,
-                 uint64_t flow_id, int64_t track = 0);
+                 uint64_t flow_id, int64_t track = 0) {
+    if (enabled_) {
+      RecordFlow(name, category, flow_id, track, TraceFlow::Phase::kBegin);
+    }
+  }
   void FlowStep(std::string_view name, std::string_view category,
-                uint64_t flow_id, int64_t track = 0);
+                uint64_t flow_id, int64_t track = 0) {
+    if (enabled_) {
+      RecordFlow(name, category, flow_id, track, TraceFlow::Phase::kStep);
+    }
+  }
   void FlowEnd(std::string_view name, std::string_view category,
-               uint64_t flow_id, int64_t track = 0);
+               uint64_t flow_id, int64_t track = 0) {
+    if (enabled_) {
+      RecordFlow(name, category, flow_id, track, TraceFlow::Phase::kEnd);
+    }
+  }
 
   // Names a synchronous track in the exported trace (e.g. track 7 -> "soc07").
   void SetTrackName(int64_t track, std::string_view name);
@@ -135,8 +173,19 @@ class Tracer {
   bool Full() const {
     return spans_.size() + instants_.size() + flows_.size() >= max_spans_;
   }
-  void AddFlow(std::string_view name, std::string_view category,
-               uint64_t flow_id, int64_t track, TraceFlow::Phase phase);
+  // Out-of-line recorders behind the inline enablement tests above.
+  SpanId RecordSpan(std::string_view name, std::string_view category,
+                    int64_t track, SpanId parent);
+  SpanId RecordAsyncSpan(std::string_view name, std::string_view category,
+                         uint64_t async_id, SpanId parent);
+  void RecordEnd(SpanId id);
+  void RecordArg(SpanId id, std::string_view key, std::string_view value);
+  void RecordArg(SpanId id, std::string_view key, double value);
+  void RecordArg(SpanId id, std::string_view key, int64_t value);
+  void RecordInstant(std::string_view name, std::string_view category,
+                     int64_t track);
+  void RecordFlow(std::string_view name, std::string_view category,
+                  uint64_t flow_id, int64_t track, TraceFlow::Phase phase);
 
   bool enabled_ = false;
   const SimTime* clock_ = nullptr;

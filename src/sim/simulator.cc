@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -22,11 +23,23 @@ const char* Simulator::InternLabel(std::string_view label) {
   if (label.empty()) {
     return nullptr;
   }
+  // The memo is searched by address equality only (never ordered or
+  // hashed by address), so which entry holds a label cannot depend on
+  // where it lives.
+  for (const LabelMemo& memo : label_memo_) {
+    if (memo.data == label.data() && memo.size == label.size() &&
+        std::memcmp(memo.interned, label.data(), label.size()) == 0) {
+      return memo.interned;
+    }
+  }
   auto it = labels_.find(label);
   if (it == labels_.end()) {
     it = labels_.emplace(label).first;
   }
-  return it->c_str();
+  LabelMemo& memo = label_memo_[label_memo_next_];
+  label_memo_next_ = (label_memo_next_ + 1) % label_memo_.size();
+  memo = LabelMemo{label.data(), label.size(), it->c_str()};
+  return memo.interned;
 }
 
 void Simulator::PushHeap(std::vector<HeapItem>& heap, uint32_t index,

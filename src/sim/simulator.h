@@ -18,12 +18,13 @@
 // are generation-counted slab refs, so Cancel() is an O(1) generation
 // check with no hash lookups; callbacks are small-buffer-optimized
 // (src/base/callback.h) so typical capture lists never allocate; labels
-// are interned so events carry a pointer, not a std::string. Pending
-// events sit in a hierarchical timing wheel (5 levels x 256 slots of
-// 512 ns base granularity, ~6.5 simulated days of horizon) with a
-// binary-heap overflow tier for far-future events; the wheel advances by
-// jumping to the next occupied slot, staging its events on a small
-// (time, seq) heap that restores exact FIFO order.
+// are interned so events carry a pointer, not a std::string, and a small
+// memo keyed by the label's address spares a repeated label its hash (see
+// ScheduleAt). Pending events sit in a hierarchical timing wheel (5
+// levels x 256 slots of 512 ns base granularity, ~6.5 simulated days of
+// horizon) with a binary-heap overflow tier for far-future events; the
+// wheel advances by jumping to the next occupied slot, staging its events
+// on a small (time, seq) heap that restores exact FIFO order.
 //
 // Each Simulator owns an Observability context (metrics registry + tracer,
 // src/obs/obs.h). Components reach it through obs(); the engine itself
@@ -98,8 +99,13 @@ class Simulator {
   // `label` names the event in divergence reports. Labels are interned and
   // must be static-ish ("service.arrival", not one string per request):
   // a dynamic label would grow the intern table without bound and pay a
-  // hash+copy on the hot path — tools/lint.py's `hot-label` rule enforces
-  // this at call sites. A nonzero `anchor_group` seq-anchors the event:
+  // hash+copy on the hot path. tools/lint.py's `hot-label` rule enforces
+  // this at call sites and requires a label at every call under src/
+  // outside the engine. A label scheduled again from the same address
+  // costs no hash: a small fixed memo keyed by the label's data pointer
+  // and length returns the interned pointer once the bytes compare equal
+  // (a reused buffer whose text changed misses), and only a miss consults
+  // the intern table. A nonzero `anchor_group` seq-anchors the event:
   // equal-timestamp events sharing a group keep their mutual FIFO order
   // even under tie-break perturbation — the explicit marker for
   // intentionally order-dependent event pairs.
@@ -309,6 +315,15 @@ class Simulator {
     }
   };
   std::unordered_set<std::string, LabelHash, std::equal_to<>> labels_;
+  // Memo in front of labels_, keyed by the caller's label (data pointer,
+  // length); a hit still compares the bytes.
+  struct LabelMemo {
+    const char* data = nullptr;
+    size_t size = 0;
+    const char* interned = nullptr;
+  };
+  std::array<LabelMemo, 16> label_memo_{};
+  size_t label_memo_next_ = 0;  // Entry the next miss replaces.
 
   Rng rng_;
   uint64_t next_anchor_group_ = 1;

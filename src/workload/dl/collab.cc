@@ -104,7 +104,8 @@ bool CollaborativeInference::AllMembersUsable() const {
 void CollaborativeInference::StartBlock(size_t block_index) {
   current_block_ = block_index;
   sim_->ScheduleAfter(BlockCompute(static_cast<int>(block_index)),
-                      [this, block_index] { BlockComputeDone(block_index); });
+                      [this, block_index] { BlockComputeDone(block_index); },
+                      "dl.collab.block");
 }
 
 void CollaborativeInference::BlockComputeDone(size_t block_index) {
@@ -146,7 +147,7 @@ void CollaborativeInference::HandleFailover(size_t block_index) {
       return;
     }
     StartBlock(block_index);
-  });
+  }, "dl.collab.fail");
 }
 
 void CollaborativeInference::ExchangeDone(size_t block_index) {
@@ -177,7 +178,7 @@ void CollaborativeInference::ExchangeDone(size_t block_index) {
     if (pipelined_) {
       StartBlock(block_index + 1);
     }
-  });
+  }, "dl.collab.xchg");
 }
 
 void CollaborativeInference::LaunchExchange(size_t block_index,

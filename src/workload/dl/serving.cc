@@ -420,7 +420,7 @@ void GpuBatchServer::MaybeLaunch(bool timeout_expired) {
       timeout_event_ = sim_->ScheduleAfter(batch_timeout_, [this] {
         timeout_event_ = EventHandle();
         MaybeLaunch(/*timeout_expired=*/true);
-      });
+      }, "dl.gpu.timeout");
     }
     return;
   }
@@ -454,7 +454,8 @@ void GpuBatchServer::MaybeLaunch(bool timeout_expired) {
   sim_->ScheduleAfter(
       latency, [this, members = std::move(members), batch_span]() mutable {
         FinishBatch(std::move(members), batch_span);
-      });
+      },
+      "dl.gpu.batch");
 }
 
 void GpuBatchServer::FinishBatch(std::vector<SimTime> batch,

@@ -61,7 +61,7 @@ void CollaborativeTraining::StartStep(int remaining) {
       return;
     }
     StartAllReducePhase(remaining, 0, step_start, compute_end);
-  });
+  }, "dl.train.step");
 }
 
 void CollaborativeTraining::StartAllReducePhase(int remaining_steps, int phase,

@@ -209,7 +209,7 @@ void ServerlessPlatform::ColdStart(InvocationRef ref) {
     const auto inst = instances_.find(provisioned.instance_id);
     SOC_CHECK(inst != instances_.end());
     RunOn(&inst->second, ref);
-  });
+  }, "serverless.cold");
 }
 
 void ServerlessPlatform::DrainDeferred() {
@@ -269,7 +269,9 @@ void ServerlessPlatform::RunOn(Instance* instance, InvocationRef ref) {
       rng_.LogNormalMedian(spec.exec_median.ToSeconds(), spec.exec_sigma) /
       soc.throttle_factor());
   invocation.instance_id = instance->id;
-  sim_->ScheduleAfter(invocation.exec, [this, ref] { FinishInvocation(ref); });
+  sim_->ScheduleAfter(
+      invocation.exec, [this, ref] { FinishInvocation(ref); },
+      "serverless.exec");
 }
 
 void ServerlessPlatform::FinishInvocation(InvocationRef ref) {
@@ -315,7 +317,8 @@ void ServerlessPlatform::FinishInvocation(InvocationRef ref) {
 void ServerlessPlatform::ArmEviction(Instance* instance) {
   const int64_t id = instance->id;
   instance->eviction =
-      sim_->ScheduleAfter(config_.keep_alive, [this, id] { Evict(id); });
+      sim_->ScheduleAfter(config_.keep_alive, [this, id] { Evict(id); },
+                          "serverless.ttl");
 }
 
 void ServerlessPlatform::Evict(int64_t instance_id) {

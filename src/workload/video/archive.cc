@@ -106,7 +106,7 @@ void ArchiveTranscodingService::TryDispatch() {
         job.on_done(report);
       }
       TryDispatch();
-    });
+    }, "video.archive");
   }
 }
 

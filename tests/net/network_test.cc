@@ -394,19 +394,25 @@ TEST_F(NetworkTest, CompletionIsRescheduledOnlyWhenItsRateChanges) {
   const NetNodeId d = net.AddNode("d");
   net.AddBidirectionalLink(a, b, DataRate::Mbps(100.0));
   net.AddBidirectionalLink(c, d, DataRate::Mbps(100.0));
+  Counter* wakes = sim_.metrics().GetCounter("net.wakes_scheduled");
   SimTime first_end;
   ASSERT_TRUE(net.StartFlow(a, b, DataSize::Megabytes(12.5), DataRate::Zero(),
                             [&] { first_end = sim_.Now(); })
                   .ok());
-  // A disjoint flow leaves the first flow's rate, and its completion, alone.
+  EXPECT_EQ(wakes->value(), 1);
+  // A disjoint flow leaves the first flow's rate alone, but it finishes
+  // earlier (0.5 s against 1 s), so the wake moves exactly once.
   ASSERT_TRUE(net.StartFlow(c, d, DataSize::Megabytes(6.25), DataRate::Zero(),
                             nullptr)
                   .ok());
-  EXPECT_EQ(sim_.events_cancelled(), 0);
-  // A flow on the same link halves it: exactly one completion moves.
+  EXPECT_EQ(wakes->value(), 2);
+  EXPECT_EQ(sim_.events_cancelled(), 1);
+  // A flow on the first link halves its rate: neither its finish nor the
+  // new flow's is the earliest, so the wake stays where it is.
   ASSERT_TRUE(net.StartFlow(a, b, DataSize::Megabytes(12.5), DataRate::Zero(),
                             nullptr)
                   .ok());
+  EXPECT_EQ(wakes->value(), 2);
   EXPECT_EQ(sim_.events_cancelled(), 1);
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(1)).ok());
   // The disjoint flow's completion at 0.5 s changed no rate either.
@@ -414,6 +420,83 @@ TEST_F(NetworkTest, CompletionIsRescheduledOnlyWhenItsRateChanges) {
   sim_.Run();
   // 100 Mbit at 50 Mbps.
   EXPECT_NEAR((first_end - SimTime::Zero()).ToSeconds(), 2.0, 1e-6);
+  EXPECT_EQ(sim_.events_cancelled(), 1);
+}
+
+// Flows finishing at the same instant complete in the order their finishes
+// were projected, not in FlowId order, and tie-break perturbation cannot
+// reorder them: the network holds one pending event.
+TEST_F(NetworkTest, EqualInstantCompletionsFireInProjectionOrder) {
+  for (uint64_t perturb_seed = 0; perturb_seed <= 8; ++perturb_seed) {
+    Simulator sim(1);
+    if (perturb_seed > 0) {
+      sim.EnableTieBreakPerturbation(perturb_seed);
+    }
+    Network net(&sim, rtt_);
+    const NetNodeId a = net.AddNode("a");
+    const NetNodeId b = net.AddNode("b");
+    const NetNodeId c = net.AddNode("c");
+    const NetNodeId d = net.AddNode("d");
+    const LinkId first_link = net.AddBidirectionalLink(a, b,
+                                                       DataRate::Mbps(100.0));
+    net.AddBidirectionalLink(c, d, DataRate::Mbps(100.0));
+    std::vector<char> order;
+    // 50 Mbit at 100 Mbps (0.5 s), and 100 Mbit at 100 Mbps (1 s).
+    ASSERT_TRUE(net.StartFlow(a, b, DataSize::Megabytes(6.25),
+                              DataRate::Zero(), [&] { order.push_back('A'); })
+                    .ok());
+    ASSERT_TRUE(net.StartFlow(c, d, DataSize::Megabytes(12.5),
+                              DataRate::Zero(), [&] { order.push_back('B'); })
+                    .ok());
+    // Halving the first link re-projects A to 1 s, after B's projection.
+    net.SetLinkDegradation(first_link, 0.5);
+    sim.Run();
+    EXPECT_EQ(sim.Now(), SimTime::Zero() + Duration::Seconds(1));
+    EXPECT_EQ(order, (std::vector<char>{'B', 'A'}))
+        << "perturbation seed " << perturb_seed;
+  }
+}
+
+// 240 SoC->external flows of 0.5 MB on a 600-SoC fabric share the ESB
+// uplink, so every start and every finish changes every flow's rate. The
+// network still schedules at most one event per start and one per finish.
+TEST_F(NetworkTest, SharedUplinkSchedulesAtMostTwoEventsPerFlow) {
+  constexpr int kPcbs = 120;
+  constexpr int kSocsPerPcb = 5;
+  constexpr int kFlowsPerPcb = 2;
+  Network net(&sim_, rtt_);
+  const NetNodeId external = net.AddNode("external");
+  const NetNodeId esb = net.AddNode("esb");
+  net.AddBidirectionalLink(esb, external, DataRate::Gbps(20.0));
+  std::vector<NetNodeId> senders;
+  for (int pcb = 0; pcb < kPcbs; ++pcb) {
+    const NetNodeId pcb_switch = net.AddNode("pcb" + std::to_string(pcb));
+    net.AddBidirectionalLink(pcb_switch, esb, DataRate::Gbps(1.0));
+    for (int slot = 0; slot < kSocsPerPcb; ++slot) {
+      const NetNodeId soc = net.AddNode("soc" + std::to_string(pcb) + "." +
+                                        std::to_string(slot));
+      net.AddBidirectionalLink(soc, pcb_switch, DataRate::Gbps(1.0));
+      if (slot < kFlowsPerPcb) {
+        senders.push_back(soc);
+      }
+    }
+  }
+  int completed = 0;
+  for (const NetNodeId soc : senders) {
+    ASSERT_TRUE(net.StartFlow(soc, external, DataSize::Megabytes(0.5),
+                              DataRate::Zero(), [&] { ++completed; })
+                    .ok());
+  }
+  // 240 flows at 20/240 Gbps each: the ESB uplink is the bottleneck.
+  EXPECT_NEAR(net.FlowRate(1)->ToGbps(), 20.0 / 240.0, 1e-9);
+  sim_.Run();
+  const int64_t flows = static_cast<int64_t>(senders.size());
+  EXPECT_EQ(completed, flows);
+  const int64_t scheduled =
+      sim_.events_processed() + sim_.events_cancelled();
+  EXPECT_EQ(scheduled,
+            sim_.metrics().GetCounter("net.wakes_scheduled")->value());
+  EXPECT_LE(scheduled, 2 * flows);
 }
 
 // net.fill_visits after five rounds of two flows from different PCBs to the

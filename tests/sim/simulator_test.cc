@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -394,6 +395,27 @@ TEST(SimulatorTest, RearmedHandleIsCancellable) {
   EXPECT_TRUE(sim.Cancel(handle));
   sim.Run();
   EXPECT_EQ(fired, 2);
+}
+
+// The label memo is keyed by the caller's (data pointer, length): a reused
+// buffer whose text changes in place keeps both, so only the byte
+// comparison tells its labels apart.
+TEST(SimulatorTest, LabelMemoComparesBytes) {
+  Simulator sim;
+  sim.RecordFiredEvents(SimTime::Zero(), SimTime::Max());
+  std::string label = "memo.label.0";  // Inline (SSO): the buffer stays put.
+  const char* const data = label.data();
+  for (int i = 0; i < 4; ++i) {
+    label.back() = static_cast<char>('0' + i);
+    ASSERT_EQ(label.data(), data);
+    sim.ScheduleAfter(Duration::Micros(i), [] {}, label);
+  }
+  sim.Run();
+  ASSERT_EQ(sim.fired_events().size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(sim.fired_events()[static_cast<size_t>(i)].label,
+              "memo.label." + std::to_string(i));
+  }
 }
 
 TEST(PeriodicTaskTest, FiresOnPeriod) {

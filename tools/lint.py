@@ -82,7 +82,11 @@ Registered as the `lint.repo` ctest. Rules:
                 malloc back into every schedule. Dynamic text belongs in
                 trace span args, not event labels. Lambda bodies (the
                 callback argument) are exempt — only the call's own
-                argument expressions are checked.
+                argument expressions are checked. Outside src/sim (the
+                engine, which declares the two-argument overloads) every
+                call must pass a label at all: an unlabeled event is time
+                the simulator cannot attribute to a layer, and a name
+                missing from every divergence report.
 
   arrival       Service code must not roll its own arrival process: no
                 Exponential()/Poisson() inter-arrival draws under
@@ -635,6 +639,7 @@ class Linter:
     def lint_hot_label(self, path, raw_lines, code_text):
         if not path.startswith("src/"):
             return
+        engine = path.startswith("src/sim/")
         raw_text = "\n".join(raw_lines)
         for call in HOT_LABEL_CALL.finditer(code_text):
             open_idx = call.end() - 1
@@ -648,6 +653,17 @@ class Linter:
                         close_idx = i
                         break
             if close_idx is None:
+                continue
+            call_lineno = code_text.count("\n", 0, call.start()) + 1
+            if not engine and self.call_arg_count(
+                    code_text, open_idx, close_idx) < 3:
+                if not allowed(raw_lines[call_lineno - 1], "hot-label"):
+                    self.report(
+                        path, call_lineno, "hot-label",
+                        "unlabeled Schedule* call: pass a static label "
+                        "with the layer's prefix (\"soc.boot\"), so the "
+                        "event is named in divergence reports and its host "
+                        "time has a layer")
                 continue
             # Reconstruct the argument text from the raw source (labels are
             # string literals, blanked in code_text), but blank everything
@@ -672,7 +688,6 @@ class Linter:
                     continue
                 lineno = code_text.count(
                     "\n", 0, open_idx + 1 + m.start()) + 1
-                call_lineno = code_text.count("\n", 0, call.start()) + 1
                 if (allowed(raw_lines[lineno - 1], "hot-label") or
                         allowed(raw_lines[call_lineno - 1], "hot-label")):
                     continue
@@ -682,6 +697,21 @@ class Linter:
                     "labels are interned per unique string — pass a static "
                     "literal and put per-event detail in trace span args")
                 break
+
+    @staticmethod
+    def call_arg_count(code_text, open_idx, close_idx):
+        """Arguments of the call whose parentheses sit at open_idx and
+        close_idx: top-level commas plus one (literals are blanked, and
+        commas inside parentheses, brackets or braces are nested)."""
+        depth, commas = 0, 0
+        for c in code_text[open_idx + 1:close_idx]:
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                depth -= 1
+            elif c == "," and depth == 0:
+                commas += 1
+        return commas + 1
 
     def lint_suppressions(self, path, raw_lines):
         for lineno, raw in enumerate(raw_lines, 1):

@@ -507,6 +507,27 @@ class HotLabelRuleTest(unittest.TestCase):
         self.assertEqual(len(findings), 1)
         self.assertIn("x.cc:3:", findings[0])
 
+    def test_unlabeled_call_flagged(self):
+        findings = run_rule(
+            "lint_hot_label", "src/workload/x.cc",
+            "sim->ScheduleAfter(Wait(a, b),\n"
+            "                   [this, id] { Finish(id, \"a.b\"); });\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("x.cc:1: [hot-label] unlabeled", findings[0])
+
+    def test_labeled_call_with_nested_commas_clean(self):
+        findings = run_rule(
+            "lint_hot_label", "src/workload/x.cc",
+            "sim->ScheduleAt(At(a, b), [this, id] { Finish(id, 2); },\n"
+            "                \"video.retry\", anchor_group_);\n")
+        self.assertEqual(findings, [])
+
+    def test_unlabeled_call_in_engine_allowed(self):
+        findings = run_rule(
+            "lint_hot_label", "src/sim/x.cc",
+            "return ScheduleAt(now_ + d, std::move(cb));\n")
+        self.assertEqual(findings, [])
+
 
 class SuppressionHygieneTest(unittest.TestCase):
     def test_unknown_rule_flagged(self):
