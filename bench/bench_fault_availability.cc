@@ -22,7 +22,7 @@
 #include "src/core/chaos.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/flags.h"
-#include "src/obs/sketch.h"
+#include "src/obs/metrics.h"
 #include "src/trace/loadgen.h"
 #include "src/workload/dl/serving.h"
 
@@ -83,14 +83,13 @@ void RunAvailability(int days, uint64_t seed, BenchReport* report) {
   // The sketch-backed distributions tell the tail story the means hide: a
   // handful of slow detections or long outages dominate user-visible
   // downtime.
-  const QuantileSketch& detect = chaos.monitor().detection_latency_sketch();
-  const QuantileSketch& outage = chaos.monitor().outage_hours_sketch();
-  const double detect_p50 =
-      detect.count() > 0 ? detect.Percentile(50) : 0.0;
-  const double detect_p99 =
-      detect.count() > 0 ? detect.Percentile(99) : 0.0;
-  const double outage_p50 = outage.count() > 0 ? outage.Percentile(50) : 0.0;
-  const double outage_p99 = outage.count() > 0 ? outage.Percentile(99) : 0.0;
+  // (Percentile reads 0 before the first sample.)
+  const HistogramMetric& detect = chaos.monitor().detection_latency_ms();
+  const HistogramMetric& outage = chaos.monitor().observed_outage_hours();
+  const double detect_p50 = detect.Percentile(50);
+  const double detect_p99 = detect.Percentile(99);
+  const double outage_p50 = outage.Percentile(50);
+  const double outage_p99 = outage.Percentile(99);
   table.AddRow({"detection latency (mean ms)",
                 FormatDouble(result.detection_latency_ms, 0)});
   table.AddRow({"detection latency (p50 ms)", FormatDouble(detect_p50, 0)});

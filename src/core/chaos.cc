@@ -73,8 +73,8 @@ ChaosReport ChaosRunner::Report() {
   UpdateAvailability();  // Integrate the final segment up to Now().
   ChaosReport report;
   report.availability = availability_.Mean();
-  report.mttr_hours = monitor_.observed_outage_hours().mean();
-  report.detection_latency_ms = monitor_.detection_latency_ms().mean();
+  report.mttr_hours = monitor_.observed_outage_hours().running().mean();
+  report.detection_latency_ms = monitor_.detection_latency_ms().running().mean();
   report.failures = injector_.failures_injected();
   report.repairs = injector_.repairs_completed();
   report.down_events = monitor_.down_events();

@@ -12,8 +12,6 @@
 #include "src/core/overload.h"
 #include "src/core/telemetry.h"
 #include "src/trace/gaming_trace.h"
-#include "src/trace/loadgen.h"
-#include "src/trace/session.h"
 #include "src/workload/dl/serving.h"
 #include "src/workload/video/live.h"
 
@@ -264,82 +262,34 @@ DetScenario DetOverloadStormScenario() {
   };
 }
 
+RideoutDayParams DetSessionsDayParams() {
+  return RideoutDayParams{.seed = 77,
+                          .users = 50'000,
+                          .day_minutes = 6,
+                          .socs = 8,
+                          .rideout = true};
+}
+
 DetScenario DetSessionsDayScenario() {
   return [](Simulator& sim) {
-    struct State {
-      std::unique_ptr<SocCluster> cluster;
-      std::unique_ptr<SocServingFleet> fleet;
-      std::unique_ptr<SessionTier> tier;
-    };
-    auto state = std::make_shared<State>();
-    state->cluster = std::make_unique<SocCluster>(
-        &sim, DefaultChassisSpec(), Snapdragon865Spec());
-    state->cluster->PowerOnAll(nullptr);
-    SOC_CHECK(sim.RunFor(Duration::Seconds(26)).ok());
-
-    state->fleet = std::make_unique<SocServingFleet>(
-        &sim, state->cluster.get(), DlDevice::kSocCpu, DnnModel::kResNet50,
-        Precision::kFp32);
-    state->fleet->SetActiveCount(8);
-    state->fleet->SetDeadline(Duration::Seconds(2));
-    state->fleet->admission().SetMaxQueue(300);
-    state->fleet->SetHonorClientDeadline(true);
-
-    // A full (compressed) diurnal day: trough, evening ramp, a flash crowd
-    // riding the peak, MMPP bursts throughout. Peak demand exceeds the
-    // 8-SoC fleet, so the scenario exercises the collision-rich paths the
-    // tier adds: wheel ticks landing on arrival timestamps, client
-    // timeouts racing completions, budgeted retries, late (wasted)
-    // outcomes through stale tickets.
-    SessionTierConfig config;
-    config.users = 50'000;
-    config.peak_rps = 140.0;
-    config.diurnal.day = Duration::Minutes(6);
-    config.mmpp.burst_multiplier = 2.0;
-    config.mmpp.quiet_dwell = Duration::Seconds(45);
-    config.mmpp.burst_dwell = Duration::Seconds(8);
-    FlashCrowd crowd;
-    // Lands on the evening peak (peak_hour 21 of the compressed day).
-    crowd.start = SimTime::Zero() +
-                  config.diurnal.day * (config.diurnal.peak_hour / 24.0);
-    crowd.ramp = Duration::Seconds(15);
-    crowd.hold = Duration::Seconds(30);
-    crowd.decay = Duration::Seconds(15);
-    crowd.peak_multiplier = 2.5;
-    config.flash_crowds.push_back(crowd);
-    config.requests_per_session = 3.0;
-    config.think_median = Duration::Seconds(4);
-    config.think_sigma = 0.5;
-    config.client_timeout = Duration::Millis(800);
-    config.client_deadline = Duration::Millis(1500);
-    config.give_up_after = Duration::Seconds(15);
-    config.retry_mode = RetryMode::kBudgeted;
-    config.counter_window = Duration::Seconds(15);
-    config.seed = 77;
-    state->tier = std::make_unique<SessionTier>(
-        &sim, config,
-        std::vector<SessionCohortConfig>{{"east", 0.6, 0.0},
-                                         {"west", 0.4, 3.0}});
-    State* s = state.get();
-    state->tier->SetSubmit(
-        [s](Priority priority, const ClientAttribution& client) {
-          s->fleet->Submit(priority, client);
-        });
-    state->fleet->SetClientObserver(state->tier->Observer());
-    // The wheel grid makes tier/fleet timestamp collisions systematic; the
-    // shared admission pipeline is order-sensitive by design, so the
-    // fleet's completion chains join the tier's anchor group.
-    state->fleet->SetEventAnchorGroup(state->tier->anchor_group());
-    state->tier->Start(config.diurnal.day);
+    // The ride-out flagship at audit size: a compressed diurnal day whose
+    // peak and flash crowd exceed the 8-SoC fleet while a fault burst
+    // takes out a serving SoC, so wheel ticks land on arrival timestamps,
+    // client timeouts race completions, budgeted retries meet the budget
+    // and stale tickets report wasted outcomes, with the brownout
+    // governor's sampling ticks running throughout.
+    auto day = std::make_shared<RideoutDay>(&sim, DetSessionsDayParams());
 
     DetScenarioRun run;
-    run.end = sim.Now() + config.diurnal.day + Duration::Minutes(2);
-    run.keepalive = state;
-    run.digest = [state] {
+    run.end = sim.Now() + day->horizon() + Duration::Minutes(2);
+    run.keepalive = day;
+    run.digest = [day] {
       StateDigest digest;
-      state->cluster->DigestState(digest);
-      state->fleet->DigestState(digest);
-      state->tier->DigestState(digest);
+      day->cluster->DigestState(digest);
+      day->fleet->DigestState(digest);
+      day->tier->DigestState(digest);
+      day->manager->governor().DigestState(digest);
+      digest.Mix(day->peak_brownout);
       return digest.value();
     };
     return run;

@@ -11,8 +11,11 @@
 //   det_fault_availability  chaos run: faults, heartbeats, re-placement
 //   det_overload_storm      four services under the brownout ladder (the
 //                           OverloadStorm builder of src/core/flagships.h)
-//   det_sessions_day        open-loop session tier: compressed diurnal day
-//                           with a flash crowd, budgeted retries, timeouts
+//   det_sessions_day        the RideoutDay builder in ride-out mode at audit
+//                           size (DetSessionsDayParams): a compressed
+//                           diurnal day with a flash crowd and a fault
+//                           burst, budgeted retries, timeouts, and the
+//                           brownout governor ticking
 //
 // Each scenario's digest folds every owned service's DigestState plus the
 // result series the matching bench reports, so any order-dependent outcome
@@ -26,6 +29,11 @@
 #include "src/sim/determinism.h"
 
 namespace soccluster {
+
+struct RideoutDayParams;
+
+// det_sessions_day's day: seed 77, 50k users, a 6-minute day, 8 SoCs.
+RideoutDayParams DetSessionsDayParams();
 
 DetScenario DetGamingTraceScenario();
 DetScenario DetLiveStreamScenario();

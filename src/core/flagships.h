@@ -4,7 +4,8 @@
 //   RideoutDay     a million-user session tier through a diurnal day with
 //                  a flash crowd and a fault burst on the evening peak,
 //                  under naive retries or under budgeted retries plus the
-//                  brownout ladder (bench_metastable_rideout)
+//                  brownout ladder (bench_metastable_rideout and the
+//                  det_sessions_day audit scenario)
 //   OverloadStorm  four services under the brownout ladder at a multiple
 //                  of the rated serving load, with a thermal excursion and
 //                  SoC faults mid-surge (bench_overload_storm and the

@@ -91,8 +91,7 @@ void HealthMonitor::MarkDown(SocHealth& h, int soc_index, SimTime now) {
   ++down_events_;
   down_metric_->Increment();
   const double latency_ms = (now - h.last_ok).ToMillis();
-  detection_latency_ms_.Add(latency_ms);
-  detection_latency_sketch_.Add(latency_ms);
+  detection_latency_ms_.Observe(latency_ms);
   detection_metric_->Observe(latency_ms);
   if (on_soc_down_) {
     on_soc_down_(soc_index);
@@ -120,8 +119,7 @@ void HealthMonitor::Poll() {
         ++up_events_;
         up_metric_->Increment();
         const double outage_h = (now - h.down_at).ToHours();
-        observed_outage_hours_.Add(outage_h);
-        outage_hours_sketch_.Add(outage_h);
+        observed_outage_hours_.Observe(outage_h);
         if (on_soc_up_) {
           on_soc_up_(i);
         }

@@ -43,7 +43,7 @@
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/cluster/cluster.h"
-#include "src/obs/sketch.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace soccluster {
@@ -94,21 +94,16 @@ class HealthMonitor {
   // Current accrued suspicion for one SoC (kPhiAccrual; 0 when healthy).
   double Phi(int soc_index) const;
 
+  // Each distribution is kept once, as running stats (means) beside a
+  // mergeable quantile sketch (p50/p99 for bench reports). They are this
+  // monitor's own: monitors sharing a simulator share its registry.
   // Last healthy beat -> down verdict, per down event.
-  const RunningStat& detection_latency_ms() const {
+  const HistogramMetric& detection_latency_ms() const {
     return detection_latency_ms_;
   }
   // Down verdict -> healthy again, per recovered outage: the observed MTTR.
-  const RunningStat& observed_outage_hours() const {
+  const HistogramMetric& observed_outage_hours() const {
     return observed_outage_hours_;
-  }
-  // Same two distributions as mergeable quantile sketches (p50/p99 for
-  // bench reports; RunningStat only carries means).
-  const QuantileSketch& detection_latency_sketch() const {
-    return detection_latency_sketch_;
-  }
-  const QuantileSketch& outage_hours_sketch() const {
-    return outage_hours_sketch_;
   }
 
  private:
@@ -137,10 +132,8 @@ class HealthMonitor {
   int64_t down_events_ = 0;
   int64_t up_events_ = 0;
   int64_t never_healthy_ = 0;
-  RunningStat detection_latency_ms_;
-  RunningStat observed_outage_hours_;
-  QuantileSketch detection_latency_sketch_;
-  QuantileSketch outage_hours_sketch_;
+  HistogramMetric detection_latency_ms_;
+  HistogramMetric observed_outage_hours_;
   // Registry instruments ("health.*").
   Counter* down_metric_;
   Counter* up_metric_;

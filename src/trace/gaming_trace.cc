@@ -1,6 +1,6 @@
 #include "src/trace/gaming_trace.h"
 
-#include <cmath>
+#include <optional>
 
 #include "src/base/check.h"
 
@@ -8,7 +8,8 @@ namespace soccluster {
 
 namespace {
 
-// Peak arrival rate (sessions per hour) at the evening maximum.
+// The arrival curve is a DiurnalShape (its default sharpening and 24 h
+// day). Peak arrival rate (sessions per hour) at the evening maximum.
 constexpr double kPeakArrivalsPerHour = 220.0;
 // Overnight floor as a fraction of the peak (sets the ~25x traffic swing
 // together with session-count dynamics).
@@ -47,6 +48,9 @@ Placer::Options PlacerOptions() {
 GamingWorkload::GamingWorkload(Simulator* sim, SocCluster* cluster,
                                GamingWorkloadConfig)
     : sim_(sim), cluster_(cluster), rng_(kSeed),
+      arrivals_(kPeakArrivalsPerHour / 3600.0,
+                DiurnalShape{.trough_fraction = kTroughFraction,
+                             .peak_hour = kPeakHour}),
       view_(cluster, ViewOptions()),
       placer_(sim, &view_, PlacerOptions()) {
   SOC_CHECK(sim_ != nullptr);
@@ -59,14 +63,7 @@ GamingWorkload::GamingWorkload(Simulator* sim, SocCluster* cluster,
 }
 
 double GamingWorkload::ArrivalRate(SimTime t) const {
-  // Diurnal curve: a raised cosine peaking at `kPeakHour` with a sharpened
-  // evening shoulder, floored at the overnight trough.
-  const double hour = std::fmod(t.ToHours(), 24.0);
-  const double phase = (hour - kPeakHour) / 24.0 * 2.0 * M_PI;
-  const double base = 0.5 * (1.0 + std::cos(phase));
-  const double shaped = std::pow(base, 2.2);  // Sharpen the peak.
-  const double fraction = kTroughFraction + (1.0 - kTroughFraction) * shaped;
-  return kPeakArrivalsPerHour * fraction;
+  return arrivals_.RateAt(t) * 3600.0;
 }
 
 void GamingWorkload::Start(Duration horizon) {
@@ -74,20 +71,13 @@ void GamingWorkload::Start(Duration horizon) {
 }
 
 void GamingWorkload::ScheduleNextArrival(SimTime horizon_end) {
-  // Thinning: propose with the peak rate, accept with rate(t)/peak.
-  SimTime t = sim_->Now();
-  const double peak_per_s = kPeakArrivalsPerHour / 3600.0;
-  while (true) {
-    t = t + Duration::SecondsF(rng_.Exponential(peak_per_s));
-    if (t > horizon_end) {
-      return;
-    }
-    if (rng_.NextDouble() < ArrivalRate(t) / kPeakArrivalsPerHour) {
-      break;
-    }
+  const std::optional<SimTime> t =
+      arrivals_.NextArrival(sim_->Now(), horizon_end, rng_);
+  if (!t.has_value()) {
+    return;
   }
   sim_->ScheduleAt(
-      t,
+      *t,
       [this, horizon_end] {
         StartSession();
         ScheduleNextArrival(horizon_end);

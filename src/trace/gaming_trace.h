@@ -4,9 +4,10 @@
 // outbound-traffic peak/trough ratios of up to ~25x and overall resource
 // usage below 20%.
 //
-// Sessions arrive as a non-homogeneous Poisson process (thinning method),
-// occupy a SoC slot (up to two sessions per SoC), stream game video out of
-// the cluster, and leave after a log-normal session length.
+// Sessions arrive as a non-homogeneous Poisson process over a diurnal
+// RateProcess (src/trace/loadgen.h, thinned by NextArrival), occupy a SoC
+// slot (up to two sessions per SoC), stream game video out of the
+// cluster, and leave after a log-normal session length.
 
 #ifndef SRC_TRACE_GAMING_TRACE_H_
 #define SRC_TRACE_GAMING_TRACE_H_
@@ -18,6 +19,7 @@
 #include "src/cluster/cluster.h"
 #include "src/obs/request.h"
 #include "src/sched/placer.h"
+#include "src/trace/loadgen.h"
 
 namespace soccluster {
 
@@ -78,7 +80,9 @@ class GamingWorkload {
 
   Simulator* sim_;
   SocCluster* cluster_;
+  // One stream for the thinning draws and the session lengths.
   Rng rng_;
+  RateProcess arrivals_;  // Session starts per second.
   // Session slots (kMaxSessionsPerSoc each) are ledgered in the capacity
   // view; the placer spreads over them. Session CPU is reserved with the
   // slot but only gates admission — it never steered placement.

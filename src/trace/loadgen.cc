@@ -120,10 +120,8 @@ bool ContainsPhase(double lo, double hi, double offset) {
 
 }  // namespace
 
-RateProcess::RateProcess(double peak_rate_per_s, DiurnalShape diurnal,
-                         MmppConfig mmpp, uint64_t seed)
-    : peak_rate_(peak_rate_per_s), diurnal_(diurnal), mmpp_(mmpp),
-      rng_(seed) {
+RateProcess::RateProcess(double peak_rate_per_s, DiurnalShape diurnal)
+    : peak_rate_(peak_rate_per_s), diurnal_(diurnal) {
   SOC_CHECK_GT(peak_rate_, 0.0);
   // MaxRate() and the envelope's single peak and trough per day hold only
   // for a shape whose Value stays in [trough_fraction, 1].
@@ -132,46 +130,17 @@ RateProcess::RateProcess(double peak_rate_per_s, DiurnalShape diurnal,
             diurnal_.trough_fraction <= 1.0)
       << "trough_fraction must be in [0, 1]: " << diurnal_.trough_fraction;
   SOC_CHECK_GT(diurnal_.sharpen, 0.0);
-  SOC_CHECK_GE(mmpp_.burst_multiplier, 1.0);
-  SOC_CHECK_GT(mmpp_.quiet_dwell.nanos(), 0);
-  SOC_CHECK_GT(mmpp_.burst_dwell.nanos(), 0);
 }
 
-void RateProcess::Advance(SimTime t) {
-  if (mmpp_.burst_multiplier > 1.0) {
-    if (!mmpp_armed_) {
-      // First sample: start quiet, draw the first transition.
-      next_transition_ =
-          t + mmpp_.quiet_dwell * rng_.Exponential(1.0);
-      mmpp_armed_ = true;
-    }
-    while (t >= next_transition_) {
-      bursting_ = !bursting_;
-      const Duration dwell =
-          bursting_ ? mmpp_.burst_dwell : mmpp_.quiet_dwell;
-      next_transition_ = next_transition_ + dwell * rng_.Exponential(1.0);
-    }
-  }
-}
-
-double RateProcess::Rate(SimTime t) const {
+double RateProcess::RateAt(SimTime t) const {
   double rate = peak_rate_ * diurnal_.Value(t);
-  if (bursting_) {
-    rate *= mmpp_.burst_multiplier;
-  }
   for (const FlashCrowd& crowd : crowds_) {
     rate *= crowd.Multiplier(t);
   }
   return rate;
 }
 
-double RateProcess::RateAt(SimTime t) {
-  Advance(t);
-  return Rate(t);
-}
-
 bool RateProcess::Below(SimTime t, double x) {
-  Advance(t);
   // Value's day fraction, bit for bit: for 0 <= days < 2^52 the integer
   // part converts exactly and fmod(days, 1) is days minus it.
   const double days =
@@ -190,9 +159,6 @@ bool RateProcess::Below(SimTime t, double x) {
     }
     // RateAt's factors but the diurnal one, in RateAt's order.
     double factor = peak_rate_;
-    if (bursting_) {
-      factor *= mmpp_.burst_multiplier;
-    }
     for (const FlashCrowd& crowd : crowds_) {
       factor *= crowd.Multiplier(t);
     }
@@ -206,7 +172,25 @@ bool RateProcess::Below(SimTime t, double x) {
   if (eval_counter_ != nullptr) {
     eval_counter_->Increment();
   }
-  return x < Rate(t);
+  return x < RateAt(t);
+}
+
+std::optional<SimTime> RateProcess::NextArrival(SimTime from, SimTime end,
+                                                Rng& rng) {
+  const double max_rate = MaxRate();
+  SimTime t = from;
+  for (;;) {
+    t = t + Duration::SecondsF(rng.Exponential(max_rate));
+    if (t >= end) {
+      return std::nullopt;
+    }
+    if (proposal_counter_ != nullptr) {
+      proposal_counter_->Increment();
+    }
+    if (Below(t, rng.NextDouble() * max_rate)) {
+      return t;
+    }
+  }
 }
 
 RateProcess::Envelope RateProcess::SegmentEnvelope(int segment) const {
@@ -238,22 +222,12 @@ RateProcess::Envelope RateProcess::SegmentEnvelope(int segment) const {
 
 double RateProcess::MaxRate() const {
   double max_rate = peak_rate_;
-  if (mmpp_.burst_multiplier > 1.0) {
-    max_rate *= mmpp_.burst_multiplier;
-  }
   for (const FlashCrowd& crowd : crowds_) {
     if (crowd.peak_multiplier > 1.0) {
       max_rate *= crowd.peak_multiplier;
     }
   }
   return max_rate;
-}
-
-void RateProcess::DigestState(StateDigest& digest) const {
-  digest.Mix(bursting_);
-  digest.Mix(mmpp_armed_);
-  digest.Mix(next_transition_.nanos());
-  digest.Mix(rng_.StateFingerprint());
 }
 
 }  // namespace soccluster

@@ -12,15 +12,18 @@
 //                    (the paper's Fig. 5 shape; peak/trough up to ~25x)
 //   FlashCrowd       multiplicative spike overlay: linear ramp, hold,
 //                    exponential decay (livestream event landing on a peak)
-//   RateProcess      composition of the above plus a two-state MMPP
-//                    burst modulator, sampled as rate(t) for NHPP thinning;
-//                    Below(t, x) answers a thinning test exactly while
-//                    evaluating rate(t) only when a per-segment envelope on
-//                    the day curve cannot decide it
+//   RateProcess      composition of the above, sampled as rate(t) for
+//                    NHPP thinning; NextArrival is the one thinning loop
+//                    (the session tier's cohorts and the Fig. 5 gaming
+//                    trace both draw their arrivals through it), and
+//                    Below(t, x) answers its test exactly while evaluating
+//                    rate(t) only when a per-segment envelope on the day
+//                    curve cannot decide it
 //
-// Arrival-process policy: this file and src/trace/session.h are where
-// arrival processes live. Ad-hoc Exponential-draw arrival loops in
-// workload/core code are a lint finding (tools/lint.py `arrival`): every
+// Arrival-process policy: this file is where arrival processes live; the
+// session tier and the gaming trace draw theirs through NextArrival. An
+// Exponential-draw arrival loop anywhere else under src/{workload,core,
+// qos,sched,trace} is a lint finding (tools/lint.py `arrival`): every
 // arrival process that exists must be visible, seedable, and reusable
 // here, not re-invented per service.
 
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +74,7 @@ class OpenLoopSource {
 };
 
 // Raised-cosine diurnal curve floored at an overnight trough — the Fig. 5
-// in-the-wild shape (gaming_trace.cc uses the same family). Value(t) is a
+// in-the-wild shape (gaming_trace.cc samples it too). Value(t) is a
 // fraction of peak in [trough_fraction, 1] for a valid shape (day > 0,
 // 0 <= trough_fraction <= 1, sharpen > 0; RateProcess checks these).
 struct DiurnalShape {
@@ -108,22 +112,12 @@ struct FlashCrowd {
   double Multiplier(SimTime t) const;
 };
 
-// Two-state Markov-modulated Poisson process parameters: the rate is
-// multiplied by `burst_multiplier` while in the burst state. Dwell times
-// are exponential with the given means. burst_multiplier 1 disables.
-struct MmppConfig {
-  double burst_multiplier = 1.0;
-  Duration quiet_dwell = Duration::Minutes(20);
-  Duration burst_dwell = Duration::Minutes(2);
-};
-
 // A composed arrival-rate process:
 //
-//   rate(t) = peak_rate_per_s * diurnal(t) * mmpp(t) * prod_i flash_i(t)
+//   rate(t) = peak_rate_per_s * diurnal(t) * prod_i flash_i(t)
 //
-// RateAt() is pure in (t, mmpp state); the MMPP state advances on a
-// private RNG stream via deterministic dwell draws. Sources sample this
-// with NHPP thinning against MaxRate(), through Below().
+// RateAt() is pure in t. Sources draw arrivals from it by NHPP thinning
+// against MaxRate(), through NextArrival() and Below().
 //
 // Below(t, x) is the thinning test x < RateAt(t), bit for bit, without
 // libm on most calls. The day is cut into kEnvelopeSegments equal slices of
@@ -137,28 +131,28 @@ class RateProcess {
  public:
   static constexpr int kEnvelopeSegments = 256;
 
-  RateProcess(double peak_rate_per_s, DiurnalShape diurnal, MmppConfig mmpp,
-              uint64_t seed);
+  RateProcess(double peak_rate_per_s, DiurnalShape diurnal);
 
   void AddFlashCrowd(FlashCrowd crowd) { crowds_.push_back(crowd); }
 
-  // Instantaneous rate at `t` (advances the MMPP state up to `t`; calls
-  // must be time-monotone).
-  double RateAt(SimTime t);
-  // Exactly `x < RateAt(t)`, with the same MMPP advance; the full rate is
-  // evaluated (and counted, see set_eval_counter) only when the envelope
-  // cannot decide.
+  // Instantaneous rate at `t`.
+  double RateAt(SimTime t) const;
+  // Exactly `x < RateAt(t)`; the full rate is evaluated (and counted, see
+  // set_counters) only when the envelope cannot decide.
   bool Below(SimTime t, double x);
   // Upper bound on RateAt over all t — the thinning proposal rate.
   double MaxRate() const;
-  // Counts every full rate evaluation Below makes (null: none counted).
-  void set_eval_counter(Counter* counter) { eval_counter_ = counter; }
-  // True while the burst state is active (after the latest RateAt).
-  bool bursting() const { return bursting_; }
-
-  uint64_t RngFingerprint() const { return rng_.StateFingerprint(); }
-  // Mixes the modulator state (burst flag + next transition + RNG).
-  void DigestState(StateDigest& digest) const;
+  // The first arrival after `from` and before `end`, by NHPP thinning:
+  // proposals arrive at MaxRate() and each is accepted when
+  // Below(t, u * MaxRate()), with the gap and then u drawn from `rng`.
+  // Empty when no proposal before `end` is accepted.
+  std::optional<SimTime> NextArrival(SimTime from, SimTime end, Rng& rng);
+  // Counts every proposal before `end` that NextArrival makes, and every
+  // full rate evaluation Below makes (null: not counted).
+  void set_counters(Counter* proposals, Counter* evals) {
+    proposal_counter_ = proposals;
+    eval_counter_ = evals;
+  }
 
  private:
   // Bounds on the diurnal factor over one envelope segment; hi < 0 until
@@ -168,22 +162,14 @@ class RateProcess {
     double hi = -1.0;
   };
 
-  // Moves the MMPP modulator up to `t`.
-  void Advance(SimTime t);
-  // RateAt after Advance(t).
-  double Rate(SimTime t) const;
   Envelope SegmentEnvelope(int segment) const;
 
   double peak_rate_;
   DiurnalShape diurnal_;
-  MmppConfig mmpp_;
   std::vector<FlashCrowd> crowds_;
-  Rng rng_;
-  bool bursting_ = false;
-  SimTime next_transition_;
-  bool mmpp_armed_ = false;
   // Filled lazily by Below; empty until its first call.
   std::vector<Envelope> envelope_;
+  Counter* proposal_counter_ = nullptr;
   Counter* eval_counter_ = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "src/trace/session.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/base/check.h"
@@ -66,9 +67,11 @@ SessionTier::SessionTier(Simulator* sim, SessionTierConfig config,
     DiurnalShape shape = config_.diurnal;
     shape.phase_hours += cohort.config.phase_hours;
     const double share = cohort.config.weight / total_weight;
-    cohort.rate = std::make_unique<RateProcess>(
-        peak_sessions_per_s * share, shape, config_.mmpp,
-        SplitMix64(seed_chain));
+    cohort.rate =
+        std::make_unique<RateProcess>(peak_sessions_per_s * share, shape);
+    // A spare draw, kept: dropping it would shift every later stream and
+    // so change the simulated day of every seed.
+    SplitMix64(seed_chain);
     for (const FlashCrowd& crowd : config_.flash_crowds) {
       cohort.rate->AddFlashCrowd(crowd);
     }
@@ -111,10 +114,10 @@ SessionTier::SessionTier(Simulator* sim, SessionTierConfig config,
   give_up_metric_ = metrics.GetCounter("session.give_ups");
   wasted_metric_ = metrics.GetCounter("session.wasted");
   live_sessions_metric_ = metrics.GetGauge("session.live");
-  proposals_metric_ = metrics.GetCounter("trace.rate_proposals");
+  Counter* proposals_metric = metrics.GetCounter("trace.rate_proposals");
   Counter* rate_evals_metric = metrics.GetCounter("trace.rate_evals");
   for (Cohort& cohort : cohorts_) {
-    cohort.rate->set_eval_counter(rate_evals_metric);
+    cohort.rate->set_counters(proposals_metric, rate_evals_metric);
   }
 }
 
@@ -158,24 +161,15 @@ void SessionTier::Bump(uint32_t cohort, int64_t SessionWindow::* field,
 
 void SessionTier::ScheduleArrival(size_t cohort_index) {
   Cohort& cohort = cohorts_[cohort_index];
-  // NHPP thinning, looped inline: propose at MaxRate, accept at
-  // rate(t)/MaxRate. Only the accepted arrival becomes an event, so the
-  // event cost tracks the realized rate, not the proposal rate, and Below
-  // decides most proposals from its envelope without evaluating rate(t).
-  const double max_rate = cohort.rate->MaxRate();
-  SimTime t = sim_->Now();
-  for (;;) {
-    t = t + Duration::SecondsF(cohort.arrival_rng.Exponential(max_rate));
-    if (t >= horizon_end_) {
-      return;
-    }
-    proposals_metric_->Increment();
-    if (cohort.rate->Below(t, cohort.arrival_rng.NextDouble() * max_rate)) {
-      break;
-    }
+  // Only the accepted arrival becomes an event, so the event cost tracks
+  // the realized rate, not the proposal rate.
+  const std::optional<SimTime> t =
+      cohort.rate->NextArrival(sim_->Now(), horizon_end_, cohort.arrival_rng);
+  if (!t.has_value()) {
+    return;
   }
   sim_->ScheduleAt(
-      t,
+      *t,
       [this, cohort_index] {
         StartSession(cohort_index);
         ScheduleArrival(cohort_index);
@@ -262,7 +256,7 @@ void SessionTier::OnOutcome(uint64_t ticket, ClientOutcome outcome,
     CompleteRequest(ref.index, now - rec.first_issue);
   } else {
     Bump(rec.cohort, &SessionWindow::rejected, now);
-    FailAttempt(ref.index, /*server_rejected=*/true);
+    FailAttempt(ref.index);
   }
 }
 
@@ -292,8 +286,7 @@ void SessionTier::CompleteRequest(uint32_t index, Duration latency) {
   WheelInsert(ref, rec.wake);
 }
 
-void SessionTier::FailAttempt(uint32_t index, bool server_rejected) {
-  (void)server_rejected;  // Same client policy for timeouts and rejections.
+void SessionTier::FailAttempt(uint32_t index) {
   SessionRec& rec = slab_[index];
   Cohort& cohort = cohorts_[rec.cohort];
   const SimTime now = sim_->Now();
@@ -388,7 +381,7 @@ void SessionTier::WheelTick() {
         // attempt; any outcome it reports later is wasted.
         Bump(rec.cohort, &SessionWindow::timeouts, now);
         timeout_metric_->Increment();
-        FailAttempt(ref.index, /*server_rejected=*/false);
+        FailAttempt(ref.index);
         break;
       }
       case kThinking:
@@ -447,7 +440,6 @@ void SessionTier::DigestState(StateDigest& digest) const {
   for (const Cohort& cohort : cohorts_) {
     digest.Mix(std::string_view(cohort.config.name));
     MixWindow(digest, cohort.totals);
-    cohort.rate->DigestState(digest);
     digest.Mix(cohort.arrival_rng.StateFingerprint());
     digest.Mix(cohort.session_rng.StateFingerprint());
     digest.Mix(cohort.issued_mix);

@@ -6,10 +6,10 @@
 // when capacity is scarcest. This tier makes that a simulated phenomenon:
 //
 //   * Regional cohorts, each with a diurnal curve (peak/trough up to
-//     ~25x), a regional phase offset, an optional two-state MMPP burst
-//     modulator, and flash-crowd spike overlays (src/trace/loadgen.h).
-//     Arrivals are session starts, generated by NHPP thinning — one
-//     pending event per cohort, regardless of user count.
+//     ~25x), a regional phase offset, and flash-crowd spike overlays (a
+//     RateProcess, src/trace/loadgen.h). Arrivals are session starts,
+//     generated by RateProcess::NextArrival's NHPP thinning — one pending
+//     event per cohort, regardless of user count.
 //   * A session is one slab record (src/base/slab.h): it issues a
 //     request, waits for the outcome or a client-side timeout, thinks,
 //     and repeats for a geometric number of requests. All waiting is
@@ -84,11 +84,10 @@ struct SessionTierConfig {
   // cost scales with request volume, not user count.
   int64_t users = 1'000'000;
   // Aggregate request rate (req/s, all cohorts) at the diurnal peak with
-  // no MMPP burst or flash crowd active.
+  // no flash crowd active.
   double peak_rps = 500.0;
   // Day shape shared by all cohorts (per-cohort phase applied on top).
   DiurnalShape diurnal;
-  MmppConfig mmpp;
   // Spike overlays applied to every cohort's rate process (a livestream
   // event landing on the evening peak hits all regions at once).
   std::vector<FlashCrowd> flash_crowds;
@@ -199,7 +198,7 @@ class SessionTier {
   uint64_t anchor_group() const { return anchor_group_; }
 
   // Mixes every result-bearing field: totals, per-cohort state (counters,
-  // rate-process and think streams), the live session set (commutatively
+  // arrival and think streams), the live session set (commutatively
   // — slab slot order depends on allocation history), wheel occupancy,
   // and the retry pacing state.
   void DigestState(StateDigest& digest) const;
@@ -253,8 +252,9 @@ class SessionTier {
   // slab slot first, so every prior ticket and wheel entry goes stale.
   void IssueAttempt(uint32_t index);
   void OnOutcome(uint64_t ticket, ClientOutcome outcome, Duration latency);
-  // Client-side timeout or server rejection: retry or give up.
-  void FailAttempt(uint32_t index, bool server_rejected);
+  // Client-side timeout or server rejection (the same client policy):
+  // retry or give up.
+  void FailAttempt(uint32_t index);
   // Finishes the current request successfully; thinks or ends the session.
   void CompleteRequest(uint32_t index, Duration latency);
   void EndSession(uint32_t index);
@@ -286,7 +286,6 @@ class SessionTier {
   std::vector<SessionWindow> series_;
 
   // Registry counters (observers-only; never digested).
-  Counter* proposals_metric_;  // Thinning proposals (trace.rate_proposals).
   Counter* issued_metric_;
   Counter* submitted_metric_;
   Counter* good_metric_;

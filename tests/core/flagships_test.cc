@@ -1,11 +1,14 @@
 // The shared checks of the flagship builders (src/core/flagships.h): the
-// brownout ladder's LIFO order check and the storm's request class mix.
+// brownout ladder's LIFO order check, the storm's request class mix, and
+// the audit-size ride-out day exercising every client-side path.
 
 #include "src/core/flagships.h"
 
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/det_scenarios.h"
 
 namespace soccluster {
 namespace {
@@ -59,6 +62,27 @@ TEST(MixedPriorityTest, TwentyFiftyThirtyOverEveryTenRequests) {
   EXPECT_EQ(counts[static_cast<int>(Priority::kCritical)], 200);
   EXPECT_EQ(counts[static_cast<int>(Priority::kStandard)], 500);
   EXPECT_EQ(counts[static_cast<int>(Priority::kBestEffort)], 300);
+}
+
+TEST(RideoutDayTest, AuditSizeDayExercisesEveryClientPath) {
+  // The det_sessions_day scenario certifies this day's order independence;
+  // that certificate means something only if the day actually reaches
+  // the paths it is meant to audit.
+  const RideoutDayParams params = DetSessionsDayParams();
+  Simulator sim(params.seed);
+  RideoutDay day(&sim, params);
+  ASSERT_TRUE(sim.RunFor(day.horizon() + Duration::Minutes(2)).ok());
+  const SessionTier& tier = *day.tier;
+  EXPECT_GT(tier.timeouts(), 0);
+  EXPECT_GT(tier.retries(), 0);
+  EXPECT_GT(tier.retries_denied(), 0);
+  EXPECT_GT(tier.give_ups(), 0);
+  EXPECT_GT(tier.wasted(), 0);
+  int failed_serving_socs = 0;
+  for (int i = 0; i < params.socs; ++i) {
+    failed_serving_socs += day.cluster->soc(i).fail_count() > 0 ? 1 : 0;
+  }
+  EXPECT_GE(failed_serving_socs, 1);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST_F(ResilienceTest, DetectionIsNeverInstantAndBoundedByThreshold) {
   EXPECT_GT(latency.nanos(), Duration::Seconds(20).nanos());
   EXPECT_LE(latency.nanos(), Duration::Seconds(30).nanos());
   // From the last healthy beat the verdict takes exactly threshold polls.
-  EXPECT_DOUBLE_EQ(monitor.detection_latency_ms().mean(), 30000.0);
+  EXPECT_DOUBLE_EQ(monitor.detection_latency_ms().running().mean(), 30000.0);
 }
 
 TEST_F(ResilienceTest, RecoveryRaisesUpEvent) {
@@ -78,7 +78,7 @@ TEST_F(ResilienceTest, RecoveryRaisesUpEvent) {
   EXPECT_EQ(up_soc, 3);
   EXPECT_FALSE(monitor.IsMarkedDown(3));
   EXPECT_EQ(monitor.up_events(), 1);
-  EXPECT_GT(monitor.observed_outage_hours().mean(), 0.0);
+  EXPECT_GT(monitor.observed_outage_hours().running().mean(), 0.0);
 }
 
 TEST_F(ResilienceTest, LostReplicaIsQueuedAndDrainedOnRecovery) {
@@ -216,7 +216,7 @@ TEST_F(ResilienceTest, PhiAccrualDetectsFasterThanFixedMiss) {
   // tenth of the interval), so phi crosses 8 on the second missed poll:
   // 20 s after the last healthy beat, one full interval sooner than the
   // fixed-miss verdict at miss_threshold = 3.
-  EXPECT_DOUBLE_EQ(monitor.detection_latency_ms().mean(), 20000.0);
+  EXPECT_DOUBLE_EQ(monitor.detection_latency_ms().running().mean(), 20000.0);
   const Duration latency = detected_at - failed_at;
   EXPECT_GT(latency.nanos(), Duration::Seconds(10).nanos());
   EXPECT_LE(latency.nanos(), Duration::Seconds(20).nanos());

@@ -55,15 +55,12 @@ SessionOutcome RunSessionDay(uint64_t seed, bool traced,
   config.users = 20'000;
   config.peak_rps = 0.9 * 8 * fleet.PerSocThroughput();
   config.diurnal.day = kDay;
-  config.mmpp.burst_multiplier = 2.0;
-  config.mmpp.quiet_dwell = Duration::Seconds(30);
-  config.mmpp.burst_dwell = Duration::Seconds(6);
   FlashCrowd crowd;
   crowd.start = sim.Now() + kDay * (config.diurnal.peak_hour / 24.0);
   crowd.ramp = Duration::Seconds(8);
   crowd.hold = Duration::Seconds(15);
   crowd.decay = Duration::Seconds(8);
-  crowd.peak_multiplier = 2.0;
+  crowd.peak_multiplier = 3.0;
   config.flash_crowds.push_back(crowd);
   config.requests_per_session = 3.0;
   config.think_median = Duration::Seconds(3);

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 
 #include "src/base/check.h"
 #include "src/base/client.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/trace/loadgen.h"
 #include "src/trace/session.h"
@@ -77,7 +79,7 @@ TEST(FlashCrowdTest, RampHoldDecayEnvelope) {
 TEST(RateProcessTest, FlatShapeYieldsConstantRateUnderMaxRate) {
   DiurnalShape flat;
   flat.trough_fraction = 1.0;
-  RateProcess process(50.0, flat, MmppConfig{}, /*seed=*/9);
+  RateProcess process(50.0, flat);
   for (int m = 0; m < 30; ++m) {
     const double rate = process.RateAt(SimTime::Zero() + Duration::Minutes(m));
     EXPECT_DOUBLE_EQ(rate, 50.0);
@@ -85,27 +87,72 @@ TEST(RateProcessTest, FlatShapeYieldsConstantRateUnderMaxRate) {
   }
 }
 
-TEST(RateProcessTest, MaxRateBoundsFlashAndBurst) {
+TEST(RateProcessTest, MaxRateBoundsFlash) {
   DiurnalShape shape;
-  MmppConfig mmpp;
-  mmpp.burst_multiplier = 2.0;
-  RateProcess process(100.0, shape, mmpp, /*seed=*/10);
+  RateProcess process(100.0, shape);
   FlashCrowd crowd;
   crowd.start = SimTime::Zero() + Duration::Hours(20);
   crowd.peak_multiplier = 2.5;
   process.AddFlashCrowd(crowd);
-  EXPECT_GE(process.MaxRate(), 100.0 * 2.0 * 2.5 - 1e-9);
+  EXPECT_GE(process.MaxRate(), 100.0 * 2.5 - 1e-9);
   for (int m = 0; m < 24 * 60; m += 7) {
     const double rate = process.RateAt(SimTime::Zero() + Duration::Minutes(m));
     EXPECT_LE(rate, process.MaxRate() + 1e-9) << "minute " << m;
   }
 }
 
+TEST(RateProcessTest, NextArrivalThinsAgainstMaxRate) {
+  // Proposals at MaxRate, each accepted on one fresh uniform: replaying
+  // the stream by hand reproduces every arrival and counts every proposal
+  // before the (exclusive) end.
+  DiurnalShape shape;
+  shape.day = Duration::Minutes(10);
+  RateProcess process(20.0, shape);
+  FlashCrowd crowd;
+  crowd.start = SimTime::Zero() + Duration::Minutes(8);
+  process.AddFlashCrowd(crowd);
+  Counter proposals;
+  process.set_counters(&proposals, /*evals=*/nullptr);
+  const double max_rate = process.MaxRate();
+  const SimTime end = SimTime::Zero() + shape.day;
+  Rng rng(3);
+  Rng replay(3);
+  SimTime expected = SimTime::Zero();
+  int64_t arrivals = 0;
+  int64_t expected_proposals = 0;
+  for (std::optional<SimTime> next =
+           process.NextArrival(SimTime::Zero(), end, rng);
+       next.has_value(); next = process.NextArrival(*next, end, rng)) {
+    for (;;) {
+      expected = expected + Duration::SecondsF(replay.Exponential(max_rate));
+      ASSERT_LT(expected, end);
+      ++expected_proposals;
+      if (replay.NextDouble() * max_rate < process.RateAt(expected)) {
+        break;
+      }
+    }
+    ASSERT_EQ(next->nanos(), expected.nanos());
+    ++arrivals;
+  }
+  EXPECT_GT(arrivals, 100);
+  EXPECT_LT(arrivals, expected_proposals);
+  // The proposals after the last arrival that still fell before `end`.
+  for (;;) {
+    expected = expected + Duration::SecondsF(replay.Exponential(max_rate));
+    if (expected >= end) {
+      break;
+    }
+    ++expected_proposals;
+    replay.NextDouble();
+  }
+  EXPECT_EQ(proposals.value(), expected_proposals);
+}
+
 TEST(RateProcessDeathTest, RejectsShapesOutsideTheEnvelopeContract) {
   // MaxRate() and the thinning envelope assume Value stays in
   // [trough_fraction, 1] with one peak and one trough per day.
   const auto make = [](DiurnalShape shape) {
-    RateProcess process(10.0, shape, MmppConfig{}, /*seed=*/1);
+    RateProcess process(10.0, shape);
   };
   DiurnalShape ok;
   make(ok);

@@ -90,13 +90,15 @@ Registered as the `lint.repo` ctest. Rules:
 
   arrival       Service code must not roll its own arrival process: no
                 Exponential()/Poisson() inter-arrival draws under
-                src/{workload,core,qos,sched}. Arrival processes live in
-                src/trace/loadgen.h (OpenLoopSource, RateProcess) and
-                src/trace/session.h, and retry pacing in src/base/retry.h,
-                so every process that generates load is visible, seedable,
-                and reusable — an ad-hoc Exponential loop inside a service
-                is an invisible second load generator that no bench or
-                determinism scenario can reproduce or reason about.
+                src/{workload,core,qos,sched,trace}, except in
+                src/trace/loadgen.{h,cc}. Arrival processes live there
+                (OpenLoopSource, and RateProcess::NextArrival, the one
+                thinning loop the session tier and the gaming trace share),
+                and retry pacing in src/base/retry.h, so every process that
+                generates load is visible, seedable, and reusable — an
+                ad-hoc Exponential loop inside a service is an invisible
+                second load generator that no bench or determinism
+                scenario can reproduce or reason about.
 
   charges        Under src/, only src/hw (the SoC model) and src/sched (the
                 capacity view) may write SoC utilization or codec sessions
@@ -217,10 +219,13 @@ LAYERING_ALLOWLIST = {
 ADMISSION_DIRS = ("src/workload", "src/trace")
 ADMISSION_PATTERN = re.compile(r"\b(SetMaxQueue|max_queue_)\b")
 
-# Arrival processes belong to src/trace (loadgen/session) and retry
-# pacing to src/base/retry.h: a service drawing its own exponential or
-# Poisson inter-arrival gaps is an invisible second load generator.
-ARRIVAL_DIRS = ("src/workload", "src/core", "src/qos", "src/sched")
+# Arrival processes belong to src/trace/loadgen and retry pacing to
+# src/base/retry.h: a service (or a trace generator) drawing its own
+# exponential or Poisson inter-arrival gaps is an invisible second load
+# generator.
+ARRIVAL_DIRS = ("src/workload", "src/core", "src/qos", "src/sched",
+                "src/trace")
+ARRIVAL_HOMES = ("src/trace/loadgen.h", "src/trace/loadgen.cc")
 ARRIVAL_PATTERN = re.compile(
     r"[\w\])>]\s*(?:\.|->)\s*(Exponential|Poisson)\s*\(")
 
@@ -509,7 +514,7 @@ class Linter:
                 "the service's admission() accessor")
 
     def lint_arrival(self, path, raw_lines, code_lines):
-        if not path.startswith(ARRIVAL_DIRS):
+        if not path.startswith(ARRIVAL_DIRS) or path in ARRIVAL_HOMES:
             return
         for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
             m = ARRIVAL_PATTERN.search(code)
@@ -517,9 +522,9 @@ class Linter:
                 continue
             self.report(
                 path, lineno, "arrival",
-                f"ad-hoc `{m.group(1)}()` draw in service code; arrival "
-                "processes live in src/trace/loadgen.h (OpenLoopSource/"
-                "RateProcess) and src/trace/session.h, retry pacing in "
+                f"ad-hoc `{m.group(1)}()` draw outside src/trace/loadgen; "
+                "arrival processes live in src/trace/loadgen.h "
+                "(OpenLoopSource/RateProcess::NextArrival), retry pacing in "
                 "src/base/retry.h — drive load through a seeded source "
                 "instead of a private inter-arrival loop")
 

@@ -183,11 +183,23 @@ class ArrivalRuleTest(unittest.TestCase):
             "double wait = rng->Exponential(1.0 / mtbf);\n")
         self.assertEqual(len(findings), 1)
 
-    def test_trace_layer_exempt(self):
+    def test_loadgen_exempt(self):
         findings = run_rule(
             "lint_arrival", "src/trace/loadgen.cc",
             "const double gap = rng.Exponential(rate_);\n")
         self.assertEqual(findings, [])
+
+    def test_private_thinning_loop_in_trace_flagged(self):
+        # A trace generator thinning on its own instead of through
+        # RateProcess::NextArrival.
+        findings = run_rule(
+            "lint_arrival", "src/trace/gaming_trace.cc",
+            "while (true) {\n"
+            "  t = t + Duration::SecondsF(rng_.Exponential(peak_per_s));\n"
+            "  if (rng_.NextDouble() < ArrivalRate(t) / kPeak) break;\n"
+            "}\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("[arrival]", findings[0])
 
     def test_cluster_fault_chains_exempt(self):
         findings = run_rule(
