@@ -15,7 +15,8 @@
 // The storm itself is the GrayStorm builder (src/core/flagships.h); this
 // file runs its four variants and reports.
 //
-// Flags: --minutes=N (storm length, default 8), --seed=S (default 42),
+// Flags: --minutes=N (storm length, default 8, at least 3),
+//        --seed=S (default 42),
 //        --trace-out/--metrics-out/--digest-out/--slo-out=PATH.
 
 #include <cstdio>
@@ -257,8 +258,13 @@ int main(int argc, char** argv) {
       seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
     }
   }
-  if (minutes < 4) {
-    minutes = 4;
+  // The planted faults last two minutes less than the storm.
+  if (minutes < 3) {
+    std::fprintf(stderr,
+                 "--minutes=%d is too short: the storm must be at least 3 "
+                 "minutes to plant a fault window\n",
+                 minutes);
+    return 2;
   }
   const soccluster::ObsFlags obs_flags = soccluster::ParseObsFlags(argc, argv);
   return soccluster::Run(minutes, seed, obs_flags);

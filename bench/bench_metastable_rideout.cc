@@ -29,7 +29,8 @@
 // file runs it, extracts the outcome and reports.
 //
 // Flags: --seed=S (default 42), --users=N (default 1000000),
-//        --day-minutes=D (default 60; the full 24 h day compressed),
+//        --day-minutes=D (default 60, at least 2; the full 24 h day
+//        compressed),
 //        --post-minutes=P (default 30; the post-trigger assertion window),
 //        --socs=N (default 40; serving fleet size — the fault burst, wall
 //        cap, and offered load scale with it, so sanitizer smoke runs can
@@ -454,8 +455,13 @@ int main(int argc, char** argv) {
                  params.mode.c_str());
     return 1;
   }
-  if (params.day.day_minutes < 12) {
-    params.day.day_minutes = 12;
+  // The post window is at most half the day and at least one minute.
+  if (params.day.day_minutes < 2) {
+    std::fprintf(stderr,
+                 "--day-minutes=%d is too short: the day must be at least 2 "
+                 "minutes to fit a 1-minute post-trigger window\n",
+                 params.day.day_minutes);
+    return 2;
   }
   // One chassis: the fleet (and the scaled fault-victim indices) must fit.
   if (params.day.socs < 8) {

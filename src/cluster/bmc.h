@@ -15,22 +15,14 @@
 
 namespace soccluster {
 
-struct BmcConfig {
-  Duration sample_period = Duration::Seconds(1);
-  double ambient_celsius = 30.0;  // Edge sites run warm.
-  // Steady-state temperature rise per watt of chassis power.
-  double celsius_per_watt = 0.055;
-  // Thermal time constant of the chassis airflow.
-  Duration thermal_tau = Duration::Seconds(90);
-  double fan_min_duty = 0.25;
-  double fan_full_temp_celsius = 75.0;  // Duty reaches 1.0 here.
-  // Above this temperature the BMC asks the control plane to shed load.
-  double throttle_temp_celsius = 80.0;
-};
+// The BMC has no settings: the 1 s sample period, the thermal model and the
+// fan curve are constants in bmc.cc. The empty type keeps the constructor's
+// signature.
+struct BmcConfig {};
 
 class BmcModel {
  public:
-  BmcModel(Simulator* sim, SocCluster* cluster, BmcConfig config);
+  BmcModel(Simulator* sim, SocCluster* cluster, BmcConfig);
   ~BmcModel();
   BmcModel(const BmcModel&) = delete;
   BmcModel& operator=(const BmcModel&) = delete;
@@ -44,13 +36,6 @@ class BmcModel {
   const RunningStat& PowerSamples() const { return power_samples_; }
   double TemperatureCelsius() const { return temperature_; }
   double FanDuty() const;
-  // True when the chassis has exceeded its thermal envelope; the control
-  // plane should stop admitting work (and may power SoCs down) until the
-  // temperature recovers.
-  bool IsThrottling() const;
-  // Power level that would hold the chassis at the throttle temperature at
-  // steady state — a target for load shedding.
-  Power RecommendedPowerCap() const;
   int64_t num_samples() const { return power_samples_.count(); }
 
  private:
@@ -58,7 +43,6 @@ class BmcModel {
 
   Simulator* sim_;
   SocCluster* cluster_;
-  BmcConfig config_;
   std::unique_ptr<PeriodicTask> sampler_;
   Power last_power_ = Power::Zero();
   RunningStat power_samples_;

@@ -17,9 +17,9 @@ constexpr int kMinActive = 1;
 
 ClusterOverloadManager::ClusterOverloadManager(Simulator* sim,
                                                SocCluster* cluster,
-                                               BmcModel* bmc,
+                                               BmcModel*,
                                                ClusterOverloadConfig config)
-    : sim_(sim), governor_(sim, cluster, bmc, config.wall_cap) {}
+    : sim_(sim), governor_(sim, cluster, config.wall_cap) {}
 
 std::unique_ptr<CircuitBreaker> ClusterOverloadManager::MakeBreaker(
     const char* service) {

@@ -1,8 +1,8 @@
 // Cluster-wide overload control: one BrownoutGovernor coordinating a
 // degradation ladder across every service the cluster runs, plus a
-// circuit breaker per service. Under power/thermal pressure (§2.2's
-// ~700 W supplies, §8's cooling wall) the cheapest quality is surrendered
-// first and SoC eviction becomes the last resort:
+// circuit breaker per service. When the chassis draws more than its wall
+// cap (§2.2's ~700 W supplies) the cheapest quality is surrendered first
+// and SoC eviction becomes the last resort:
 //
 //   1. best_effort   — close admission to best-effort traffic everywhere
 //                      (admission floors to kStandard; orchestrator
@@ -37,13 +37,14 @@
 namespace soccluster {
 
 struct ClusterOverloadConfig {
-  Power wall_cap = Power::Zero();  // Zero: thermal-only (BMC-driven).
+  Power wall_cap = Power::Zero();  // Must be set: positive, above overhead.
 };
 
 class ClusterOverloadManager {
  public:
-  // `bmc` may be null when only a wall cap drives the governor.
-  ClusterOverloadManager(Simulator* sim, SocCluster* cluster, BmcModel* bmc,
+  // The governor's cap is `config.wall_cap`, checked here. The BMC does
+  // not feed the governor; the unnamed parameter keeps the signature.
+  ClusterOverloadManager(Simulator* sim, SocCluster* cluster, BmcModel*,
                          ClusterOverloadConfig config);
   ClusterOverloadManager(const ClusterOverloadManager&) = delete;
   ClusterOverloadManager& operator=(const ClusterOverloadManager&) = delete;

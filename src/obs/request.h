@@ -38,7 +38,7 @@ struct RequestContext {
 // be null.
 void TraceRequestSubmit(Tracer* tracer, RequestContext* ctx,
                         const char* category, SimTime now, int64_t track = 0);
-// An intermediate hop: "admit", "dispatch", "retry", "hedge", "failover".
+// An intermediate hop: "admit", "dispatch", "retry", "failover".
 void TraceRequestStep(Tracer* tracer, const RequestContext* ctx,
                       const char* hop, int64_t track = 0);
 void TraceRequestComplete(Tracer* tracer, const RequestContext* ctx,

@@ -77,8 +77,8 @@ class AdmissionQueue {
   std::optional<Item> Pop();
 
   // Re-queues an item at the back of its class, bypassing every admission
-  // check (retry/hedge rescue paths keep their original enqueue time and
-  // must not be shed at the door twice).
+  // check (a retried request keeps its original enqueue time and must not
+  // be shed at the door twice).
   void Restore(Item item);
   // As Restore, but to the *front* of its class — for peek-style consumers
   // that Pop, fail to place, and put the head back without reordering.

@@ -1,6 +1,5 @@
 #include "src/qos/brownout.h"
 
-#include <limits>
 #include <utility>
 
 #include "src/base/check.h"
@@ -15,17 +14,16 @@ constexpr int kReleaseHoldTicks = 1;
 }  // namespace
 
 BrownoutGovernor::BrownoutGovernor(Simulator* sim, SocCluster* cluster,
-                                   BmcModel* bmc, Power wall_cap)
-    : sim_(sim), cluster_(cluster), bmc_(bmc), wall_cap_(wall_cap) {
+                                   Power wall_cap)
+    : sim_(sim), cluster_(cluster), wall_cap_(wall_cap) {
   SOC_CHECK(sim_ != nullptr);
   SOC_CHECK(cluster_ != nullptr);
+  SOC_CHECK_GT(wall_cap_.watts(), 0.0) << "brownout needs a wall cap";
   // Feasibility: a wall cap below the chassis overhead (fans + ESB + BMC)
   // can never be met by degrading workloads — the ladder would bottom out
   // and sit over the cap forever.
-  if (wall_cap_.watts() > 0.0) {
-    SOC_CHECK_GE(wall_cap_.watts(), cluster_->OverheadPower().watts())
-        << "wall cap below chassis overhead is infeasible";
-  }
+  SOC_CHECK_GE(wall_cap_.watts(), cluster_->OverheadPower().watts())
+      << "wall cap below chassis overhead is infeasible";
   MetricRegistry& metrics = sim_->metrics();
   engagements_metric_ = metrics.GetCounter("qos.brownout.engagements");
   releases_metric_ = metrics.GetCounter("qos.brownout.releases");
@@ -56,16 +54,6 @@ void BrownoutGovernor::Start() { ticker_->Start(); }
 
 void BrownoutGovernor::Stop() { ticker_->Stop(); }
 
-Power BrownoutGovernor::EffectiveCap() const {
-  if (wall_cap_.watts() > 0.0) {
-    return wall_cap_;
-  }
-  if (bmc_ != nullptr && bmc_->IsThrottling()) {
-    return bmc_->RecommendedPowerCap();
-  }
-  return Power::Watts(std::numeric_limits<double>::max());
-}
-
 int BrownoutGovernor::rung_level(int rung) const {
   SOC_CHECK_GE(rung, 0);
   SOC_CHECK_LT(rung, static_cast<int>(rungs_.size()));
@@ -78,14 +66,14 @@ void BrownoutGovernor::PublishLevel() {
 }
 
 void BrownoutGovernor::Tick() {
-  const Power cap = EffectiveCap();
   const Power draw = cluster_->CurrentPower();
-  if (draw > cap) {
+  if (draw > wall_cap_) {
     comfortable_ticks_ = 0;
     EngageNext();
     return;
   }
-  if (total_level_ > 0 && draw.watts() < cap.watts() * kReleaseFraction) {
+  if (total_level_ > 0 &&
+      draw.watts() < wall_cap_.watts() * kReleaseFraction) {
     if (++comfortable_ticks_ >= kReleaseHoldTicks) {
       comfortable_ticks_ = 0;
       ReleaseDeepest();

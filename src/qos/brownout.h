@@ -1,8 +1,7 @@
 // Coordinated brownout governor. Generalizes the serving-only power cap
 // into a cluster-wide degradation ladder: when chassis draw exceeds the
-// effective cap (operator wall cap, or the BMC's recommendation while
-// throttling — §2.2's ~700 W supplies, §8's cooling wall), the governor
-// engages degradation rungs one level per period, in registration order:
+// operator's wall cap (§2.2's ~700 W supplies), the governor engages
+// degradation rungs one level per period, in registration order:
 //
 //   drop best-effort admission → push live transcoding down the bitrate
 //   ladder → defer serverless cold starts → cap gaming sessions → shrink
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "src/base/digest.h"
-#include "src/cluster/bmc.h"
 #include "src/cluster/cluster.h"
 #include "src/sim/simulator.h"
 
@@ -52,11 +50,9 @@ class BrownoutGovernor {
     bool engage = false;
   };
 
-  // `wall_cap` is the hard wall-power cap; Power::Zero() means thermal-only
-  // (follow the BMC's recommended cap while it throttles). `bmc` may be
-  // null when only a wall cap drives the governor.
-  BrownoutGovernor(Simulator* sim, SocCluster* cluster, BmcModel* bmc,
-                   Power wall_cap);
+  // `wall_cap` is the hard wall-power cap: positive, and no lower than the
+  // chassis overhead.
+  BrownoutGovernor(Simulator* sim, SocCluster* cluster, Power wall_cap);
   ~BrownoutGovernor();
   BrownoutGovernor(const BrownoutGovernor&) = delete;
   BrownoutGovernor& operator=(const BrownoutGovernor&) = delete;
@@ -68,9 +64,6 @@ class BrownoutGovernor {
 
   void Start();
   void Stop();
-
-  // The cap currently in force.
-  Power EffectiveCap() const;
 
   // Total engaged levels across all rungs (0: no brownout).
   int level() const { return total_level_; }
@@ -103,7 +96,6 @@ class BrownoutGovernor {
 
   Simulator* sim_;
   SocCluster* cluster_;
-  BmcModel* bmc_;
   Power wall_cap_;
   std::unique_ptr<PeriodicTask> ticker_;
   std::vector<Rung> rungs_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/base/check.h"
+#include "src/obs/json.h"
 
 namespace soccluster {
 
@@ -22,23 +23,7 @@ constexpr int kRefineSteps = 16;
 constexpr size_t kMaxRecordedEvents = 1 << 20;
 
 void WriteJsonString(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        out << c;
-    }
-  }
-  out << '"';
+  out << '"' << JsonEscape(s) << '"';
 }
 
 std::string DisplayLabel(const std::string& label) {

@@ -55,7 +55,6 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
   view_.SetActiveCount(0);  // No SoC serves until SetActiveCount.
   MetricRegistry& metrics = sim_->metrics();
   retries_metric_ = metrics.GetCounter("dl.serving.retries");
-  hedges_metric_ = metrics.GetCounter("dl.serving.hedges");
   latency_metric_ = metrics.GetHistogram("dl.serving.latency_ms");
   max_queue_metric_ = metrics.GetGauge("dl.serving.max_queue_length");
   Tracer& tracer = sim_->tracer();
@@ -119,11 +118,6 @@ void SocServingFleet::SetRetryBudget(double tokens_per_success,
                      budget_.get());
 }
 
-void SocServingFleet::EnableHedging(Duration hedge_delay) {
-  SOC_CHECK_GT(hedge_delay.nanos(), 0);
-  hedge_delay_ = hedge_delay;
-}
-
 void SocServingFleet::Submit(Priority priority,
                              const ClientAttribution& client) {
   ledger_.Submit(priority);
@@ -168,7 +162,6 @@ void SocServingFleet::Submit(Priority priority,
 
 void SocServingFleet::Requeue(RequestRef ref) {
   RequestState& request = requests_[ref.index];
-  request.active_attempt = 0;
   request.queue_span =
       sim_->tracer().BeginAsyncSpan("queue", "dl.serving", request.ctx.id,
                                     request.request_span);
@@ -203,60 +196,25 @@ void SocServingFleet::TryDispatch() {
     tracer.EndSpan(request.queue_span);
     TraceRequestStep(&tracer, &request.ctx, "dispatch", SocTrack(chosen));
     const SocModel& soc = cluster_->soc(chosen);
-    const Reservation reservation =
-        view_.Reserve(chosen, DispatchDemand(soc));
+    request.reservation = view_.Reserve(chosen, DispatchDemand(soc));
     ++in_flight_;
     const int attempt = ++request.attempts;
-    request.active_attempt = attempt;
     request.attempt_start = sim_->Now();
     // The request's inference phase, in two views: the async child follows
     // the request, the track span shows the SoC busy.
-    const SpanId infer_span = tracer.BeginAsyncSpan(
+    request.infer_span = tracer.BeginAsyncSpan(
         "infer", "dl.serving", request.ctx.id, request.request_span);
-    tracer.AddArg(infer_span, "soc", static_cast<int64_t>(chosen));
-    tracer.AddArg(infer_span, "attempt", static_cast<int64_t>(attempt));
-    const SpanId infer_track_span =
+    tracer.AddArg(request.infer_span, "soc", static_cast<int64_t>(chosen));
+    tracer.AddArg(request.infer_span, "attempt", static_cast<int64_t>(attempt));
+    request.infer_track_span =
         tracer.BeginSpan("infer", "dl.serving", SocTrack(chosen));
-    const AttemptRef attempt_ref = attempts_.Allocate(
-        Attempt{ref, attempt, reservation, infer_track_span, infer_span});
     // A thermal excursion slows the engine without shrinking capacity.
     const Duration service = Duration::SecondsF(
         1.0 / (PerSocThroughput() * soc.throttle_factor()));
     sim_->ScheduleAfter(
-        service, [this, attempt_ref] { FinishOn(attempt_ref); },
-        "dl.serving.finish", event_anchor_);
-    if (hedge_delay_.nanos() > 0) {
-      sim_->ScheduleAfter(
-          hedge_delay_, [this, attempt_ref] { HedgeCheck(attempt_ref); },
-          "dl.serving.hedge", event_anchor_);
-    }
+        service, [this, ref] { FinishOn(ref); }, "dl.serving.finish",
+        event_anchor_);
   }
-}
-
-void SocServingFleet::HedgeCheck(AttemptRef attempt_ref) {
-  if (!attempts_.IsLive(attempt_ref)) {
-    return;  // The attempt already finished.
-  }
-  // A live attempt keeps its request live: only the attempt's own finish
-  // or hedge can move the request on.
-  const Attempt& attempt = attempts_[attempt_ref.index];
-  RequestState& request = requests_[attempt.request.index];
-  if (request.done || request.active_attempt != attempt.number) {
-    return;  // Already finished, or already rescued.
-  }
-  if (!view_.FailedSince(attempt.reservation)) {
-    return;  // The SoC is still the one we dispatched to; let it finish.
-  }
-  // The serving SoC died under the request. Rescue it now instead of
-  // waiting out a completion that will only report the death later. Counts
-  // as a hedge, not a retry: it consumes no retry budget (the failure is
-  // certain, not suspected).
-  ++hedges_;
-  hedges_metric_->Increment();
-  sim_->tracer().Instant("hedge", "dl.serving");
-  TraceRequestStep(&sim_->tracer(), &request.ctx, "hedge",
-                   SocTrack(attempt.reservation.soc_index));
-  Requeue(attempt.request);
 }
 
 void SocServingFleet::RecordCompletion(int soc_index, RequestState& request) {
@@ -275,7 +233,6 @@ void SocServingFleet::RecordCompletion(int soc_index, RequestState& request) {
 
 void SocServingFleet::Complete(int soc_index, RequestRef ref) {
   RequestState& request = requests_[ref.index];
-  request.done = true;
   if (budget_ != nullptr) {
     budget_->RecordSuccess();
   }
@@ -330,28 +287,19 @@ PlacementDemand SocServingFleet::DispatchDemand(const SocModel& soc) const {
   return demand;
 }
 
-void SocServingFleet::FinishOn(AttemptRef attempt_ref) {
-  const Attempt attempt = attempts_[attempt_ref.index];
-  attempts_.Free(attempt_ref.index);
-  const int soc_index = attempt.reservation.soc_index;
+void SocServingFleet::FinishOn(RequestRef ref) {
+  RequestState& request = requests_[ref.index];
+  const int soc_index = request.reservation.soc_index;
   // The attempt succeeded only if the SoC never failed while it ran; a
   // fail/repair/reboot cycle leaves the SoC usable but moves its epoch.
-  const bool alive = view_.Release(attempt.reservation);
+  const bool alive = view_.Release(request.reservation);
   --in_flight_;
   // A zombie SoC heartbeats and holds its utilization, but the request
   // comes back broken — the attempt failed even though the SoC is "up".
   const bool zombie_attempt = alive && cluster_->soc(soc_index).zombie();
   Tracer& tracer = sim_->tracer();
-  tracer.EndSpan(attempt.infer_track_span);
-  tracer.EndSpan(attempt.infer_span);
-  const RequestRef ref = attempt.request;
-  if (!requests_.IsLive(ref) || requests_[ref.index].done ||
-      requests_[ref.index].active_attempt != attempt.number) {
-    // Completed elsewhere or rescued by a hedge; this attempt is moot.
-    TryDispatch();
-    return;
-  }
-  RequestState& request = requests_[ref.index];
+  tracer.EndSpan(request.infer_track_span);
+  tracer.EndSpan(request.infer_span);
   if (zombie_attempt) {
     // Zombie attempts are the error evidence the gray detector keys on: a
     // dead SoC stops heartbeating, a zombie only stops serving.
@@ -363,21 +311,19 @@ void SocServingFleet::FinishOn(AttemptRef attempt_ref) {
              (budget_ == nullptr || budget_->TryWithdraw())) {
     ++retries_;
     retries_metric_->Increment();
-    TraceRequestStep(&sim_->tracer(), &request.ctx, "retry",
-                     SocTrack(soc_index));
-    request.active_attempt = 0;
+    TraceRequestStep(&tracer, &request.ctx, "retry", SocTrack(soc_index));
     sim_->ScheduleAfter(
         backoff_->BackoffFor(request.attempts),
         [this, ref] {
-          if (requests_.IsLive(ref) && !requests_[ref.index].done) {
-            Requeue(ref);
-          }
+          // Nothing frees a request while it waits out its backoff.
+          SOC_DCHECK(requests_.IsLive(ref));
+          Requeue(ref);
         },
         "dl.serving.retry_wait", event_anchor_);
   } else {
     // No retry left: give up on the request.
     ledger_.Finish(RequestLedger::Cause::kFailed, View(request));
-    sim_->tracer().EndSpan(request.request_span);
+    tracer.EndSpan(request.request_span);
     requests_.Free(ref.index);
   }
   TryDispatch();
@@ -484,7 +430,6 @@ void SocServingFleet::DigestState(StateDigest& digest) const {
   digest.Mix(deadline_expired());
   digest.Mix(failed());
   digest.Mix(retries_);
-  digest.Mix(hedges_);
   for (int c = 0; c < kNumPriorities; ++c) {
     const Priority p = static_cast<Priority>(c);
     digest.Mix(completed_of(p));
@@ -500,7 +445,6 @@ void SocServingFleet::DigestState(StateDigest& digest) const {
   digest.Mix(latency_includes_response_);
   digest.Mix(dispatch_limit_);
   digest.Mix(in_flight_);
-  digest.Mix(hedge_delay_.nanos());
   digest.Mix(next_request_id_);
   if (backoff_ != nullptr) {
     digest.Mix(backoff_->RngFingerprint());

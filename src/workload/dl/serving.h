@@ -49,15 +49,14 @@ namespace soccluster {
 //     counted under "dl.serving.expired" separately from shed);
 //   * SetRetryPolicy — a request whose serving SoC dies mid-inference is
 //     re-queued after an exponential, jittered backoff, gated by a retry
-//     budget so retries cannot amplify an outage into a storm;
-//   * EnableHedging — if the serving SoC has died by `hedge_delay` after
-//     dispatch, the request is rescued and re-queued immediately instead of
-//     waiting out the (never-arriving) completion.
-// Each dispatch holds one Reservation on the fleet's capacity view: the
-// engine slot plus the engine's compute (the CPU headroom, or the whole
-// GPU/DSP). A mid-flight SoC death is read off that reservation's fail
-// epoch — a fail/repair/reboot race cannot masquerade as success, and the
-// release never takes a charge the failure already wiped.
+//     budget so retries cannot amplify an outage into a storm.
+// A request has at most one dispatch in flight. That dispatch holds one
+// Reservation on the fleet's capacity view: the engine slot plus the
+// engine's compute (the CPU headroom, or the whole GPU/DSP). A SoC fails
+// stop, so its death mid-flight is read off that reservation's fail epoch
+// when the inference's finish event fires — a fail/repair/reboot race
+// cannot masquerade as success, the release never takes a charge the
+// failure already wiped, and the retry decision is made there.
 //
 // Every request is traced end-to-end as a nested async span group
 // (category "dl.serving"): request ⊃ queue → infer → network, plus a
@@ -120,8 +119,6 @@ class SocServingFleet {
   // bounds amplification; without one, retries are unlimited.
   void SetRetryPolicy(RetryPolicy policy, uint64_t seed);
   void SetRetryBudget(double tokens_per_success, double max_tokens);
-  // Rescue requests whose SoC has died by `hedge_delay` after dispatch.
-  void EnableHedging(Duration hedge_delay);
 
   void Submit() { Submit(Priority::kStandard); }
   void Submit(Priority priority) { Submit(priority, ClientAttribution{}); }
@@ -146,8 +143,8 @@ class SocServingFleet {
   // histogram, a sketch over every class, still sees each completion.
   // On by default.
   void SetExactLatencySamples(bool exact) { exact_latency_samples_ = exact; }
-  // Seq-anchors the fleet's internal event chains (inference completions,
-  // hedge checks, retry requeues) into `group`. An open-loop session tier
+  // Seq-anchors the fleet's internal event chains (inference completions
+  // and retry requeues) into `group`. An open-loop session tier
   // quantizes submissions onto its wheel grid, which makes equal-timestamp
   // collisions between tier events and deterministic-latency completions
   // systematic; sharing the tier's group (SessionTier::anchor_group) pins
@@ -160,7 +157,6 @@ class SocServingFleet {
   int64_t deadline_expired() const { return ledger_.expired(); }
   int64_t failed() const { return ledger_.failed(); }
   int64_t retries() const { return retries_; }
-  int64_t hedges() const { return hedges_; }
   int queue_length() const { return admission_.size(); }
   const SampleStats& latencies() const { return latencies_; }
   // Per-class views of the same accounting.
@@ -197,34 +193,25 @@ class SocServingFleet {
  private:
   struct RequestState {
     SimTime enqueue;
-    SimTime attempt_start;  // Dispatch time of the active attempt.
+    SimTime attempt_start;  // Dispatch time of the latest attempt.
     Priority priority = Priority::kStandard;
     Duration deadline;  // Snapshot of the fleet deadline at Submit.
     SpanId request_span = 0;
     SpanId queue_span = 0;
-    int attempts = 0;        // Dispatch attempts started.
-    int active_attempt = 0;  // 0 when queued; else the in-flight attempt.
-    // Finished, but held until its response lands.
-    bool done = false;
+    // The in-flight attempt's inference phase: the async child of the
+    // request span and the synchronous span on the SoC's track.
+    SpanId infer_span = 0;
+    SpanId infer_track_span = 0;
+    int attempts = 0;  // Dispatch attempts started.
+    // The in-flight attempt's engine slot plus its CPU/GPU/DSP charge; its
+    // fail epoch tells whether the SoC died under the attempt.
+    Reservation reservation;
     // Client attribution (ticket 0 = unattributed legacy submission).
     ClientAttribution client;
     // Causal-trace context; its id also keys the request's async spans.
     RequestContext ctx;
   };
   using RequestRef = Slab<RequestState>::Ref;
-  // One dispatched attempt, holding an engine slot until its finish event.
-  // A hedge rescue re-dispatches the request while the rescued attempt is
-  // still out, so attempts live apart from their request.
-  struct Attempt {
-    RequestRef request;
-    int number = 0;
-    // The engine slot plus the engine's CPU/GPU/DSP charge; its fail epoch
-    // tells whether the SoC died under the attempt.
-    Reservation reservation;
-    SpanId infer_track_span = 0;
-    SpanId infer_span = 0;
-  };
-  using AttemptRef = Slab<Attempt>::Ref;
 
   RequestLedger::Request View(RequestState& request) {
     return {request.priority, request.enqueue, request.client, &request.ctx};
@@ -234,9 +221,9 @@ class SocServingFleet {
   void TryDispatch();
   // One dispatch on `soc`: an engine slot plus the engine's compute.
   PlacementDemand DispatchDemand(const SocModel& soc) const;
-  void FinishOn(AttemptRef attempt_ref);
-  void HedgeCheck(AttemptRef attempt_ref);
-  // Re-queues a not-yet-done request (retry or hedge rescue).
+  // The finish event of `ref`'s in-flight attempt.
+  void FinishOn(RequestRef ref);
+  // Puts a request whose retry backoff has elapsed back in the queue.
   void Requeue(RequestRef ref);
   void Complete(int soc_index, RequestRef ref);
   // Latency accounting for a completed request (stats, SLO, evidence);
@@ -257,10 +244,9 @@ class SocServingFleet {
   Placer placer_;
   AdmissionQueue admission_;
   RequestLedger ledger_;
-  Slab<RequestState> requests_;  // Queued, in flight, or awaiting response.
-  Slab<Attempt> attempts_;
+  // Queued, in flight, waiting out a retry backoff, or awaiting response.
+  Slab<RequestState> requests_;
   int64_t retries_ = 0;
-  int64_t hedges_ = 0;
   std::array<SampleStats, kNumPriorities> latencies_of_;
   SampleStats latencies_;
   DataSize response_size_;  // Zero: no response transfer.
@@ -271,12 +257,10 @@ class SocServingFleet {
   Duration deadline_;       // Zero: none.
   int dispatch_limit_ = 0;  // Zero: unbounded.
   int in_flight_ = 0;       // Requests currently holding an engine slot.
-  Duration hedge_delay_;    // Zero: hedging off.
   std::unique_ptr<RetryBackoff> backoff_;  // Null: retries off.
   std::unique_ptr<RetryBudget> budget_;    // Null: unlimited retries.
   uint64_t next_request_id_ = 1;
   Counter* retries_metric_;
-  Counter* hedges_metric_;
   HistogramMetric* latency_metric_;
   Gauge* max_queue_metric_;
 };

@@ -171,27 +171,6 @@ TEST(BmcTest, PowerStatsTrackLoadSteps) {
   EXPECT_GT(bmc.PowerSamples().max(), idle + 300.0);
 }
 
-TEST(BmcThrottleTest, ThrottlesAboveEnvelope) {
-  Simulator sim(73);
-  SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
-  cluster.PowerOnAll(nullptr);
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(30)).ok());
-  BmcConfig config;
-  config.celsius_per_watt = 0.12;  // Poorly cooled site.
-  BmcModel bmc(&sim, &cluster, config);
-  bmc.StartSampling();
-  EXPECT_FALSE(bmc.IsThrottling());
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(cluster.soc(i).SetCpuUtil(1.0).ok());
-  }
-  ASSERT_TRUE(sim.RunFor(Duration::Minutes(30)).ok());
-  EXPECT_TRUE(bmc.IsThrottling());
-  // The recommended cap would hold ~80 C: (80-30)/0.12 ~ 417 W.
-  EXPECT_NEAR(bmc.RecommendedPowerCap().watts(), 416.7, 1.0);
-  EXPECT_LT(bmc.RecommendedPowerCap().watts(),
-            cluster.CurrentPower().watts());
-}
-
 TEST(VirtualizationTest, LatencyFactorsMatchTable7) {
   // CPU path within noise.
   EXPECT_NEAR(VirtualizationModel::LatencyFactor(SocProcessor::kCpu,

@@ -145,57 +145,18 @@ TEST_F(OverloadTest, LadderReleasesInReverseAfterPressureDrops) {
   EXPECT_EQ(manager.governor().engagements(), manager.governor().releases());
 }
 
-// With no wall cap and a well-cooled chassis the BMC never throttles, so
-// the cap is unbounded and the governor never engages, even saturated.
-TEST_F(OverloadTest, UnboundedWithoutCapOrThrottle) {
-  ClusterOverloadManager manager(&sim_, &cluster_, &bmc_,
-                                 ClusterOverloadConfig{});
-  manager.AttachServing(&fleet_);
-  fleet_.SetActiveCount(20);
-  manager.Start();
-  for (int i = 0; i < 100000; ++i) {
-    fleet_.Submit();
-  }
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(30)).ok());
-  EXPECT_FALSE(bmc_.IsThrottling());
-  EXPECT_FALSE(manager.IsBrownedOut());
-  EXPECT_EQ(manager.governor().engagements(), 0);
-  EXPECT_EQ(fleet_.active_count(), 20);
-}
-
-// A zero wall cap means thermal-only: on a poorly cooled chassis, full CPU
-// load pushes the BMC into throttling and the governor engages against the
-// BMC's recommended cap.
-TEST(OverloadThermalTest, ZeroWallCapEngagesOnBmcThrottle) {
+// The governor has no cap to fall back on: a manager without a wall cap
+// fails at construction, not silently unbounded at run time.
+TEST(OverloadDeathTest, ZeroWallCapIsRejectedAtConstruction) {
   Simulator sim(143);
   SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
-  cluster.PowerOnAll(nullptr);
-  ASSERT_TRUE(sim.RunFor(Duration::Seconds(26)).ok());
-  BmcConfig bmc_config;
-  bmc_config.celsius_per_watt = 0.12;
-  BmcModel bmc(&sim, &cluster, bmc_config);
-  bmc.StartSampling();
-  SocServingFleet fleet(&sim, &cluster, DlDevice::kSocCpu,
-                        DnnModel::kResNet50, Precision::kFp32);
-  ClusterOverloadManager manager(&sim, &cluster, &bmc,
-                                 ClusterOverloadConfig{});
-  manager.AttachServing(&fleet);
-  fleet.SetActiveCount(60);
-  manager.Start();
-  for (int i = 0; i < 500000; ++i) {
-    fleet.Submit();
-  }
-  // Mid-flight, with the backlog still deep: the cap in force is the
-  // BMC's recommendation and the ladder holds the draw near it.
-  ASSERT_TRUE(sim.RunFor(Duration::Minutes(10)).ok());
-  EXPECT_TRUE(bmc.IsThrottling());
-  EXPECT_EQ(manager.governor().EffectiveCap().watts(),
-            bmc.RecommendedPowerCap().watts());
-  EXPECT_GT(manager.governor().engagements(), 0);
-  EXPECT_TRUE(manager.IsBrownedOut());
-  EXPECT_LE(cluster.CurrentPower().watts(),
-            bmc.RecommendedPowerCap().watts() * 1.15);
-  EXPECT_GT(fleet.queue_length(), 0);
+  EXPECT_DEATH(ClusterOverloadManager(&sim, &cluster, nullptr,
+                                      ClusterOverloadConfig{}),
+               "brownout needs a wall cap");
+  EXPECT_DEATH(ClusterOverloadManager(
+                   &sim, &cluster, nullptr,
+                   ClusterOverloadConfig{.wall_cap = Power::Watts(-1.0)}),
+               "brownout needs a wall cap");
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -210,6 +212,128 @@ TEST(DeterminismAuditor, AnchoredRaceIsCertified) {
   EXPECT_EQ(report.permutations_run, 8);
 }
 
+// Strict RFC 8259 recognizer, just enough to tell whether a report parses:
+// in particular a raw control character inside a string is rejected.
+class JsonRecognizer {
+ public:
+  explicit JsonRecognizer(const std::string& text) : text_(text) {}
+
+  bool Parses() {
+    return Value() && (SkipSpace(), pos_ == text_.size());
+  }
+
+ private:
+  static bool OneOf(const char* set, char c) {
+    return c != '\0' && std::strchr(set, c) != nullptr;
+  }
+  void SkipSpace() {
+    while (pos_ < text_.size() && OneOf(" \t\n\r", text_[pos_])) {
+      ++pos_;
+    }
+  }
+  bool Eat(char c) {
+    SkipSpace();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool Literal(const char* word) {
+    const size_t n = std::strlen(word);
+    if (text_.compare(pos_, n, word) != 0) {
+      return false;
+    }
+    pos_ += n;
+    return true;
+  }
+  bool String() {
+    if (!Eat('"')) {
+      return false;
+    }
+    while (pos_ < text_.size()) {
+      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
+      if (c == '"') {
+        return true;
+      }
+      if (c < 0x20) {
+        return false;
+      }
+      if (c == '\\') {
+        if (pos_ >= text_.size()) {
+          return false;
+        }
+        const char e = text_[pos_++];
+        if (e == 'u') {
+          for (int i = 0; i < 4; ++i) {
+            if (pos_ >= text_.size() || !std::isxdigit(static_cast<
+                                            unsigned char>(text_[pos_++]))) {
+              return false;
+            }
+          }
+        } else if (!OneOf("\"\\/bfnrt", e)) {
+          return false;
+        }
+      }
+    }
+    return false;
+  }
+  bool Number() {
+    const size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') {
+      ++pos_;
+    }
+    while (pos_ < text_.size() && OneOf("0123456789.eE+-", text_[pos_])) {
+      ++pos_;
+    }
+    return pos_ > start && std::isdigit(static_cast<unsigned char>(
+                               text_[pos_ - 1]));
+  }
+  bool Value() {
+    SkipSpace();
+    if (pos_ >= text_.size()) {
+      return false;
+    }
+    switch (text_[pos_]) {
+      case '{':
+        ++pos_;
+        if (Eat('}')) {
+          return true;
+        }
+        do {
+          if (!String() || !Eat(':') || !Value()) {
+            return false;
+          }
+        } while (Eat(','));
+        return Eat('}');
+      case '[':
+        ++pos_;
+        if (Eat(']')) {
+          return true;
+        }
+        do {
+          if (!Value()) {
+            return false;
+          }
+        } while (Eat(','));
+        return Eat(']');
+      case '"':
+        return String();
+      case 't':
+        return Literal("true");
+      case 'f':
+        return Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        return Number();
+    }
+  }
+
+  const std::string& text_;
+  size_t pos_ = 0;
+};
+
 TEST(DeterminismAuditor, DivergenceReportJsonRoundTrips) {
   DeterminismAuditor auditor("racy", RacyScenario(), /*permutations=*/2);
   const DivergenceReport report = auditor.Run();
@@ -219,6 +343,25 @@ TEST(DeterminismAuditor, DivergenceReportJsonRoundTrips) {
   EXPECT_NE(json.find("\"scenario\": \"racy\""), std::string::npos);
   EXPECT_NE(json.find("\"diverged\": true"), std::string::npos);
   EXPECT_NE(json.find("\"suspect_labels\""), std::string::npos);
+  EXPECT_TRUE(JsonRecognizer(json).Parses()) << json;
+}
+
+// Labels and the bisection narrative are free text: tabs, carriage returns
+// and other control characters must come out escaped.
+TEST(DeterminismAuditor, DivergenceReportJsonEscapesControlCharacters) {
+  DivergenceReport report;
+  report.scenario = "tab\there";
+  report.diverged = true;
+  report.suspect_labels = {"col\tumn", "bell\a", "quote\"back\\slash"};
+  report.detail = "line one\r\nline two\tindented\x01\x1f";
+  std::ostringstream out;
+  WriteDivergenceReportJson(report, out);
+  const std::string json = out.str();
+  EXPECT_TRUE(JsonRecognizer(json).Parses()) << json;
+  EXPECT_NE(json.find("\"scenario\": \"tab\\there\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("bell\\u0007"), std::string::npos) << json;
+  EXPECT_NE(json.find("indented\\u0001\\u001f"), std::string::npos) << json;
 }
 
 // The race found (and fixed) in this repo's own scenarios: a fault event

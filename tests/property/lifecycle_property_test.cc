@@ -7,7 +7,10 @@
 //
 //   submitted = completed + shed + expired + failed + still pending
 //
-// where "still pending" is work the service visibly still holds.
+// where "still pending" is work the service visibly still holds. A second
+// variant turns on the serving fleet's retries (policy plus budget): the
+// mid-inference fault then takes the retry path, which carries every
+// recovery from a dead SoC, and the same two properties must hold.
 
 #include <array>
 #include <cstdint>
@@ -17,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "src/base/check.h"
 #include "src/base/client.h"
+#include "src/base/retry.h"
 #include "src/base/rng.h"
 #include "src/cluster/cluster.h"
 #include "src/hw/specs.h"
@@ -44,20 +48,30 @@ struct Ticket {
   int notified = 0;
 };
 
-void RunLifecycle(uint64_t seed) {
-  SCOPED_TRACE(seed);
+// Returns the serving fleet's retries through `retries`.
+void RunLifecycle(uint64_t seed, bool serving_retries, int64_t* retries) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << " retries "
+                                  << serving_retries);
   Simulator sim(seed);
   SocCluster cluster(&sim, DefaultChassisSpec(), Snapdragon865Spec());
   cluster.PowerOnAll(nullptr);
   ASSERT_TRUE(sim.RunFor(Duration::Seconds(30)).ok());
 
-  // Serving: two SoCs, a tight queue and deadline, no retries, so overload
-  // sheds and expires and a mid-inference fault abandons.
+  // Serving: two SoCs and a tight queue and deadline, so overload sheds
+  // and expires. Without retries a mid-inference fault abandons; with them
+  // the request is re-queued and completes, expires or fails later.
   SocServingFleet fleet(&sim, &cluster, DlDevice::kSocCpu,
                         DnnModel::kResNet50, Precision::kFp32);
   fleet.SetActiveCount(2);
   fleet.SetDeadline(Duration::Seconds(1));
   fleet.admission().SetMaxQueue(20);
+  if (serving_retries) {
+    RetryPolicy policy;
+    policy.max_attempts = 3;
+    policy.initial_backoff = Duration::Millis(50);
+    fleet.SetRetryPolicy(policy, seed + 11);
+    fleet.SetRetryBudget(/*tokens_per_success=*/0.1, /*max_tokens=*/5.0);
+  }
   LiveTranscodingService live(&sim, &cluster, PlacementPolicy::kSpread);
   live.admission().SetMaxQueue(10);
   ServerlessPlatform serverless(&sim, &cluster, ServerlessConfig{});
@@ -198,18 +212,43 @@ void RunLifecycle(uint64_t seed) {
     }
   }
   // The load must actually exercise every outcome, and trip a breaker.
+  // With retries on, the serving fault may have been the only failure.
   for (int o = 0; o < kNumOutcomes; ++o) {
-    EXPECT_GT(totals[o], 0) << ClientOutcomeName(static_cast<ClientOutcome>(o));
+    const ClientOutcome outcome = static_cast<ClientOutcome>(o);
+    if (serving_retries && outcome == ClientOutcome::kFailed) {
+      continue;
+    }
+    EXPECT_GT(totals[o], 0) << ClientOutcomeName(outcome);
   }
   EXPECT_GT(serving_breaker.opens() + live_breaker.opens() +
                 serverless_breaker.opens(),
             0);
+  // A request the fault catches mid-inference is retried, never lost.
+  if (serving_retries) {
+    EXPECT_EQ(fleet.failed(), 0);
+  } else {
+    EXPECT_EQ(fleet.retries(), 0);
+  }
+  *retries = fleet.retries();
 }
 
 TEST(LifecyclePropertyTest, EveryTicketResolvesOnceAndLedgersBalance) {
   for (const uint64_t seed : {1, 2, 3, 4}) {
-    RunLifecycle(seed);
+    int64_t retries = 0;
+    RunLifecycle(seed, /*serving_retries=*/false, &retries);
   }
+}
+
+TEST(LifecyclePropertyTest, ServingRetriesResolveOnceAndLedgersBalance) {
+  int64_t total_retries = 0;
+  for (const uint64_t seed : {1, 2, 3, 4}) {
+    int64_t retries = 0;
+    RunLifecycle(seed, /*serving_retries=*/true, &retries);
+    total_retries += retries;
+  }
+  // The fault lands on a busy serving SoC in most seeds (not seed 2, where
+  // SoC 1 is idle at that instant), so the campaign takes the retry path.
+  EXPECT_GT(total_retries, 0);
 }
 
 }  // namespace

@@ -237,7 +237,7 @@ TEST_F(BrownoutGovernorTest, LadderEngagesInOrderReleasesInReverse) {
   Load(0.9);
   const double loaded = cluster_.CurrentPower().watts();
   ASSERT_GT(loaded, idle + 10.0);
-  BrownoutGovernor governor(&sim_, &cluster_, nullptr,
+  BrownoutGovernor governor(&sim_, &cluster_,
                             Power::Watts((idle + loaded) / 2.0));
   governor.AddRung("a", 2, [](int) {}, [](int) {});
   governor.AddRung("b", 1, [](int) {}, [](int) {});
@@ -287,7 +287,7 @@ TEST_F(BrownoutGovernorTest, HysteresisHoldsBeforeRelease) {
   ASSERT_GT(loaded, cap);
   ASSERT_GE(partial, BrownoutGovernor::kReleaseFraction * cap);
   ASSERT_LT(idle, BrownoutGovernor::kReleaseFraction * cap);
-  BrownoutGovernor governor(&sim_, &cluster_, nullptr, Power::Watts(cap));
+  BrownoutGovernor governor(&sim_, &cluster_, Power::Watts(cap));
   governor.AddRung("a", 1, [](int) {}, [](int) {});
   governor.Start();
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(4)).ok());

@@ -1,5 +1,5 @@
-// Request-level resilience tests: load shedding, deadlines, retries, and
-// hedging in the serving fleet; mid-pipeline failover in collaborative
+// Request-level resilience tests: load shedding, deadlines and retries in
+// the serving fleet; mid-pipeline failover in collaborative
 // inference; and the bitrate-ladder degradation path in live transcoding.
 
 #include "gtest/gtest.h"
@@ -114,24 +114,6 @@ TEST_F(ServingResilienceTest, ExhaustedRetryBudgetDeniesRetries) {
   EXPECT_EQ(fleet.retries(), 1);
   EXPECT_EQ(fleet.failed(), 1);
   EXPECT_EQ(fleet.completed(), 0);
-}
-
-TEST_F(ServingResilienceTest, HedgeRescuesBeforeCompletionWouldArrive) {
-  Boot();
-  SocServingFleet fleet(&sim_, &cluster_, DlDevice::kSocGpu,
-                        DnnModel::kResNet50, Precision::kFp32);
-  fleet.SetActiveCount(2);
-  const Duration service = ServiceTime(fleet);
-  fleet.EnableHedging(service * 0.5);
-  fleet.Submit();
-  // The SoC dies early; the hedge check at half service notices and
-  // re-queues long before the never-arriving completion.
-  sim_.ScheduleAfter(service * 0.25, [this] { cluster_.soc(0).Fail(); });
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(5)).ok());
-  EXPECT_EQ(fleet.hedges(), 1);
-  EXPECT_EQ(fleet.completed(), 1);
-  EXPECT_EQ(fleet.failed(), 0);
-  EXPECT_EQ(fleet.retries(), 0);  // Hedges spend no retry budget.
 }
 
 TEST_F(ServingResilienceTest, ThrottledSocServesProportionallySlower) {
